@@ -43,7 +43,8 @@ test:
 
 fuzz-smoke:
 	$(PYTHONPATH_PREFIX) HYPOTHESIS_PROFILE=$(HYPOTHESIS_PROFILE) \
-		$(PYTHON) -m pytest -q tests/test_component_pool.py
+		$(PYTHON) -m pytest -q tests/test_component_pool.py \
+		tests/test_incremental.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

@@ -242,20 +242,21 @@ def test_incremental_descent_stays_incremental(bench_json):
 
 
 def test_tracing_overhead(bench_json):
-    """The observability contract: tracing off costs nothing measurable.
+    """The observability contract: tracing stays cheap and truthful.
 
-    Three interleaved passes over the myciel4 binary descent, min of
+    Two interleaved passes over the myciel4 binary descent, min of
     ``reps`` wall times each (min-of-reps is the stable estimator on a
-    shared runner): two untraced passes — their ratio is the *disabled*
-    overhead, i.e. the cost of the ``tracer is None`` branch the hot
-    loop always pays, gated at <= 5% — and one pass under an installed
-    :func:`repro.obs.tracing` sink (*enabled* overhead, gated loosely;
-    it buys the full event stream).  The conflict counts must be
-    identical across all three modes: observability must never perturb
-    the search.  The record count of the enabled pass is deterministic
-    at a fixed input, so the bench gate pins it exactly — a hook that
-    silently stops emitting (or double-emits) fails ``make bench-check``
-    even though every ratio would still look fine.
+    shared runner): one untraced (*disabled*) and one under an installed
+    :func:`repro.obs.tracing` sink (*enabled*).  Their ratio is the
+    enabled overhead, gated loosely — it buys the full event stream.
+    The disabled cost (the ``tracer is None`` branch the hot loop always
+    pays) has no untraced twin to time it against, so it is not gated.
+    The conflict counts must be identical across both modes:
+    observability must never perturb the search.  The record count of
+    the enabled pass is deterministic at a fixed input, so the bench
+    gate pins it exactly — a hook that silently stops emitting (or
+    double-emits) fails ``make bench-check`` even though the ratio
+    would still look fine.
     """
     import io
     import time
@@ -271,12 +272,11 @@ def test_tracing_overhead(bench_json):
         )
 
     reps = 5
-    best = {"baseline": float("inf"), "disabled": float("inf"),
-            "enabled": float("inf")}
+    best = {"disabled": float("inf"), "enabled": float("inf")}
     conflicts = {}
     trace_records = 0
     for _ in range(reps):
-        for mode in ("baseline", "disabled", "enabled"):
+        for mode in ("disabled", "enabled"):
             sink = io.BytesIO()
             t0 = time.perf_counter()
             if mode == "enabled":
@@ -291,23 +291,20 @@ def test_tracing_overhead(bench_json):
             if mode == "enabled":
                 trace_records = len(read_trace(sink.getvalue()).records)
     assert record.status == "OPTIMAL" and record.chromatic_number == 5
-    assert conflicts["baseline"] == conflicts["disabled"] == conflicts["enabled"], (
+    assert conflicts["disabled"] == conflicts["enabled"], (
         "tracing perturbed the search", conflicts)
     assert trace_records > conflicts["enabled"]  # every conflict + lifecycle
-    disabled_ratio = best["disabled"] / best["baseline"]
-    enabled_ratio = best["enabled"] / best["baseline"]
+    enabled_ratio = best["enabled"] / best["disabled"]
     bench_json.add(
         "tracing-overhead",
-        baseline_seconds=round(best["baseline"], 4),
         disabled_seconds=round(best["disabled"], 4),
         enabled_seconds=round(best["enabled"], 4),
-        disabled_overhead_ratio=round(disabled_ratio, 3),
         enabled_overhead_ratio=round(enabled_ratio, 3),
         trace_records=trace_records,
         conflicts=conflicts["enabled"],
     )
-    print(f"\n  tracing overhead: disabled {disabled_ratio:.3f}x, "
-          f"enabled {enabled_ratio:.3f}x ({trace_records} records)")
+    print(f"\n  tracing overhead: enabled {enabled_ratio:.3f}x "
+          f"({trace_records} records)")
 
 
 def test_budgeted_descent_degrades_verifiably(bench_json):

@@ -82,15 +82,11 @@ GATES = [
      "num_colors", "eq", 0.0),
     ("solver_micro", {"instance": "descent-budgeted-myciel4"},
      "degraded", "eq", 0.0),
-    # Observability (docs/observability.md): the tracer hook the hot
-    # loop always pays must stay free when no tracer is installed
-    # (committed baseline is normalized to 1.0, so the gate reads
-    # "disabled overhead <= 5%"); an installed tracer stays bounded;
-    # and the event-stream size tracks the (bounded) conflict count —
-    # a hook that silently stops emitting or double-emits fails here
-    # even though every ratio would still look fine.
-    ("solver_micro", {"instance": "tracing-overhead"},
-     "disabled_overhead_ratio", "max", 0.05),
+    # Observability (docs/observability.md): an installed tracer stays
+    # bounded against the untraced run, and the event-stream size
+    # tracks the (bounded) conflict count — a hook that silently stops
+    # emitting or double-emits fails here even though the ratio would
+    # still look fine.
     ("solver_micro", {"instance": "tracing-overhead"},
      "enabled_overhead_ratio", "max", 0.50),
     ("solver_micro", {"instance": "tracing-overhead"},
@@ -100,24 +96,18 @@ GATES = [
      "units", "eq", 0.0),
     ("preprocessing", {"instance": "subsumption-indexed-10k"},
      "subsumed", "eq", 0.0),
-    # Execution tiers (bench_parallel): every pool tier reproduces the
-    # same answer on the 3-component union, the process tier keeps its
-    # wall-clock standing against the threaded tier (loose — the ratio
-    # is hardware-dependent; cpus is recorded in the baseline), and the
-    # portfolio race stays a first-conclusive-cancels-the-rest affair
-    # with the exchanged bounds meeting at the optimum.
+    # Execution tiers (bench_parallel): both pool tiers reproduce the
+    # same answer on the 3-component union, and the portfolio race
+    # stays a first-conclusive-cancels-the-rest affair with the
+    # exchanged bounds meeting at the optimum.
     ("parallel", {"instance": "pool-tier-processes"},
      "chromatic_number", "eq", 0.0),
     ("parallel", {"instance": "pool-tier-processes"},
      "components", "eq", 0.0),
     ("parallel", {"instance": "pool-tier-processes"},
      "solvers_created", "eq", 0.0),
-    ("parallel", {"instance": "pool-tier-threads"},
-     "chromatic_number", "eq", 0.0),
     ("parallel", {"instance": "pool-tier-sequential"},
      "chromatic_number", "eq", 0.0),
-    ("parallel", {"instance": "pool-tier-aggregate"},
-     "process_vs_threads_speedup", "min", 0.50),
     ("parallel", {"instance": "portfolio-race-gnp42"},
      "chromatic_number", "eq", 0.0),
     ("parallel", {"instance": "portfolio-race-gnp42"},

@@ -31,6 +31,9 @@ backend table.  ``batch`` fans a JSON/JSONL manifest of tasks across a
 worker pool (:mod:`repro.batch`) and streams one JSONL record per task
 in manifest order, plus an aggregate summary.
 
+A missing input file exits with status 2 and one ``error:`` line
+naming the path.
+
 ``--trace FILE`` records a binary solver event trace
 (``docs/TRACE_FORMAT.md``; render with ``python -m repro.obs report``)
 and ``--metrics FILE`` dumps the run's metrics-registry snapshot as
@@ -438,7 +441,13 @@ def main(argv=None) -> int:
     p_batch.set_defaults(func=cmd_batch)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FileNotFoundError as exc:
+        # A missing input (graph, manifest, --resume log) is a usage
+        # error: one line naming the path, not a traceback.
+        print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ from .pipeline import (
     run_chromatic_via_budget,
     run_optimize_flow,
 )
-from .problems import BUDGETED, CHROMATIC, DECISION, DecisionProblem, Problem
+from .problems import BUDGETED, CHROMATIC, DECISION, Problem
 from .results import Result, RunContext, StageStat
 
 # The CNF route supports the clause-expressible SBP subset only.
@@ -276,6 +276,7 @@ class CdclBackend(Backend):
         trivial = _trivial_result(problem.kind, problem.graph)
         if trivial is not None:
             return trivial
+        ctx = ctx.with_deadline(config.solve.time_limit)
         if problem.kind == DECISION:
             return self._decide(problem, config, ctx)
         return self._chromatic(problem, config, ctx)
@@ -289,7 +290,7 @@ class CdclBackend(Backend):
         status, coloring = sat_k_colorable(
             problem.graph,
             problem.k,
-            time_limit=config.solve.time_limit,
+            time_limit=ctx.deadline.remaining(),
             amo_encoding=config.encode.amo,
             sbp_kind=config.symmetry.sbp_kind,
             preprocess=config.simplify.enabled,
@@ -327,22 +328,12 @@ class CdclBackend(Backend):
             pooled, kernelized = pooled_chromatic_result(problem, config, ctx)
             if pooled is not None:
                 return pooled
-        probe = None
-        if problem.max_colors is not None:
-            # Settle the cap with a single decision probe before paying
-            # for the descent: UNSAT at the cap proves infeasibility
-            # cheaply, SAT guarantees the descent lands within it.
-            probe = self._decide(
-                DecisionProblem(problem.graph, problem.max_colors), config, ctx
-            )
-            if probe.status != SAT:
-                return probe
         ctx.emit("solve", f"{strategy} K descent ({self.name})")
         t0 = time.monotonic()
         sat_result = chromatic_number_sat(
             problem.graph,
             strategy=strategy,
-            time_limit=config.solve.time_limit,
+            time_limit=ctx.deadline.remaining(),
             amo_encoding=config.encode.amo,
             sbp_kind=config.symmetry.sbp_kind,
             preprocess=config.simplify.enabled,
@@ -350,9 +341,10 @@ class CdclBackend(Backend):
             incremental=self.incremental,
             should_stop=ctx.cancelled if ctx.cancel else None,
             kernelized=kernelized,
+            max_colors=problem.max_colors,
         )
         seconds = time.monotonic() - t0
-        result = Result(
+        return Result(
             status=sat_result.status,
             num_colors=sat_result.chromatic_number,
             coloring=sat_result.coloring,
@@ -365,13 +357,6 @@ class CdclBackend(Backend):
             solvers_created=sat_result.solvers_created,
             cancelled=ctx.cancelled(),
         )
-        if probe is not None:
-            # Account the cap-feasibility probe in the trace.
-            result.queries = list(probe.queries) + result.queries
-            result.solvers_created += probe.solvers_created
-            result.stats.merge(probe.stats)
-            result.stages = list(probe.stages) + result.stages
-        return result
 
 
 # --------------------------------------------------------------------------

@@ -98,8 +98,7 @@ class SolveConfig:
     solver and the results recombine as the max over components.
     ``pool_jobs`` fans the pool's component descents across that many
     *worker processes* (0 = sequential, largest component first) — the
-    multi-core path.  ``pool_threads`` is the deprecated GIL-bound
-    thread fan-out, kept as an alias with a warning.
+    multi-core path.
 
     ``racers`` names the engines the ``portfolio`` backend races
     (``"backend"`` or ``"backend:strategy"`` specs); ``share_clauses``
@@ -115,7 +114,6 @@ class SolveConfig:
     use_bounds: bool = True
     split_components: bool = True
     pool_jobs: int = 0
-    pool_threads: int = 0
     racers: Tuple[str, ...] = DEFAULT_RACERS
     share_clauses: bool = False
 
@@ -124,20 +122,6 @@ class SolveConfig:
             _check_choice(self.strategy, SEARCH_STRATEGIES, "search strategy")
         if self.pool_jobs < 0:
             raise ValueError(f"pool_jobs must be >= 0, got {self.pool_jobs}")
-        if self.pool_threads < 0:
-            raise ValueError(
-                f"pool_threads must be >= 0, got {self.pool_threads}"
-            )
-        if self.pool_threads > 0:
-            import warnings
-
-            warnings.warn(
-                "SolveConfig.pool_threads is deprecated: the threaded "
-                "component fan-out is GIL-bound; use pool_jobs (worker "
-                "processes) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         # Imported lazily: the backend registry imports this module.
         from .backends import check_backend_name, resolve_backend_name
 
@@ -223,7 +207,6 @@ class PipelineConfig:
             "use_bounds": self.solve.use_bounds,
             "split_components": self.solve.split_components,
             "pool_jobs": self.solve.pool_jobs,
-            "pool_threads": self.solve.pool_threads,
             "racers": self.solve.racers,
             "share_clauses": self.solve.share_clauses,
             "prep_fraction": self.budget.prep_fraction,

@@ -36,7 +36,6 @@ from ..graphs.coloring_heuristics import dsatur
 from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
-from ..resilience import Deadline
 from ..sat.preprocessing import SimplifyStats, simplify_formula
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT
 from ..sbp.lex_leader import add_symmetry_breaking_predicates
@@ -125,8 +124,7 @@ class Pipeline:
             on_progress=on_progress,
             cancel=cancel,
             detection_cache=detection_cache,
-            deadline=Deadline.after(self._config.solve.time_limit),
-        )
+        ).with_deadline(self._config.solve.time_limit)
         ctx.emit("pipeline", f"{problem.kind} on backend {backend.name}")
         result = backend.run(problem, self._config, ctx)
         if problem.kind != DECISION and result.status in (SAT, FEASIBLE):
@@ -192,26 +190,20 @@ def _cancelled_result(stages: List[StageStat], info: PipelineInfo) -> Result:
 
 def _detection_key(graph: Graph, budget: int, sbp_kind: str,
                    simplified_ran: bool, node_limit: Optional[int]):
-    """Content-derived cache key for a symmetry-detection report.
+    """Cache key for a symmetry-detection report.
 
-    Keyed on the graph's canonical edge-set certificate (isomorphic
-    inputs under the same budget/config share one detection run —
-    batch workers re-solving the same instance family stop re-detecting
-    per task), plus everything that changes the formula detection sees.
-    Returns None — uncacheable — when the canonicalizer exhausts its
-    node budget.
+    Keyed on the graph *as labeled* (a digest of its sorted edge list):
+    the cached generators permute this labeling's variables, so only the
+    same labeling may reuse them — on an isomorphic relabeling they are
+    not symmetries.  Batch workers re-solving the same instance still
+    stop re-detecting per task.  The rest of the key is everything that
+    changes the formula detection sees, or how far detection searches.
     """
     from hashlib import sha1
 
-    from ..symmetry.canonical import canonical_form
-
-    try:
-        certificate = canonical_form(graph, node_limit=node_limit)
-    except RuntimeError:
-        return None
-    digest = sha1(
-        repr((graph.num_vertices, certificate)).encode()).hexdigest()
-    return (digest, budget, sbp_kind, simplified_ran)
+    edges = sorted(graph.edges())
+    digest = sha1(repr((graph.num_vertices, edges)).encode()).hexdigest()
+    return (digest, budget, sbp_kind, simplified_ran, node_limit)
 
 
 def _detect_and_break(
@@ -221,7 +213,7 @@ def _detect_and_break(
     cache: Optional[Dict],
 ) -> SymmetryReport:
     """Detect symmetries and append lex-leader SBPs (cached by key)."""
-    if cache is not None and key is not None:
+    if cache is not None:
         hit = key in cache
         get_registry().inc(
             "symmetry_cache_total", result="hit" if hit else "miss")
@@ -256,11 +248,9 @@ def run_optimize_flow(
     """
     if budget <= 0:
         return _infeasible_budget(graph, budget, config)
-    if not ctx.deadline.bounded and config.solve.time_limit is not None:
-        # Entered outside Pipeline.run (a backend called directly):
-        # seed the run deadline from the configured limit so the whole
-        # flow — all components, all stages — shares one budget.
-        ctx = replace(ctx, deadline=Deadline.after(config.solve.time_limit))
+    # Entered outside Pipeline.run (a backend called directly), the run
+    # deadline is seeded here so all components and stages share it.
+    ctx = ctx.with_deadline(config.solve.time_limit)
     if config.reduce.enabled:
         return _run_reduced(graph, budget, config, ctx, engine, decision)
     return _run_formula_stages(graph, budget, config, ctx, engine, decision)
@@ -386,8 +376,6 @@ def _run_formula_stages(
     )
     sym = config.symmetry
     deadline = ctx.deadline
-    if not deadline.bounded and config.solve.time_limit is not None:
-        deadline = Deadline.after(config.solve.time_limit)
     # The optional preparation stages (sbp / simplify / detect) get at
     # most prep_fraction of what's left; past that they are skipped —
     # they only help the solver, and a tight budget is better spent
@@ -463,8 +451,8 @@ def _run_formula_stages(
         elif stage_name == "detect":
             if sym.instance_dependent:
                 ctx.emit("detect", "detecting symmetries + lex-leader SBPs")
-                # The canonical certificate costs a graph traversal, so
-                # compute the key only when a cache is actually wired in.
+                # The key digests the edge list, so compute it only
+                # when a cache is actually wired in.
                 key = (
                     _detection_key(graph, budget, sym.sbp_kind,
                                    simplified_ran, sym.detection_node_limit)

@@ -19,7 +19,7 @@ component (size, status, K-query trace, solver count) so callers can
 see exactly which component cost what — and ``solvers_created`` equals
 the number of components that needed a solver, the pool's contract.
 
-Execution tiers (``SolveConfig.pool_jobs`` / ``pool_threads``):
+Execution tiers (``SolveConfig.pool_jobs``):
 
 * **sequential** (the default) — largest component first, with the
   pool's :class:`~repro.resilience.Deadline` shared via
@@ -30,10 +30,7 @@ Execution tiers (``SolveConfig.pool_jobs`` / ``pool_threads``):
   side hard kill deadline, crash retry via
   :class:`~repro.resilience.RetryPolicy` (then an inline fallback solve,
   so a dying worker can never lose the answer), and a shared stop event
-  that cancels siblings the moment one component proves UNSAT;
-* **thread fan-out** (``threads > 1``, deprecated) — the historical
-  GIL-bound tier, kept for measurement; it shares the same stop-event
-  early exit.
+  that cancels siblings the moment one component proves UNSAT.
 
 Whatever the tier, results recombine identically — the differential
 harness (``tests/test_component_pool.py``) holds pool == single-solver
@@ -54,7 +51,6 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import multiprocessing.connection
-import threading
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
@@ -103,26 +99,6 @@ def _stats_delta(after, before):
     delta.deleted = after.deleted - before.deleted
     delta.time_seconds = after.time_seconds - before.time_seconds
     return delta
-
-
-def _solve_pool_component(pool: "ComponentSessionPool", index: int,
-                          limit: Optional[float], strategy: str,
-                          max_colors: Optional[int]) -> Optional[Result]:
-    """Thread-tier worker: one component descent on the pool's Session.
-
-    Module-level (not a closure) so the submission obeys RPR006's
-    no-closures-at-the-pool-boundary rule for every executor tier.
-    Returns ``None`` when a sibling already settled the answer before
-    this descent started (its trace is then absent from the merge, the
-    same as the sequential early exit); flips the pool's stop event on
-    a definitive UNSAT so in-flight siblings cancel mid-query.
-    """
-    if pool._stop.is_set():
-        return None
-    result = pool._solve_component(index, limit, strategy, max_colors)
-    if result.status == UNSAT:
-        pool._stop.set()
-    return result
 
 
 def _component_worker(payload: Dict[str, object], conn, stop_event) -> None:
@@ -184,12 +160,12 @@ class ComponentSessionPool:
     the kernel into connected components, and lazily owns one Session —
     hence one persistent solver — per component.  :meth:`chromatic`
     runs the per-component K descents (largest component first;
-    ``jobs > 1`` fans them across worker processes, ``threads > 1``
-    across threads) and recombines status, coloring, stats, query
-    traces and per-component provenance into one :class:`Result`.
+    ``jobs > 1`` fans them across worker processes) and recombines
+    status, coloring, stats, query traces and per-component provenance
+    into one :class:`Result`.
 
-    The pool is reusable: in the sequential and thread tiers sessions
-    keep their learned clauses between calls, so a second
+    The pool is reusable: in the sequential tier sessions keep their
+    learned clauses between calls, so a second
     :meth:`chromatic` (or a direct query on a member of
     :attr:`sessions`) rides the already-warm solvers.
     """
@@ -200,23 +176,19 @@ class ComponentSessionPool:
         config: Optional[PipelineConfig] = None,
         on_progress: Optional[Callable[[ProgressEvent], None]] = None,
         cancel: Optional[Callable[[], bool]] = None,
-        threads: int = 0,
         jobs: int = 0,
         _kernelized: Optional[tuple] = None,
     ):
         self.graph = graph
         self.config = config if config is not None else PipelineConfig()
-        if threads < 0:
-            raise ValueError(f"threads must be >= 0, got {threads}")
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
-        self.threads = threads
         self.jobs = jobs
         self._ctx = RunContext(on_progress=on_progress, cancel=cancel)
         # Set when one component's answer settles the whole pool (a
-        # definitive UNSAT): in-flight sibling descents poll it through
-        # their Session cancel predicate and stop mid-query.
-        self._stop = threading.Event()
+        # definitive UNSAT): a later inline descent polls it through its
+        # Session cancel predicate and stops.
+        self._settled = False
         reduce_start = time.monotonic()
         if _kernelized is not None:
             # The backend probe already kernelized; don't redo the work.
@@ -263,7 +235,7 @@ class ComponentSessionPool:
 
     def _session_cancel(self) -> bool:
         """Sibling-settled stop OR the caller's own cancel predicate."""
-        return self._stop.is_set() or self._ctx.cancelled()
+        return self._settled or self._ctx.cancelled()
 
     def _forward_progress(self, index: int):
         if self._ctx.on_progress is None:
@@ -302,9 +274,10 @@ class ComponentSessionPool:
         simply absent from, or marked cancelled in, the merged result).
         """
         t0 = time.monotonic()
-        self._stop.clear()
+        self._settled = False
         if time_limit is None:
             time_limit = self.config.solve.time_limit
+        deadline = Deadline.after(time_limit)
         info = PipelineInfo(
             preprocess=self.config.simplify.enabled,
             reduce=True,
@@ -343,7 +316,6 @@ class ComponentSessionPool:
                 pipeline=info,
             )
 
-        deadline = Deadline.after(time_limit)
         tracer = active_tracer()
         if tracer is not None:
             tracer.pool_begin(len(self.components))
@@ -365,8 +337,6 @@ class ComponentSessionPool:
             pairs = self._run_processes(
                 deadline, weights, strategy, max_colors)
             baselines = [SolverStats() for _ in self.components]
-        elif self.threads > 1 and len(self.components) > 1:
-            pairs = self._run_threads(deadline, weights, strategy, max_colors)
         else:
             pairs = []
             for index in indices:
@@ -393,7 +363,7 @@ class ComponentSessionPool:
 
     def _solve_component(self, index: int, limit: Optional[float],
                          strategy: str, max_colors: Optional[int]) -> Result:
-        """One component descent on this process's Session (seq/thread)."""
+        """One component descent on this process's Session."""
         tracer = active_tracer()
         if tracer is not None:
             tracer.component_begin(index, self._subgraphs[index].num_vertices)
@@ -414,35 +384,6 @@ class ComponentSessionPool:
             tracer.component_end(index, result.status, result.num_colors)
         get_registry().inc("pool_component_total", status=result.status)
         return result
-
-    # ------------------------------------------------------------------
-    # Thread tier (deprecated, kept for measurement)
-    # ------------------------------------------------------------------
-
-    def _run_threads(self, deadline: Deadline, weights: List[float],
-                     strategy: str,
-                     max_colors: Optional[int]) -> List[Tuple[int, Result]]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Concurrent components split the remaining budget upfront;
-        # each child deadline is clamped by the pool's own.
-        children = deadline.split(weights, floor_fraction=_POOL_FLOOR)
-        with ThreadPoolExecutor(
-            max_workers=min(self.threads, len(self.components))
-        ) as executor:
-            futures = [
-                executor.submit(
-                    _solve_pool_component, self, index,
-                    children[index].remaining(), strategy, max_colors,
-                )
-                for index in range(len(self.components))
-            ]
-            results = [future.result() for future in futures]
-        return [
-            (index, result)
-            for index, result in enumerate(results)
-            if result is not None
-        ]
 
     # ------------------------------------------------------------------
     # Process tier (the multi-core path)
@@ -514,7 +455,7 @@ class ComponentSessionPool:
             if result.status == UNSAT:
                 unsat = True
                 stop_event.set()
-                self._stop.set()
+                self._settled = True
 
         def fallback(index: int, note: str) -> None:
             """Solve the component inline with whatever budget is left."""
@@ -718,7 +659,6 @@ def pooled_chromatic_result(problem, config, ctx):
         config=config,
         on_progress=ctx.on_progress,
         cancel=ctx.cancel,
-        threads=config.solve.pool_threads,
         jobs=config.solve.pool_jobs,
         _kernelized=kernelized,
     )
@@ -730,7 +670,7 @@ def pooled_chromatic_result(problem, config, ctx):
     )
     result = pool.chromatic(
         strategy=strategy,
-        time_limit=config.solve.time_limit,
+        time_limit=ctx.deadline.remaining(),
         max_colors=problem.max_colors,
     )
     return result, kernelized

@@ -291,7 +291,6 @@ def _racer_config(config: PipelineConfig, name: str,
         backend=name,
         strategy=strategy if strategy is not None else config.solve.strategy,
         pool_jobs=0,
-        pool_threads=0,
         share_clauses=False,
     ))
 

@@ -16,7 +16,7 @@ rather than raising), and the shared symmetry-detection cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..coloring.solve import PipelineInfo
@@ -51,10 +51,10 @@ class RunContext:
     """Per-run side channel: progress, cancellation, budget, caches.
 
     ``deadline`` is the run's :class:`~repro.resilience.Deadline`
-    (unbounded by default); the Pipeline seeds it from the configured
-    time limit and every stage checks it instead of re-deriving
-    elapsed-time arithmetic.  ``emit`` doubles as the fault harness's
-    ``stage:<name>`` injection point.
+    (unbounded by default); :meth:`with_deadline` seeds it from the
+    configured time limit and every stage checks it instead of
+    re-deriving elapsed-time arithmetic.  ``emit`` doubles as the fault
+    harness's ``stage:<name>`` injection point.
     """
 
     on_progress: Optional[Callable[[ProgressEvent], None]] = None
@@ -80,6 +80,18 @@ class RunContext:
     def cancelled(self) -> bool:
         """True when the caller has requested cancellation."""
         return bool(self.cancel and self.cancel())
+
+    def with_deadline(self, time_limit: Optional[float]) -> "RunContext":
+        """This context, its deadline seeded from ``time_limit``.
+
+        ``Pipeline.run`` seeds the run's deadline here once; a backend
+        entered directly (portfolio racers pass a bare context) seeds it
+        on entry, so every stage spends from one budget.  A context
+        that already carries a bounded deadline comes back unchanged.
+        """
+        if self.deadline.bounded or time_limit is None:
+            return self
+        return replace(self, deadline=Deadline.after(time_limit))
 
 
 @dataclass

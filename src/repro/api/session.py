@@ -27,6 +27,7 @@ import copy
 import time
 from typing import Callable, List, Optional, Tuple
 
+from ..coloring.descent import Answer, descend
 from ..coloring.sat_pipeline import IncrementalKSearch
 from ..coloring.verify import check_proper
 from ..graphs.cliques import clique_lower_bound
@@ -38,14 +39,6 @@ from ..resilience import Deadline
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT
 from .config import PipelineConfig
 from .results import ProgressEvent, Result, RunContext, StageStat
-
-
-def _note_deadline_expired() -> None:
-    """Record a session-level budget expiry (traced event + counter)."""
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.deadline_expired("session")
-    get_registry().inc("deadline_expired_total", where="session")
 
 
 class Session:
@@ -79,7 +72,6 @@ class Session:
         self._search: Optional[IncrementalKSearch] = None
         self.solvers_created = 0
         self.queries: List[Tuple[int, str]] = []
-        self._best_coloring = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -150,9 +142,8 @@ class Session:
     # Queries
     # ------------------------------------------------------------------
 
-    def _result(self, status, coloring, seconds, query_k=None, query_status=None,
+    def _result(self, status, coloring, seconds, queries=(),
                 cancelled=False) -> Result:
-        queries = [(query_k, query_status)] if query_k is not None else []
         return Result(
             status=status,
             num_colors=len(set(coloring.values())) if coloring else
@@ -162,10 +153,28 @@ class Session:
             # Snapshot: the session's cumulative stats keep growing with
             # later queries, but each returned Result must stand still.
             stats=copy.copy(self.stats),
-            queries=queries,
+            queries=list(queries),
             solvers_created=self.solvers_created,
             cancelled=cancelled,
         )
+
+    def _solve_k(self, horizon: int, k: int, deadline: Deadline) -> Answer:
+        """One K query on the persistent solver, encoded at ``horizon``.
+
+        The session's oracle for both :meth:`decide` and the
+        :meth:`chromatic` descent: it reports the query as progress
+        events and metrics, and reads the budget only after the solver
+        is built or grown.
+        """
+        search = self._ensure_search(horizon)
+        self._ctx.emit("query", f"deciding {k}-colorability", k=k)
+        status, coloring, failed = search.solve_k(
+            k, time_limit=deadline.remaining(), should_stop=self._should_stop()
+        )
+        self.queries.append((k, status))
+        get_registry().inc("session_queries_total", status=status)
+        self._ctx.emit("query", f"K={k}: {status}", k=k, status=status)
+        return status, coloring, failed
 
     def decide(self, k: int, time_limit: Optional[float] = None) -> Result:
         """Is the graph ``k``-colorable?  (SAT/UNSAT/UNKNOWN + coloring.)
@@ -175,29 +184,21 @@ class Session:
         budgets in any order keeps the one persistent solver.
         """
         t0 = time.monotonic()
+        if time_limit is None:
+            time_limit = self.config.solve.time_limit
+        deadline = Deadline.after(time_limit)
         if k <= 0 or self.graph.num_vertices == 0:
             status = SAT if self.graph.num_vertices == 0 else UNSAT
             coloring = {} if status == SAT else None
             self.queries.append((k, status))
             return self._result(status, coloring, time.monotonic() - t0,
-                                query_k=k, query_status=status)
+                                queries=[(k, status)])
         if self._ctx.cancelled():
             return self._result(UNKNOWN, None, time.monotonic() - t0,
                                 cancelled=True)
-        search = self._ensure_search(k)
-        self._ctx.emit("query", f"deciding {k}-colorability", k=k)
-        if time_limit is None:
-            time_limit = self.config.solve.time_limit
-        status, coloring, _ = search.solve_k(
-            k, time_limit=time_limit, should_stop=self._should_stop()
-        )
-        self.queries.append((k, status))
-        get_registry().inc("session_queries_total", status=status)
-        self._ctx.emit("query", f"K={k}: {status}", k=k, status=status)
-        if coloring is not None:
-            self._best_coloring = coloring
+        status, coloring, _ = self._solve_k(k, k, deadline)
         return self._result(status, coloring, time.monotonic() - t0,
-                            query_k=k, query_status=status,
+                            queries=[(k, status)],
                             cancelled=status == UNKNOWN and self._ctx.cancelled())
 
     def chromatic(
@@ -209,9 +210,13 @@ class Session:
     ) -> Result:
         """Chromatic number by a K descent on the session's solver.
 
-        Unlike the one-shot descent, nothing is disabled permanently —
-        every query is assumption-based, so the session stays fully
-        reusable (including budget raises) afterwards.
+        The descent is :func:`repro.coloring.descent.descend` over the
+        session's oracle.  Unlike the one-shot descent, nothing is
+        disabled permanently — every query is assumption-based, so the
+        session stays fully reusable (including budget raises)
+        afterwards.  ``max_colors`` caps the answer (UNSAT below the
+        chromatic number); the solver is encoded at the smaller of the
+        DSATUR bound and the cap.
 
         ``lower_bound`` clamps the descent floor: colors below it are
         never probed, so the proved answer is ``max(lower_bound,
@@ -221,115 +226,42 @@ class Session:
         the recombined maximum, so distinguishing values under the bound
         is wasted UNSAT proving.
         """
-        if strategy not in ("linear", "binary"):
-            raise ValueError(f"unknown strategy {strategy!r}; expected linear/binary")
         t0 = time.monotonic()
         if time_limit is None:
             time_limit = self.config.solve.time_limit
         deadline = Deadline.after(time_limit)
-        n = self.graph.num_vertices
-        if n == 0:
+        if self.graph.num_vertices == 0:
             return self._result(OPTIMAL, {}, time.monotonic() - t0)
-        if max_colors is not None and max_colors <= 0:
-            return self._result(UNSAT, None, time.monotonic() - t0)
         heuristic, ub = dsatur(self.graph)
-        lb = max(1, clique_lower_bound(self.graph), lower_bound or 0)
-        best = {v: c + 1 for v, c in heuristic.items()}
-        if ub <= lb and (max_colors is None or max_colors >= ub):
-            # The clique bound meets the heuristic bound: the chromatic
-            # number is proved without instantiating a solver.
-            return self._result(OPTIMAL, best, time.monotonic() - t0)
-        if max_colors is not None and max_colors < ub:
-            # The cap undercuts the heuristic bound: establish
-            # feasibility at the cap first.
-            probe = self.decide(max_colors, time_limit=deadline.remaining())
-            if probe.status != SAT:
-                return self._result(
-                    probe.status if probe.status == UNSAT else UNKNOWN,
-                    None, time.monotonic() - t0, query_k=max_colors,
-                    query_status=probe.status, cancelled=probe.cancelled,
-                )
-            best = probe.coloring
-            ub = len(set(best.values()))
-        search = self._ensure_search(ub)
-        queries: List[Tuple[int, str]] = []
-        proved_lb = lb
-
-        def finish(status: str, coloring, cancelled=False) -> Result:
-            # A descent stopped by its budget (or a cancel) before the
-            # bounds met degrades to FEASIBLE: the best-so-far coloring,
-            # re-verified here, with whatever bounds were proved.
-            # Degradation weakens optimality, never correctness.
-            degraded = status == SAT
-            if degraded:
-                status = FEASIBLE
-                tracer = active_tracer()
-                if tracer is not None:
-                    tracer.degraded("session", FEASIBLE)
-                get_registry().inc("session_degraded_total")
-            upper = None
-            if coloring:
-                check_proper(self.graph, coloring)
-                upper = len(set(coloring.values()))
-            result = self._result(status, coloring, time.monotonic() - t0,
-                                  cancelled=cancelled)
-            result.degraded = degraded
-            result.upper_bound = upper
-            if status == OPTIMAL:
-                result.lower_bound = upper
-            elif status == FEASIBLE:
-                result.lower_bound = proved_lb
-            result.queries = queries
-            return result
-
-        if strategy == "linear":
-            k = ub - 1
-            while k >= lb:
-                if deadline.expired():
-                    _note_deadline_expired()
-                    return finish(SAT, best)
-                if self._ctx.cancelled():
-                    return finish(SAT, best, cancelled=True)
-                self._ctx.emit("query", f"deciding {k}-colorability", k=k)
-                status, coloring, _ = search.solve_k(
-                    k, time_limit=deadline.remaining(),
-                    should_stop=self._should_stop(),
-                )
-                queries.append((k, status))
-                self.queries.append((k, status))
-                get_registry().inc("session_queries_total", status=status)
-                self._ctx.emit("query", f"K={k}: {status}", k=k, status=status)
-                if status == UNKNOWN:
-                    return finish(SAT, best, cancelled=self._ctx.cancelled())
-                if status == UNSAT:
-                    return finish(OPTIMAL, best)
-                best = coloring
-                k = len(set(coloring.values())) - 1
-            return finish(OPTIMAL, best)
-
-        lo, hi = lb, ub
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if deadline.expired():
-                _note_deadline_expired()
-                return finish(SAT, best)
-            if self._ctx.cancelled():
-                return finish(SAT, best, cancelled=True)
-            self._ctx.emit("query", f"deciding {mid}-colorability", k=mid)
-            status, coloring, failed_colors = search.solve_k(
-                mid, time_limit=deadline.remaining(),
-                should_stop=self._should_stop(),
-            )
-            queries.append((mid, status))
-            self.queries.append((mid, status))
-            get_registry().inc("session_queries_total", status=status)
-            self._ctx.emit("query", f"K={mid}: {status}", k=mid, status=status)
-            if status == UNKNOWN:
-                return finish(SAT, best, cancelled=self._ctx.cancelled())
-            if status == UNSAT:
-                lo = max(mid + 1, min(failed_colors) if failed_colors else 0)
-                proved_lb = lo
-            else:
-                best = coloring
-                hi = min(len(set(coloring.values())), mid)
-        return finish(OPTIMAL, best)
+        horizon = ub if max_colors is None else min(ub, max_colors)
+        outcome = descend(
+            lambda k, budget: self._solve_k(horizon, k, budget),
+            {v: c + 1 for v, c in heuristic.items()},
+            max(1, clique_lower_bound(self.graph), lower_bound or 0),
+            strategy=strategy,
+            deadline=deadline,
+            should_stop=self._should_stop(),
+            cap=max_colors,
+            where="session",
+        )
+        status, coloring = outcome.status, outcome.coloring
+        cancelled = status not in (OPTIMAL, UNSAT) and self._ctx.cancelled()
+        # A descent stopped by its budget (or a cancel) before the bounds
+        # met degrades to FEASIBLE: the best-so-far coloring, re-verified
+        # here, with whatever bounds were proved.  Degradation weakens
+        # optimality, never correctness.
+        degraded = status == SAT
+        if degraded:
+            status = FEASIBLE
+            tracer = active_tracer()
+            if tracer is not None:
+                tracer.degraded("session", FEASIBLE)
+            get_registry().inc("session_degraded_total")
+        result = self._result(status, coloring, time.monotonic() - t0,
+                              queries=outcome.queries, cancelled=cancelled)
+        result.degraded = degraded
+        if coloring:
+            check_proper(self.graph, coloring)
+            result.upper_bound = len(set(coloring.values()))
+            result.lower_bound = outcome.lower_bound
+        return result

@@ -12,8 +12,8 @@ JSON.  Each task combines:
   its budget;
 * the **pipeline knobs** (backend, fallback chain, SBP kind, strategy,
   AMO encoding, reduce/simplify toggles, per-component Session pooling
-  (``split_components``, ``pool_jobs`` worker processes, deprecated
-  ``pool_threads``), per-engine time limit).
+  (``split_components``, ``pool_jobs`` worker processes), per-engine
+  time limit).
 
 File formats: a ``.json`` manifest is either a JSON list of task dicts
 or ``{"defaults": {...}, "plugins": [...], "tasks": [...]}``; a
@@ -252,7 +252,6 @@ class TaskSpec:
     incremental: bool = True
     split_components: bool = True
     pool_jobs: int = 0
-    pool_threads: int = 0
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -330,7 +329,6 @@ class TaskSpec:
                 incremental=self.incremental,
                 split_components=self.split_components,
                 pool_jobs=self.pool_jobs,
-                pool_threads=self.pool_threads,
             )
         )
 

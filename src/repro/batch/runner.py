@@ -66,9 +66,8 @@ def _execute_attempt(
 
     ``detection_cache`` is the pool-wide symmetry-detection cache (a
     plain dict inline, a ``Manager().dict()`` proxy in workers), keyed
-    on the instance's canonical certificate — tasks re-solving the same
-    instance family reuse one detection run instead of re-detecting
-    per attempt.
+    on the graph as labeled — tasks re-solving the same instance reuse
+    one detection run instead of re-detecting per attempt.
     """
     start = time.monotonic()
     deadline = Deadline.after(task_timeout)

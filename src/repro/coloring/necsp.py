@@ -29,6 +29,7 @@ from ..graphs.cliques import clique_lower_bound
 from ..graphs.coloring_heuristics import dsatur
 from ..graphs.graph import Graph
 from ..resilience import Deadline
+from .descent import Answer, descend
 
 
 @dataclass
@@ -147,30 +148,30 @@ def necsp_chromatic_number(
     node_limit: Optional[int] = None,
     break_value_symmetry: bool = True,
 ) -> NECSPOptimum:
-    """Chromatic number by descending NECSP decision queries."""
+    """Chromatic number by descending NECSP decision queries.
+
+    The linear descent is :func:`repro.coloring.descent.descend` over
+    :func:`solve_necsp` as the K-query oracle.
+    """
     start = time.monotonic()
-    deadline = Deadline.after(time_limit)
-    heuristic, ub = dsatur(graph)
-    best = {v: c + 1 for v, c in heuristic.items()}
-    lb = max(1, clique_lower_bound(graph)) if graph.num_vertices else 0
-    k = ub - 1
+    if not graph.num_vertices:
+        return NECSPOptimum("OPTIMAL", 0, {}, 0, time.monotonic() - start)
+    heuristic, _ = dsatur(graph)
     nodes = 0
-    while k >= lb and graph.num_vertices:
-        budget = deadline.remaining()
-        if budget is not None and budget <= 0:
-            return NECSPOptimum("SAT", k + 1, best, nodes, time.monotonic() - start)
+
+    def decide(k: int, deadline: Deadline) -> Answer:
+        nonlocal nodes
         result = solve_necsp(
-            graph, k, time_limit=budget, node_limit=node_limit,
+            graph, k, time_limit=deadline.remaining(), node_limit=node_limit,
             break_value_symmetry=break_value_symmetry,
         )
         nodes += result.nodes_explored
-        if result.status == "UNKNOWN":
-            return NECSPOptimum("SAT", k + 1, best, nodes, time.monotonic() - start)
-        if result.status == "UNSAT":
-            return NECSPOptimum("OPTIMAL", k + 1, best, nodes, time.monotonic() - start)
-        best = result.assignment
-        k = len(set(best.values())) - 1
-    chromatic = lb if graph.num_vertices else 0
-    if not graph.num_vertices:
-        best = {}
-    return NECSPOptimum("OPTIMAL", chromatic, best, nodes, time.monotonic() - start)
+        return result.status, result.assignment, []
+
+    outcome = descend(
+        decide, {v: c + 1 for v, c in heuristic.items()},
+        max(1, clique_lower_bound(graph)), deadline=Deadline.after(time_limit),
+    )
+    best = outcome.coloring or {}
+    return NECSPOptimum(outcome.status, len(set(best.values())), best, nodes,
+                        time.monotonic() - start)

@@ -23,14 +23,15 @@ route so that claim can be measured:
   clauses, saved phases and VSIDS activity carry over between queries.
   UNSAT answers return an unsat core over colors (failed assumptions),
   which the binary strategy uses to skip dead K values;
-* :func:`chromatic_number_sat` — chromatic number by descending linear
-  or binary search over K.  ``incremental=True`` (the default) drives
-  the whole descent through one persistent solver; ``incremental=False``
-  restores the historical one-fresh-SAT-instance-per-query behaviour
-  for comparison.  Both simplification stages are on by default (the
-  incremental path kernelizes once at the clique bound and runs the
-  model-preserving clause simplification, which cannot eliminate the
-  activation variables the assumptions refer to).
+* :func:`chromatic_number_sat` — chromatic number by a descending
+  linear or binary search over K, driven by
+  :func:`repro.coloring.descent.descend`.  ``incremental=True`` (the
+  default) answers every query on one persistent solver;
+  ``incremental=False`` restores the historical one-fresh-SAT-instance-
+  per-query behaviour for comparison.  Both simplification stages are
+  on by default (the incremental path kernelizes once at the clique
+  bound and runs the model-preserving clause simplification, which
+  cannot eliminate the activation variables the assumptions refer to).
 """
 
 from __future__ import annotations
@@ -52,16 +53,9 @@ from ..sat.preprocessing import preprocess as preprocess_cnf
 from ..sat.preprocessing import simplify_formula
 from ..sat.result import SAT, UNKNOWN, UNSAT, SolverStats
 from ..sat.vsids import VSIDS
-from .encoding import add_color_activation_literals
+from .descent import Answer, descend
+from .encoding import add_color_activation_literals, normalize_coloring
 from .reduce import extend_coloring, peel_low_degree, solve_with_reduction
-
-
-def _note_deadline_expired(where: str = "descent") -> None:
-    """Record a budget expiry as a traced event and a counter."""
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.deadline_expired(where)
-    get_registry().inc("deadline_expired_total", where=where)
 
 
 def encode_k_coloring_cnf(
@@ -556,11 +550,13 @@ def sat_k_colorable(
     solver statistics of every internal solve merged into it.
     ``should_stop`` is polled *inside* the solver (every few dozen
     conflicts): when it turns true the query gives up with UNKNOWN.
+    ``time_limit`` bounds the whole call: the deadline is fixed on entry,
+    so encoding and preprocessing spend from the same budget as search.
     """
     if k <= 0:
         return (UNSAT if graph.num_vertices else SAT), ({} if not graph.num_vertices else None)
+    deadline = Deadline.after(time_limit)
     if reduce:
-        deadline = Deadline.after(time_limit)
 
         def decide(sub: Graph, kk: int) -> Tuple[str, Optional[Dict[int, int]]]:
             # The budget is shared by all kernel components, not per
@@ -574,32 +570,27 @@ def sat_k_colorable(
         reduced = solve_with_reduction(graph, k, decide)
         return reduced.status, reduced.coloring
     formula, x = encode_k_coloring_cnf(graph, k, amo_encoding, sbp_kind)
-    if preprocess:
-        pre = preprocess_cnf(formula)
+    pre = None
+    if preprocess and not deadline.expired():
+        pre = preprocess_cnf(formula, deadline=deadline)
         if pre.is_unsat:
             return UNSAT, None
-        if pre.formula.clauses:
-            solver = new_solver(num_vars=pre.formula.num_vars)
-            if not solver.add_formula(pre.formula):
-                return UNSAT, None
-            result = solver.solve(time_limit=time_limit, should_stop=should_stop)
-            if stats is not None:
-                stats.merge(result.stats)
-            if not result.is_sat:
-                return result.status, None
-            model = pre.extend_model(result.model)
-        else:
-            model = pre.extend_model({})  # preprocessing solved it
-    else:
+        formula = pre.formula
+    if deadline.expired():
+        return UNKNOWN, None
+    model: Dict[int, bool] = {}
+    if formula.clauses:  # else preprocessing solved it
         solver = new_solver(num_vars=formula.num_vars)
         if not solver.add_formula(formula):
             return UNSAT, None
-        result = solver.solve(time_limit=time_limit, should_stop=should_stop)
+        result = solver.solve(time_limit=deadline.remaining(), should_stop=should_stop)
         if stats is not None:
             stats.merge(result.stats)
         if not result.is_sat:
             return result.status, None
         model = result.model
+    if pre is not None:
+        model = pre.extend_model(model)
     coloring = {}
     for v in range(graph.num_vertices):
         for c in range(1, k + 1):
@@ -613,7 +604,9 @@ def sat_k_colorable(
 class SatPipelineResult:
     """Outcome of the repeated-SAT chromatic-number search."""
 
-    status: str  # OPTIMAL / SAT (bound not proved) / UNKNOWN
+    # OPTIMAL / SAT (bound not proved) / UNSAT (cap below chi) /
+    # UNKNOWN (stopped before the cap was settled).
+    status: str
     chromatic_number: Optional[int]
     coloring: Optional[Dict[int, int]]
     sat_calls: int
@@ -640,239 +633,113 @@ def chromatic_number_sat(
     incremental: bool = True,
     should_stop=None,
     kernelized=None,
+    max_colors: Optional[int] = None,
 ) -> SatPipelineResult:
     """Chromatic number via repeated CNF-SAT decision calls.
 
+    The descent itself is :func:`repro.coloring.descent.descend`:
     ``strategy`` is ``"linear"`` (tighten from the DSATUR bound, the
     paper's suggestion for small bounds) or ``"binary"`` (bisect between
-    the clique bound and DSATUR, its suggestion otherwise).
+    the clique bound and DSATUR, its suggestion otherwise).  This
+    function supplies the K-query oracle.
 
-    With ``incremental=True`` (default) the whole descent runs on one
+    With ``incremental=True`` (default) every query runs on one
     persistent solver via :class:`IncrementalKSearch`: the graph is
-    kernelized once at the clique bound (``reduce``), encoded once at
-    the DSATUR bound with activation literals, simplified once
-    (``preprocess``, model-preserving subset), and every K query reuses
-    the learned clauses of the previous ones.  The binary strategy
-    additionally uses the failed-assumption core of UNSAT answers to
-    skip K values the core already proves dead.  With
-    ``incremental=False`` each query pays for a fresh encoding,
-    preprocessing and solver (the historical behaviour, kept for
-    measurement).
+    kernelized once at the clique bound (``reduce``), encoded once at the
+    DSATUR bound (or the cap, if lower) with activation literals,
+    simplified once (``preprocess``, model-preserving subset), and every
+    K query reuses the learned clauses of the previous ones.  The linear
+    strategy switches colors off permanently; the binary one uses
+    assumptions, so the failed-assumption core of an UNSAT answer skips
+    K values it proves dead.  The solver is built at the first query, so
+    bounds that already meet create none.  With ``incremental=False``
+    each query pays for a fresh encoding, preprocessing and solver (the
+    historical behaviour, kept as the differential reference).
 
-    ``should_stop`` (a zero-argument predicate) is polled before each K
-    query *and inside each query* (every few dozen conflicts); when it
-    turns true the search stops and the best-so-far answer is returned
-    (status SAT — the bound is not proved), so even a single monster
-    UNSAT query is interruptible.
+    ``max_colors`` caps the answer: a cap below the chromatic number
+    gives ``UNSAT``, and a search stopped before it settled the cap gives
+    ``UNKNOWN``.  ``time_limit`` bounds the whole call, kernelization and
+    encoding included.  ``should_stop`` (a zero-argument predicate) is
+    polled before each K query *and inside each query* (every few dozen
+    conflicts); when it turns true the search stops and the best-so-far
+    answer is returned (status SAT — the bound is not proved).
 
     ``kernelized`` optionally hands in a precomputed ``(clique bound,
     kernel, component pairs)`` triple (the component pool's
     disconnectedness probe) so the incremental path does not kernelize
     the same graph twice; only consulted when ``incremental`` and
-    ``reduce`` are set.
+    ``reduce`` are set.  Components are not split here: one solver
+    serves the whole kernel, so its learned clauses span components
+    (the component pool is the per-component variant).  The reported
+    chromatic number is the color count of the best coloring with the
+    peeled vertices put back, which never falls below the clique bound
+    the kernel was peeled at.
     """
-    if strategy not in ("linear", "binary"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     start = time.monotonic()
-    n = graph.num_vertices
-    if n == 0:
-        return SatPipelineResult("OPTIMAL", 0, {}, 0, 0.0)
-    if incremental:
-        return _chromatic_number_incremental(
-            graph, strategy, start, time_limit=time_limit,
-            amo_encoding=amo_encoding, sbp_kind=sbp_kind,
-            preprocess=preprocess, reduce=reduce, should_stop=should_stop,
-            kernelized=kernelized,
-        )
-    heuristic_coloring, ub = dsatur(graph)
-    best = {v: c + 1 for v, c in heuristic_coloring.items()}
-    lb = max(1, clique_lower_bound(graph))
-    calls = 0
-    run_stats = SolverStats()
-    k_queries: List[Tuple[int, str]] = []
     deadline = Deadline.after(time_limit)
+    if graph.num_vertices == 0:
+        return SatPipelineResult("OPTIMAL", 0, {}, 0, 0.0)
+    kernel = None
+    if incremental and reduce and kernelized is not None:
+        # The component pool's probe already peeled at the clique bound.
+        lb, kernel, _ = kernelized
+    else:
+        lb = clique_lower_bound(graph)
+        if incremental and reduce:
+            # Peeling at the clique bound preserves max(chi(kernel), lb).
+            kernel = peel_low_degree(graph, max(1, lb))
+    work = kernel.graph if kernel is not None else graph
+    heuristic, _ = dsatur(work)
+    incumbent = {v: c + 1 for v, c in heuristic.items()}
+    run_stats = SolverStats()
+    search: Optional[IncrementalKSearch] = None
 
-    def finish(status: str, k: int) -> SatPipelineResult:
-        return SatPipelineResult(
-            status, k, best, calls, time.monotonic() - start,
-            stats=run_stats, k_queries=k_queries, solvers_created=calls,
-            incremental=False,
+    def persistent(k: int, deadline: Deadline) -> Answer:
+        nonlocal search
+        if search is None:
+            horizon = len(set(incumbent.values()))
+            if max_colors is not None:
+                horizon = min(horizon, max_colors)
+            search = IncrementalKSearch(
+                work, horizon, amo_encoding=amo_encoding, sbp_kind=sbp_kind,
+                simplify=preprocess, eliminate=preprocess,
+            )
+        # The linear strategy is monotone, so colors are switched off
+        # permanently (level-0 units): same persistent solver, but learnt
+        # clauses stay free of assumption literals.
+        return search.solve_k(
+            k, time_limit=deadline.remaining(), permanent=strategy == "linear",
+            should_stop=should_stop,
         )
 
-    if strategy == "linear":
-        k = ub - 1
-        while k >= lb:
-            if deadline.expired():
-                _note_deadline_expired()
-                return finish(SAT, k + 1)
-            if should_stop is not None and should_stop():
-                return finish(SAT, k + 1)
-            calls += 1
-            status, coloring = sat_k_colorable(
-                graph, k, time_limit=deadline.remaining(),
-                amo_encoding=amo_encoding, sbp_kind=sbp_kind,
-                preprocess=preprocess, reduce=reduce, stats=run_stats,
-                should_stop=should_stop,
-            )
-            k_queries.append((k, status))
-            if status == UNKNOWN:
-                return finish(SAT, k + 1)
-            if status == UNSAT:
-                return finish("OPTIMAL", k + 1)
-            best = coloring
-            k = len(set(coloring.values())) - 1
-        return finish("OPTIMAL", lb)
-
-    lo, hi = lb, ub
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if deadline.expired():
-            _note_deadline_expired()
-            return finish(SAT, hi)
-        if should_stop is not None and should_stop():
-            return finish(SAT, hi)
-        calls += 1
+    def scratch(k: int, deadline: Deadline) -> Answer:
         status, coloring = sat_k_colorable(
-            graph, mid, time_limit=deadline.remaining(),
+            graph, k, time_limit=deadline.remaining(),
             amo_encoding=amo_encoding, sbp_kind=sbp_kind,
             preprocess=preprocess, reduce=reduce, stats=run_stats,
             should_stop=should_stop,
         )
-        k_queries.append((mid, status))
-        if status == UNKNOWN:
-            return finish(SAT, hi)
-        if status == UNSAT:
-            lo = mid + 1
-        else:
-            best = coloring
-            hi = min(len(set(coloring.values())), mid)
-    return finish("OPTIMAL", hi)
+        return status, coloring, []
 
-
-def _chromatic_number_incremental(
-    graph: Graph,
-    strategy: str,
-    start: float,
-    time_limit: Optional[float],
-    amo_encoding: str,
-    sbp_kind: str,
-    preprocess: bool,
-    reduce: bool,
-    should_stop=None,
-    kernelized=None,
-) -> SatPipelineResult:
-    """The persistent-solver descent behind ``chromatic_number_sat``.
-
-    With ``reduce`` the graph is kernelized *once* at the clique lower
-    bound ``lb`` (peeling at ``lb`` preserves ``chi(G) = max(chi(kernel),
-    lb)``), the descent runs on the kernel down to ``lb``, and the best
-    coloring is lifted back.  Component splitting is intentionally not
-    applied here — one solver serves the whole kernel so its learned
-    clauses span components; see the ROADMAP's "Incremental search"
-    notes for the per-component variant.
-    """
-    deadline = Deadline.after(time_limit)
-    if reduce and kernelized is not None:
-        # The component pool's probe already peeled at the clique bound.
-        lb, kernel, _ = kernelized
-        lb = max(1, lb)
-        work = kernel.graph
-    else:
-        lb = max(1, clique_lower_bound(graph))
-        kernel = None
-        work = graph
-        if reduce:
-            kernel = peel_low_degree(graph, lb)
-            work = kernel.graph
-
-    def lift(kernel_coloring: Dict[int, int]) -> Dict[int, int]:
-        if kernel is None:
-            return kernel_coloring
-        return extend_coloring(kernel, kernel_coloring)
-
-    calls = 0
-    run_stats = SolverStats()
-    k_queries: List[Tuple[int, str]] = []
-
-    if work.num_vertices == 0:
-        coloring = lift({})
-        chi = len(set(coloring.values())) if coloring else 0
-        return SatPipelineResult(
-            "OPTIMAL", chi, coloring, 0, time.monotonic() - start,
-            stats=run_stats, k_queries=k_queries, solvers_created=0,
-            incremental=True,
-        )
-
-    heuristic_coloring, ub = dsatur(work)
-    best_kernel = {v: c + 1 for v, c in heuristic_coloring.items()}
-    if ub <= lb:
-        coloring = lift(best_kernel)
-        return SatPipelineResult(
-            "OPTIMAL", max(ub, lb) if kernel is None else lb,
-            coloring, 0, time.monotonic() - start,
-            stats=run_stats, k_queries=k_queries, solvers_created=0,
-            incremental=True,
-        )
-
-    search = IncrementalKSearch(
-        work, ub, amo_encoding=amo_encoding, sbp_kind=sbp_kind,
-        simplify=preprocess, eliminate=preprocess,
+    outcome = descend(
+        persistent if incremental else scratch, incumbent, max(1, lb),
+        strategy=strategy, deadline=deadline, should_stop=should_stop,
+        cap=max_colors,
     )
-
-    def finish(status: str, chi: int, kernel_coloring: Dict[int, int]) -> SatPipelineResult:
+    coloring = outcome.coloring
+    if coloring is not None and kernel is not None:
+        # Contiguous kernel colors keep the greedy re-insertion of the
+        # peeled vertices within max(kernel colors, lb).
+        coloring = extend_coloring(kernel, normalize_coloring(coloring))
+    if search is not None:
         run_stats.merge(search.stats)
-        return SatPipelineResult(
-            status, chi, lift(kernel_coloring), calls,
-            time.monotonic() - start, stats=run_stats, k_queries=k_queries,
-            solvers_created=1, incremental=True,
-        )
-
-    if strategy == "linear":
-        k = ub - 1
-        while k >= lb:
-            if deadline.expired():
-                _note_deadline_expired()
-                return finish(SAT, k + 1, best_kernel)
-            if should_stop is not None and should_stop():
-                return finish(SAT, k + 1, best_kernel)
-            calls += 1
-            # The linear strategy is monotone, so colors are switched
-            # off permanently (level-0 units): same persistent solver,
-            # but learnt clauses stay free of assumption literals.
-            status, coloring, _ = search.solve_k(
-                k, time_limit=deadline.remaining(), permanent=True,
-                should_stop=should_stop,
-            )
-            k_queries.append((k, status))
-            if status == UNKNOWN:
-                return finish(SAT, k + 1, best_kernel)
-            if status == UNSAT:
-                return finish("OPTIMAL", k + 1, best_kernel)
-            best_kernel = coloring
-            k = len(set(coloring.values())) - 1
-        return finish("OPTIMAL", lb, best_kernel)
-
-    lo, hi = lb, ub
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if deadline.expired():
-            _note_deadline_expired()
-            return finish(SAT, hi, best_kernel)
-        if should_stop is not None and should_stop():
-            return finish(SAT, hi, best_kernel)
-        calls += 1
-        status, coloring, failed_colors = search.solve_k(
-            mid, time_limit=deadline.remaining(), should_stop=should_stop
-        )
-        k_queries.append((mid, status))
-        if status == UNKNOWN:
-            return finish(SAT, hi, best_kernel)
-        if status == UNSAT:
-            # The core over colors proves UNSAT for every k whose
-            # disabled-color set covers it, i.e. all k < min(core):
-            # chi(kernel) >= min(core), which can exceed mid + 1.
-            lo = max(mid + 1, min(failed_colors) if failed_colors else 0)
-        else:
-            best_kernel = coloring
-            hi = min(len(set(coloring.values())), mid)
-    return finish("OPTIMAL", hi, best_kernel)
+    return SatPipelineResult(
+        outcome.status,
+        len(set(coloring.values())) if coloring is not None else None,
+        coloring, len(outcome.queries), time.monotonic() - start,
+        stats=run_stats, k_queries=outcome.queries,
+        solvers_created=(
+            int(search is not None) if incremental else len(outcome.queries)
+        ),
+        incremental=incremental,
+    )

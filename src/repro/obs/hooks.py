@@ -30,9 +30,9 @@ class Tracer:
     """Typed, thread-safe emit facade shared by every attached solver.
 
     One Tracer serializes all emissions into one record stream; each
-    attached solver gets a small integer id so interleaved streams
-    (the component pool runs sessions on worker threads) remain
-    attributable.
+    attached solver gets a small integer id so the streams of several
+    solvers (a component pool's sessions, a scratch descent's per-query
+    solvers) remain attributable.
     """
 
     def __init__(self, writer: TraceWriter) -> None:

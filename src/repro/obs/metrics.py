@@ -12,8 +12,8 @@ Determinism contract: any metric whose name ends in ``_seconds``
 carries wall-clock time, and any ending in ``_cache_total`` counts
 shared-cache hits/misses (which depend on pool scheduling); both are
 excluded from ``snapshot(deterministic_only=True)``.  Everything else
-must be a pure function of the work performed.  The registry is thread-safe (the
-component pool records from worker threads) and ambient: callers reach
+must be a pure function of the work performed.  The registry is thread-safe
+and ambient: callers reach
 it through :func:`get_registry`, and :func:`scoped_registry` pushes a
 fresh one for the duration of a batch attempt.
 """

@@ -617,7 +617,7 @@ class CDCLSolver:
                 if should_stop is not None and (conflicts_here & 63) == 0:
                     if should_stop():
                         return self._finish(UNKNOWN, start, base, run)
-                if time_limit is not None and (self.stats.conflicts & 127) == 0:
+                if time_limit is not None and (self.stats.conflicts & 63) == 0:
                     # repro: allow[RPR007] engine hot loop: no per-conflict Deadline call
                     if time.monotonic() - start > time_limit:
                         return self._finish(UNKNOWN, start, base, run)

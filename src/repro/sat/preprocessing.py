@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..core.formula import Formula
 from ..core.literals import var_of
 from ..core.pbconstraint import PBConstraint
+from ..resilience import Deadline
 
 
 @dataclass
@@ -195,6 +196,7 @@ def _eliminate_pure(
 
 def subsume_clauses(
     clauses: List[Tuple[int, ...]],
+    deadline: Optional[Deadline] = None,
 ) -> Tuple[List[Tuple[int, ...]], int, int]:
     """Subsumption + self-subsuming resolution via an occurrence index.
 
@@ -209,7 +211,9 @@ def subsume_clauses(
     strengthener is unsound.
 
     Returns ``(kept, subsumed, strengthened)``.  Strengthening can
-    produce unit or empty clauses; callers must handle both.
+    produce unit or empty clauses; callers must handle both.  Once
+    ``deadline`` expires the pass stops early; every clause it has not
+    yet visited is kept as it is, which is still sound.
     """
     work: List[Tuple[int, ...]] = sorted(
         {c for c in clauses if not any(-l in c for l in c)},
@@ -233,6 +237,8 @@ def subsume_clauses(
             occ.get(lit, set()).discard(idx)
 
     while queue:
+        if deadline is not None and deadline.expired():
+            break
         i = queue.popleft()
         queued[i] = False
         if not alive[i]:
@@ -361,6 +367,7 @@ def preprocess(
     eliminate: bool = True,
     elimination_occ_limit: int = 12,
     frozen: Iterable[int] = (),
+    deadline: Optional[Deadline] = None,
 ) -> PreprocessResult:
     """Simplify a CNF-only formula; PB constraints are rejected.
 
@@ -378,6 +385,9 @@ def preprocess(
     learn the fact at level 0 so a contradicting assumption fails with a
     core, instead of silently "succeeding" on a formula the fact was
     substituted out of.
+
+    Once ``deadline`` expires the remaining rules are skipped and the
+    formula simplified so far, still equisatisfiable, is returned.
     """
     if formula.pb_constraints:
         raise ValueError("preprocess handles CNF-only formulas")
@@ -397,11 +407,13 @@ def preprocess(
         clauses = clauses_or_none
         clauses, pure = _eliminate_pure(clauses, forced, frozen_set)
         result.pure_eliminated += pure
-        clauses, subsumed, strengthened = subsume_clauses(clauses)
+        clauses, subsumed, strengthened = subsume_clauses(clauses, deadline)
         result.subsumed += subsumed
         result.strengthened += strengthened
         if any(not c for c in clauses):
             return result  # strengthening emptied a clause: UNSAT
+        if deadline is not None and deadline.expired():
+            break
         removed = 0
         if eliminate:
             clauses_or_none, removed = _eliminate_variables(

@@ -13,6 +13,7 @@ Covers the API-redesign contract:
   API, including the ``max_colors=0`` infeasibility regression.
 """
 
+import random
 import warnings
 
 import pytest
@@ -34,6 +35,8 @@ from repro.api import (
     solve_problem,
 )
 from repro.api.backends import _REGISTRY
+from repro.coloring.verify import is_proper
+from repro.experiments.instances import get_instance
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.graphs.graph import Graph
 
@@ -227,6 +230,25 @@ def test_progress_and_cancellation():
                  .run(BudgetedOptimize(queens_graph(4, 4), 6),
                       cancel=lambda: True))
     assert cancelled.cancelled and cancelled.status == "UNKNOWN"
+
+
+def test_detection_cache_never_serves_a_relabeled_copy():
+    """Regression: keyed on the canonical certificate, the cache handed an
+    isomorphic relabeling the generators of the first labeling, whose
+    lex-leader predicates cut off every 5-coloring of the copy (UNSAT)."""
+    graph = get_instance("queen5_5").graph()
+    perm = list(range(graph.num_vertices))
+    random.Random(12).shuffle(perm)
+    relabeled = graph.relabel(perm)
+    pipeline = (Pipeline().reduce(False).symmetry(instance_dependent=True)
+                .solve(backend="pb-pbs2", time_limit=120))
+    cache = {}
+    for g in (graph, relabeled, graph):
+        result = pipeline.run(BudgetedOptimize(g, 6), detection_cache=cache)
+        assert result.status == "OPTIMAL" and result.num_colors == 5
+        assert is_proper(g, result.coloring)
+    # One entry per labeling: the repeat of the first one was a hit.
+    assert len(cache) == 2
 
 
 # ----------------------------------------------------- budgets / infeasibility

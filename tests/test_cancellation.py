@@ -14,9 +14,12 @@ path on top of this plumbing is covered in ``tests/test_batch.py``.
 
 import time
 
+import pytest
+
 from repro.api import (
     BudgetedOptimize,
     ChromaticProblem,
+    DecisionProblem,
     Pipeline,
     Session,
 )
@@ -101,6 +104,30 @@ def test_pipeline_time_limit_chromatic_gives_unproved_bound():
         assert result.degraded
         assert result.num_colors is not None
         assert result.upper_bound == result.num_colors
+
+
+QUEENS9 = queens_graph(9, 9)  # chi = 10: no run below finishes in 2 s
+
+
+@pytest.mark.parametrize("problem", [
+    DecisionProblem(QUEENS9, 9),
+    ChromaticProblem(QUEENS9),
+    ChromaticProblem(QUEENS9, max_colors=11),
+], ids=["decision-9", "chromatic", "chromatic-cap-11"])
+@pytest.mark.parametrize("backend", ["cdcl-incremental", "cdcl-scratch"])
+def test_cdcl_runs_hold_their_time_limit(backend, problem):
+    # One Deadline bounds the whole run: kernelization, encoding,
+    # preprocessing, the cap query and every K query spend from it.
+    start = time.monotonic()
+    result = Pipeline().solve(backend=backend, time_limit=2).run(problem)
+    elapsed = time.monotonic() - start
+    assert elapsed <= 2.4, f"{backend} took {elapsed:.2f}s on a 2s limit"
+    assert result.status in ("SAT", "UNKNOWN", "FEASIBLE", "OPTIMAL")
+    if getattr(problem, "max_colors", None) is not None:
+        # The cap query seeds the descent: no K above the cap is asked.
+        assert all(k <= problem.max_colors for k, _ in result.queries)
+    if backend == "cdcl-incremental":
+        assert result.solvers_created <= 1
 
 
 def _pigeonhole(pigeons, holes):

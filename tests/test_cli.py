@@ -1,5 +1,6 @@
 """CLI tests (python -m repro and python -m repro.experiments)."""
 
+import json
 import subprocess
 import sys
 
@@ -121,6 +122,25 @@ def test_chromatic_command_scratch_mode(capsys, col_file):
     assert code == 0
     assert "chromatic number: 4" in out
     assert "scratch" in out
+
+
+@pytest.mark.parametrize("command", ["stats", "color", "chromatic", "detect", "batch"])
+def test_missing_input_file_exits_2_naming_the_path(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing.col")
+    assert repro_main([command, missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: no such file: {missing}"]
+    assert captured.out == ""
+
+
+def test_missing_resume_log_exits_2_naming_the_path(capsys, tmp_path, col_file):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"graph": col_file}]))
+    missing = str(tmp_path / "missing.jsonl")
+    code = repro_main(["batch", str(manifest), "--resume", missing,
+                       "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: no such file: {missing}"]
 
 
 def test_color_incremental_flag_accepted(capsys, col_file):

@@ -173,25 +173,6 @@ def test_pool_respects_max_colors_cap():
     assert exact.chromatic_number == 5
 
 
-def test_pool_threads_agree_with_sequential():
-    # All three components have clique bound 2 (mycielskians and odd
-    # cycles are triangle-free), so peeling at the union's clique bound
-    # dissolves none of them and the kernel keeps 3 components.
-    graph = disjoint_union(
-        get_instance("myciel3").graph(),
-        get_instance("myciel4").graph(),
-        cycle_graph(7),
-    )
-    sequential = chromatic(graph, "cdcl-incremental", split_components=True)
-    threaded = chromatic(
-        graph, "cdcl-incremental", split_components=True, pool_threads=3
-    )
-    assert sequential.status == threaded.status == "OPTIMAL"
-    assert sequential.chromatic_number == threaded.chromatic_number
-    assert len(threaded.components) == len(sequential.components) == 3
-    assert is_proper(graph, threaded.coloring)
-
-
 def test_pool_processes_agree_with_threads_and_sequential():
     """The process tier is answer-identical to the in-process tiers."""
     graph = disjoint_union(
@@ -210,39 +191,6 @@ def test_pool_processes_agree_with_threads_and_sequential():
         assert trace.status == "OPTIMAL"
     assert is_proper(graph, processes.coloring)
     assert len(set(processes.coloring.values())) == 5
-
-
-def test_pool_unsat_early_exit_interrupts_threaded_siblings(monkeypatch):
-    """Regression: a definitive UNSAT from one component must cancel the
-    in-flight sibling descents instead of letting them run to their own
-    deadlines.  The big component is pinned in a stop-aware stall; the
-    only way the test finishes fast is the pool broadcasting the small
-    component's UNSAT."""
-    import time as time_mod
-
-    graph = disjoint_union(mycielski_graph(5), mycielski_graph(3))
-    real = ComponentSessionPool._solve_component
-    interrupted = []
-
-    def stalled(self, index, limit, strategy, max_colors):
-        if index == 0:  # largest-first: index 0 is myciel5
-            deadline = time_mod.monotonic() + 30.0
-            while time_mod.monotonic() < deadline:
-                if self._stop.is_set():
-                    interrupted.append(index)
-                    break
-                time_mod.sleep(0.01)
-        return real(self, index, limit, strategy, max_colors)
-
-    monkeypatch.setattr(ComponentSessionPool, "_solve_component", stalled)
-    t0 = time_mod.monotonic()
-    with ComponentSessionPool(graph, threads=2) as pool:
-        result = pool.chromatic(max_colors=3)  # myciel3 is UNSAT at 3, fast
-    assert time_mod.monotonic() - t0 < 20.0
-    assert interrupted == [0], "sibling descent was not interrupted"
-    assert result.status == "UNSAT"
-    assert not result.cancelled  # UNSAT is definitive, not a cancellation
-    assert not result.degraded
 
 
 def test_pool_unsat_early_exit_kills_process_siblings(monkeypatch):

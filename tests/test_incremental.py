@@ -10,12 +10,19 @@ Three layers, mirroring what the incremental descent relies on:
 * pipeline-level: property tests over the graph generator families
   asserting the incremental and from-scratch descents agree on the
   chromatic number and produce valid colorings, for both strategies.
+  Both descents run on the one K-descent driver, so the random-graph
+  property also checks them against the DSATUR branch and bound, which
+  shares no descent code, with and without a color cap.
+
+Profiles: deterministic seeds in PRs, fresh seeds nightly — see
+``tests/conftest.py``.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.coloring.exact_dsatur import exact_chromatic_number
 from repro.coloring.sat_pipeline import (
     IncrementalKSearch,
     chromatic_number_sat,
@@ -269,30 +276,46 @@ def test_incremental_matches_scratch_over_families(name, build, strategy):
     assert incremental.incremental and not scratch.incremental
 
 
-@settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=10),
     p=st.floats(min_value=0.1, max_value=0.7),
     seed=st.integers(min_value=0, max_value=1000),
     strategy=st.sampled_from(["linear", "binary"]),
+    cap_offset=st.sampled_from([None, -1, 0, 1]),
 )
-def test_incremental_matches_scratch_random_graphs(n, p, seed, strategy):
+def test_incremental_matches_scratch_random_graphs(n, p, seed, strategy, cap_offset):
     # n/p are kept small enough that every descent finishes well inside
     # the time limit on any machine; should one run still be cut short
     # (status SAT, bound unproved), agreement on chi cannot be expected
     # and the example is skipped rather than failed.
     graph = gnp_graph(n, p, seed=seed)
+    exact = exact_chromatic_number(graph, time_limit=60)
+    if not exact.optimal:
+        return  # timed out on a slow machine: no reference
+    chi = exact.chromatic_number
+    cap = None if cap_offset is None else chi + cap_offset
     incremental = chromatic_number_sat(
-        graph, strategy=strategy, incremental=True, time_limit=60
+        graph, strategy=strategy, incremental=True, time_limit=60,
+        max_colors=cap,
     )
     scratch = chromatic_number_sat(
-        graph, strategy=strategy, incremental=False, time_limit=60
+        graph, strategy=strategy, incremental=False, time_limit=60,
+        max_colors=cap,
     )
+    if cap is not None and cap < chi:
+        # A cap below chi is infeasible on both sides, never loosened.
+        assert incremental.status == scratch.status == "UNSAT"
+        assert incremental.coloring is None and scratch.coloring is None
+        return
+    assert "UNSAT" not in (incremental.status, scratch.status)
     if not (incremental.status == scratch.status == "OPTIMAL"):
         return  # timed out on a slow machine: nothing to compare
     assert incremental.chromatic_number == scratch.chromatic_number
+    assert incremental.chromatic_number == chi
     if graph.num_vertices:
         assert is_proper(graph, incremental.coloring)
+        assert is_proper(graph, scratch.coloring)
+        assert len(set(scratch.coloring.values())) == chi
 
 
 @pytest.mark.parametrize("sbp", ["none", "nu", "sc", "nu+sc"])
