@@ -60,6 +60,22 @@ from .sbp.instance_independent import SBP_KINDS, apply_sbp
 from .symmetry.detect import detect_symmetries
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (worker and retry counts)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a number > 0 (timeouts)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _load(path: str):
     graph = read_dimacs_graph(path, name=path)
     return graph
@@ -381,7 +397,7 @@ def main(argv=None) -> int:
              "component); --no-split-components keeps one solver over "
              "the whole kernel")
     p_chrom.add_argument(
-        "--pool-jobs", type=int, default=0, metavar="N",
+        "--pool-jobs", type=non_negative_int, default=0, metavar="N",
         help="run component descents on N worker processes (crash-"
              "isolated, true parallelism); 0 keeps the in-process pool")
     p_chrom.add_argument(
@@ -412,16 +428,16 @@ def main(argv=None) -> int:
         "batch",
         help="run a manifest of problems across a parallel worker pool")
     p_batch.add_argument("manifest", help="JSON or JSONL task manifest")
-    p_batch.add_argument("--jobs", "-j", type=int, default=1,
+    p_batch.add_argument("--jobs", "-j", type=non_negative_int, default=1,
                          help="concurrent worker processes (0 = run inline "
                               "in this process, cooperative timeouts only)")
-    p_batch.add_argument("--task-timeout", type=float, default=None,
+    p_batch.add_argument("--task-timeout", type=positive_float, default=None,
                          help="wall-clock seconds per attempt; a timed-out "
                               "attempt moves to the next fallback backend")
     p_batch.add_argument("--fallback", action="append", default=[],
                          help="backend(s) appended to every task's fallback "
                               "chain (repeatable or comma-separated)")
-    p_batch.add_argument("--retries", type=int, default=1,
+    p_batch.add_argument("--retries", type=non_negative_int, default=1,
                          help="retries per backend when a worker dies")
     p_batch.add_argument("--out", default="-",
                          help="JSONL output path ('-' = stdout; the summary "

@@ -17,8 +17,9 @@ RPR004   ``preprocess`` calls in incremental/Session/Pool contexts must
 RPR005   ``CDCLSolver`` is constructed only in ``sat/`` and the backend
          registry chokepoints, so the ROADMAP's compiled ``native`` twin
          can swap in without call-site changes
-RPR006   worker payloads crossing the ``repro.batch`` process-pool
-         boundary must be top-level picklables (no lambdas / closures)
+RPR006   worker payloads crossing a process boundary (``Worker``,
+         ``Process``, pool/executor submits) must be top-level
+         picklables (no lambdas / closures)
 RPR007   deadline arithmetic must go through ``repro.resilience.Deadline``
          — raw ``time.time()``/``time.monotonic()`` expiry checks outside
          ``resilience/`` re-open the drift/clamping bugs PR 7 unified
@@ -498,6 +499,7 @@ class BackendRegistryRule(Rule):
 _POOL_SUBMIT_ATTRS = frozenset(
     {
         "Process",
+        "Worker",
         "apply_async",
         "map_async",
         "imap",
@@ -514,7 +516,10 @@ class PoolBoundaryRule(Rule):
     and unpickled in the worker: lambdas and closures fail at submit
     time at best, or silently capture parent-side state (open handles,
     live solvers) at worst.  Worker payloads must be top-level
-    picklables, as ``repro.batch``'s ``_worker_entry`` is.
+    picklables, as the targets handed to
+    :class:`repro.resilience.Worker` by the batch runner, the component
+    pool and the portfolio race are.  A ``Worker`` call is a pool
+    boundary like a ``Process`` call: every argument is checked.
 
     Thread executors are held to the same bar even though the GIL would
     let closures through: every thread fan-out in this codebase is a
@@ -525,8 +530,9 @@ class PoolBoundaryRule(Rule):
     rule_id = "RPR006"
     title = "executor/pool payloads must be top-level picklables"
     rationale = (
-        "repro.batch runs a process-per-attempt pool; a lambda or closure "
-        "in the submission path dies in pickle, taking the fleet with it — "
+        "the batch fleet, the component pool and the portfolio race run "
+        "work in child processes; a lambda or closure in the submission "
+        "path dies in pickle, taking the tier with it — "
         "and thread-executor closures block the thread->process migration"
     )
 
@@ -539,7 +545,9 @@ class PoolBoundaryRule(Rule):
                 continue
             func = node.func
             submit_name: Optional[str] = None
-            if isinstance(func, ast.Attribute):
+            if isinstance(func, ast.Name) and func.id == "Worker":
+                submit_name = func.id
+            elif isinstance(func, ast.Attribute):
                 if func.attr in _POOL_SUBMIT_ATTRS:
                     submit_name = func.attr
                 elif (

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import multiprocessing.connection
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
@@ -62,9 +61,8 @@ from ..graphs.cliques import clique_lower_bound
 from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
-from ..resilience import Deadline, RetryPolicy
+from ..resilience import Deadline, RetryPolicy, Worker, wait_any
 from ..resilience.faults import fire as _fire_fault
-from ..resilience.faults import install_env_faults
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT, SolverStats
 from .config import PipelineConfig
 from .results import ComponentTrace, ProgressEvent, Result, RunContext, StageStat
@@ -101,8 +99,8 @@ def _stats_delta(after, before):
     return delta
 
 
-def _component_worker(payload: Dict[str, object], conn, stop_event) -> None:
-    """Process-tier worker entry: solve one component subproblem.
+def _component_worker(payload: Dict[str, object], stop_event) -> Result:
+    """Process-tier worker target: solve one component subproblem.
 
     The payload is the serialized *subproblem* — the component graph,
     the (frozen, picklable) pipeline config and the budget slice —
@@ -112,44 +110,18 @@ def _component_worker(payload: Dict[str, object], conn, stop_event) -> None:
     inside ``CDCLSolver.solve`` via ``should_stop``, so a sibling's
     UNSAT interrupts this descent within one conflict batch.
     """
-    try:
-        install_env_faults()
-        _fire_fault("racer", f"component:{payload['index']}")
-        session = Session(
-            payload["graph"],
-            config=payload["config"],
-            cancel=stop_event.is_set,
-        )
-        result = session.chromatic(
-            strategy=payload["strategy"],
-            time_limit=payload["time_limit"],
-            max_colors=payload["max_colors"],
-            lower_bound=payload["lower_bound"],
-        )
-        message: Tuple[str, object] = ("ok", result)
-    except BaseException as exc:  # noqa: BLE001 - must report, not vanish
-        message = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError):
-        pass
-    finally:
-        conn.close()
-
-
-class _PoolFlight:
-    """One in-flight component worker (``kill_at`` is the parent-side
-    hard deadline on the *real* clock — the backstop that holds even
-    when a fault skews the worker's own clock)."""
-
-    __slots__ = ("index", "process", "conn", "kill_at", "retries")
-
-    def __init__(self, index, process, conn, kill_at, retries):
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.kill_at = kill_at
-        self.retries = retries
+    _fire_fault("racer", f"component:{payload['index']}")
+    session = Session(
+        payload["graph"],
+        config=payload["config"],
+        cancel=stop_event.is_set,
+    )
+    return session.chromatic(
+        strategy=payload["strategy"],
+        time_limit=payload["time_limit"],
+        max_colors=payload["max_colors"],
+        lower_bound=payload["lower_bound"],
+    )
 
 
 class ComponentSessionPool:
@@ -395,28 +367,28 @@ class ComponentSessionPool:
         """Fan component subproblems across worker processes.
 
         Per component: a child deadline split from the pool's (clamped
-        to the parent), a parent-side ``kill_at`` hard deadline on the
-        real clock, retry-on-death via :class:`RetryPolicy`, and an
-        inline fallback solve when retries run out — a crashing worker
-        degrades throughput, never correctness.  A definitive UNSAT
-        sets the shared stop event (workers poll it in-query) and the
-        parent terminates the stragglers.
+        to the parent), retry-on-death via :class:`RetryPolicy`, and an
+        inline fallback solve when retries run out or the worker fails
+        or is killed at its :class:`~repro.resilience.Worker` kill
+        deadline — a crashing worker degrades throughput, never
+        correctness.  A definitive UNSAT sets the shared stop event
+        (workers poll it in-query) and the parent stops the stragglers.
         """
-        ctx = multiprocessing.get_context()
-        stop_event = ctx.Event()
+        stop_event = multiprocessing.get_context().Event()
         retry_policy = RetryPolicy(max_retries=_WORKER_RETRIES)
         children = deadline.split(weights, floor_fraction=_POOL_FLOOR)
         registry = get_registry()
         tracer = active_tracer()
         pending = deque(range(len(self.components)))
-        flights: Dict[int, _PoolFlight] = {}
+        flights: Dict[int, Worker] = {}
+        retries = [0] * len(self.components)
         pairs: List[Tuple[int, Result]] = []
         unsat = False
         max_workers = min(self.jobs, len(self.components))
 
-        def launch(index: int, retries: int) -> None:
+        def launch(index: int) -> None:
             limit = children[index].remaining()
-            if tracer is not None and retries == 0:
+            if tracer is not None and retries[index] == 0:
                 tracer.component_begin(
                     index, self._subgraphs[index].num_vertices)
             self._ctx.emit(
@@ -424,7 +396,6 @@ class ComponentSessionPool:
                 f"[component {index}] worker descent on "
                 f"{self._subgraphs[index].num_vertices} vertices",
             )
-            recv, send = ctx.Pipe(duplex=False)
             payload = {
                 "index": index,
                 "graph": self._subgraphs[index],
@@ -434,17 +405,8 @@ class ComponentSessionPool:
                 "max_colors": max_colors,
                 "lower_bound": self.clique_bound,
             }
-            process = ctx.Process(
-                target=_component_worker,
-                args=(payload, send, stop_event),
-                daemon=True,
-            )
-            process.start()
-            send.close()  # the parent only reads
-            kill_at = Deadline.after(
-                limit + max(1.0, 0.5 * limit) if limit is not None else None
-            )
-            flights[index] = _PoolFlight(index, process, recv, kill_at, retries)
+            flights[index] = Worker(
+                _component_worker, (payload, stop_event), limit)
 
         def settle(index: int, result: Result) -> None:
             nonlocal unsat
@@ -476,89 +438,45 @@ class ComponentSessionPool:
                 # the loop keeps draining below.
                 stop_event.set()
             while pending and len(flights) < max_workers and not unsat:
-                launch(pending.popleft(), 0)
+                launch(pending.popleft())
             if not flights:
                 break
-            self._wait(flights)
-            for index in list(flights):
-                flight = flights[index]
-                if flight.conn.poll():
-                    try:
-                        outcome, value = flight.conn.recv()
-                    except (EOFError, OSError):
-                        outcome, value = "died", "worker pipe closed"
-                    self._reap(flight)
-                    del flights[index]
-                    if outcome == "ok":
-                        settle(index, value)
-                    elif retry_policy.should_retry("died", flight.retries) \
-                            and outcome == "died":
-                        launch(index, flight.retries + 1)
-                    else:
-                        fallback(index, f"worker failed ({value})")
-                elif not flight.process.is_alive():
-                    # Died without reporting (crash, OOM, injected
-                    # kill).  Drain first: a message may have raced in
-                    # between poll() and the death check.
-                    if flight.conn.poll():
-                        continue  # handled by the poll branch next pass
-                    self._reap(flight)
-                    del flights[index]
+            wait_any(flights.values(), timeout=0.2)
+            for index, worker in list(flights.items()):
+                reported = worker.poll()
+                if reported is None:
+                    continue
+                del flights[index]
+                kind, value = reported
+                if kind == "ok":
+                    settle(index, value)
+                elif kind == "died":
+                    # Crash, OOM or injected kill: transient.
                     registry.inc("pool_worker_deaths_total")
-                    if retry_policy.should_retry("died", flight.retries):
-                        launch(index, flight.retries + 1)
+                    if retry_policy.should_retry("died", retries[index]):
+                        retries[index] += 1
+                        launch(index)
                     else:
                         fallback(index, "worker died twice")
-                elif flight.kill_at.expired():
+                elif kind == "killed":
                     # The worker overran its slice past the grace — the
                     # cooperative deadline failed (hung solver, skewed
-                    # clock).  Kill it; the inline fallback sees an
-                    # exhausted child budget and degrades instantly to
-                    # the verified greedy bound.
-                    self._kill(flight)
-                    self._reap(flight)
-                    del flights[index]
+                    # clock).  The inline fallback sees an exhausted
+                    # child budget and degrades instantly to the
+                    # verified greedy bound.
                     registry.inc("pool_worker_kills_total")
                     fallback(index, "worker overran its deadline")
+                else:
+                    fallback(index, f"worker failed ({value})")
             if unsat:
                 # One component settled the answer: stop paying for the
                 # rest.  Their traces are absent, as in the sequential
                 # early exit.
                 pending.clear()
-                for flight in flights.values():
-                    self._kill(flight)
-                    self._reap(flight)
+                for worker in flights.values():
+                    worker.stop()
                 flights.clear()
         return pairs
-
-    @staticmethod
-    def _wait(flights: Dict[int, _PoolFlight]) -> None:
-        """Block until a worker reports, dies, or a kill deadline nears."""
-        timeout = 0.2
-        for flight in flights.values():
-            remaining = flight.kill_at.remaining()
-            if remaining is not None:
-                timeout = min(timeout, remaining)
-        handles = [f.conn for f in flights.values()]
-        handles += [f.process.sentinel for f in flights.values()]
-        multiprocessing.connection.wait(handles, timeout=timeout)
-
-    @staticmethod
-    def _kill(flight: _PoolFlight) -> None:
-        flight.process.terminate()
-        flight.process.join(1.0)
-        if flight.process.is_alive():
-            flight.process.kill()
-            flight.process.join(1.0)
-
-    @staticmethod
-    def _reap(flight: _PoolFlight) -> None:
-        flight.conn.close()
-        flight.process.join(10.0)
-        if flight.process.is_alive():
-            flight.process.kill()
-            flight.process.join(1.0)
-        flight.process.close()
 
     # ------------------------------------------------------------------
     # Recombination

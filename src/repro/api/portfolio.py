@@ -40,7 +40,6 @@ suite kills a racer mid-race and watches the field recover.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import queue as queue_mod
 import time
 from typing import Dict, List, Optional, Tuple
@@ -48,9 +47,8 @@ from typing import Dict, List, Optional, Tuple
 from ..coloring.verify import check_proper
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
-from ..resilience import Deadline, RetryPolicy
+from ..resilience import Deadline, RetryPolicy, Worker, wait_any
 from ..resilience.faults import fire as _fire_fault
-from ..resilience.faults import install_env_faults
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT
 from .backends import Backend, get_backend, resolve_backend_name
 from .config import PipelineConfig
@@ -174,7 +172,8 @@ def _run_session_racer(payload, cancelled, publish):
 
 
 def _run_racer(payload, stop_event, ub_val, lb_val, publish) -> Result:
-    """Solve the race's problem with this racer's engine."""
+    """Racer worker target: solve the race's problem with this engine."""
+    _fire_fault("racer", payload["spec"])
     kind = payload["kind"]
 
     def cancelled() -> bool:
@@ -203,36 +202,6 @@ def _run_racer(payload, stop_event, ub_val, lb_val, publish) -> Result:
         except (BrokenPipeError, OSError):
             pass
     return result
-
-
-def _racer_entry(payload, conn, stop_event, ub_val, lb_val, publish) -> None:
-    """Racer process entry point (top-level and picklable, per RPR006)."""
-    try:
-        install_env_faults()
-        _fire_fault("racer", payload["spec"])
-        message: Tuple[str, object] = (
-            "ok", _run_racer(payload, stop_event, ub_val, lb_val, publish))
-    except BaseException as exc:  # noqa: BLE001 - must report, not vanish
-        message = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError):
-        pass
-    finally:
-        conn.close()
-
-
-class _RaceFlight:
-    """One in-flight racer process."""
-
-    __slots__ = ("index", "process", "conn", "kill_at", "retries")
-
-    def __init__(self, index, process, conn, kill_at, retries):
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.kill_at = kill_at
-        self.retries = retries
 
 
 class PortfolioBackend(Backend):
@@ -325,12 +294,13 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
         tracer.race_begin(len(specs))
     ctx.emit("race", f"racing {len(specs)} engines: {', '.join(specs)}")
     retry_policy = RetryPolicy(max_retries=_RACER_RETRIES)
-    flights: Dict[int, _RaceFlight] = {}
+    flights: Dict[int, Worker] = {}
+    retries = [0] * len(specs)
     results: Dict[int, Result] = {}
     ub: Optional[int] = None
     lb: Optional[int] = None
 
-    def launch(index: int, retries: int) -> None:
+    def launch(index: int) -> None:
         name, strategy = parsed[index]
         payload = {
             "index": index,
@@ -345,19 +315,9 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
             "clause_in": inboxes.get(index),
             "clause_out": clause_bus,
         }
-        recv, send = mp_ctx.Pipe(duplex=False)
-        process = mp_ctx.Process(
-            target=_racer_entry,
-            args=(payload, send, stop_event, ub_val, lb_val, publish),
-            daemon=True,
-        )
-        process.start()
-        send.close()
-        kill_at = Deadline.after(
-            time_limit + max(2.0, 0.5 * time_limit)
-            if time_limit is not None else None
-        )
-        flights[index] = _RaceFlight(index, process, recv, kill_at, retries)
+        flights[index] = Worker(
+            _run_racer, (payload, stop_event, ub_val, lb_val, publish),
+            time_limit)
 
     def drain_bounds() -> None:
         nonlocal ub, lb
@@ -409,79 +369,52 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
 
     if not ctx.cancelled():  # a pre-cancelled run launches nothing
         for index in range(len(specs)):
-            launch(index, 0)
+            launch(index)
     winner_index: Optional[int] = None
+    grace = Deadline.after(None)
     cancelled_count = 0
     while flights:
         if ctx.cancelled():
             stop_event.set()
         drain_bounds()
         relay_clauses()
-        _wait_flights(flights)
-        for index in list(flights):
-            flight = flights[index]
-            if flight.conn.poll():
-                try:
-                    outcome, value = flight.conn.recv()
-                except (EOFError, OSError):
-                    outcome, value = "died", "racer pipe closed"
-                _reap_flight(flight)
-                del flights[index]
-                if outcome == "ok":
-                    results[index] = value
-                    if winner_index is None and conclusive(value):
-                        winner_index = index
-                        stop_event.set()
-                else:
-                    registry.inc("race_racer_errors_total")
-                    ctx.emit("race", f"racer {specs[index]} failed ({value})")
-            elif not flight.process.is_alive():
-                if flight.conn.poll():
-                    continue  # a message raced in; handled next pass
-                _reap_flight(flight)
-                del flights[index]
+        wait_any(flights.values(), timeout=0.1)
+        for index, worker in list(flights.items()):
+            reported = worker.poll()
+            if reported is None:
+                continue
+            del flights[index]
+            kind, value = reported
+            if winner_index is not None:
+                # The race is decided; this survivor was told to stop.
+                cancelled_count += 1
+            elif kind == "ok":
+                results[index] = value
+                if conclusive(value):
+                    winner_index = index
+                    stop_event.set()
+                    grace = Deadline.after(1.0)
+            elif kind == "died":
                 registry.inc("race_racer_deaths_total")
-                if retry_policy.should_retry("died", flight.retries) \
-                        and winner_index is None:
-                    ctx.emit("race",
-                             f"racer {specs[index]} died; relaunching")
-                    launch(index, flight.retries + 1)
+                if retry_policy.should_retry("died", retries[index]):
+                    ctx.emit("race", f"racer {specs[index]} died; relaunching")
+                    retries[index] += 1
+                    launch(index)
                 else:
                     ctx.emit("race", f"racer {specs[index]} dropped")
-            elif flight.kill_at.expired():
-                _kill_flight(flight)
-                _reap_flight(flight)
-                del flights[index]
+            elif kind == "killed":
                 registry.inc("race_racer_kills_total")
                 ctx.emit("race",
                          f"racer {specs[index]} overran its deadline; killed")
-        if winner_index is not None and flights:
-            # The race is decided; the survivors were told to stop and
-            # anything still running now is cancelled outright.
-            grace = Deadline.after(1.0)
-            while flights and not grace.expired():
-                drain_bounds()
-                _wait_flights(flights)
-                for index in list(flights):
-                    flight = flights[index]
-                    if flight.conn.poll():
-                        try:
-                            outcome, value = flight.conn.recv()
-                        except (EOFError, OSError):
-                            outcome = "died"
-                        if outcome == "ok":
-                            results[index] = value
-                        _reap_flight(flight)
-                        del flights[index]
-                        cancelled_count += 1
-                    elif not flight.process.is_alive():
-                        _reap_flight(flight)
-                        del flights[index]
-                        cancelled_count += 1
-            for flight in flights.values():
-                _kill_flight(flight)
-                _reap_flight(flight)
-                cancelled_count += 1
+            else:
+                registry.inc("race_racer_errors_total")
+                ctx.emit("race", f"racer {specs[index]} failed ({value})")
+        if grace.expired():
+            # Survivors still running a second after the race was
+            # decided are cancelled outright.
+            for worker in flights.values():
+                worker.stop()
+            cancelled_count += len(flights)
             flights.clear()
     drain_bounds()
     final = _settle_race(problem, results, winner_index, ub, lb, deadline, ctx)
@@ -550,32 +483,3 @@ def _settle_race(problem, results: Dict[int, Result],
         best.degraded = False
         best.cancelled = False
     return best
-
-
-def _wait_flights(flights: Dict[int, _RaceFlight]) -> None:
-    """Block until a racer reports, dies, or a kill deadline nears."""
-    timeout = 0.1
-    for flight in flights.values():
-        remaining = flight.kill_at.remaining()
-        if remaining is not None:
-            timeout = min(timeout, remaining)
-    handles = [f.conn for f in flights.values()]
-    handles += [f.process.sentinel for f in flights.values()]
-    multiprocessing.connection.wait(handles, timeout=max(timeout, 0.01))
-
-
-def _kill_flight(flight: _RaceFlight) -> None:
-    flight.process.terminate()
-    flight.process.join(1.0)
-    if flight.process.is_alive():
-        flight.process.kill()
-        flight.process.join(1.0)
-
-
-def _reap_flight(flight: _RaceFlight) -> None:
-    flight.conn.close()
-    flight.process.join(10.0)
-    if flight.process.is_alive():
-        flight.process.kill()
-        flight.process.join(1.0)
-    flight.process.close()

@@ -7,8 +7,9 @@ attempt, so a hung or crashed solver never takes the pool down), with:
 * **per-task wall-clock timeouts** — each attempt gets ``task_timeout``
   seconds; inside the worker the engine's ``SolveConfig.time_limit`` and
   the ``RunContext`` cancel predicate are both armed with the deadline
-  (the cooperative path), and the coordinator hard-kills any worker that
-  overruns the deadline by the kill grace (the insurance path);
+  (the cooperative path), and the coordinator hard-kills any worker
+  still running at ``task_timeout + max(1.0, 0.5 * task_timeout)`` (the
+  :class:`~repro.resilience.Worker` kill rule: the insurance path);
 * **backend-fallback chains** — a timed-out or inconclusive attempt is
   re-queued on the next backend of the task's chain (e.g.
   ``cdcl-incremental`` -> ``cplex-bb``), with a fresh timeout budget;
@@ -37,14 +38,13 @@ debugging and for platforms without ``fork``.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import get_registry, scoped_registry
-from ..resilience import Deadline, RetryPolicy, append_record
+from ..resilience import Deadline, RetryPolicy, Worker, append_record, wait_any
 from ..resilience.faults import fire as _fire_fault
 from .manifest import TaskSpec, as_task, load_plugins
 from .records import conclusive, error_record, result_to_record
@@ -112,26 +112,21 @@ def _execute_attempt(
     return outcome, record
 
 
-def _worker_entry(payload: Dict[str, object], conn) -> None:
-    """Subprocess entry point: run one attempt, send (outcome, record)."""
-    try:
-        load_plugins(payload["plugins"])
-        task = TaskSpec.from_dict(payload["task"])
-        message = _execute_attempt(
-            task,
-            payload["backend"],
-            payload["task_timeout"],
-            payload["include_coloring"],
-            detection_cache=payload.get("detection_cache"),
-        )
-    except BaseException as exc:  # noqa: BLE001 - must report, not vanish
-        message = ("error", error_record(f"{type(exc).__name__}: {exc}"))
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError):
-        pass
-    finally:
-        conn.close()
+def _worker_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
+    """Worker target: run one attempt in the child, return (outcome, record).
+
+    ``_execute_attempt`` is looked up as a module global at call time,
+    so a wrapper set on this module before the batch starts runs in
+    every forked worker.
+    """
+    load_plugins(payload["plugins"])
+    return _execute_attempt(
+        TaskSpec.from_dict(payload["task"]),
+        payload["backend"],
+        payload["task_timeout"],
+        payload["include_coloring"],
+        detection_cache=payload["detection_cache"],
+    )
 
 
 @dataclass
@@ -177,19 +172,6 @@ class _TaskState:
 
     def has_fallback(self) -> bool:
         return self.backend_idx + 1 < len(self.chain)
-
-
-class _Flight:
-    """One in-flight worker process (``kill_at`` is its hard Deadline)."""
-
-    __slots__ = ("index", "process", "conn", "started", "kill_at")
-
-    def __init__(self, index, process, conn, started, kill_at):
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.started = started
-        self.kill_at = kill_at
 
 
 class _OrderedEmitter:
@@ -238,7 +220,6 @@ class BatchRunner:
         task_timeout: Optional[float] = None,
         fallback: Sequence[str] = (),
         retries: int = 1,
-        kill_grace: Optional[float] = None,
         include_colorings: bool = False,
         plugins: Sequence[str] = (),
         on_record=None,
@@ -271,9 +252,6 @@ class BatchRunner:
             else RetryPolicy(max_retries=retries)
         )
         self.resume_records = list(resume_records)
-        if kill_grace is None and task_timeout is not None:
-            kill_grace = max(1.0, 0.5 * task_timeout)
-        self.kill_grace = kill_grace
         self.include_colorings = include_colorings
         self._on_record = on_record
         self._jsonl = jsonl
@@ -342,90 +320,42 @@ class BatchRunner:
 
     # ------------------------------------------------------------- pool mode
     def _run_pool(self, states, emitter, skip=frozenset()) -> None:
-        ctx = self._mp_context()
         # The cross-worker symmetry-detection cache: a manager-hosted
         # dict proxy shipped in every worker payload, so detection runs
-        # once per canonical instance across the whole pool.  The
+        # once per graph as labeled across the whole pool.  The
         # manager process is only paid for when a task can use it.
         manager = None
         self._detection_cache = None
         if self._needs_detection_cache():
-            manager = ctx.Manager()
+            manager = multiprocessing.Manager()
             self._detection_cache = manager.dict()
         try:
-            self._pool_loop(ctx, states, emitter, skip)
+            self._pool_loop(states, emitter, skip)
         finally:
             self._detection_cache = None
             if manager is not None:
                 manager.shutdown()
 
-    def _pool_loop(self, ctx, states, emitter, skip) -> None:
+    def _pool_loop(self, states, emitter, skip) -> None:
         pending = deque(i for i in range(len(self.tasks)) if i not in skip)
-        flights: Dict[int, _Flight] = {}
+        flights: Dict[int, Worker] = {}
         while pending or flights:
             get_registry().gauge(
                 "batch_queue_depth", len(pending) + len(flights))
             while pending and len(flights) < self.jobs:
                 index = pending.popleft()
-                flights[index] = self._launch(ctx, index, states[index])
-            self._wait(flights)
-            now = time.monotonic()
-            for index in list(flights):
-                flight = flights[index]
-                state = states[index]
-                if flight.conn.poll():
-                    outcome, record = self._receive(flight)
-                    self._reap(flight)
-                    del flights[index]
-                    if not self._settle(index, state, outcome, record, emitter):
-                        pending.append(index)
-                elif not flight.process.is_alive():
-                    # Died without reporting: crash or external kill.
-                    # (Read the exit code before _reap closes the handle —
-                    # and before draining: a message may still have raced
-                    # into the pipe between poll() and the death check.)
-                    exitcode = flight.process.exitcode
-                    if flight.conn.poll():
-                        outcome, record = self._receive(flight)
-                        self._reap(flight)
-                        del flights[index]
-                        if not self._settle(index, state, outcome, record, emitter):
-                            pending.append(index)
-                        continue
-                    self._reap(flight)
-                    del flights[index]
-                    record = error_record(
-                        f"worker died (exit code {exitcode})",
-                        seconds=now - flight.started,
-                    )
-                    if not self._settle(index, state, "died", record, emitter):
-                        pending.append(index)
-                elif flight.kill_at.expired():
-                    # Overran the deadline past the kill grace: the
-                    # cooperative path failed, pull the plug.
-                    self._kill(flight)
-                    self._reap(flight)
-                    del flights[index]
-                    record = error_record(
-                        f"killed after exceeding the {self.task_timeout}s "
-                        "task timeout",
-                        seconds=now - flight.started,
-                    )
-                    record["status"] = "UNKNOWN"
-                    record["timed_out"] = True
-                    if not self._settle(index, state, "timeout", record, emitter):
-                        pending.append(index)
+                flights[index] = self._launch(index, states[index])
+            wait_any(flights.values(), timeout=0.5)
+            for index, worker in list(flights.items()):
+                reported = worker.poll()
+                if reported is None:
+                    continue
+                del flights[index]
+                outcome, record = self._attempt_outcome(worker, reported)
+                if not self._settle(index, states[index], outcome, record, emitter):
+                    pending.append(index)
 
-    @staticmethod
-    def _mp_context():
-        # The platform's default start method: fork on Linux (cheap),
-        # spawn on macOS/Windows — forcing fork there hits the Apple
-        # objc fork-safety abort.  _worker_entry is importable and its
-        # payload picklable, so spawn works too.
-        return multiprocessing.get_context()
-
-    def _launch(self, ctx, index: int, state: _TaskState) -> _Flight:
-        recv, send = ctx.Pipe(duplex=False)
+    def _launch(self, index: int, state: _TaskState) -> Worker:
         payload = {
             "task": self.tasks[index].to_dict(),
             "backend": state.backend,
@@ -434,54 +364,30 @@ class BatchRunner:
             "plugins": self.plugins,
             "detection_cache": self._detection_cache,
         }
-        process = ctx.Process(
-            target=_worker_entry, args=(payload, send), daemon=True
+        return Worker(_worker_entry, (payload,), self.task_timeout)
+
+    def _attempt_outcome(
+        self, worker: Worker, reported: Tuple[str, Any],
+    ) -> Tuple[str, Dict[str, object]]:
+        """One worker's report as an attempt ``(outcome, record)``."""
+        kind, value = reported
+        if kind == "ok":
+            return value
+        if kind == "error":
+            return "error", error_record(value)
+        seconds = time.monotonic() - worker.started
+        if kind == "died":
+            # Crash, OOM or external kill: transient, so retried.
+            return "died", error_record(
+                f"worker died (exit code {value})", seconds=seconds)
+        # Killed at its kill deadline: the cooperative timeout failed.
+        record = error_record(
+            f"killed after exceeding the {self.task_timeout}s task timeout",
+            seconds=seconds,
         )
-        process.start()
-        send.close()  # the parent only reads
-        started = time.monotonic()
-        kill_at = Deadline.after(
-            self.task_timeout + (self.kill_grace or 0.0)
-            if self.task_timeout is not None else None
-        )
-        return _Flight(index, process, recv, started, kill_at)
-
-    def _wait(self, flights: Dict[int, _Flight]) -> None:
-        """Block until a worker reports, dies, or a kill deadline nears."""
-        if not flights:
-            return
-        timeout = 0.5
-        for flight in flights.values():
-            remaining = flight.kill_at.remaining()
-            if remaining is not None:
-                timeout = min(timeout, remaining)
-        handles = [f.conn for f in flights.values()]
-        handles += [f.process.sentinel for f in flights.values()]
-        multiprocessing.connection.wait(handles, timeout=timeout)
-
-    @staticmethod
-    def _receive(flight: _Flight) -> Tuple[str, Dict[str, object]]:
-        try:
-            return flight.conn.recv()
-        except (EOFError, OSError):
-            return "died", error_record("worker pipe closed without a result")
-
-    @staticmethod
-    def _kill(flight: _Flight) -> None:
-        flight.process.terminate()
-        flight.process.join(1.0)
-        if flight.process.is_alive():
-            flight.process.kill()
-            flight.process.join(1.0)
-
-    @staticmethod
-    def _reap(flight: _Flight) -> None:
-        flight.conn.close()
-        flight.process.join(10.0)
-        if flight.process.is_alive():
-            flight.process.kill()
-            flight.process.join(1.0)
-        flight.process.close()
+        record["status"] = "UNKNOWN"
+        record["timed_out"] = True
+        return "timeout", record
 
     # ------------------------------------------------------------ settlement
     def _settle(
@@ -582,7 +488,6 @@ def solve_many(
     task_timeout: Optional[float] = None,
     fallback: Sequence[str] = (),
     retries: int = 1,
-    kill_grace: Optional[float] = None,
     include_colorings: bool = False,
     plugins: Sequence[str] = (),
     on_record=None,
@@ -600,8 +505,7 @@ def solve_many(
     """
     kwargs = dict(
         jobs=jobs, task_timeout=task_timeout, fallback=fallback,
-        retries=retries, kill_grace=kill_grace,
-        include_colorings=include_colorings, plugins=plugins,
+        retries=retries, include_colorings=include_colorings, plugins=plugins,
         on_record=on_record, retry_policy=retry_policy,
         resume_records=resume_records,
     )

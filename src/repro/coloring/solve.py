@@ -84,9 +84,11 @@ def prepare_formula(
     requested.  ``detection_cache`` (a plain dict, or a
     ``multiprocessing.Manager().dict()`` shared across batch workers)
     lets callers reuse detection results across solver runs on the same
-    deterministic encoding — keys derive from the graph's *canonical
-    certificate* plus the encoding parameters, so isomorphic inputs
-    share one detection run and the cache is exact, not approximate.
+    deterministic encoding — keys derive from the graph *as labeled* (a
+    digest of its sorted edge list) plus the encoding parameters, so
+    repeats of one labeled graph share one detection run; an isomorphic
+    relabeling detects afresh, since the cached generators permute the
+    labeling's own variables.
 
     This helper keeps the historical encode-then-detect order for
     callers that want the raw encoding; the standard pipeline

@@ -45,6 +45,11 @@ def decode_record(record: TraceRecord) -> Dict[str, Any]:
         if record.event in (ev.DEADLINE_EXPIRED, ev.DEGRADED):
             fields["where"] = ev.WHERE_NAMES.get(  # type: ignore[assignment]
                 int(fields.get("where", 0)), "other")
+        # Optional counts travel shifted by one: 0 means "none".
+        for name in ("colors", "winner"):
+            if name in fields:
+                wire = int(fields[name])
+                fields[name] = None if wire == 0 else wire - 1  # type: ignore[assignment]
         out["fields"] = fields
     else:
         out["payload_bytes"] = len(record.payload)

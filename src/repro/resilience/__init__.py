@@ -20,12 +20,17 @@ counter.  This package centralizes those concerns:
   runner's crash-safe ``--resume``.
 * :mod:`~repro.resilience.faults` — the deterministic fault-injection
   harness: seeded injection points (raise-in-stage, sleep-in-query,
-  worker kill, clock skew) installable process-wide and, via
-  :mod:`~repro.resilience.chaos_plugin`, in every batch worker.
+  worker kill, clock skew) installable process-wide and, through the
+  ``REPRO_FAULTS`` environment variable, in every child process.
+* :class:`Worker` / :func:`wait_any` — the one way to run work in a
+  child process: fault arming, a parent-side kill deadline and a
+  once-only outcome (``ok`` / ``error`` / ``died`` / ``killed``) for
+  the batch fleet, the component pool and the portfolio race.
 
-The package depends only on the standard library, so every layer of
-the repo (``sat/``, ``pb/``, ``ilp/``, ``coloring/``, ``api/``,
-``batch/``) can import it without cycles.
+The package depends only on the standard library and the stdlib-only
+:mod:`repro.obs`, so every layer of the repo (``sat/``, ``pb/``,
+``ilp/``, ``coloring/``, ``api/``, ``batch/``) can import it without
+cycles.
 """
 
 from .budget import Budget, Deadline, reset_clock, set_clock
@@ -42,6 +47,7 @@ from .faults import (
 )
 from .retry import RetryPolicy
 from .wal import append_record, corrupt_tail, fsync_file, read_wal
+from .worker import Worker, wait_any
 
 __all__ = [
     "Budget",
@@ -50,6 +56,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",
+    "Worker",
     "active_plan",
     "append_record",
     "clear_faults",
@@ -61,4 +68,5 @@ __all__ = [
     "read_wal",
     "reset_clock",
     "set_clock",
+    "wait_any",
 ]

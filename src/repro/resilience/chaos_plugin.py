@@ -5,10 +5,12 @@ the parent *and* in every worker process (see
 :func:`repro.batch.manifest.load_plugins`).  This module uses that
 import as its installation hook: if the ``REPRO_FAULTS`` environment
 variable holds a serialized :class:`~repro.resilience.faults.FaultPlan`,
-it is installed process-wide on import.  Hit counters are per-process,
-so a plan that kills "the first matching attempt" does so in each
-worker it reaches — pair it with a ``match`` filter on the backend name
-to let retries and fallbacks through.
+it is installed process-wide on import.  Worker processes arm the plan
+themselves (:class:`~repro.resilience.worker.Worker`); the plugin is
+what arms the parent, and so the inline ``--jobs 0`` runs.  Hit
+counters are per-process, so a plan that kills "the first matching
+attempt" does so in each worker it reaches — pair it with a ``match``
+filter on the backend name to let retries and fallbacks through.
 
 Usage::
 

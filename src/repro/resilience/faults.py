@@ -29,9 +29,10 @@ expressible.
 
 Installation is process-global (:func:`install_faults` /
 :func:`clear_faults`); :meth:`FaultPlan.to_env` serializes a plan into
-the ``REPRO_FAULTS`` environment variable that
-:mod:`repro.resilience.chaos_plugin` reads when the batch runner
-imports it in each worker.  :func:`seeded_plan` derives a plan
+the ``REPRO_FAULTS`` environment variable, which every child process
+started through :class:`~repro.resilience.worker.Worker` installs
+before it runs its work (batch attempts, pool components, racers).
+:func:`seeded_plan` derives a plan
 deterministically from an integer seed — the chaos-smoke CI job's
 nightly fresh-seed mode.
 
@@ -181,10 +182,10 @@ def install_faults(plan: FaultPlan) -> None:
 def install_env_faults() -> None:
     """Install the ``REPRO_FAULTS`` plan, if the environment carries one.
 
-    The chaos plugin calls this on import in batch workers; the pool
-    and portfolio worker entry points call it directly (they are
-    spawned as bare processes, not through the plugin import hook), so
-    a serialized plan reaches every execution tier the same way.
+    Every :class:`~repro.resilience.worker.Worker` child calls this
+    before running its target, so a serialized plan reaches every
+    process tier the same way; the chaos plugin calls it on import,
+    which also arms the parent and ``--jobs 0`` runs.
     """
     raw = os.environ.get(FAULTS_ENV)
     if raw:

@@ -2,6 +2,8 @@
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
+from repro.resilience import Worker
+
 
 def launch(ctx, payload, pool):
     proc = ctx.Process(target=lambda: payload.run())  # violation: lambda
@@ -32,3 +34,12 @@ def fan_out_threads(items, solver):
 
     results.extend(executor.submit(work, item) for item in items)  # violation
     return results
+
+
+def run_in_child(payload):
+    Worker(lambda: payload.run(), ())  # violation: lambda
+
+    def target():
+        return payload.run()
+
+    return Worker(target, (), 1.0)  # violation: closure

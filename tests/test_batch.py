@@ -187,7 +187,7 @@ def test_hard_kill_timeout_promotes_to_fallback():
     report = solve_many(
         [{"graph": "myciel3", "backend": "sleepy",
           "fallback": ["cdcl-incremental"]}],
-        jobs=1, task_timeout=0.3, kill_grace=0.3, plugins=[PLUGIN],
+        jobs=1, task_timeout=0.3, plugins=[PLUGIN],
     )
     record = report.records[0]
     assert record["status"] == "OPTIMAL" and record["num_colors"] == 4

@@ -150,3 +150,26 @@ def test_color_incremental_flag_accepted(capsys, col_file):
     out = capsys.readouterr().out
     assert code == 0
     assert "colors used:      4" in out
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["chromatic", "{graph}", "--pool-jobs", "-1"], "--pool-jobs"),
+        (["batch", "{manifest}", "--jobs", "-1"], "--jobs"),
+        (["batch", "{manifest}", "--retries", "-1"], "--retries"),
+        (["batch", "{manifest}", "--task-timeout", "0"], "--task-timeout"),
+    ],
+    ids=["pool-jobs", "jobs", "retries", "task-timeout"],
+)
+def test_invalid_worker_counts_are_usage_errors(capsys, tmp_path, col_file,
+                                                argv, flag):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"graph": col_file}]))
+    argv = [a.format(graph=col_file, manifest=manifest) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        repro_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err
+    assert "Traceback" not in err

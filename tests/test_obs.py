@@ -293,9 +293,47 @@ def test_component_pool_events_present():
             .run(ChromaticProblem(union))
         )
     assert result.status == "OPTIMAL"
-    events = {r.event for r in read_trace(sink.getvalue()).records}
+    records = read_trace(sink.getvalue()).records
+    events = {r.event for r in records}
     assert ev.POOL_BEGIN in events and ev.POOL_END in events
     assert ev.COMPONENT_BEGIN in events and ev.COMPONENT_END in events
+    # dump decodes the shifted wire value back to the color count
+    pool_end = [decode_record(r) for r in records if r.event == ev.POOL_END]
+    assert pool_end[-1]["fields"]["colors"] == result.num_colors
+
+
+def _pool_tier_run():
+    from repro.graphs.graph import disjoint_union
+    union = disjoint_union(mycielski_graph(3), mycielski_graph(4))
+    result = (
+        Pipeline()
+        .solve(backend="cdcl-incremental", time_limit=120, pool_jobs=2)
+        .run(ChromaticProblem(union))
+    )
+    assert result.status == "OPTIMAL"
+
+
+def _batch_tier_run():
+    report = solve_many([{"graph": "myciel4"}, {"graph": "myciel4"}], jobs=2)
+    assert [r["outcome"] for r in report.records] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("run", [_pool_tier_run, _batch_tier_run],
+                         ids=["pool_jobs", "batch_jobs"])
+def test_process_tiers_leave_the_parent_trace_intact(tmp_path, run):
+    """Forked workers must not write into the parent's trace file.
+
+    The sink is a real file: a child writes the parent's unflushed
+    bytes (header included) through its copy of the buffered writer,
+    which a ``BytesIO`` sink would keep private to the child.
+    """
+    path = str(tmp_path / "run.trace")
+    with tracing(path):
+        run()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data.count(MAGIC) == 1
+    assert read_trace(path).truncated_bytes == 0
 
 
 def test_deadline_expiry_and_degradation_are_traced():

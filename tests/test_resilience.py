@@ -13,7 +13,10 @@ tier (Pipeline / Session / component pool / batch runner):
   replays completed records byte-identically and re-solves only the
   rest;
 * **everything is deterministic** — retry schedules, fault plans and
-  the seeded chaos scenario are pure functions of their seeds.
+  the seeded chaos scenario are pure functions of their seeds;
+* **one worker primitive** — every child process reports exactly once
+  (``ok`` / ``error`` / ``died`` / ``killed``), is reaped, arms the
+  ``REPRO_FAULTS`` plan and leaves the parent's tracer alone.
 
 ``test_chaos_smoke_seeded_scenario`` is the ``make chaos-smoke`` entry
 point: ``CHAOS_SEED`` picks the fault scenario (fixed in PRs, fresh
@@ -24,6 +27,7 @@ locally from the seed alone.
 import json
 import os
 import shutil
+import time
 
 import pytest
 
@@ -38,19 +42,23 @@ from repro.batch import solve_many
 from repro.coloring.verify import is_proper
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.graphs.graph import disjoint_union
+from repro.obs import active_tracer, tracing
 from repro.resilience import (
     Deadline,
     FaultInjected,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
+    Worker,
     clear_faults,
     corrupt_tail,
+    fire,
     install_faults,
     read_wal,
     reset_clock,
     seeded_plan,
     set_clock,
+    wait_any,
 )
 from repro.resilience.faults import FAULTS_ENV
 
@@ -347,6 +355,84 @@ def test_seeded_plan_is_a_pure_function_of_the_seed():
     # The scenario space is actually explored.
     kinds = {spec.kind for seed in range(40) for spec in seeded_plan(seed).specs}
     assert kinds == {"raise", "sleep", "kill", "skew"}
+
+
+# ==========================================================================
+# The worker primitive (every process tier runs through it)
+# ==========================================================================
+
+
+def _echo(value):
+    return value
+
+
+def _raise_boom():
+    raise ValueError("boom")
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+
+
+def _fire_point(point):
+    fire(point)
+
+
+def _tracer_is_dropped():
+    return active_tracer() is None
+
+
+def _outcome(worker, timeout=30.0):
+    """Wait for ``worker``'s one report (bounded: a hang fails the test)."""
+    deadline = Deadline.after(timeout)
+    while not deadline.expired():
+        wait_any([worker], timeout=0.5)
+        outcome = worker.poll()
+        if outcome is not None:
+            assert worker.poll() is None  # reported exactly once
+            return outcome
+    worker.stop()
+    raise AssertionError("worker never reported")
+
+
+def test_worker_returns_a_picklable_value_as_ok():
+    assert _outcome(Worker(_echo, ({"k": [1, 2]},))) == ("ok", {"k": [1, 2]})
+
+
+def test_worker_reports_a_raising_target_as_error():
+    assert _outcome(Worker(_raise_boom)) == ("error", "ValueError: boom")
+
+
+def test_worker_reports_a_silent_exit_as_died():
+    assert _outcome(Worker(_exit_3)) == ("died", 3)
+
+
+def test_worker_is_killed_past_its_limit_and_reaped():
+    start = time.monotonic()
+    worker = Worker(_sleep, (60.0,), limit=0.2)
+    pid = worker._process.pid
+    assert _outcome(worker) == ("killed", None)
+    assert time.monotonic() - start < 2.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)  # no zombie left behind
+
+
+def test_worker_arms_the_env_fault_plan_without_a_plugin():
+    plan = FaultPlan([FaultSpec(point="stage:probe", kind="raise")])
+    os.environ[FAULTS_ENV] = plan.to_env()
+    kind, message = _outcome(Worker(_fire_point, ("stage:probe",)))
+    assert kind == "error"
+    assert message.startswith("FaultInjected: injected fault at stage:probe")
+
+
+def test_worker_child_drops_the_parent_tracer(tmp_path):
+    with tracing(str(tmp_path / "run.trace")):
+        assert active_tracer() is not None
+        assert _outcome(Worker(_tracer_is_dropped)) == ("ok", True)
 
 
 # ==========================================================================

@@ -58,7 +58,7 @@ POSITIVE_FIXTURES = [
     ("repro/symmetry/rpr003_bad.py", "RPR003", 7),
     ("repro/api/rpr004_bad.py", "RPR004", 2),
     ("repro/coloring/rpr005_bad.py", "RPR005", 1),
-    ("repro/batch/rpr006_bad.py", "RPR006", 6),
+    ("repro/batch/rpr006_bad.py", "RPR006", 8),
     ("repro/pb/rpr007_bad.py", "RPR007", 4),
 ]
 
