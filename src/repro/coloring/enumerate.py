@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..core.formula import Formula
 from ..pb.engine import PBSolver
+from ..sat.factory import register_solver
 from .encoding import ColoringEncoding, decode_coloring
 
 
@@ -32,7 +33,7 @@ def enumerate_models(
     variables = list(dict.fromkeys(project_onto))
     if not variables:
         raise ValueError("projection set must be non-empty")
-    solver = PBSolver()
+    solver = register_solver(PBSolver())
     if not solver.add_formula(formula):
         return
     count = 0

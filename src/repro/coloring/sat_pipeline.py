@@ -52,7 +52,6 @@ from ..sat.factory import new_solver
 from ..sat.preprocessing import preprocess as preprocess_cnf
 from ..sat.preprocessing import simplify_formula
 from ..sat.result import SAT, UNKNOWN, UNSAT, SolverStats
-from ..sat.vsids import VSIDS
 from .descent import Answer, descend
 from .encoding import add_color_activation_literals, normalize_coloring
 from .reduce import extend_coloring, peel_low_degree, solve_with_reduction
@@ -395,7 +394,8 @@ class IncrementalKSearch:
         back to False (default-phase decisions then walk the
         at-least-one clauses like a greedy coloring, which measurably
         beats repairing the previous, now-infeasible solution on SAT
-        chains) and VSIDS is restarted.  With ``carry=True`` only the
+        chains) and VSIDS activity is reset in place, keeping the
+        solver's decay factor.  With ``carry=True`` only the
         phases that point at newly disabled colors are neutralized, so a
         vertex whose color survives keeps steering toward the old
         solution.
@@ -411,7 +411,7 @@ class IncrementalKSearch:
         if not carry:
             for var in self.x.values():
                 saved_phase[var] = False
-            self.solver.vsids = VSIDS(self.solver.num_vars)
+            self.solver.vsids.reset()
             return
         if not self._last_coloring:
             return

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..core.formula import Formula
+from ..sat.factory import register_solver
 from ..sat.result import OptimizeResult, SolveResult
 from .engine import PBSolver
 from .optimizer import minimize
@@ -44,14 +45,19 @@ class SolverPreset:
     description: str = ""
 
     def make_solver(self, num_vars: int = 0) -> PBSolver:
-        """Instantiate a fresh engine with this preset's parameters."""
-        return PBSolver(
+        """Instantiate a fresh engine with this preset's parameters.
+
+        The engine is registered like every solver
+        (:func:`~repro.sat.factory.register_solver`): counted, and
+        traced when a tracer is installed.
+        """
+        return register_solver(PBSolver(
             num_vars=num_vars,
             decay=self.decay,
             restart_base=self.restart_base,
             phase_default=self.phase_default,
             max_learned_start=self.max_learned_start,
-        )
+        ))
 
     def solver_factory(self) -> Callable[[], PBSolver]:
         return lambda: self.make_solver()

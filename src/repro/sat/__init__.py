@@ -2,7 +2,7 @@
 
 from .brute import brute_force_count, brute_force_optimize, brute_force_solve
 from .cdcl import CDCLSolver, WClause, solve_formula
-from .factory import new_solver, reset_solver_factory, set_solver_factory
+from .factory import new_solver, register_solver, reset_solver_factory, set_solver_factory
 from .luby import luby, luby_sequence
 from .preprocessing import (
     PreprocessResult,
@@ -42,6 +42,7 @@ __all__ = [
     "luby_sequence",
     "new_solver",
     "preprocess",
+    "register_solver",
     "reset_solver_factory",
     "set_solver_factory",
     "simplify_formula",

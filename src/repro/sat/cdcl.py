@@ -30,7 +30,18 @@ Hot-path design (measured on the multi-K coloring descents):
   one sweep when enough dead watchers accumulate;
 * restarts are assumption-aware — they backtrack to the assumption
   prefix, never below it, so assumption-level propagation is not redone
-  on every restart.
+  on every restart;
+* decisions come from VSIDS's indexed heap (:mod:`repro.sat.vsids`):
+  a bump moves the variable in place, and backtracking re-inserts only
+  the unassigned variables that left the heap (decisions, and variables
+  popped while assigned) — the rest never left it;
+* propagation enqueues implied literals inline and reads the decision
+  level once per call;
+* conflict analysis marks variables in one solver-owned ``_seen`` array
+  and clears exactly the marks it set, so no conflict allocates an
+  array over all variables;
+* the popped trail slice is built on backtrack only for a subclass that
+  unwinds state of its own (the PB engine's slack counters).
 """
 
 from __future__ import annotations
@@ -114,6 +125,11 @@ class CDCLSolver:
         self.clauses: List[WClause] = []
         self.learned: List[WClause] = []
         self.vsids = VSIDS(0, decay=decay)
+        # Conflict-analysis marks, all False between _analyze calls.
+        self._seen: List[bool] = [False]
+        # Only a subclass that unwinds state of its own (the PB engine's
+        # slack counters) needs the popped trail slice on backtrack.
+        self._unwinds = type(self)._on_backtrack is not CDCLSolver._on_backtrack
         self.restart_base = restart_base
         self.max_learned = max_learned_start
         self.max_learned_growth = max_learned_growth
@@ -135,6 +151,7 @@ class CDCLSolver:
             self.trail_pos.append(0)
             self.reason.append(None)
             self.saved_phase.append(self._phase_default)
+            self._seen.append(False)
             self.watches.append([])
             self.watches.append([])
         self.vsids.grow(self.num_vars)
@@ -206,7 +223,7 @@ class CDCLSolver:
     def _enqueue(self, lit: int, reason) -> None:
         var = abs(lit)
         self.values[var] = 1 if lit > 0 else -1
-        self.level[var] = self.decision_level
+        self.level[var] = len(self.trail_lim)
         self.trail_pos[var] = len(self.trail)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -229,14 +246,23 @@ class CDCLSolver:
                 return None
 
     def _propagate_clauses(self) -> Optional[WClause]:
-        """Unit propagation over clauses; returns a conflict or None."""
+        """Unit propagation over clauses; returns a conflict or None.
+
+        Implied literals are enqueued inline (the body of ``_enqueue``);
+        the decision level cannot change while propagating, so it is
+        read once per call.
+        """
         values = self.values
         watches = self.watches
         trail = self.trail
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
+        level = self.level
+        trail_pos = self.trail_pos
+        reasons = self.reason
+        current = len(self.trail_lim)
+        start = qhead = self.qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             false_lit = -lit
             watchlist = watches[(lit << 1) if lit > 0 else ((-lit) << 1) | 1]
             i = j = 0
@@ -291,10 +317,22 @@ class CDCLSolver:
                         j += 1
                         i += 1
                     del watchlist[j:]
+                    self.stats.propagations += qhead - start
                     self.qhead = len(trail)
                     return clause
-                self._enqueue(first, clause)
+                if first > 0:
+                    var = first
+                    values[var] = 1
+                else:
+                    var = -first
+                    values[var] = -1
+                level[var] = current
+                trail_pos[var] = len(trail)
+                reasons[var] = clause
+                trail.append(first)
             del watchlist[j:]
+        self.stats.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     def _propagate_extra(self):
@@ -307,48 +345,59 @@ class CDCLSolver:
 
         Returns ``(learnt_clause, backtrack_level, lbd)`` with the
         asserting literal first.  ``conflict`` is a clause-like list of
-        literals all currently false.
+        literals all currently false.  Marks variables in the
+        solver-owned ``_seen`` array and clears every mark it set (the
+        UIP, the tail and the minimization extras) before returning.
         """
         learnt: List[int] = []
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
+        level = self.level
+        trail = self.trail
+        bump = self.vsids.bump
+        reason_of = self._reason_literals
         counter = 0
         p = 0
-        reason_lits: Sequence[int] = self._reason_literals(conflict, 0)
-        index = len(self.trail) - 1
-        current = self.decision_level
+        reason_lits: Sequence[int] = reason_of(conflict, 0)
+        index = len(trail) - 1
+        current = len(self.trail_lim)
         while True:
             for q in reason_lits:
                 if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self.vsids.bump(v)
-                    if self.level[v] >= current:
+                    bump(v)
+                    if level[v] >= current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[index])]:
+            while not seen[abs(trail[index])]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
             counter -= 1
             if counter == 0:
                 break
             seen[abs(p)] = False
-            reason_lits = self._reason_literals(self.reason[abs(p)], p)
-        learnt_head = -p
-        learnt = self._minimize(learnt, seen)
+            reason_lits = reason_of(self.reason[abs(p)], p)
+        tail = self._minimize(learnt, seen)
+        # Clear every mark: the UIP, the tail before minimization, and
+        # the extras minimization marked (only ``tail`` holds those).
+        seen[abs(p)] = False
+        for q in learnt:
+            seen[abs(q)] = False
         # Backtrack level: highest level among the tail literals.
         bt = 0
-        for q in learnt:
-            lvl = self.level[abs(q)]
+        for q in tail:
+            v = abs(q)
+            seen[v] = False
+            lvl = level[v]
             if lvl > bt:
                 bt = lvl
-        levels = {self.level[abs(q)] for q in learnt}
+        levels = {level[abs(q)] for q in tail}
         levels.add(current)
-        lbd = len(levels)
-        return [learnt_head] + learnt, bt, lbd
+        return [-p] + tail, bt, len(levels)
 
     def _analyze_final(self, failed: int, assumptions: Sequence[int]) -> List[int]:
         """Final-conflict analysis for a falsified assumption literal.
@@ -425,21 +474,36 @@ class CDCLSolver:
         return out + extra
 
     def _backtrack(self, target_level: int) -> None:
-        if self.decision_level <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        bound = self.trail_lim[target_level]
-        popped = self.trail[bound:]
-        for k in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[k]
-            var = abs(lit)
-            self.saved_phase[var] = lit > 0
-            self.values[var] = 0
-            self.reason[var] = None
-            self.vsids.push(var)
-        del self.trail[bound:]
-        del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
-        self._on_backtrack(bound, popped)
+        bound = trail_lim[target_level]
+        trail = self.trail
+        values = self.values
+        reasons = self.reason
+        saved_phase = self.saved_phase
+        vsids = self.vsids
+        # Most unassigned variables never left the heap (only decisions
+        # and variables popped as assigned did): re-insert the rest.
+        queued = vsids._pos
+        for k in range(bound, len(trail)):
+            lit = trail[k]
+            if lit > 0:
+                var = lit
+                saved_phase[var] = True
+            else:
+                var = -lit
+                saved_phase[var] = False
+            values[var] = 0
+            reasons[var] = None
+            if queued[var] < 0:
+                vsids.push(var)
+        popped = trail[bound:] if self._unwinds else []
+        del trail[bound:]
+        del trail_lim[target_level:]
+        self.qhead = len(trail)
+        if self._unwinds:
+            self._on_backtrack(bound, popped)
 
     def _on_backtrack(self, trail_bound: int, popped: List[int]) -> None:
         """Hook for subclasses to unwind auxiliary state."""
@@ -589,6 +653,8 @@ class CDCLSolver:
         conflicts_here = 0
         base = SolverStats()
         base.merge(self.stats)
+        trail_lim = self.trail_lim
+        is_assigned = self.values.__getitem__  # nonzero once assigned
         tracer = self.tracer
         if tracer is not None:
             tracer.solve_begin(self.tracer_id, len(assumptions))
@@ -598,7 +664,7 @@ class CDCLSolver:
             if conflict is not None:
                 self.stats.conflicts += 1
                 conflicts_here += 1
-                if self.decision_level == 0:
+                if not trail_lim:
                     self._unsat = True
                     result = self._finish(UNSAT, start, base, run)
                     result.failed_assumptions = []
@@ -628,24 +694,24 @@ class CDCLSolver:
                         tracer.restart(self.tracer_id, conflicts_here)
                     # Assumption-aware restart: keep the assumption
                     # prefix (and everything it implied) assigned.
-                    self._backtrack(min(assume_level, self.decision_level))
+                    self._backtrack(min(assume_level, len(trail_lim)))
                 if len(self.learned) > self.max_learned:
                     self._reduce_db()
                 continue
             # No conflict: re-establish assumptions, then decide.
-            if self.decision_level < assume_level:
-                lit = assumptions[self.decision_level]
+            if len(trail_lim) < assume_level:
+                lit = assumptions[len(trail_lim)]
                 value = self.value_of(lit)
                 if value is False:
                     core = self._analyze_final(lit, assumptions)
                     result = self._finish(UNSAT, start, base, run)
                     result.failed_assumptions = core
                     return result
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(self.trail))
                 if value is None:
                     self._enqueue(lit, None)
                 continue
-            var = self.vsids.pop_unassigned(lambda v: self.values[v] != 0)
+            var = self.vsids.pop_unassigned(is_assigned)
             if var == 0:
                 model = {v: self.values[v] > 0 for v in range(1, self.num_vars + 1)}
                 result = self._finish(SAT, start, base, run)
@@ -663,7 +729,7 @@ class CDCLSolver:
                 # or it would be lost to every later solve() call.
                 self.vsids.push(var)
                 return self._finish(UNKNOWN, start, base, run)
-            self.trail_lim.append(len(self.trail))
+            trail_lim.append(len(self.trail))
             lit = var if self.saved_phase[var] else -var
             self._enqueue(lit, None)
 

@@ -12,13 +12,14 @@ installs it here with :func:`set_solver_factory`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, TypeVar
 
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from .cdcl import CDCLSolver
 
 SolverFactory = Callable[..., CDCLSolver]
+SolverT = TypeVar("SolverT", bound=CDCLSolver)
 
 _default_factory: SolverFactory = CDCLSolver
 _factory: SolverFactory = CDCLSolver
@@ -28,12 +29,23 @@ def new_solver(num_vars: int = 0, **kwargs: object) -> CDCLSolver:
     """Construct a solver through the currently-installed factory.
 
     Accepts the :class:`CDCLSolver` constructor signature; any
-    registered replacement must too.  Being the one construction
-    chokepoint also makes this the observability seam: when a tracer
-    is installed (:func:`repro.obs.tracing`), every solver built here
-    is attached to it at birth.
+    registered replacement must too.  The solver is registered at
+    birth (:func:`register_solver`).
     """
-    solver = _factory(num_vars=num_vars, **kwargs)
+    return register_solver(_factory(num_vars=num_vars, **kwargs))
+
+
+def register_solver(solver: SolverT) -> SolverT:
+    """Count a freshly built solver and attach the installed tracer.
+
+    The observability seam every engine passes through at birth:
+    :func:`new_solver` for the swappable CDCL core, and the PB engine's
+    construction sites (``SolverPreset.make_solver``, solution
+    enumeration), which build :class:`~repro.pb.engine.PBSolver`
+    directly.  Bumps ``solver_created_total``; when a tracer is
+    installed (:func:`repro.obs.tracing`), the solver's searches are
+    traced from its first call.
+    """
     get_registry().inc("solver_created_total")
     tracer = active_tracer()
     if tracer is not None:

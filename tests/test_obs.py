@@ -23,7 +23,14 @@ import json
 
 import pytest
 
-from repro.api import ChromaticProblem, Pipeline, solve_many
+from repro.api import (
+    BudgetedOptimize,
+    ChromaticProblem,
+    DecisionProblem,
+    Pipeline,
+    solve_many,
+)
+from repro.experiments.instances import get_instance
 from repro.graphs.generators import mycielski_graph
 from repro.obs import (
     MetricsRegistry,
@@ -268,6 +275,39 @@ def test_report_totals_match_solver_stats_exactly():
     # and the text renderer carries the exact totals
     text = render_report(profile)
     assert f"{result.stats.conflicts} conflicts" in text
+
+
+def _pb_decision(backend):
+    return (Pipeline().reduce(False).solve(backend=backend, time_limit=120),
+            DecisionProblem(get_instance("queen5_5").graph(), 4))
+
+
+def _pb_optimize(backend):
+    return (Pipeline().symmetry(sbp_kind="nu+sc")
+            .solve(backend=backend, time_limit=120),
+            BudgetedOptimize(get_instance("myciel4").graph(), 20))
+
+
+@pytest.mark.parametrize("backend,build", [
+    ("pb-pbs2", _pb_decision),
+    ("pb-galena", _pb_decision),
+    ("pb-pueblo", _pb_optimize),
+], ids=["pb-pbs2", "pb-galena", "pb-pueblo"])
+def test_pb_engines_are_traced_and_counted(backend, build):
+    """PB engines register at birth like CDCL ones: traced and counted."""
+    pipeline, problem = build(backend)
+    sink = io.BytesIO()
+    with scoped_registry() as registry, tracing(sink):
+        result = pipeline.run(problem)
+    assert result.status in ("UNSAT", "OPTIMAL")
+    assert result.stats.conflicts > 0
+    solve = build_profile(read_trace(sink.getvalue()))["solve"]
+    assert solve["calls"] >= 1
+    for key in ("conflicts", "decisions", "propagations", "restarts"):
+        assert solve[key] == getattr(result.stats, key), key
+    counters = registry.snapshot()["counters"]
+    assert counters["solver_created_total"] == result.solvers_created
+    assert counters["solver_conflicts_total"] == result.stats.conflicts
 
 
 def test_tracing_does_not_perturb_the_search():

@@ -1,16 +1,20 @@
 """Stress tests for solver internals: restarts, clause-DB reduction,
-phase saving, VSIDS, clause-group garbage collection, assumption-aware
-preprocessing, and the preprocessing + search integration."""
+phase saving, VSIDS order, pinned search trajectories, clause-group
+garbage collection, assumption-aware preprocessing, and the
+preprocessing + search integration."""
 
 import random
 
 import pytest
 
+from repro.api import BudgetedOptimize, ChromaticProblem, Pipeline
 from repro.coloring.sat_pipeline import IncrementalKSearch
 from repro.core.formula import Formula
+from repro.experiments.instances import get_instance
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.sat.brute import brute_force_solve
 from repro.sat.cdcl import CDCLSolver, solve_formula
+from repro.sat.factory import reset_solver_factory, set_solver_factory
 from repro.sat.preprocessing import preprocess
 from repro.sat.result import SAT, UNSAT
 from repro.sat.vsids import VSIDS
@@ -24,6 +28,18 @@ def _random_cnf(seed, n, m, width=3):
             rng.randint(1, n) * rng.choice([1, -1])
             for _ in range(rng.randint(1, width))
         ])
+    return f
+
+
+def _pigeonhole(pigeons, holes):
+    f = Formula()
+    x = {(p, h): f.new_var() for p in range(pigeons) for h in range(holes)}
+    for p in range(pigeons):
+        f.add_clause([x[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                f.add_clause([-x[p1, h], -x[p2, h]])
     return f
 
 
@@ -81,6 +97,172 @@ def test_vsids_rescale():
     # Activities stay finite and ordering is preserved.
     assert v.activity[1] > v.activity[2]
     assert v.pop_unassigned(lambda x: False) == 1
+
+
+def test_decisions_follow_vsids_argmax_across_rescales():
+    """Every decision is the unassigned variable of highest activity.
+
+    At decay 0.7 the first rescale comes after ~640 conflicts, well
+    inside the proof, so the order is checked on both sides of it.
+    """
+    solver = CDCLSolver(decay=0.7)
+    assert solver.add_formula(_pigeonhole(7, 6))
+    vsids = solver.vsids
+    pop = vsids.pop_unassigned
+    off_argmax = []
+
+    def checked_pop(is_assigned):
+        # Highest activity, lowest index among equals.
+        free = [v for v in range(1, solver.num_vars + 1) if solver.values[v] == 0]
+        expected = min(free, key=lambda v: (-vsids.activity[v], v), default=0)
+        var = pop(is_assigned)
+        if var != expected:
+            off_argmax.append((solver.stats.conflicts, var, expected))
+        return var
+
+    vsids.pop_unassigned = checked_pop
+    result = solver.solve()
+    assert result.is_unsat
+    # Without a rescale the bump increment would have overflowed the limit.
+    assert (1 / 0.7) ** result.stats.conflicts > VSIDS.RESCALE_LIMIT
+    assert off_argmax == []
+
+
+def test_vsids_matches_bruteforce_oracle_through_rescales():
+    """Random bump/decay/push/pop sequences against a brute-force model.
+
+    The model keeps its own activities (the same exponential-bump
+    arithmetic) and the set of queued variables; a pop drops every
+    queued variable ahead of the first unassigned one.  Decay 0.5
+    rescales every ~330 decays.  All variables are bumped early, then
+    only a hot few: the cold ones underflow to a tie at zero on the
+    fourth rescale, where the lowest index must come first again.
+    Right after every rescale the whole heap is drained in order,
+    checked and pushed back.
+    """
+    rng = random.Random(2024)
+    n, hot, decay = 32, 6, 0.5
+    v = VSIDS(n, decay=decay)
+    activity = [0.0] * (n + 1)
+    inc = 1.0
+    queued = set(range(1, n + 1))
+    assigned = set()
+    rescales = 0
+
+    def model_order():
+        return sorted(queued, key=lambda x: (-activity[x], x))
+
+    for step in range(5000):
+        op = rng.random()
+        if op < 0.45:
+            var = rng.randint(1, n) if step < 600 else rng.randint(1, hot)
+            v.bump(var)
+            if activity[var] + inc > VSIDS.RESCALE_LIMIT:
+                scale = 1.0 / VSIDS.RESCALE_LIMIT
+                activity = [a * scale for a in activity]
+                inc *= scale
+                rescales += 1
+                activity[var] += inc
+                expected = model_order()
+                drained = []
+                while True:
+                    var = v.pop_unassigned(lambda x: False)
+                    if not var:
+                        break
+                    drained.append(var)
+                assert drained == expected, (step, rescales)
+                for var in drained:
+                    v.push(var)
+            else:
+                activity[var] += inc
+        elif op < 0.8:
+            v.decay()
+            inc /= decay
+        elif op < 0.95:
+            var = rng.randint(1, n)
+            assigned.discard(var)
+            v.push(var)
+            queued.add(var)
+        else:
+            got = v.pop_unassigned(lambda x: x in assigned)
+            expected = 0
+            for var in model_order():
+                queued.discard(var)
+                if var not in assigned:
+                    expected = var
+                    break
+            assert got == expected, step
+            if got:
+                assigned.add(got)
+        assert v.activity == activity, step
+    assert rescales >= 4
+    # The cold variables were all bumped, and now tie at zero.
+    assert all(activity[x] == 0.0 for x in range(hot + 1, n + 1))
+
+
+def test_reseeding_vsids_keeps_the_solvers_decay():
+    """The K-search resets VSIDS per query but keeps its decay factor."""
+    built = []
+
+    def factory(**kwargs):
+        solver = CDCLSolver(decay=0.8, **kwargs)
+        built.append(solver)
+        return solver
+
+    set_solver_factory(factory)
+    try:
+        result = (Pipeline()
+                  .solve(backend="cdcl-incremental", time_limit=300)
+                  .run(ChromaticProblem(get_instance("myciel4").graph())))
+    finally:
+        reset_solver_factory()
+    assert result.status == "OPTIMAL" and result.chromatic_number == 5
+    assert built and all(s.vsids._decay == 0.8 for s in built)
+
+
+# ------------------------------------------------------- search trajectory
+# Exact counts, captured before the indexed VSIDS heap and the
+# allocation-free conflict path landed: a change meant to be a pure
+# speed-up must make the same decisions.  The fixtures stay below the
+# first VSIDS rescale (~4.4k conflicts on one heuristic at decay 0.95),
+# where the decision order is the exact activity argmax.
+def _counts(stats):
+    return stats.conflicts, stats.decisions, stats.propagations
+
+
+def test_pigeonhole_trajectory():
+    result = solve_formula(_pigeonhole(7, 6))
+    assert result.is_unsat
+    assert _counts(result.stats) == (1106, 1412, 15439)
+
+
+@pytest.mark.parametrize("strategy,queries,counts", [
+    ("linear", [(4, "UNSAT")], (1882, 2254, 46848)),
+    ("binary", [(3, "UNSAT"), (4, "UNSAT")], (1749, 2097, 41977)),
+])
+def test_incremental_descent_trajectory(strategy, queries, counts):
+    result = (Pipeline()
+              .solve(backend="cdcl-incremental", strategy=strategy,
+                     time_limit=300)
+              .run(ChromaticProblem(get_instance("myciel4").graph())))
+    assert result.status == "OPTIMAL" and result.chromatic_number == 5
+    assert result.queries == queries
+    assert _counts(result.stats) == counts
+
+
+@pytest.mark.parametrize("backend,instance,counts", [
+    ("pb-pbs2", "queen5_5", (1, 24, 978)),
+    ("pb-pbs2", "myciel4", (147, 250, 5118)),
+    ("pb-pueblo", "queen5_5", (1, 24, 980)),
+    ("pb-pueblo", "myciel4", (212, 338, 8983)),
+])
+def test_pb_budgeted_optimize_trajectory(backend, instance, counts):
+    result = (Pipeline()
+              .symmetry(sbp_kind="nu+sc")
+              .solve(backend=backend, time_limit=300)
+              .run(BudgetedOptimize(get_instance(instance).graph(), 20)))
+    assert result.status == "OPTIMAL" and result.num_colors == 5
+    assert _counts(result.stats) == counts
 
 
 def test_preprocess_then_solve_agrees():
