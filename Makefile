@@ -44,7 +44,7 @@ test:
 fuzz-smoke:
 	$(PYTHONPATH_PREFIX) HYPOTHESIS_PROFILE=$(HYPOTHESIS_PROFILE) \
 		$(PYTHON) -m pytest -q tests/test_component_pool.py \
-		tests/test_incremental.py
+		tests/test_incremental.py tests/test_reduce.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

@@ -96,16 +96,10 @@ GATES = [
      "units", "eq", 0.0),
     ("preprocessing", {"instance": "subsumption-indexed-10k"},
      "subsumed", "eq", 0.0),
-    # Execution tiers (bench_parallel): both pool tiers reproduce the
-    # same answer on the 3-component union, and the portfolio race
+    # Execution layer (bench_parallel): the component pool reproduces
+    # the answer on the 3-component union, and the portfolio race
     # stays a first-conclusive-cancels-the-rest affair with the
     # exchanged bounds meeting at the optimum.
-    ("parallel", {"instance": "pool-tier-processes"},
-     "chromatic_number", "eq", 0.0),
-    ("parallel", {"instance": "pool-tier-processes"},
-     "components", "eq", 0.0),
-    ("parallel", {"instance": "pool-tier-processes"},
-     "solvers_created", "eq", 0.0),
     ("parallel", {"instance": "pool-tier-sequential"},
      "chromatic_number", "eq", 0.0),
     ("parallel", {"instance": "portfolio-race-gnp42"},

@@ -112,7 +112,6 @@ def _pipeline_from_args(args, backend: str) -> Pipeline:
             incremental=getattr(args, "incremental", True),
             strategy=getattr(args, "strategy", None),
             split_components=getattr(args, "split_components", True),
-            pool_jobs=getattr(args, "pool_jobs", 0),
         )
     )
 
@@ -382,8 +381,7 @@ def main(argv=None) -> int:
              "on the incremental path, full preprocessor on the scratch path)")
     p_chrom.add_argument(
         "--reduce", default=True, action=argparse.BooleanOptionalAction,
-        help="kernelize before encoding (once at the clique bound on the "
-             "incremental path, per query on the scratch path)")
+        help="kernelize before encoding (once, at the clique bound)")
     p_chrom.add_argument(
         "--incremental", default=True, action=argparse.BooleanOptionalAction,
         help="drive the whole K descent through one persistent solver "
@@ -396,10 +394,6 @@ def main(argv=None) -> int:
              "per-component Session pool (one persistent solver per "
              "component); --no-split-components keeps one solver over "
              "the whole kernel")
-    p_chrom.add_argument(
-        "--pool-jobs", type=non_negative_int, default=0, metavar="N",
-        help="run component descents on N worker processes (crash-"
-             "isolated, true parallelism); 0 keeps the in-process pool")
     p_chrom.add_argument(
         "--portfolio", action="store_true",
         help="race cdcl-incremental, pb-pueblo and exact-dsatur on the "

@@ -30,10 +30,16 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..coloring.exact_dsatur import exact_chromatic_number
-from ..coloring.sat_pipeline import chromatic_number_sat, sat_k_colorable
+from ..coloring.reduce import kernelize
+from ..coloring.sat_pipeline import (
+    GROWABLE_SBP_KINDS,
+    chromatic_number_sat,
+    sat_k_colorable,
+)
+from ..graphs.graph import Graph
 from ..ilp.branch_and_bound import BranchAndBoundSolver
 from ..pb.optimizer import minimize
 from ..pb.presets import get_preset
@@ -51,9 +57,12 @@ from .config import PipelineConfig
 from .pipeline import (
     _trivial_result,
     _infeasible_budget,
+    reduce_report,
     run_chromatic_via_budget,
     run_optimize_flow,
+    run_reduced,
 )
+from .pool import ComponentSessionPool
 from .problems import BUDGETED, CHROMATIC, DECISION, Problem
 from .results import Result, RunContext, StageStat
 
@@ -64,20 +73,24 @@ CNF_SBP_KINDS = ("none", "nu", "sc", "nu+sc")
 class Backend(abc.ABC):
     """A named engine answering coloring problems.
 
-    Subclasses declare which problem kinds they ``supports`` and which
-    instance-independent SBP constructions they accept, and implement
-    :meth:`run`.  ``persistent`` advertises whether multi-query searches
-    reuse one solver (the incremental engines).
+    Subclasses declare which problem kinds they ``supports``, which
+    instance-independent SBP constructions they accept and whether they
+    run the ``detect`` stage (``detects``), and implement :meth:`run`.
+    ``persistent`` advertises whether multi-query searches reuse one
+    solver (the incremental engines).
     """
 
     name: str = ""
     description: str = ""
     supports: Tuple[str, ...] = (DECISION, CHROMATIC, BUDGETED)
     sbp_kinds: Tuple[str, ...] = SBP_KINDS
+    detects: bool = False
     persistent: bool = False
 
     def validate(self, problem: Problem, config: PipelineConfig) -> None:
-        """Fail fast on unsupported problem kinds / SBP constructions."""
+        """Fail fast on settings this backend cannot honour: unsupported
+        problem kinds, SBP constructions, or instance-dependent detection
+        on a backend without a detect stage."""
         if problem.kind not in self.supports:
             raise ValueError(
                 f"backend {self.name!r} does not answer {problem.kind!r} "
@@ -87,6 +100,11 @@ class Backend(abc.ABC):
             raise ValueError(
                 f"backend {self.name!r} supports sbp_kind in {self.sbp_kinds}, "
                 f"got {config.symmetry.sbp_kind!r}"
+            )
+        if config.symmetry.instance_dependent and not self.detects:
+            raise ValueError(
+                f"backend {self.name!r} has no detect stage, so it cannot "
+                "honour instance_dependent=True; use a 0-1 ILP backend"
             )
 
     @abc.abstractmethod
@@ -150,6 +168,8 @@ def available_backends() -> Dict[str, Backend]:
 
 class _OptimizeFlowBackend(Backend):
     """Shared dispatch for backends that ride the staged 0-1 ILP flow."""
+
+    detects = True
 
     def run(self, problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
         trivial = _trivial_result(problem.kind, problem.graph)
@@ -247,17 +267,23 @@ class BranchAndBoundBackend(_OptimizeFlowBackend):
 class CdclBackend(Backend):
     """Clause-only CDCL: decision queries and chromatic descents.
 
-    ``cdcl-incremental`` drives chromatic descents through persistent
-    solvers with per-color activation literals (learned clauses, phases
-    and activity carry over between K queries).  When kernelization
-    leaves a *disconnected* kernel, the descent runs on the
-    per-component Session pool by default — one persistent solver per
-    component, recombined as the max over components
-    (``SolveConfig.split_components`` turns this off).
-    ``cdcl-scratch`` re-encodes and re-solves from scratch at every K
-    (the historical behaviour, kept for measurement).  One-shot decision
-    queries are identical between the two — reuse across *multiple*
-    queries is what :class:`repro.api.Session` exists for.
+    Both kinds start with the reduce stage
+    (:func:`~repro.coloring.reduce.kernelize`), reported as the same
+    ``reduce`` StageStat and ``Result.pipeline`` the 0-1 ILP flow
+    reports.  A decision runs the shared per-component loop
+    (:func:`~repro.api.pipeline.run_reduced`) with one
+    :func:`~repro.coloring.sat_pipeline.sat_k_colorable` call per kernel
+    component.  A chromatic run kernelizes once and descends on that
+    kernel: ``cdcl-incremental`` through persistent solvers with
+    per-color activation literals (learned clauses, phases and activity
+    carry over between K queries), ``cdcl-scratch`` with a fresh
+    encoding and solver at every K (the historical behaviour, kept for
+    measurement).  When the kernel is *disconnected*,
+    ``cdcl-incremental`` runs the descent on the per-component Session
+    pool by default — one persistent solver per component, recombined as
+    the max over components (``SolveConfig.split_components`` turns this
+    off).  Reuse across *multiple* queries is what
+    :class:`repro.api.Session` exists for.
     """
 
     supports = (DECISION, CHROMATIC)
@@ -284,50 +310,75 @@ class CdclBackend(Backend):
     def _decide(self, problem, config: PipelineConfig, ctx: RunContext) -> Result:
         if ctx.cancelled():
             return Result(status=UNKNOWN, cancelled=True)
-        ctx.emit("solve", f"deciding {problem.k}-colorability", k=problem.k)
-        stats = SolverStats()
-        t0 = time.monotonic()
-        status, coloring = sat_k_colorable(
-            problem.graph,
-            problem.k,
-            time_limit=ctx.deadline.remaining(),
-            amo_encoding=config.encode.amo,
-            sbp_kind=config.symmetry.sbp_kind,
-            preprocess=config.simplify.enabled,
-            reduce=config.reduce.enabled,
-            stats=stats,
-            should_stop=ctx.cancelled if ctx.cancel else None,
-        )
-        seconds = time.monotonic() - t0
-        return Result(
-            status=status,
-            num_colors=len(set(coloring.values())) if coloring else None,
-            coloring=coloring,
-            stages=[StageStat("solve", seconds, {"status": status})],
-            stats=stats,
-            queries=[(problem.k, status)],
-            solvers_created=1,
-            cancelled=status == UNKNOWN and ctx.cancelled(),
-        )
+        k = problem.k
+
+        def solve(graph: Graph) -> Result:
+            ctx.emit("solve", f"deciding {k}-colorability", k=k)
+            stats = SolverStats()
+            solvers: List[object] = []
+            t0 = time.monotonic()
+            status, coloring = sat_k_colorable(
+                graph,
+                k,
+                time_limit=ctx.deadline.remaining(),
+                amo_encoding=config.encode.amo,
+                sbp_kind=config.symmetry.sbp_kind,
+                preprocess=config.simplify.enabled,
+                stats=stats,
+                should_stop=ctx.cancelled if ctx.cancel else None,
+                on_solver=solvers.append,
+            )
+            return Result(
+                status=status,
+                num_colors=len(set(coloring.values())) if coloring else None,
+                coloring=coloring,
+                stages=[StageStat("solve", time.monotonic() - t0, {"status": status})],
+                stats=stats,
+                solvers_created=len(solvers),
+                cancelled=status == UNKNOWN and ctx.cancelled(),
+            )
+
+        if config.reduce.enabled:
+            result = run_reduced(problem.graph, k, config, ctx, solve, decision=True)
+        else:
+            result = solve(problem.graph)
+        result.queries = [(k, result.status)]
+        return result
 
     def _chromatic(self, problem, config: PipelineConfig, ctx: RunContext) -> Result:
         strategy = config.solve.strategy or "linear"
-        kernelized = None
-        if (
-            self.incremental
-            and config.reduce.enabled
-            and config.solve.split_components
-        ):
-            # The per-component Session pool: one persistent solver per
-            # kernel component.  Applies only when the kernel is
-            # disconnected (and the config fits the growable sessions);
-            # otherwise fall through to the whole-kernel descent, which
-            # reuses the probe's kernelization instead of redoing it.
-            from .pool import pooled_chromatic_result
-
-            pooled, kernelized = pooled_chromatic_result(problem, config, ctx)
-            if pooled is not None:
-                return pooled
+        kernel = None
+        stages: List[StageStat] = []
+        info = None
+        if config.reduce.enabled:
+            ctx.emit("reduce", "kernelizing (peel + component split)")
+            kernel = kernelize(problem.graph)
+            reduce_stage, info = reduce_report(kernel, config)
+            stages.append(reduce_stage)
+            if (
+                self.incremental
+                and config.solve.split_components
+                and len(kernel.components) > 1
+                and config.symmetry.sbp_kind in GROWABLE_SBP_KINDS
+                and config.encode.amo == "pairwise"
+            ):
+                # The per-component Session pool: one persistent solver
+                # per kernel component, for a disconnected kernel and a
+                # config the growable sessions can host.
+                pool = ComponentSessionPool(
+                    problem.graph, config=config, on_progress=ctx.on_progress,
+                    cancel=ctx.cancel, kernel=kernel,
+                )
+                ctx.emit(
+                    "pool",
+                    f"kernel split into {len(pool.components)} components; "
+                    "per-component persistent solvers",
+                )
+                return pool.chromatic(
+                    strategy=strategy,
+                    time_limit=ctx.deadline.remaining(),
+                    max_colors=problem.max_colors,
+                )
         ctx.emit("solve", f"{strategy} K descent ({self.name})")
         t0 = time.monotonic()
         sat_result = chromatic_number_sat(
@@ -340,18 +391,21 @@ class CdclBackend(Backend):
             reduce=config.reduce.enabled,
             incremental=self.incremental,
             should_stop=ctx.cancelled if ctx.cancel else None,
-            kernelized=kernelized,
+            kernel=kernel,
             max_colors=problem.max_colors,
         )
-        seconds = time.monotonic() - t0
+        stages.append(StageStat(
+            "solve", time.monotonic() - t0,
+            {"strategy": strategy, "sat_calls": sat_result.sat_calls},
+        ))
+        if info is not None and sat_result.coloring is not None:
+            info.components_solved = len(kernel.components)
         return Result(
             status=sat_result.status,
             num_colors=sat_result.chromatic_number,
             coloring=sat_result.coloring,
-            stages=[StageStat(
-                "solve", seconds,
-                {"strategy": strategy, "sat_calls": sat_result.sat_calls},
-            )],
+            stages=stages,
+            pipeline=info,
             stats=sat_result.stats,
             queries=list(sat_result.k_queries),
             solvers_created=sat_result.solvers_created,
@@ -443,7 +497,9 @@ class BruteForceBackend(Backend):
 
 class ExactDSaturBackend(Backend):
     """DSATUR-style branch and bound — the problem-specific baseline of
-    the exact-coloring literature (no formula pipeline at all)."""
+    the exact-coloring literature (no formula pipeline at all).  The
+    search spends from the run's deadline and stops when the run is
+    cancelled, returning its incumbent."""
 
     name = "exact-dsatur"
     description = "DSATUR branch and bound (problem-specific baseline)"
@@ -454,29 +510,37 @@ class ExactDSaturBackend(Backend):
         trivial = _trivial_result(problem.kind, problem.graph)
         if trivial is not None:
             return trivial
+        ctx = ctx.with_deadline(config.solve.time_limit)
         ctx.emit("solve", "DSATUR branch and bound")
         t0 = time.monotonic()
-        bb = exact_chromatic_number(problem.graph, time_limit=config.solve.time_limit)
+        bb = exact_chromatic_number(
+            problem.graph,
+            time_limit=ctx.deadline.remaining(),
+            should_stop=ctx.cancelled if ctx.cancel else None,
+        )
         seconds = time.monotonic() - t0
         stages = [StageStat("solve", seconds, {"nodes": bb.nodes_explored})]
+        cancelled = not bb.optimal and ctx.cancelled()
         chi = bb.chromatic_number
+
+        def result(status: str, coloring: Optional[Dict[int, int]] = None) -> Result:
+            return Result(
+                status=status,
+                num_colors=chi if coloring is not None else None,
+                coloring=coloring,
+                stages=stages,
+                solvers_created=1,
+                cancelled=cancelled,
+            )
+
         if problem.kind == DECISION:
             if chi is not None and chi <= problem.k:
-                coloring = bb.coloring
-                return Result(status=SAT, num_colors=chi, coloring=coloring,
-                              stages=stages, solvers_created=1)
-            if bb.optimal:
-                return Result(status=UNSAT, stages=stages, solvers_created=1)
-            return Result(status=UNKNOWN, stages=stages, solvers_created=1)
+                return result(SAT, bb.coloring)
+            return result(UNSAT if bb.optimal else UNKNOWN)
         cap = problem.max_colors
         if cap is not None and chi is not None and chi > cap:
-            status = UNSAT if bb.optimal else UNKNOWN
-            return Result(status=status, stages=stages, solvers_created=1)
-        status = OPTIMAL if bb.optimal else (SAT if chi is not None else UNKNOWN)
-        return Result(
-            status=status, num_colors=chi, coloring=bb.coloring,
-            stages=stages, solvers_created=1,
-        )
+            return result(UNSAT if bb.optimal else UNKNOWN)
+        return result(OPTIMAL if bb.optimal else SAT, bb.coloring)
 
 
 # --------------------------------------------------------------------------

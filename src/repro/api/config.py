@@ -96,9 +96,6 @@ class SolveConfig:
     solver backend through the per-component Session pool whenever the
     kernel is disconnected: each component gets its own persistent
     solver and the results recombine as the max over components.
-    ``pool_jobs`` fans the pool's component descents across that many
-    *worker processes* (0 = sequential, largest component first) — the
-    multi-core path.
 
     ``racers`` names the engines the ``portfolio`` backend races
     (``"backend"`` or ``"backend:strategy"`` specs); ``share_clauses``
@@ -113,15 +110,12 @@ class SolveConfig:
     incremental: bool = True
     use_bounds: bool = True
     split_components: bool = True
-    pool_jobs: int = 0
     racers: Tuple[str, ...] = DEFAULT_RACERS
     share_clauses: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy is not None:
             _check_choice(self.strategy, SEARCH_STRATEGIES, "search strategy")
-        if self.pool_jobs < 0:
-            raise ValueError(f"pool_jobs must be >= 0, got {self.pool_jobs}")
         # Imported lazily: the backend registry imports this module.
         from .backends import check_backend_name, resolve_backend_name
 
@@ -206,7 +200,6 @@ class PipelineConfig:
             "incremental": self.solve.incremental,
             "use_bounds": self.solve.use_bounds,
             "split_components": self.solve.split_components,
-            "pool_jobs": self.solve.pool_jobs,
             "racers": self.solve.racers,
             "share_clauses": self.solve.share_clauses,
             "prep_fraction": self.budget.prep_fraction,

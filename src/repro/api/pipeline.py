@@ -12,25 +12,27 @@ split, recursing per component), ``encode``, then the configured
 permutation of ``sbp`` / ``simplify`` / ``detect``, then hands the
 prepared formula to the backend's solve hook — recording one
 :class:`~repro.api.results.StageStat` per stage and honouring the run
-context's cancellation between stages.
+context's cancellation between stages.  Its reduce stage,
+:func:`run_reduced`, is the one per-component loop: CDCL decisions run
+it too, with a CNF decision as the per-component solve, and every
+backend that kernelizes reports the kernel through
+:func:`reduce_report`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..coloring.encoding import (
     ColoringEncoding,
     decode_coloring,
     encode_coloring,
-    normalize_coloring,
 )
-from ..coloring.reduce import extend_coloring, peel_low_degree
+from ..coloring.reduce import Kernel, kernelize, lift
 from ..coloring.solve import PipelineInfo
 from ..coloring.verify import check_proper
-from ..graphs.analysis import connected_components
 from ..graphs.cliques import clique_lower_bound
 from ..graphs.coloring_heuristics import dsatur
 from ..graphs.graph import Graph
@@ -251,73 +253,80 @@ def run_optimize_flow(
     # Entered outside Pipeline.run (a backend called directly), the run
     # deadline is seeded here so all components and stages share it.
     ctx = ctx.with_deadline(config.solve.time_limit)
+
+    def solve(sub: Graph) -> Result:
+        return _run_formula_stages(sub, budget, config, ctx, engine, decision)
+
     if config.reduce.enabled:
-        return _run_reduced(graph, budget, config, ctx, engine, decision)
-    return _run_formula_stages(graph, budget, config, ctx, engine, decision)
+        return run_reduced(graph, budget, config, ctx, solve, decision)
+    return solve(graph)
 
 
-def _run_reduced(
+def reduce_report(kernel: Kernel, config: PipelineConfig) -> Tuple[StageStat, PipelineInfo]:
+    """The ``reduce`` StageStat and the ``Result.pipeline`` of a kernel.
+
+    Every backend that kernelizes reports through here, so a CDCL run
+    and a 0-1 ILP run of the same problem describe the same kernel the
+    same way.  An infeasible kernel (clique bound above the budget)
+    reports only its clique bound.
+    """
+    n = kernel.source.num_vertices
+    info = PipelineInfo(
+        preprocess=config.simplify.enabled,
+        reduce=True,
+        original_vertices=n,
+        kernel_vertices=kernel.graph.num_vertices,
+    )
+    details: Dict[str, Any] = {"clique_bound": kernel.clique_bound}
+    if not kernel.infeasible:
+        info.peeled_vertices = n - kernel.graph.num_vertices
+        details.update(
+            kernel_vertices=info.kernel_vertices,
+            peeled_vertices=info.peeled_vertices,
+            components=len(kernel.components),
+        )
+    return StageStat("reduce", kernel.seconds, details), info
+
+
+def run_reduced(
     graph: Graph,
     budget: int,
     config: PipelineConfig,
     ctx: RunContext,
-    engine,
+    solve: Callable[[Graph], Result],
     decision: bool,
 ) -> Result:
-    """The reduce stage: kernelize, run the rest per component, lift back.
+    """The reduce stage: kernelize, solve per component, lift back.
 
-    Peeling at the clique lower bound ``lb`` is exact for optimization:
-    removing a vertex of degree < lb never changes ``max(chi, lb)``, so
-    ``chi(G) = max(chi(kernel), lb)``, and re-inserting peeled vertices
-    greedily stays inside that many colors.  For the decision problem,
-    peeling at ``min(lb, budget)`` preserves the answer.
+    :func:`~repro.coloring.reduce.kernelize` owns the policy (UNSAT when
+    the clique bound exceeds ``budget``; decisions peel at ``budget``,
+    optimization at the clique bound).  ``solve(subgraph)`` answers one
+    kernel component — the 0-1 ILP formula stages, or one CNF decision
+    — and the component colorings are lifted back onto ``graph``.
+    Components share the run's deadline sequentially: each one sees
+    whatever budget its predecessors left.  ``solvers_created`` is the
+    sum of what the components report, so a kernel that peeling or the
+    clique bound settles reports none.
     """
-    start = time.monotonic()
     ctx.emit("reduce", "kernelizing (peel + component split)")
-    info = PipelineInfo(
-        preprocess=config.simplify.enabled,
-        reduce=True,
-        original_vertices=graph.num_vertices,
-        kernel_vertices=graph.num_vertices,
-    )
-    lb = clique_lower_bound(graph)
-    if lb > budget:
-        stage = StageStat("reduce", time.monotonic() - start, {"clique_bound": lb})
-        return Result(status=UNSAT, stages=[stage], pipeline=info)
-    threshold = max(1, lb)
-    kernel = peel_low_degree(graph, threshold)
-    info.kernel_vertices = kernel.graph.num_vertices
-    info.peeled_vertices = graph.num_vertices - kernel.graph.num_vertices
-    info.simplify = SimplifyStats() if config.simplify.enabled else None
-    components = (
-        connected_components(kernel.graph) if kernel.graph.num_vertices else []
-    )
-    reduce_stage = StageStat(
-        "reduce",
-        time.monotonic() - start,
-        {
-            "clique_bound": lb,
-            "kernel_vertices": info.kernel_vertices,
-            "peeled_vertices": info.peeled_vertices,
-            "components": len(components),
-        },
-    )
+    kernel = kernelize(graph, budget, decision)
+    reduce_stage, info = reduce_report(kernel, config)
     stages: List[StageStat] = [reduce_stage]
-    sub_config = config.with_stage(reduce=ReduceConfig(enabled=False))
+    if kernel.infeasible:
+        return Result(status=UNSAT, stages=stages, pipeline=info)
 
     merged = Result(status=OPTIMAL, stages=stages, pipeline=info)
-    kernel_coloring: Dict[int, int] = {}
-    for component in components:
+    parts = []
+    for component in kernel.components:
         if ctx.cancelled():
             return _cancelled_result(stages, info)
-        # Components share the run's deadline sequentially: each one
-        # sees whatever budget its predecessors left.
-        sub = kernel.graph.subgraph(component)
-        result = _run_formula_stages(sub, budget, sub_config, ctx, engine, decision)
+        result = solve(kernel.graph.subgraph(component))
         _merge_stage_times(stages, result.stages)
         merged.stats.merge(result.stats)
         merged.solvers_created += result.solvers_created
-        if result.pipeline and result.pipeline.simplify and info.simplify:
+        if result.pipeline is not None and result.pipeline.simplify is not None:
+            if info.simplify is None:
+                info.simplify = SimplifyStats()
             info.simplify.merge(result.pipeline.simplify)
         if merged.detection is None:
             merged.detection = result.detection
@@ -329,11 +338,8 @@ def _run_reduced(
             merged.status = SAT  # feasible but optimality not proved
         merged.cancelled = merged.cancelled or result.cancelled
         info.components_solved += 1
-        for local, color in normalize_coloring(result.coloring).items():
-            kernel_coloring[component[local]] = color
-    coloring = extend_coloring(kernel, kernel_coloring)
-    if coloring:
-        check_proper(graph, coloring)
+        parts.append((component, result.coloring))
+    coloring = lift(kernel, parts)
     if decision and merged.status == OPTIMAL:
         merged.status = SAT
     merged.num_colors = len(set(coloring.values()))
@@ -341,7 +347,8 @@ def _run_reduced(
     if not decision:
         merged.upper_bound = merged.num_colors
         merged.lower_bound = (
-            merged.num_colors if merged.status == OPTIMAL else max(lb, 1)
+            merged.num_colors if merged.status == OPTIMAL
+            else max(kernel.clique_bound, 1)
         )
     return merged
 

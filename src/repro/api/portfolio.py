@@ -259,7 +259,6 @@ def _racer_config(config: PipelineConfig, name: str,
         config.solve,
         backend=name,
         strategy=strategy if strategy is not None else config.solve.strategy,
-        pool_jobs=0,
         share_clauses=False,
     ))
 

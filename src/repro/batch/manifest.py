@@ -12,8 +12,7 @@ JSON.  Each task combines:
   its budget;
 * the **pipeline knobs** (backend, fallback chain, SBP kind, strategy,
   AMO encoding, reduce/simplify toggles, per-component Session pooling
-  (``split_components``, ``pool_jobs`` worker processes), per-engine
-  time limit).
+  (``split_components``), per-engine time limit).
 
 File formats: a ``.json`` manifest is either a JSON list of task dicts
 or ``{"defaults": {...}, "plugins": [...], "tasks": [...]}``; a
@@ -251,7 +250,6 @@ class TaskSpec:
     detection_node_limit: Optional[int] = None  # None = SymmetryConfig default
     incremental: bool = True
     split_components: bool = True
-    pool_jobs: int = 0
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -328,7 +326,6 @@ class TaskSpec:
                 time_limit=time_limit,
                 incremental=self.incremental,
                 split_components=self.split_components,
-                pool_jobs=self.pool_jobs,
             )
         )
 

@@ -25,10 +25,10 @@ from .necsp import (
 )
 from .reduce import (
     Kernel,
-    ReducedSolve,
     extend_coloring,
+    kernelize,
+    lift,
     peel_low_degree,
-    solve_with_reduction,
 )
 from .sat_pipeline import (
     GROWABLE_SBP_KINDS,
@@ -59,13 +59,13 @@ __all__ = [
     "Kernel",
     "MTResult",
     "PipelineInfo",
-    "ReducedSolve",
     "count_colorings",
     "distinct_colorings",
     "enumerate_models",
     "extend_coloring",
+    "kernelize",
+    "lift",
     "peel_low_degree",
-    "solve_with_reduction",
     "NECSPOptimum",
     "NECSPResult",
     "SOLVER_NAMES",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..graphs.cliques import greedy_clique
 from ..graphs.coloring_heuristics import dsatur
@@ -36,11 +36,13 @@ def exact_chromatic_number(
     graph: Graph,
     time_limit: Optional[float] = None,
     node_limit: Optional[int] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> ExactColoringResult:
     """Compute the chromatic number by DSATUR branch and bound.
 
-    On a resource limit the incumbent (DSATUR or better) is returned
-    with ``optimal=False``.
+    On a resource limit, or once ``should_stop`` (polled with the
+    deadline, every 256 nodes) turns true, the incumbent (DSATUR or
+    better) is returned with ``optimal=False``.
     """
     start = time.monotonic()
     deadline = Deadline.after(time_limit)
@@ -67,8 +69,8 @@ def exact_chromatic_number(
     def out_of_budget() -> bool:
         if node_limit is not None and nodes[0] > node_limit:
             return True
-        if deadline.bounded and (nodes[0] & 255) == 0:
-            if deadline.expired():
+        if (nodes[0] & 255) == 0:
+            if deadline.expired() or (should_stop is not None and should_stop()):
                 return True
         return False
 

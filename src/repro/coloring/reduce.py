@@ -1,31 +1,39 @@
 """Kernelization for K-coloring: shrink the instance before encoding.
 
-Two classical reductions, both exact for the *decision* problem
-"is G K-colorable?":
+The *reduce stage* in front of every encoding applies three classical
+reductions:
 
+* **clique bound** — a greedy clique lower-bounds the chromatic number,
+  so a color budget below it is infeasible outright;
 * **low-degree peeling** — a vertex with degree < K can always be
   colored last (some color is free), so it can be removed; iterate to a
   fixpoint (this deletes everything outside the (K-1)-core);
 * **component split** — color connected components independently.
 
-``peel_low_degree`` builds the kernel and ``extend_coloring`` lifts a
-kernel coloring back to the full graph; ``solve_with_reduction`` wraps
-a decision solver with both reductions.  The optimization pipeline
-(``repro.coloring.solve``) reuses the same pieces with the peeling
-threshold set to the clique lower bound, which preserves the chromatic
-number, not just K-colorability.  On sparse benchmarks (books, miles)
-the kernel is dramatically smaller than the input, which is exactly why
-the paper's "realistic graphs are relatively sparse" instances are
-tractable.
+:func:`kernelize` is the one place that applies them, under one policy:
+a decision or budgeted run with K colors is UNSAT when the clique bound
+exceeds K; a decision peels at K, which is exact for K-colorability;
+everything else peels at the clique bound ``lb``, which preserves the
+chromatic number (``chi(G) = max(chi(kernel), lb)``).  :func:`lift`
+maps colorings of kernel pieces back, re-inserts the peeled vertices
+and verifies the result on the input graph.  ``peel_low_degree`` and
+``extend_coloring`` are the two halves of the peel.  On sparse
+benchmarks (books, miles) the kernel is dramatically smaller than the
+input, which is exactly why the paper's "realistic graphs are
+relatively sparse" instances are tractable.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.analysis import connected_components
+from ..graphs.cliques import clique_lower_bound
 from ..graphs.graph import Graph
+from .encoding import normalize_coloring
+from .verify import check_proper
 
 
 @dataclass
@@ -33,16 +41,27 @@ class Kernel:
     """A reduced K-coloring instance plus the undo information."""
 
     graph: Graph  # the kernel graph (possibly empty)
-    k: int
+    k: int  # peeling threshold: re-inserted vertices take colors 1..k
     kernel_to_original: List[int]
     peeled: List[Tuple[int, List[int]]] = field(default_factory=list)
     # peeled entries are (original vertex, original neighbor list) in
     # removal order; re-coloring replays them in reverse.
+    source: Optional[Graph] = None  # the input graph
+    clique_bound: int = 0
+    # Connected components of ``graph`` as sorted vertex lists in kernel
+    # numbering, ordered by smallest vertex (filled by kernelize).
+    components: List[List[int]] = field(default_factory=list)
+    seconds: float = 0.0  # time kernelize spent building this kernel
 
     @property
     def fully_reduced(self) -> bool:
         """True when peeling alone proves K-colorability."""
         return self.graph.num_vertices == 0
+
+    @property
+    def infeasible(self) -> bool:
+        """True when the clique bound alone exceeds the K colors."""
+        return self.clique_bound > self.k
 
 
 def peel_low_degree(graph: Graph, k: int) -> Kernel:
@@ -68,7 +87,7 @@ def peel_low_degree(graph: Graph, k: int) -> Kernel:
     survivors = [v for v in range(n) if alive[v]]
     kernel_graph = graph.subgraph(survivors)
     kernel_graph.name = f"{graph.name}-core{k}" if graph.name else ""
-    return Kernel(kernel_graph, k, survivors, peeled)
+    return Kernel(kernel_graph, k, survivors, peeled, source=graph)
 
 
 def extend_coloring(kernel: Kernel, kernel_coloring: Dict[int, int]) -> Dict[int, int]:
@@ -87,65 +106,48 @@ def extend_coloring(kernel: Kernel, kernel_coloring: Dict[int, int]) -> Dict[int
     return coloring
 
 
-def component_subgraphs(
-    graph: Graph, largest_first: bool = False
-) -> List[Tuple[List[int], Graph]]:
-    """Connected components paired with their induced subgraphs.
+def kernelize(
+    graph: Graph, budget: Optional[int] = None, decision: bool = False
+) -> Kernel:
+    """The reduce stage: clique bound, low-degree peeling, component split.
 
-    Each entry is ``(vertices, subgraph)`` where ``vertices`` is the
-    sorted component vertex list in ``graph``'s numbering and
-    ``subgraph`` relabels it to ``0..len-1`` (so ``vertices[local]`` maps
-    a subgraph vertex back).  ``largest_first=True`` returns the
-    components in descending size — the schedule order of the Session
-    pool, which starts the longest descent first.
+    ``budget`` is the run's color count (a decision's K, an
+    optimization's budget), ``None`` for an uncapped chromatic number.
+    A budget below the clique bound gives an :attr:`~Kernel.infeasible`
+    kernel, left unpeeled.  Otherwise a ``decision`` peels at the budget
+    and every other run at ``max(1, clique bound)``; the kernel's
+    components are listed either way.
     """
-    pairs = [
-        (component, graph.subgraph(component))
-        for component in connected_components(graph)
-    ]
-    if largest_first:
-        pairs.sort(key=lambda pair: (-len(pair[0]), pair[0]))
-    return pairs
+    start = time.monotonic()
+    lb = clique_lower_bound(graph)
+    if budget is not None and lb > budget:
+        kernel = Kernel(graph, budget, list(range(graph.num_vertices)),
+                        source=graph)
+    else:
+        kernel = peel_low_degree(graph, budget if decision else max(1, lb))
+        kernel.components = connected_components(kernel.graph)
+    kernel.clique_bound = lb
+    kernel.seconds = time.monotonic() - start
+    return kernel
 
 
-@dataclass
-class ReducedSolve:
-    """Outcome of :func:`solve_with_reduction`."""
+def lift(
+    kernel: Kernel, parts: Iterable[Tuple[Sequence[int], Dict[int, int]]]
+) -> Dict[int, int]:
+    """Color the input graph from colorings of kernel pieces.
 
-    status: str
-    coloring: Optional[Dict[int, int]]
-    kernel_vertices: int
-    original_vertices: int
-    components_solved: int
-
-
-def solve_with_reduction(
-    graph: Graph,
-    k: int,
-    decide,
-) -> ReducedSolve:
-    """Decide K-colorability with peeling + component decomposition.
-
-    ``decide(subgraph, k)`` must return ``(status, coloring-or-None)``
-    with status in {"SAT", "UNSAT", "UNKNOWN"}; it is invoked only on
-    the nontrivial kernel components.
+    Each part is ``(vertices, coloring)``: ``coloring`` colors a graph
+    whose vertex ``i`` is kernel vertex ``vertices[i]`` — one of
+    :attr:`Kernel.components`, or the whole kernel.  Each part's colors
+    are renamed to ``1..m`` first, so the greedily re-inserted peeled
+    vertices stay within ``max(m, k)`` colors.  The result is checked
+    proper on the input graph (``ValueError`` otherwise).
     """
-    kernel = peel_low_degree(graph, k)
-    if kernel.fully_reduced:
-        coloring = extend_coloring(kernel, {})
-        return ReducedSolve("SAT", coloring, 0, graph.num_vertices, 0)
     kernel_coloring: Dict[int, int] = {}
-    components = connected_components(kernel.graph)
-    solved = 0
-    for component in components:
-        sub = kernel.graph.subgraph(component)
-        status, sub_coloring = decide(sub, k)
-        if status != "SAT":
-            return ReducedSolve(status, None, kernel.graph.num_vertices,
-                                graph.num_vertices, solved)
-        solved += 1
-        for local, original in enumerate(component):
-            kernel_coloring[original] = sub_coloring[local]
+    for vertices, coloring in parts:
+        for local, color in normalize_coloring(coloring).items():
+            kernel_coloring[vertices[local]] = color
     coloring = extend_coloring(kernel, kernel_coloring)
-    return ReducedSolve("SAT", coloring, kernel.graph.num_vertices,
-                        graph.num_vertices, solved)
+    if coloring:
+        check_proper(kernel.source, coloring)
+    return coloring

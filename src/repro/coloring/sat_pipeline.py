@@ -11,9 +11,7 @@ route so that claim can be measured:
 * :func:`sat_k_colorable` — one decision call on the clause-only CDCL
   solver, with optional CNF preprocessing (full equisatisfiable
   simplification; the forced assignment and eliminated variables are
-  folded back into the model before decoding) and optional graph
-  kernelization (peeling + component split via
-  :func:`repro.coloring.reduce.solve_with_reduction`);
+  folded back into the model before decoding);
 * :class:`IncrementalKSearch` — the **incremental** engine for the
   paper's Section 4.1 bound-tightening procedure: the graph is encoded
   *once* at the upper bound with per-color activation literals
@@ -29,16 +27,18 @@ route so that claim can be measured:
   default) answers every query on one persistent solver;
   ``incremental=False`` restores the historical one-fresh-SAT-instance-
   per-query behaviour for comparison.  Both simplification stages are
-  on by default (the incremental path kernelizes once at the clique
-  bound and runs the model-preserving clause simplification, which
-  cannot eliminate the activation variables the assumptions refer to).
+  on by default: either oracle queries the one kernel
+  :func:`repro.coloring.reduce.kernelize` built at the clique bound,
+  and the incremental path runs the model-preserving clause
+  simplification, which cannot eliminate the activation variables the
+  assumptions refer to.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.cnf_encodings import encode_exactly_one_pairwise, encode_at_most_k_sequential
 from ..core.formula import Formula
@@ -48,13 +48,14 @@ from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from ..resilience import Deadline
+from ..sat.cdcl import CDCLSolver
 from ..sat.factory import new_solver
 from ..sat.preprocessing import preprocess as preprocess_cnf
 from ..sat.preprocessing import simplify_formula
 from ..sat.result import SAT, UNKNOWN, UNSAT, SolverStats
 from .descent import Answer, descend
-from .encoding import add_color_activation_literals, normalize_coloring
-from .reduce import extend_coloring, peel_low_degree, solve_with_reduction
+from .encoding import add_color_activation_literals
+from .reduce import Kernel, kernelize, lift
 
 
 def encode_k_coloring_cnf(
@@ -535,40 +536,29 @@ def sat_k_colorable(
     amo_encoding: str = "pairwise",
     sbp_kind: str = "none",
     preprocess: bool = True,
-    reduce: bool = False,
     stats: Optional[SolverStats] = None,
     should_stop=None,
+    on_solver: Optional[Callable[[CDCLSolver], None]] = None,
 ) -> Tuple[str, Optional[Dict[int, int]]]:
     """Decide K-colorability with the CNF CDCL solver.
 
     Returns ``(status, coloring)``; the coloring (vertex -> color) is
     present when status is SAT.  ``preprocess`` runs the full CNF
     preprocessor on the encoding and reconstructs the model afterwards
-    (``decode`` always sees a total assignment); ``reduce`` peels
-    vertices of degree < K and splits components before encoding, which
-    is exact for the decision problem.  ``stats``, when given, has the
-    solver statistics of every internal solve merged into it.
-    ``should_stop`` is polled *inside* the solver (every few dozen
-    conflicts): when it turns true the query gives up with UNKNOWN.
-    ``time_limit`` bounds the whole call: the deadline is fixed on entry,
-    so encoding and preprocessing spend from the same budget as search.
+    (``decode`` always sees a total assignment).  The graph is solved as
+    given: kernelization is the reduce stage's job
+    (:func:`repro.coloring.reduce.kernelize`).  ``stats``, when given,
+    has the solver statistics merged into it, and ``on_solver`` is
+    called with the solver when one is built (none is when preprocessing
+    settles the formula).  ``should_stop`` is polled *inside* the solver
+    (every few dozen conflicts): when it turns true the query gives up
+    with UNKNOWN.  ``time_limit`` bounds the whole call: the deadline is
+    fixed on entry, so encoding and preprocessing spend from the same
+    budget as search.
     """
     if k <= 0:
         return (UNSAT if graph.num_vertices else SAT), ({} if not graph.num_vertices else None)
     deadline = Deadline.after(time_limit)
-    if reduce:
-
-        def decide(sub: Graph, kk: int) -> Tuple[str, Optional[Dict[int, int]]]:
-            # The budget is shared by all kernel components, not per
-            # component — hand each one only what is left.
-            return sat_k_colorable(
-                sub, kk, time_limit=deadline.remaining(), amo_encoding=amo_encoding,
-                sbp_kind=sbp_kind, preprocess=preprocess, reduce=False,
-                stats=stats, should_stop=should_stop,
-            )
-
-        reduced = solve_with_reduction(graph, k, decide)
-        return reduced.status, reduced.coloring
     formula, x = encode_k_coloring_cnf(graph, k, amo_encoding, sbp_kind)
     pre = None
     if preprocess and not deadline.expired():
@@ -581,6 +571,8 @@ def sat_k_colorable(
     model: Dict[int, bool] = {}
     if formula.clauses:  # else preprocessing solved it
         solver = new_solver(num_vars=formula.num_vars)
+        if on_solver is not None:
+            on_solver(solver)
         if not solver.add_formula(formula):
             return UNSAT, None
         result = solver.solve(time_limit=deadline.remaining(), should_stop=should_stop)
@@ -632,7 +624,7 @@ def chromatic_number_sat(
     reduce: bool = True,
     incremental: bool = True,
     should_stop=None,
-    kernelized=None,
+    kernel: Optional[Kernel] = None,
     max_colors: Optional[int] = None,
 ) -> SatPipelineResult:
     """Chromatic number via repeated CNF-SAT decision calls.
@@ -643,10 +635,20 @@ def chromatic_number_sat(
     the clique bound and DSATUR, its suggestion otherwise).  This
     function supplies the K-query oracle.
 
+    With ``reduce`` the graph is kernelized once at the clique bound
+    (:func:`repro.coloring.reduce.kernelize`; a caller that already
+    holds that :class:`~repro.coloring.reduce.Kernel` passes it as
+    ``kernel``), and every K query is asked of the kernel graph.
+    Components are not split here: one solver serves the whole kernel,
+    so its learned clauses span components (the component pool is the
+    per-component variant).  The reported chromatic number is the color
+    count of the best coloring lifted back to ``graph``
+    (:func:`repro.coloring.reduce.lift`), which never falls below the
+    clique bound the kernel was peeled at.
+
     With ``incremental=True`` (default) every query runs on one
-    persistent solver via :class:`IncrementalKSearch`: the graph is
-    kernelized once at the clique bound (``reduce``), encoded once at the
-    DSATUR bound (or the cap, if lower) with activation literals,
+    persistent solver via :class:`IncrementalKSearch`: encoded once at
+    the DSATUR bound (or the cap, if lower) with activation literals,
     simplified once (``preprocess``, model-preserving subset), and every
     K query reuses the learned clauses of the previous ones.  The linear
     strategy switches colors off permanently; the binary one uses
@@ -663,31 +665,14 @@ def chromatic_number_sat(
     polled before each K query *and inside each query* (every few dozen
     conflicts); when it turns true the search stops and the best-so-far
     answer is returned (status SAT — the bound is not proved).
-
-    ``kernelized`` optionally hands in a precomputed ``(clique bound,
-    kernel, component pairs)`` triple (the component pool's
-    disconnectedness probe) so the incremental path does not kernelize
-    the same graph twice; only consulted when ``incremental`` and
-    ``reduce`` are set.  Components are not split here: one solver
-    serves the whole kernel, so its learned clauses span components
-    (the component pool is the per-component variant).  The reported
-    chromatic number is the color count of the best coloring with the
-    peeled vertices put back, which never falls below the clique bound
-    the kernel was peeled at.
     """
     start = time.monotonic()
     deadline = Deadline.after(time_limit)
     if graph.num_vertices == 0:
         return SatPipelineResult("OPTIMAL", 0, {}, 0, 0.0)
-    kernel = None
-    if incremental and reduce and kernelized is not None:
-        # The component pool's probe already peeled at the clique bound.
-        lb, kernel, _ = kernelized
-    else:
-        lb = clique_lower_bound(graph)
-        if incremental and reduce:
-            # Peeling at the clique bound preserves max(chi(kernel), lb).
-            kernel = peel_low_degree(graph, max(1, lb))
+    if reduce and kernel is None:
+        kernel = kernelize(graph)
+    lb = kernel.clique_bound if kernel is not None else clique_lower_bound(graph)
     work = kernel.graph if kernel is not None else graph
     heuristic, _ = dsatur(work)
     incumbent = {v: c + 1 for v, c in heuristic.items()}
@@ -714,10 +699,9 @@ def chromatic_number_sat(
 
     def scratch(k: int, deadline: Deadline) -> Answer:
         status, coloring = sat_k_colorable(
-            graph, k, time_limit=deadline.remaining(),
+            work, k, time_limit=deadline.remaining(),
             amo_encoding=amo_encoding, sbp_kind=sbp_kind,
-            preprocess=preprocess, reduce=reduce, stats=run_stats,
-            should_stop=should_stop,
+            preprocess=preprocess, stats=run_stats, should_stop=should_stop,
         )
         return status, coloring, []
 
@@ -728,9 +712,7 @@ def chromatic_number_sat(
     )
     coloring = outcome.coloring
     if coloring is not None and kernel is not None:
-        # Contiguous kernel colors keep the greedy re-insertion of the
-        # peeled vertices within max(kernel colors, lb).
-        coloring = extend_coloring(kernel, normalize_coloring(coloring))
+        coloring = lift(kernel, [(range(work.num_vertices), coloring)])
     if search is not None:
         run_stats.merge(search.stats)
     return SatPipelineResult(

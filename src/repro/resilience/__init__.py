@@ -25,7 +25,7 @@ counter.  This package centralizes those concerns:
 * :class:`Worker` / :func:`wait_any` — the one way to run work in a
   child process: fault arming, a parent-side kill deadline and a
   once-only outcome (``ok`` / ``error`` / ``died`` / ``killed``) for
-  the batch fleet, the component pool and the portfolio race.
+  the batch fleet and the portfolio race.
 
 The package depends only on the standard library and the stdlib-only
 :mod:`repro.obs`, so every layer of the repo (``sat/``, ``pb/``,

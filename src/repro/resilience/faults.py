@@ -13,8 +13,7 @@ named **injection points** scattered through the stack:
                    through the :mod:`repro.sat.factory` seam (RPR005's
                    chokepoint) — the *sleep-in-query* / hang hook
 ``racer``          fired at the top of every portfolio racer process
-                   (detail: the racer's backend spec) and by every
-                   component-pool worker ("component") — the
+                   (detail: the racer's backend spec) — the
                    *kill-a-racer-mid-race* hook
 =================  ========================================================
 
@@ -31,7 +30,7 @@ Installation is process-global (:func:`install_faults` /
 :func:`clear_faults`); :meth:`FaultPlan.to_env` serializes a plan into
 the ``REPRO_FAULTS`` environment variable, which every child process
 started through :class:`~repro.resilience.worker.Worker` installs
-before it runs its work (batch attempts, pool components, racers).
+before it runs its work (batch attempts, racers).
 :func:`seeded_plan` derives a plan
 deterministically from an integer seed — the chaos-smoke CI job's
 nightly fresh-seed mode.

@@ -1,8 +1,7 @@
 """One way to run work in a child process.
 
 :class:`Worker` is the process primitive behind every tier that runs
-work out of process: the batch fleet (one worker per attempt), the
-component pool's ``pool_jobs`` tier (one per component descent) and the
+work out of process: the batch fleet (one worker per attempt) and the
 ``portfolio`` race (one per racer).  It owns what those tiers share:
 
 * **the child side** — arm the ``REPRO_FAULTS`` plan

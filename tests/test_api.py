@@ -37,8 +37,9 @@ from repro.api import (
 from repro.api.backends import _REGISTRY
 from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
-from repro.graphs.generators import mycielski_graph, queens_graph
-from repro.graphs.graph import Graph
+from repro.graphs.generators import book_graph, mycielski_graph, queens_graph
+from repro.graphs.graph import Graph, disjoint_union
+from repro.obs import scoped_registry
 
 TRIANGLE_PLUS = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], name="fig1")
 
@@ -174,6 +175,52 @@ def test_brute_backend_matches_cdcl_on_tiny_graph():
             .run(ChromaticProblem(tiny)))
     assert brute.status == "OPTIMAL"
     assert brute.chromatic_number == cdcl.chromatic_number == 3
+
+
+@pytest.mark.parametrize(
+    "backend", ["cdcl-incremental", "cdcl-scratch", "exact-dsatur", "brute", "portfolio"])
+def test_backends_without_a_detect_stage_reject_instance_dependent(backend):
+    # Rejected up front rather than silently ignored: these backends
+    # have no detect stage to run the instance-dependent SBPs in.
+    pipeline = Pipeline().symmetry(instance_dependent=True).solve(backend=backend)
+    with pytest.raises(ValueError, match="instance_dependent"):
+        pipeline.run(ChromaticProblem(queens_graph(5, 5)))
+
+
+@pytest.mark.parametrize("graph", [
+    book_graph(60, 150, seed=3),
+    disjoint_union(mycielski_graph(3), mycielski_graph(4)),
+    queens_graph(5, 5),
+], ids=["book", "union", "queen5_5"])
+@pytest.mark.parametrize("backend", ["cdcl-incremental", "cdcl-scratch"])
+def test_cdcl_runs_report_the_reduce_stage(backend, graph):
+    """One reduce stage for every backend: a CDCL chromatic run reports
+    the kernel exactly as the 0-1 ILP flow does on the same graph."""
+    run = Pipeline().solve(backend=backend, time_limit=60).run(ChromaticProblem(graph))
+    ilp = Pipeline().solve(backend="pb-pbs2", time_limit=60).run(ChromaticProblem(graph))
+    assert run.status == ilp.status == "OPTIMAL"
+    assert run.stages[0].name == ilp.stages[0].name == "reduce"
+    assert run.stages[0].details == ilp.stages[0].details
+    assert set(run.stages[0].details) == {
+        "clique_bound", "kernel_vertices", "peeled_vertices", "components"}
+    for field in ("reduce", "original_vertices", "kernel_vertices",
+                  "peeled_vertices", "components_solved"):
+        assert getattr(run.pipeline, field) == getattr(ilp.pipeline, field), field
+
+
+@pytest.mark.parametrize("graph,k,solvers", [
+    (mycielski_graph(3), 4, 0),
+    (queens_graph(5, 5), 4, 0),
+    (queens_graph(5, 5), 5, 1),
+    (disjoint_union(queens_graph(5, 5), queens_graph(5, 5)), 5, 2),
+], ids=["fully-peeled", "clique-bound", "one-component", "two-components"])
+def test_cdcl_decisions_count_the_solvers_they_build(graph, k, solvers):
+    with scoped_registry() as registry:
+        result = (Pipeline().solve(backend="cdcl-incremental", time_limit=60)
+                  .run(DecisionProblem(graph, k)))
+    built = registry.snapshot().get("counters", {}).get("solver_created_total", 0)
+    assert result.solvers_created == built == solvers
+    assert result.queries == [(k, result.status)]
 
 
 def test_stage_order_is_honoured():

@@ -23,6 +23,7 @@ from repro.api import (
     Pipeline,
     Session,
 )
+from repro.coloring.verify import is_proper
 from repro.core.formula import Formula
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.sat.cdcl import CDCLSolver
@@ -108,16 +109,32 @@ def test_pipeline_time_limit_chromatic_gives_unproved_bound():
 
 QUEENS9 = queens_graph(9, 9)  # chi = 10: no run below finishes in 2 s
 
+LIMITED_PROBLEMS = {
+    "decision-9": DecisionProblem(QUEENS9, 9),
+    "chromatic": ChromaticProblem(QUEENS9),
+    "chromatic-cap-11": ChromaticProblem(QUEENS9, max_colors=11),
+    "budgeted-11": BudgetedOptimize(QUEENS9, 11),
+}
+CNF_KINDS = ("decision-9", "chromatic", "chromatic-cap-11")
+LIMITED_RUNS = [
+    (backend, kind)
+    for backend, kinds in (
+        ("cdcl-incremental", CNF_KINDS),
+        ("cdcl-scratch", CNF_KINDS),
+        ("pb-pbs2", CNF_KINDS + ("budgeted-11",)),
+        ("exact-dsatur", CNF_KINDS),
+    )
+    for kind in kinds
+]
 
-@pytest.mark.parametrize("problem", [
-    DecisionProblem(QUEENS9, 9),
-    ChromaticProblem(QUEENS9),
-    ChromaticProblem(QUEENS9, max_colors=11),
-], ids=["decision-9", "chromatic", "chromatic-cap-11"])
-@pytest.mark.parametrize("backend", ["cdcl-incremental", "cdcl-scratch"])
-def test_cdcl_runs_hold_their_time_limit(backend, problem):
+
+@pytest.mark.parametrize("backend,kind", LIMITED_RUNS,
+                         ids=[f"{b}-{k}" for b, k in LIMITED_RUNS])
+def test_cdcl_runs_hold_their_time_limit(backend, kind):
     # One Deadline bounds the whole run: kernelization, encoding,
-    # preprocessing, the cap query and every K query spend from it.
+    # preprocessing, the cap query and every K query spend from it —
+    # on the CNF backends, the 0-1 ILP flow and the DSATUR search alike.
+    problem = LIMITED_PROBLEMS[kind]
     start = time.monotonic()
     result = Pipeline().solve(backend=backend, time_limit=2).run(problem)
     elapsed = time.monotonic() - start
@@ -128,6 +145,23 @@ def test_cdcl_runs_hold_their_time_limit(backend, problem):
         assert all(k <= problem.max_colors for k, _ in result.queries)
     if backend == "cdcl-incremental":
         assert result.solvers_created <= 1
+
+
+def test_exact_dsatur_honours_the_run_cancel():
+    # Left alone, the branch and bound on myciel5 is still searching
+    # after 10 s; a cancel that turns true at 0.2 s stops it within the
+    # next 256 nodes, with the verified incumbent.
+    graph = mycielski_graph(5)
+    problem = ChromaticProblem(graph)
+    pipeline = Pipeline().solve(backend="exact-dsatur", time_limit=10)
+    unfinished = pipeline.run(problem)
+    assert unfinished.status == "FEASIBLE" and not unfinished.cancelled
+    start = time.monotonic()
+    result = pipeline.run(problem, cancel=lambda: time.monotonic() - start >= 0.2)
+    assert time.monotonic() - start < 1.0
+    assert result.cancelled
+    assert result.status == "FEASIBLE"
+    assert is_proper(graph, result.coloring)
 
 
 def _pigeonhole(pigeons, holes):

@@ -43,8 +43,6 @@ BASE_PRE = [
 ]
 BASE_PARALLEL = [
     {"instance": "pool-tier-sequential", "chromatic_number": 7},
-    {"instance": "pool-tier-processes", "chromatic_number": 7,
-     "components": 3, "solvers_created": 3},
     {"instance": "portfolio-race-gnp42", "chromatic_number": 7,
      "cancelled": 2, "ub": 7, "lb": 7},
 ]
@@ -118,7 +116,7 @@ def test_improvements_always_pass(check_bench, tmp_path):
 
 def test_parallel_answer_drift_fails_exactly(check_bench, tmp_path):
     fresh = json.loads(json.dumps(BASE_PARALLEL))
-    fresh[1]["chromatic_number"] = 8  # process tier changed an answer
+    fresh[0]["chromatic_number"] = 8  # the component pool changed an answer
     _write(tmp_path, "parallel", fresh)
     _write_rest(tmp_path, "parallel")
     assert check_bench.check(_baselines(check_bench), slack=1.0) == 1

@@ -155,12 +155,11 @@ def test_color_incremental_flag_accepted(capsys, col_file):
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        (["chromatic", "{graph}", "--pool-jobs", "-1"], "--pool-jobs"),
         (["batch", "{manifest}", "--jobs", "-1"], "--jobs"),
         (["batch", "{manifest}", "--retries", "-1"], "--retries"),
         (["batch", "{manifest}", "--task-timeout", "0"], "--task-timeout"),
     ],
-    ids=["pool-jobs", "jobs", "retries", "task-timeout"],
+    ids=["jobs", "retries", "task-timeout"],
 )
 def test_invalid_worker_counts_are_usage_errors(capsys, tmp_path, col_file,
                                                 argv, flag):

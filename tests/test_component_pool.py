@@ -173,44 +173,20 @@ def test_pool_respects_max_colors_cap():
     assert exact.chromatic_number == 5
 
 
-def test_pool_processes_agree_with_threads_and_sequential():
-    """The process tier is answer-identical to the in-process tiers."""
-    graph = disjoint_union(
-        get_instance("myciel3").graph(),
-        get_instance("myciel4").graph(),
-        cycle_graph(7),
-    )
-    sequential = chromatic(graph, "cdcl-incremental", split_components=True)
-    processes = chromatic(
-        graph, "cdcl-incremental", split_components=True, pool_jobs=3
-    )
-    assert sequential.status == processes.status == "OPTIMAL"
-    assert sequential.chromatic_number == processes.chromatic_number == 5
-    assert len(processes.components) == 3
-    for trace in processes.components:
-        assert trace.status == "OPTIMAL"
-    assert is_proper(graph, processes.coloring)
-    assert len(set(processes.coloring.values())) == 5
-
-
-def test_pool_unsat_early_exit_kills_process_siblings(monkeypatch):
-    """Same regression on the process tier: the worker solving the big
-    component is stalled via the fault seam; the small component's
-    UNSAT must terminate it rather than wait the stall out."""
-    import json
-    import time as time_mod
-
-    stall = [{"point": "racer", "kind": "sleep", "at": 1,
-              "seconds": 30.0, "match": "component:0"}]
-    monkeypatch.setenv("REPRO_FAULTS", json.dumps(stall))
-    graph = disjoint_union(mycielski_graph(5), mycielski_graph(3))
-    t0 = time_mod.monotonic()
-    with ComponentSessionPool(graph, jobs=2) as pool:
+def test_pool_unsat_early_exit_skips_later_components():
+    """A component's UNSAT under the cap settles the pool: the later
+    components never start, and the exact UNSAT is neither cancelled
+    nor degraded."""
+    graph = disjoint_union(mycielski_graph(3), wheel_graph(8))
+    with ComponentSessionPool(graph) as pool:
         result = pool.chromatic(max_colors=3)
-    assert time_mod.monotonic() - t0 < 20.0
-    assert result.status == "UNSAT"
-    # The stalled sibling was killed before settling: no trace for it.
-    assert [trace.index for trace in result.components] == [1]
+        assert [len(c) for c in pool.components] == [11, 9]
+        # The later component left no trace: no query, no solver.
+        assert pool.sessions[1].queries == []
+        assert pool.sessions[1].solvers_created == 0
+    assert result.status == "UNSAT"  # myciel3 needs 4 colors
+    assert [trace.index for trace in result.components] == [0]
+    assert result.solvers_created == 1
     assert not result.cancelled
     assert not result.degraded
 

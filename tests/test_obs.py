@@ -342,13 +342,11 @@ def test_component_pool_events_present():
     assert pool_end[-1]["fields"]["colors"] == result.num_colors
 
 
-def _pool_tier_run():
-    from repro.graphs.graph import disjoint_union
-    union = disjoint_union(mycielski_graph(3), mycielski_graph(4))
+def _portfolio_tier_run():
     result = (
         Pipeline()
-        .solve(backend="cdcl-incremental", time_limit=120, pool_jobs=2)
-        .run(ChromaticProblem(union))
+        .solve(backend="portfolio", time_limit=120)
+        .run(ChromaticProblem(mycielski_graph(4)))
     )
     assert result.status == "OPTIMAL"
 
@@ -358,8 +356,8 @@ def _batch_tier_run():
     assert [r["outcome"] for r in report.records] == ["ok", "ok"]
 
 
-@pytest.mark.parametrize("run", [_pool_tier_run, _batch_tier_run],
-                         ids=["pool_jobs", "batch_jobs"])
+@pytest.mark.parametrize("run", [_portfolio_tier_run, _batch_tier_run],
+                         ids=["portfolio", "batch_jobs"])
 def test_process_tiers_leave_the_parent_trace_intact(tmp_path, run):
     """Forked workers must not write into the parent's trace file.
 

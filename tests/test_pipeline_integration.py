@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import DecisionProblem, Pipeline
 from repro.coloring.sat_pipeline import chromatic_number_sat, sat_k_colorable
 from repro.coloring.solve import find_chromatic_number, solve_coloring
 from repro.graphs.generators import (
@@ -99,9 +100,12 @@ def test_sat_decision_agrees_across_pipeline(n, k, data):
         for v in range(u + 1, n):
             if data.draw(st.booleans()):
                 g.add_edge(u, v)
-    baseline, _ = sat_k_colorable(g, k, preprocess=False, reduce=False)
+    baseline, _ = sat_k_colorable(g, k, preprocess=False)
     for preprocess, reduce in ((True, False), (True, True)):
-        status, coloring = sat_k_colorable(g, k, preprocess=preprocess, reduce=reduce)
+        result = (Pipeline().reduce(reduce).simplify(preprocess)
+                  .solve(backend="cdcl-incremental")
+                  .run(DecisionProblem(g, k)))
+        status, coloring = result.status, result.coloring
         assert status == baseline
         if status == "SAT":
             assert g.is_proper_coloring(coloring)
