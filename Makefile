@@ -13,13 +13,12 @@
 # `make coverage` runs the tier-1 suite under pytest-cov
 # with the CI coverage floor; `make lint` runs ruff; `make analyze`
 # runs the solver-invariant static checker (repro.analysis — pure
-# stdlib, always available) over src/scripts/benchmarks/examples with
-# the incremental facts cache, exports the project call graph to
-# callgraph.json, and prints a one-line timing/stats summary to
-# stderr; `make typecheck` runs the typed-core mypy gate (mypy.ini);
-# `make docs-check` runs the docs gate (scripts/check_docs.py — pure
-# stdlib: intra-repo Markdown link/anchor integrity plus the
-# public-API docstring-coverage floor).
+# stdlib, always available) over src/scripts/benchmarks/examples,
+# exports the project call graph to callgraph.json, and prints a
+# one-line timing/stats summary to stderr; `make typecheck` runs the
+# typed-core mypy gate (mypy.ini); `make docs-check` runs the docs
+# gate (scripts/check_docs.py — pure stdlib: intra-repo Markdown
+# link/anchor integrity plus the public-API docstring-coverage floor).
 #
 # Tools that offline dev environments may lack (ruff, pytest-cov,
 # mypy) are skipped with a notice locally but are hard failures when
@@ -61,12 +60,11 @@ lint:
 	fi
 
 ANALYZE_PATHS ?= src scripts benchmarks examples
-ANALYZE_CACHE ?= .repro-analysis-cache
 ANALYZE_GRAPH ?= callgraph.json
 
 analyze:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.analysis $(ANALYZE_PATHS) \
-		--cache-dir $(ANALYZE_CACHE) --graph $(ANALYZE_GRAPH)
+		--graph $(ANALYZE_GRAPH)
 
 typecheck:
 	@if $(PYTHON) -c "import mypy" >/dev/null 2>&1; then \

@@ -8,7 +8,7 @@ Two questions, matching the pipeline's two jobs:
   (the legacy loop is reproduced below, minus its soundness bug, as the
   measurement baseline);
 * **end-to-end effect** — preprocessing a real coloring encoding, and
-  the full ``find_chromatic_number`` pipeline (peel + split + simplify)
+  the full chromatic-number ``Pipeline`` (peel + split + simplify)
   against the raw path on the paper's sparse families (books, register
   interference), where kernelization routinely deletes the whole graph.
 """

@@ -26,9 +26,6 @@ Quickstart::
               .solve(backend="pb-pbs2")
               .run(ChromaticProblem(queens_graph(5, 5))))
     assert result.status == "OPTIMAL" and result.chromatic_number == 5
-
-The historical one-call entry points ``solve_coloring`` and
-``find_chromatic_number`` remain as deprecation shims over the API.
 """
 
 from . import api
@@ -42,12 +39,7 @@ from .api import (
     Session,
     available_backends,
 )
-from .coloring import (
-    ColoringSolveResult,
-    exact_chromatic_number,
-    find_chromatic_number,
-    solve_coloring,
-)
+from .coloring import exact_chromatic_number
 from .core import Formula
 from .graphs import Graph
 from .sbp import apply_sbp
@@ -58,7 +50,6 @@ __version__ = "1.1.0"
 __all__ = [
     "BudgetedOptimize",
     "ChromaticProblem",
-    "ColoringSolveResult",
     "DecisionProblem",
     "Formula",
     "Graph",
@@ -71,7 +62,5 @@ __all__ = [
     "available_backends",
     "detect_symmetries",
     "exact_chromatic_number",
-    "find_chromatic_number",
-    "solve_coloring",
     "__version__",
 ]

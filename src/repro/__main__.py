@@ -52,12 +52,15 @@ from .api import (
     available_backends,
 )
 from .coloring.encoding import encode_coloring
-from .coloring.solve import SOLVER_NAMES
 from .graphs.cliques import clique_lower_bound
 from .graphs.coloring_heuristics import dsatur
 from .graphs.dimacs import read_dimacs_graph
 from .sbp.instance_independent import SBP_KINDS, apply_sbp
 from .symmetry.detect import detect_symmetries
+
+#: The ``color`` command's ``--solver`` choices: the paper's three PB
+#: profiles and the LP-based branch and bound.
+COLOR_SOLVERS = ("pbs2", "galena", "pueblo", "cplex-bb")
 
 
 def non_negative_int(text: str) -> int:
@@ -331,7 +334,7 @@ def main(argv=None) -> int:
 
     p_color = sub.add_parser("color", help="minimum coloring via 0-1 ILP")
     p_color.add_argument("graph", help="DIMACS .col file")
-    p_color.add_argument("--solver", default="pbs2", choices=SOLVER_NAMES)
+    p_color.add_argument("--solver", default="pbs2", choices=COLOR_SOLVERS)
     p_color.add_argument("--sbp", default="nu+sc", choices=SBP_KINDS)
     p_color.add_argument("--instance-dependent", action="store_true",
                          help="detect symmetries and add lex-leader SBPs")

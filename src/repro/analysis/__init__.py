@@ -17,7 +17,6 @@ Run it with ``python -m repro.analysis src`` or ``make analyze``; see
 ``docs/callgraph.md`` for how the call graph is built.
 """
 
-from .cache import FactsCache, FileEntry
 from .callgraph import CallGraph, Edge, Node, build_call_graph
 from .core import (
     META_RULE_ID,
@@ -55,8 +54,6 @@ __all__ = [
     "META_RULE_ID",
     "CallGraph",
     "Edge",
-    "FactsCache",
-    "FileEntry",
     "FileReport",
     "FileResult",
     "Finding",

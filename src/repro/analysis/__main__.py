@@ -5,8 +5,8 @@ findings exist, 2 on usage/parse errors — so CI can gate on it
 directly (``make analyze``).
 
 The report (text or ``--json``) goes to stdout; the one-line run stats
-(files, cached, rules, findings, seconds) go to stderr, so a warm
-cached run's stdout stays byte-identical to a cold one.
+(files, rules, findings, seconds) go to stderr, so two runs over the
+same tree print byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -50,24 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered rules with their rationale and exit",
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help=(
-            "incremental facts cache directory: unchanged files (by "
-            "content hash) are served from DIR/facts.json without "
-            "re-parsing"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extract facts with N worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--graph",
         type=Path,
         default=None,
@@ -94,10 +76,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.rules:
         rule_ids = [part for part in args.rules.split(",") if part.strip()]
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -109,9 +87,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         file_rules, project_rules = select_rules(rule_ids)
-        report = run_project(
-            paths, rule_ids, cache_dir=args.cache_dir, jobs=args.jobs
-        )
+        report = run_project(paths, rule_ids)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

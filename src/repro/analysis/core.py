@@ -47,12 +47,6 @@ _ALLOW_RE = re.compile(
 )
 
 
-def _as_int(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected int, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at one source location."""
@@ -77,17 +71,6 @@ class Finding:
             "source": self.source_line,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(
-            rule_id=str(data["rule"]),
-            path=str(data["path"]),
-            line=_as_int(data["line"]),
-            col=_as_int(data["col"]),
-            message=str(data["message"]),
-            source_line=str(data.get("source", "")),
-        )
-
 
 @dataclass(frozen=True)
 class Suppression:
@@ -100,25 +83,6 @@ class Suppression:
 
     def covers(self, rule_id: str) -> bool:
         return rule_id in self.rule_ids and bool(self.reason.strip())
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "line": self.line,
-            "comment_line": self.comment_line,
-            "rule_ids": list(self.rule_ids),
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Suppression":
-        rule_ids = data["rule_ids"]
-        assert isinstance(rule_ids, list)
-        return cls(
-            line=_as_int(data["line"]),
-            comment_line=_as_int(data["comment_line"]),
-            rule_ids=tuple(str(r) for r in rule_ids),
-            reason=str(data["reason"]),
-        )
 
 
 def parse_suppressions(source: str) -> List[Suppression]:

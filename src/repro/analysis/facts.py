@@ -9,26 +9,19 @@ the call forwards a stop callable or a deadline), loop markers
 sources (the same sites RPR003 hunts, recorded everywhere as RPR010
 taint roots).
 
-Facts are plain frozen dataclasses with a lossless JSON round-trip
-(:func:`module_facts_to_dict` / :func:`module_facts_from_dict`), which
-is what makes the incremental cache (:mod:`repro.analysis.cache`) and
-``--jobs`` parallel extraction possible: a warm run rebuilds the call
-graph from cached facts without parsing a single unchanged file.
+Facts are plain frozen dataclasses, extracted once per file per run;
+the call graph (:mod:`repro.analysis.callgraph`) is assembled from them
+alone.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import ScopeResolver, SourceFile, _as_int
-
-#: Bump when extraction logic changes: cached facts from older versions
-#: are discarded, not misinterpreted.
-FACTS_VERSION = 1
+from .core import ScopeResolver, SourceFile
 
 #: Function names that mark public solve entry points for RPR008's
 #: reachability cone (plus exact ``run`` — the Backend protocol method).
@@ -130,11 +123,6 @@ class ModuleFacts:
     imports: Tuple[ImportFact, ...]
     functions: Tuple[FunctionFacts, ...]
     classes: Tuple[str, ...]
-
-
-def content_hash(data: bytes) -> str:
-    """The cache key of one file's content."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def module_name_for(rel: str) -> Tuple[str, bool]:
@@ -422,129 +410,3 @@ def _resolve_from_import(
     if node.module:
         return ".".join([*base, node.module]) if base else node.module
     return ".".join(base) if base else None
-
-
-# --------------------------------------------------------------------------
-# JSON round-trip (for the incremental cache and --jobs workers)
-# --------------------------------------------------------------------------
-
-
-def module_facts_to_dict(facts: ModuleFacts) -> Dict[str, object]:
-    return {
-        "module": facts.module,
-        "rel": facts.rel,
-        "path": facts.path,
-        "is_package": facts.is_package,
-        "imports": [
-            {"name": i.name, "module": i.module, "attr": i.attr}
-            for i in facts.imports
-        ],
-        "classes": list(facts.classes),
-        "functions": [
-            {
-                "name": f.name,
-                "qname": f.qname,
-                "class_name": f.class_name,
-                "parent": f.parent,
-                "line": f.line,
-                "params": list(f.params),
-                "accepts_stop": f.accepts_stop,
-                "accepts_deadline": f.accepts_deadline,
-                "accepts_time_limit": f.accepts_time_limit,
-                "has_unbounded_loop": f.has_unbounded_loop,
-                "nondet": [
-                    {"detail": n.detail, "line": n.line} for n in f.nondet
-                ],
-                "calls": [
-                    {
-                        "kind": c.kind,
-                        "target": c.target,
-                        "line": c.line,
-                        "col": c.col,
-                        "passes_stop": c.passes_stop,
-                        "passes_deadline": c.passes_deadline,
-                    }
-                    for c in f.calls
-                ],
-            }
-            for f in facts.functions
-        ],
-    }
-
-
-def _as_str(value: object) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected str, got {value!r}")
-    return value
-
-
-def _as_bool(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected bool, got {value!r}")
-    return value
-
-
-def _as_list(value: object) -> List[object]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected list, got {value!r}")
-    return value
-
-
-def _as_dict(value: object) -> Dict[str, object]:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected dict, got {value!r}")
-    return value
-
-
-def module_facts_from_dict(data: Dict[str, object]) -> ModuleFacts:
-    functions: List[FunctionFacts] = []
-    for raw in _as_list(data["functions"]):
-        entry = _as_dict(raw)
-        functions.append(
-            FunctionFacts(
-                name=_as_str(entry["name"]),
-                qname=_as_str(entry["qname"]),
-                class_name=_as_str(entry["class_name"]),
-                parent=_as_str(entry["parent"]),
-                line=_as_int(entry["line"]),
-                params=tuple(_as_str(p) for p in _as_list(entry["params"])),
-                accepts_stop=_as_bool(entry["accepts_stop"]),
-                accepts_deadline=_as_bool(entry["accepts_deadline"]),
-                accepts_time_limit=_as_bool(entry["accepts_time_limit"]),
-                has_unbounded_loop=_as_bool(entry["has_unbounded_loop"]),
-                nondet=tuple(
-                    NondetFact(
-                        detail=_as_str(_as_dict(n)["detail"]),
-                        line=_as_int(_as_dict(n)["line"]),
-                    )
-                    for n in _as_list(entry["nondet"])
-                ),
-                calls=tuple(
-                    CallSite(
-                        kind=_as_str(_as_dict(c)["kind"]),
-                        target=_as_str(_as_dict(c)["target"]),
-                        line=_as_int(_as_dict(c)["line"]),
-                        col=_as_int(_as_dict(c)["col"]),
-                        passes_stop=_as_bool(_as_dict(c)["passes_stop"]),
-                        passes_deadline=_as_bool(_as_dict(c)["passes_deadline"]),
-                    )
-                    for c in _as_list(entry["calls"])
-                ),
-            )
-        )
-    return ModuleFacts(
-        module=_as_str(data["module"]),
-        rel=_as_str(data["rel"]),
-        path=_as_str(data["path"]),
-        is_package=_as_bool(data["is_package"]),
-        imports=tuple(
-            ImportFact(
-                name=_as_str(_as_dict(i)["name"]),
-                module=_as_str(_as_dict(i)["module"]),
-                attr=_as_str(_as_dict(i)["attr"]),
-            )
-            for i in _as_list(data["imports"])
-        ),
-        functions=tuple(functions),
-        classes=tuple(_as_str(c) for c in _as_list(data["classes"])),
-    )

@@ -2,9 +2,9 @@
 a machine-readable JSON document (stable key order, sorted findings) so
 CI and tooling can consume the same run.
 
-The JSON document deliberately carries no timing or cache information:
-a warm (fully cached) run must be byte-identical to a cold one, so the
-stats line goes to stderr via :func:`format_stats` instead.
+The JSON document deliberately carries no timing information: two
+runs over the same tree must be byte-identical, so the stats line goes
+to stderr via :func:`format_stats` instead.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ class ReportLike(Protocol):
 
 class StatsLike(Protocol):
     files: int
-    extracted: int
-    cached: int
     rules: int
     findings: int
     suppressed: int
@@ -101,7 +99,6 @@ def format_stats(stats: StatsLike) -> str:
     """The one-line run summary printed to stderr by the CLI."""
     return (
         f"analyzed {stats.files} file(s) "
-        f"({stats.extracted} extracted, {stats.cached} cached) "
         f"with {stats.rules} rule(s): "
         f"{stats.findings} finding(s), {stats.suppressed} suppressed "
         f"in {stats.seconds:.2f}s"

@@ -1,12 +1,11 @@
 """File collection and whole-program rule execution.
 
 :func:`run_project` is the analyzer's engine: it collects every
-``.py`` file under the given paths, extracts per-module facts (from
-the incremental cache when the content hash matches, in parallel with
-``jobs > 1``), runs the per-file rules, assembles the project call
+``.py`` file under the given paths, parses each one once for its
+per-module facts and per-file rule findings, assembles the project call
 graph, runs the interprocedural rules over it, and applies suppression
-comments to the merged findings.  :func:`run` is the historical
-entry point returning just the per-file results.
+comments to the merged findings.  :func:`run` is the historical entry
+point returning just the per-file results.
 """
 
 from __future__ import annotations
@@ -14,16 +13,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from . import dataflow as _dataflow  # noqa: F401  (registers project rules)
 from . import rules as _rules  # noqa: F401  (import registers the rules)
-from .cache import FactsCache, FileEntry
 from .callgraph import CallGraph, build_call_graph
 from .core import (
     Finding,
-    Rule,
     SourceFile,
+    Suppression,
     apply_suppressions,
     known_rule_ids,
     meta_findings,
@@ -31,7 +29,7 @@ from .core import (
     run_file_rules,
     select_rules,
 )
-from .facts import FACTS_VERSION, content_hash, extract_module_facts
+from .facts import ModuleFacts, extract_module_facts
 
 #: Directories never worth descending into.
 _SKIP_DIRS = frozenset(
@@ -62,7 +60,6 @@ class FileResult:
     rel: str
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    from_cache: bool = False
 
 
 @dataclass
@@ -70,8 +67,6 @@ class RunStats:
     """One run's cost/coverage summary (the ``make analyze`` one-liner)."""
 
     files: int = 0
-    extracted: int = 0
-    cached: int = 0
     rules: int = 0
     findings: int = 0
     suppressed: int = 0
@@ -87,157 +82,71 @@ class ProjectReport:
     stats: RunStats
 
 
-def _extract_entry(
-    path: Path, rel: str, digest: str, rules: Sequence[Rule]
-) -> FileEntry:
-    """Parse one file and produce its cacheable extraction record."""
-    try:
-        source = SourceFile.load(path, rel)
-    except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-        raise RuntimeError(f"cannot parse {path}: {exc}") from exc
-    return FileEntry(
-        rel=rel,
-        content_hash=digest,
-        facts=extract_module_facts(source),
-        raw_findings=run_file_rules(source, rules),
-        suppressions=list(source.suppressions),
-    )
+class _Parsed(NamedTuple):
+    """What the second pass needs of one file once its AST is dropped."""
 
+    rel: str
+    lines: List[str]
+    suppressions: List[Suppression]
+    raw_findings: List[Finding]
 
-def _extract_worker(
-    payload: Tuple[str, str, str, Optional[Tuple[str, ...]]],
-) -> Tuple[str, Dict[str, object]]:
-    """Process-pool entry: re-derives the rule objects in the worker
-    (rule instances do not cross the pickle boundary) and returns a
-    JSON-ready entry."""
-    path_str, rel, digest, rule_ids = payload
-    rules, _ = select_rules(list(rule_ids) if rule_ids is not None else None)
-    entry = _extract_entry(Path(path_str), rel, digest, rules)
-    return path_str, entry.to_dict()
-
-
-def _rules_key(file_rules: Sequence[Rule]) -> str:
-    return f"v{FACTS_VERSION}:" + ",".join(r.rule_id for r in file_rules)
+    def line_text(self, lineno: int) -> str:
+        if 1 <= lineno <= len(self.lines):
+            return self.lines[lineno - 1]
+        return ""
 
 
 def run_project(
-    paths: Sequence[Path],
-    rule_ids: Optional[Sequence[str]] = None,
-    *,
-    cache_dir: Optional[Path] = None,
-    jobs: int = 1,
+    paths: Sequence[Path], rule_ids: Optional[Sequence[str]] = None
 ) -> ProjectReport:
     """Run the full analyzer (per-file + interprocedural) over ``paths``."""
     started = time.monotonic()
     file_rules, project_rules = select_rules(rule_ids)
-    files = collect_files(paths)
-    cache: Optional[FactsCache] = None
-    if cache_dir is not None:
-        cache = FactsCache(cache_dir, _rules_key(file_rules))
 
-    entries: Dict[str, FileEntry] = {}
-    lines_by_path: Dict[str, List[str]] = {}
-    pending: List[Tuple[Path, str, str]] = []  # (path, rel, digest)
-    for path in files:
-        key = str(path)
+    # One pass per file: facts and per-file findings, then the AST goes.
+    # Files are visited in path-string order, the order reports use.
+    parsed: Dict[str, _Parsed] = {}
+    facts: List[ModuleFacts] = []
+    for path in sorted(collect_files(paths), key=str):
         try:
-            data = path.read_bytes()
-            text = data.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+            source = SourceFile.load(path, package_rel(path))
+        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
             raise RuntimeError(f"cannot parse {path}: {exc}") from exc
-        lines_by_path[key] = text.splitlines()
-        digest = content_hash(data)
-        hit = cache.get(key, digest) if cache is not None else None
-        if hit is not None:
-            entries[key] = hit
-        else:
-            pending.append((path, package_rel(path), digest))
-
-    stats = RunStats(
-        files=len(files),
-        extracted=len(pending),
-        cached=len(files) - len(pending),
-        rules=len(file_rules) + len(project_rules),
-    )
-
-    pending_keys = {str(path) for path, _, _ in pending}
-    if pending:
-        for key, entry in _extract_all(pending, rule_ids, file_rules, jobs):
-            entries[key] = entry
-            if cache is not None:
-                cache.put(key, entry)
-    if cache is not None:
-        cache.prune(tuple(entries))
-        cache.save()
-
-    graph = build_call_graph(
-        entries[key].facts for key in sorted(entries)
-    )
+        facts.append(extract_module_facts(source))
+        parsed[str(path)] = _Parsed(
+            source.rel, source.lines, source.suppressions,
+            run_file_rules(source, file_rules),
+        )
+    graph = build_call_graph(facts)
 
     project_raw: Dict[str, List[Finding]] = {}
     for rule in project_rules:
         for finding in rule.check_project(graph):
-            lines = lines_by_path.get(finding.path, [])
-            if 1 <= finding.line <= len(lines):
+            owner = parsed.get(finding.path)
+            if owner is not None:
                 finding = replace(
-                    finding, source_line=lines[finding.line - 1].rstrip()
+                    finding, source_line=owner.line_text(finding.line).rstrip()
                 )
             project_raw.setdefault(finding.path, []).append(finding)
 
     known = known_rule_ids()
     results: List[FileResult] = []
-    for key in sorted(entries):
-        entry = entries[key]
-        lines = lines_by_path.get(key, [])
-
-        def line_text(lineno: int, _lines: List[str] = lines) -> str:
-            if 1 <= lineno <= len(_lines):
-                return _lines[lineno - 1]
-            return ""
-
-        raw = list(entry.raw_findings)
-        raw.extend(project_raw.get(key, []))
-        raw.extend(meta_findings(entry.suppressions, key, line_text, known))
+    for key, entry in parsed.items():
+        raw = entry.raw_findings + project_raw.get(key, [])
+        raw.extend(meta_findings(entry.suppressions, key, entry.line_text, known))
         kept, suppressed = apply_suppressions(raw, entry.suppressions)
         results.append(
-            FileResult(
-                path=key,
-                rel=entry.rel,
-                findings=kept,
-                suppressed=suppressed,
-                from_cache=key not in pending_keys,
-            )
+            FileResult(path=key, rel=entry.rel, findings=kept, suppressed=suppressed)
         )
 
-    stats.findings = sum(len(r.findings) for r in results)
-    stats.suppressed = sum(len(r.suppressed) for r in results)
-    stats.seconds = time.monotonic() - started
+    stats = RunStats(
+        files=len(parsed),
+        rules=len(file_rules) + len(project_rules),
+        findings=sum(len(r.findings) for r in results),
+        suppressed=sum(len(r.suppressed) for r in results),
+        seconds=time.monotonic() - started,
+    )
     return ProjectReport(files=results, graph=graph, stats=stats)
-
-
-def _extract_all(
-    pending: Sequence[Tuple[Path, str, str]],
-    rule_ids: Optional[Sequence[str]],
-    file_rules: Sequence[Rule],
-    jobs: int,
-) -> List[Tuple[str, FileEntry]]:
-    if jobs <= 1 or len(pending) < 2:
-        return [
-            (str(path), _extract_entry(path, rel, digest, file_rules))
-            for path, rel, digest in pending
-        ]
-    import multiprocessing
-
-    rule_id_tuple = tuple(rule_ids) if rule_ids is not None else None
-    payloads = [
-        (str(path), rel, digest, rule_id_tuple)
-        for path, rel, digest in pending
-    ]
-    out: List[Tuple[str, FileEntry]] = []
-    with multiprocessing.Pool(processes=jobs) as pool:
-        for path_str, entry_dict in pool.map(_extract_worker, payloads):
-            out.append((path_str, FileEntry.from_dict(entry_dict)))
-    return out
 
 
 def run(

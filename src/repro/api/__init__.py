@@ -7,7 +7,7 @@ One import gives the four concepts every workload composes from:
   :class:`BudgetedOptimize`.
 * **Pipeline** — a validated, reorderable stage chain (reduce → encode
   → sbp → simplify → detect → solve) with one small config dataclass
-  per stage, replacing the historical kwarg soup.
+  per stage.
 * **Backends** — named engines behind a registry
   (``pb-pbs2``/``pb-galena``/``pb-pueblo``, ``cplex-bb``,
   ``cdcl-incremental``, ``cdcl-scratch``, ``brute``, ``exact-dsatur``);
@@ -76,6 +76,7 @@ from .problems import (
 )
 from .results import (
     ComponentTrace,
+    PipelineInfo,
     ProgressEvent,
     Provenance,
     Result,
@@ -109,6 +110,7 @@ __all__ = [
     "PROBLEM_KINDS",
     "Pipeline",
     "PipelineConfig",
+    "PipelineInfo",
     "Problem",
     "ProgressEvent",
     "Provenance",

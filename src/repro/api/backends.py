@@ -409,7 +409,7 @@ class CdclBackend(Backend):
             stats=sat_result.stats,
             queries=list(sat_result.k_queries),
             solvers_created=sat_result.solvers_created,
-            cancelled=ctx.cancelled(),
+            cancelled=sat_result.status not in (OPTIMAL, UNSAT) and ctx.cancelled(),
         )
 
 

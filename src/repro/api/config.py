@@ -1,11 +1,9 @@
 """Pipeline configuration: one dataclass per stage, validated eagerly.
 
-The old entry points took 10+ loosely-typed kwargs and surfaced a bad
-solver or SBP name as a ``KeyError`` deep inside the preset tables.
-Here every stage of the pipeline — reduce, encode, sbp, simplify,
-detect, solve — has its own small config dataclass, and every name is
-checked at *construction* time with a ``ValueError`` naming the
-registered choices.
+Every stage of the pipeline — reduce, encode, sbp, simplify, detect,
+solve — has its own small config dataclass, and every name is checked
+at *construction* time with a ``ValueError`` naming the registered
+choices, never as a ``KeyError`` deep inside the preset tables.
 
 The stage order itself is explicit and reorderable: the default runs
 symmetry detection *after* clause simplification (the cheaper order —
@@ -98,9 +96,7 @@ class SolveConfig:
     solver and the results recombine as the max over components.
 
     ``racers`` names the engines the ``portfolio`` backend races
-    (``"backend"`` or ``"backend:strategy"`` specs); ``share_clauses``
-    additionally exchanges short learned clauses between the portfolio's
-    CDCL racers.
+    (``"backend"`` or ``"backend:strategy"`` specs).
     """
 
     backend: str = "pb-pbs2"
@@ -108,10 +104,8 @@ class SolveConfig:
     time_limit: Optional[float] = None
     conflict_limit: Optional[int] = None
     incremental: bool = True
-    use_bounds: bool = True
     split_components: bool = True
     racers: Tuple[str, ...] = DEFAULT_RACERS
-    share_clauses: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy is not None:
@@ -198,10 +192,8 @@ class PipelineConfig:
             "time_limit": self.solve.time_limit,
             "conflict_limit": self.solve.conflict_limit,
             "incremental": self.solve.incremental,
-            "use_bounds": self.solve.use_bounds,
             "split_components": self.solve.split_components,
             "racers": self.solve.racers,
-            "share_clauses": self.solve.share_clauses,
             "prep_fraction": self.budget.prep_fraction,
             "order": self.order,
         }

@@ -1,10 +1,10 @@
 """The :class:`Pipeline` builder and the staged execution engine.
 
 A pipeline is a validated :class:`~repro.api.config.PipelineConfig`
-plus a fluent builder over it.  ``Pipeline().symmetry(sbp_kind="nu+sc")
-.solve(backend="pb-pbs2", time_limit=60).run(problem)`` replaces the
-old 10-kwarg entry points; every stage is explicit, individually
-configurable and (for the formula stages) reorderable.
+plus a fluent builder over it: ``Pipeline().symmetry(sbp_kind="nu+sc")
+.solve(backend="pb-pbs2", time_limit=60).run(problem)``.  Every stage
+is explicit, individually configurable and (for the formula stages)
+reorderable.
 
 :func:`run_optimize_flow` is the staged interpreter behind every
 0-1-ILP backend: it executes ``reduce`` (kernelization + component
@@ -31,7 +31,6 @@ from ..coloring.encoding import (
     encode_coloring,
 )
 from ..coloring.reduce import Kernel, kernelize, lift
-from ..coloring.solve import PipelineInfo
 from ..coloring.verify import check_proper
 from ..graphs.cliques import clique_lower_bound
 from ..graphs.coloring_heuristics import dsatur
@@ -47,7 +46,14 @@ from .config import (
     ReduceConfig,
 )
 from .problems import CHROMATIC, DECISION, Problem
-from .results import ProgressEvent, Provenance, Result, RunContext, StageStat
+from .results import (
+    PipelineInfo,
+    ProgressEvent,
+    Provenance,
+    Result,
+    RunContext,
+    StageStat,
+)
 
 
 class Pipeline:
@@ -91,7 +97,7 @@ class Pipeline:
     def solve(self, **kwargs: object) -> "Pipeline":
         """Configure the solve stage (``backend``, ``strategy``,
         ``time_limit``, ``conflict_limit``, ``incremental``,
-        ``use_bounds``)."""
+        ``split_components``, ``racers``)."""
         return self._replace(solve=replace(self._config.solve, **kwargs))
 
     def budget(self, **kwargs: object) -> "Pipeline":
@@ -482,7 +488,7 @@ def _run_formula_stages(
     solve_cfg = config.solve
     upper = None
     lower = 0
-    if solve_cfg.use_bounds and not decision:
+    if not decision:
         _, heuristic_colors = dsatur(graph)
         if heuristic_colors <= budget:
             upper = heuristic_colors

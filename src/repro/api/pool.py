@@ -42,7 +42,6 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from ..coloring.reduce import Kernel, kernelize, lift
-from ..coloring.solve import PipelineInfo
 from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
@@ -50,7 +49,14 @@ from ..resilience import Deadline
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT, SolverStats
 from .config import PipelineConfig
 from .pipeline import reduce_report
-from .results import ComponentTrace, ProgressEvent, Result, RunContext, StageStat
+from .results import (
+    ComponentTrace,
+    PipelineInfo,
+    ProgressEvent,
+    Result,
+    RunContext,
+    StageStat,
+)
 from .session import Session
 
 

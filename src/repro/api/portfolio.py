@@ -10,31 +10,22 @@ named in ``SolveConfig.racers`` (``"backend"`` or
 worker process, and the first conclusive answer (optimum proved, or
 infeasibility proved) cancels the rest through the shared stop event.
 
-Racers cooperate while they compete:
+Racers cooperate while they compete through **bound exchange**: every
+racer publishes the bounds it proves to a queue (a SAT coloring at K is
+``ub = K`` for everyone, a refuted K is ``lb = K + 1``); the parent
+folds them into shared ``ub``/``lb`` values that racers poll in their
+cancel predicates, so the race also ends when the *combined* bounds
+meet — even if no single racer proved both sides.
+``cdcl-incremental`` racers publish per-K-query (they ride a
+:class:`~repro.api.Session`, whose progress events carry each query's
+outcome); the one-shot engines publish their final bounds.
 
-* **bound exchange** — every racer publishes the bounds it proves to a
-  queue (a SAT coloring at K is ``ub = K`` for everyone, a refuted K is
-  ``lb = K + 1``); the parent folds them into shared ``ub``/``lb``
-  values that racers poll in their cancel predicates, so the race also
-  ends when the *combined* bounds meet — even if no single racer
-  proved both sides.  ``cdcl-incremental`` racers publish per-K-query
-  (they ride a :class:`~repro.api.Session`, whose progress events
-  carry each query's outcome); the one-shot engines publish their
-  final bounds.
-* **clause sharing** (``SolveConfig.share_clauses``) — short learned
-  clauses flow between the ``cdcl-incremental`` racers through the
-  parent.  This is sound *only* because Session descents are
-  assumption-based: nothing is ever disabled at level 0, so every
-  learnt clause is implied by the (deterministically identical)
-  encoding alone; receivers additionally drop clauses mentioning
-  variables beyond their current horizon.
-
-Failure handling mirrors the component pool: a dying racer is retried
-once (:class:`~repro.resilience.RetryPolicy` classifies a death as
-transient), then dropped — the race continues with the survivors, and
-only a fully dead field yields UNKNOWN.  The ``racer`` fault-injection
-point fires at the top of every racer process, which is how the chaos
-suite kills a racer mid-race and watches the field recover.
+A dying racer is retried once (:class:`~repro.resilience.RetryPolicy`
+classifies a death as transient), then dropped — the race continues
+with the survivors, and only a fully dead field yields UNKNOWN.  The
+``racer`` fault-injection point fires at the top of every racer
+process, which is how the chaos suite kills a racer mid-race and
+watches the field recover.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..coloring.verify import check_proper
 from ..obs.hooks import active_tracer
@@ -59,14 +50,8 @@ from .results import Result, RunContext, StageStat
 #: racer is dropped and the race continues with the survivors.
 _RACER_RETRIES = 1
 
-#: Clause sharing exports learnt clauses of at most this many literals
-#: (short clauses prune the most per byte), at most this many per
-#: ``solve()`` call.
-_SHARE_MAX_LEN = 4
-_SHARE_BATCH = 64
-
-#: The Session-routed racer (per-query bound publication + clause
-#: sharing); every other engine races through its backend's run().
+#: The Session-routed racer (per-query bound publication); every other
+#: engine races through its backend's run().
 _SESSION_RACER = "cdcl-incremental"
 
 
@@ -82,57 +67,6 @@ def _race_decided(ub_val, lb_val) -> bool:
     return ub > 0 and lb_val.value >= ub
 
 
-def _install_clause_sharing(index: int, inbox, outbox) -> None:
-    """Wrap the racer's solver factory seam for clause exchange.
-
-    Every ``solve()`` call first drains the inbox (clauses from sibling
-    racers, dropped unless every variable is within this solver's
-    current horizon — see the module docstring for why that makes the
-    exchange sound), then exports its own fresh short learnt clauses.
-    """
-    from ..sat import factory
-
-    seen: set = set()
-    previous = None
-
-    def sharing_factory(*args, **kwargs):
-        solver = previous(*args, **kwargs)
-        inner_solve = solver.solve
-
-        def solve(*sargs, **skwargs):
-            while True:
-                try:
-                    clause = inbox.get_nowait()
-                except queue_mod.Empty:
-                    break
-                if clause and max(abs(lit) for lit in clause) <= solver.num_vars:
-                    seen.add(tuple(sorted(clause)))
-                    solver.add_clause(list(clause))
-            result = inner_solve(*sargs, **skwargs)
-            exported: List[Tuple[int, ...]] = []
-            for learnt in solver.learned:
-                if len(learnt) > _SHARE_MAX_LEN:
-                    continue
-                key = tuple(sorted(learnt))
-                if key in seen:
-                    continue
-                seen.add(key)
-                exported.append(tuple(learnt))
-                if len(exported) >= _SHARE_BATCH:
-                    break
-            if exported:
-                try:
-                    outbox.put((index, exported))
-                except (BrokenPipeError, OSError):
-                    pass
-            return result
-
-        solver.solve = solve
-        return solver
-
-    previous = factory.set_solver_factory(sharing_factory)
-
-
 def _run_session_racer(payload, cancelled, publish):
     """A ``cdcl-incremental`` chromatic racer on a whole-graph Session.
 
@@ -145,9 +79,6 @@ def _run_session_racer(payload, cancelled, publish):
 
     index = payload["index"]
     config: PipelineConfig = payload["config"]
-    if payload["share"]:
-        _install_clause_sharing(
-            index, payload["clause_in"], payload["clause_out"])
 
     def on_progress(event) -> None:
         if event.stage != "query" or event.k is None or event.status is None:
@@ -208,12 +139,12 @@ class PortfolioBackend(Backend):
     """Race the configured engines; first conclusive answer wins.
 
     See the module docstring for the cooperation protocol (bound
-    exchange, optional clause sharing) and the failure model (retry
-    once, then drop the racer).  The merged Result is the winner's,
-    with a ``race`` stage recording the field, the winner, how many
-    racers were cancelled, and the final shared bounds; when no racer
-    is individually conclusive the best verified coloring is returned,
-    upgraded to OPTIMAL if the *combined* published bounds met it.
+    exchange) and the failure model (retry once, then drop the racer).
+    The merged Result is the winner's, with a ``race`` stage recording
+    the field, the winner, how many racers were cancelled, and the
+    final shared bounds; when no racer is individually conclusive the
+    best verified coloring is returned, upgraded to OPTIMAL if the
+    *combined* published bounds met it.
     """
 
     name = "portfolio"
@@ -252,14 +183,13 @@ class PortfolioBackend(Backend):
 
 def _racer_config(config: PipelineConfig, name: str,
                   strategy: Optional[str]) -> PipelineConfig:
-    """The racer's own config: its backend, no nested fan-out."""
+    """The racer's own config: its backend and strategy."""
     from dataclasses import replace
 
     return config.with_stage(solve=replace(
         config.solve,
         backend=name,
         strategy=strategy if strategy is not None else config.solve.strategy,
-        share_clauses=False,
     ))
 
 
@@ -274,18 +204,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     ub_val = mp_ctx.Value("i", 0)
     lb_val = mp_ctx.Value("i", 0)
     publish = mp_ctx.Queue()
-    session_racers = [
-        i for i, (name, _) in enumerate(parsed) if name == _SESSION_RACER
-    ]
-    share = (
-        config.solve.share_clauses
-        and problem.kind == CHROMATIC
-        and len(session_racers) >= 2
-    )
-    clause_bus = mp_ctx.Queue() if share else None
-    inboxes: Dict[int, object] = (
-        {i: mp_ctx.Queue() for i in session_racers} if share else {}
-    )
     registry = get_registry()
     tracer = active_tracer()
     registry.inc("race_runs_total")
@@ -310,9 +228,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
             "config": _racer_config(config, name, strategy),
             "k": getattr(problem, "k", None),
             "max_colors": getattr(problem, "max_colors", None),
-            "share": share and index in inboxes,
-            "clause_in": inboxes.get(index),
-            "clause_out": clause_bus,
         }
         flights[index] = Worker(
             _run_racer, (payload, stop_event, ub_val, lb_val, publish),
@@ -341,26 +256,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
             if tracer is not None:
                 tracer.race_bound(racer, kind, value)
 
-    def relay_clauses() -> None:
-        if clause_bus is None:
-            return
-        while True:
-            try:
-                source, clauses = clause_bus.get_nowait()
-            except queue_mod.Empty:
-                break
-            except (EOFError, OSError):
-                break
-            registry.inc("race_clauses_shared_total", amount=len(clauses))
-            for index, inbox in inboxes.items():
-                if index == source:
-                    continue
-                for clause in clauses:
-                    try:
-                        inbox.put(clause)
-                    except (BrokenPipeError, OSError):
-                        pass
-
     def conclusive(result: Result) -> bool:
         if problem.kind == DECISION:
             return result.status in (SAT, UNSAT)
@@ -376,7 +271,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
         if ctx.cancelled():
             stop_event.set()
         drain_bounds()
-        relay_clauses()
         wait_any(flights.values(), timeout=0.1)
         for index, worker in list(flights.items()):
             reported = worker.poll()

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..coloring.solve import PipelineInfo
 from ..obs.hooks import active_tracer
 from ..resilience import Deadline
 from ..resilience.faults import fire as _fire_fault
+from ..sat.preprocessing import SimplifyStats
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNSAT, SolverStats
 from ..symmetry.detect import SymmetryReport
 
@@ -34,6 +34,19 @@ class StageStat:
     name: str
     seconds: float = 0.0
     details: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class PipelineInfo:
+    """What the simplification stages did during one solve."""
+
+    preprocess: bool = False
+    reduce: bool = False
+    simplify: Optional[SimplifyStats] = None
+    original_vertices: int = 0
+    kernel_vertices: int = 0
+    peeled_vertices: int = 0
+    components_solved: int = 0
 
 
 @dataclass

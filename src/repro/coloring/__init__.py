@@ -40,25 +40,15 @@ from .sat_pipeline import (
     encode_k_coloring_incremental,
     sat_k_colorable,
 )
-from .solve import (
-    ColoringSolveResult,
-    PipelineInfo,
-    SOLVER_NAMES,
-    find_chromatic_number,
-    prepare_formula,
-    solve_coloring,
-)
 from .verify import check_proper, color_class_sizes, is_proper
 
 __all__ = [
     "ColoringEncoding",
-    "ColoringSolveResult",
     "CoudertResult",
     "ExactColoringResult",
     "IncrementalKSearch",
     "Kernel",
     "MTResult",
-    "PipelineInfo",
     "count_colorings",
     "distinct_colorings",
     "enumerate_models",
@@ -68,7 +58,6 @@ __all__ = [
     "peel_low_degree",
     "NECSPOptimum",
     "NECSPResult",
-    "SOLVER_NAMES",
     "SatPipelineResult",
     "build_mt_formula",
     "chromatic_number_sat",
@@ -88,10 +77,7 @@ __all__ = [
     "encode_coloring",
     "encode_k_coloring_incremental",
     "exact_chromatic_number",
-    "find_chromatic_number",
     "is_proper",
     "normalize_coloring",
-    "prepare_formula",
-    "solve_coloring",
     "used_colors",
 ]

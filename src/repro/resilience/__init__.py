@@ -7,8 +7,8 @@ undivided deadline, and the batch runner hard-coded its retry-on-death
 counter.  This package centralizes those concerns:
 
 * :class:`Deadline` (alias :data:`Budget`) — a monotonic-clock budget
-  with ``remaining()``/``expired()``, weighted child splits and a
-  swappable clock seam (the clock-skew fault hook).  All deadline
+  with ``remaining()``/``expired()``, child deadlines, weighted shares
+  and a swappable clock seam (the clock-skew fault hook).  All deadline
   arithmetic in the repo goes through it — enforced by the static
   checker's RPR007 rule.
 * :class:`RetryPolicy` — bounded retries with exponential backoff,

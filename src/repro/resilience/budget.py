@@ -11,11 +11,10 @@ used to live in ``pb/optimizer``, ``ilp/branch_and_bound`` and
 differently.
 
 Deadlines compose downward: :meth:`child` carves a sub-budget that can
-never outlive its parent, :meth:`split` divides the remaining budget
-across concurrent children by weight (with a floor slice so a tiny
-component is never starved to zero), and :meth:`share` computes one
-sequential consumer's weighted allotment so unused budget flows to the
-consumers after it.
+never outlive its parent, and :meth:`share` computes one sequential
+consumer's weighted allotment: unused budget flows to the consumers
+after it, and a floor slice keeps a tiny consumer from being starved
+to zero.
 
 The module-level clock is a seam (:func:`set_clock`), which is how the
 fault harness injects clock skew deterministically in tests without
@@ -25,7 +24,7 @@ sleeping.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 Clock = Callable[[], float]
 
@@ -105,34 +104,6 @@ class Deadline:
         if self._expiry is not None:
             expiry = min(expiry, self._expiry)
         return Deadline(expiry)
-
-    def split(
-        self, weights: Sequence[float], floor_fraction: float = 0.0
-    ) -> List["Deadline"]:
-        """Divide the remaining budget across concurrent children.
-
-        Child ``i`` gets ``remaining * weights[i] / sum(weights)``
-        seconds, but never less than ``remaining * floor_fraction`` (the
-        floor slice: a tiny component must still get a searchable
-        budget).  Children run concurrently, so the floor may push the
-        nominal total past ``remaining`` — every child is still clamped
-        by the parent's absolute expiry, so none can outlive it.  An
-        unbounded parent yields unbounded children.
-        """
-        if not 0.0 <= floor_fraction <= 1.0:
-            raise ValueError(
-                f"floor_fraction must be in [0, 1], got {floor_fraction}"
-            )
-        budget = self.remaining()
-        if budget is None:
-            return [Deadline(None) for _ in weights]
-        total = float(sum(weights))
-        out: List[Deadline] = []
-        for weight in weights:
-            seconds = budget * (weight / total) if total > 0 else 0.0
-            seconds = max(seconds, budget * floor_fraction)
-            out.append(self.child(seconds))
-        return out
 
     def share(
         self, weight: float, total_weight: float, floor_fraction: float = 0.0

@@ -9,12 +9,11 @@ Covers the API-redesign contract:
   new backend requires no call-site changes;
 * pipelines are immutable builders, stages are reorderable, and every
   result carries per-stage stats and provenance;
-* the legacy entry points are deprecation shims that agree with the
-  API, including the ``max_colors=0`` infeasibility regression.
+* a color budget or cap below the chromatic number is UNSAT, never
+  silently loosened (``max_colors=0`` included).
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -300,9 +299,11 @@ def test_detection_cache_never_serves_a_relabeled_copy():
 
 # ----------------------------------------------------- budgets / infeasibility
 def test_zero_budget_is_unsat_not_one_color():
+    # A zero budget, and a cap below chi (4), must come back UNSAT:
+    # never clamped up to a budget the solver can meet.
     g = mycielski_graph(3)
     for problem in (ChromaticProblem(g, max_colors=0), BudgetedOptimize(g, 0),
-                    DecisionProblem(g, 0)):
+                    DecisionProblem(g, 0), ChromaticProblem(g, max_colors=3)):
         result = Pipeline().solve(backend="pb-pbs2").run(problem)
         assert result.status == "UNSAT", problem
         assert result.num_colors is None
@@ -310,37 +311,6 @@ def test_zero_budget_is_unsat_not_one_color():
     empty = ChromaticProblem(Graph(0), max_colors=0)
     result = Pipeline().solve(backend="pb-pbs2").run(empty)
     assert result.status == "OPTIMAL" and result.num_colors == 0
-
-
-def test_find_chromatic_number_zero_budget_regression():
-    # Regression: max_colors=0 used to be clamped to max(ub, 1) and
-    # silently "solved" with one color.
-    from repro.coloring.solve import find_chromatic_number
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        result = find_chromatic_number(mycielski_graph(3), max_colors=0)
-        assert result.status == "UNSAT"
-        assert result.num_colors is None
-        # A cap below chi is likewise infeasible, never loosened.
-        capped = find_chromatic_number(mycielski_graph(3), max_colors=3)
-        assert capped.status == "UNSAT"
-
-
-# ------------------------------------------------------------------- shims
-def test_legacy_entry_points_are_deprecation_shims():
-    from repro.coloring.solve import find_chromatic_number, solve_coloring
-
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy = solve_coloring(TRIANGLE_PLUS, 4, time_limit=30)
-    modern = Pipeline().reduce(False).solve(
-        backend="pb-pbs2", time_limit=30).run(BudgetedOptimize(TRIANGLE_PLUS, 4))
-    assert legacy.status == modern.status == "OPTIMAL"
-    assert legacy.num_colors == modern.num_colors == 3
-
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy_chi = find_chromatic_number(mycielski_graph(3), time_limit=60)
-    assert legacy_chi.status == "OPTIMAL" and legacy_chi.num_colors == 4
 
 
 def test_solve_problem_convenience():

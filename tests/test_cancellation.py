@@ -25,6 +25,7 @@ from repro.api import (
 )
 from repro.coloring.verify import is_proper
 from repro.core.formula import Formula
+from repro.graphs.graph import Graph
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.sat.cdcl import CDCLSolver
 
@@ -91,6 +92,26 @@ def test_pipeline_cancel_chromatic_descent_returns_best_so_far():
     # never got to prove optimality.
     assert result.num_colors is not None
     assert result.coloring is not None
+
+
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], name="P4")
+
+
+@pytest.mark.parametrize("graph", [PATH4, queens_graph(5, 5)],
+                         ids=["P4", "queen5_5"])
+@pytest.mark.parametrize(
+    "backend", ["cdcl-incremental", "cdcl-scratch", "pb-pbs2", "exact-dsatur"])
+def test_a_proved_chromatic_answer_is_not_cancelled(backend, graph):
+    # The cancel is already true, but bounds alone can settle these:
+    # P4 peels away entirely, and queen5_5's clique bound meets DSATUR
+    # before any K query.  A proved answer is never "cancelled"; an
+    # unproved one under this cancel always is.
+    result = (Pipeline()
+              .solve(backend=backend)
+              .run(ChromaticProblem(graph), cancel=lambda: True))
+    assert result.cancelled is not result.solved
+    if graph is PATH4:
+        assert result.status == "OPTIMAL" and result.num_colors == 2
 
 
 def test_pipeline_time_limit_chromatic_gives_unproved_bound():

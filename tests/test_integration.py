@@ -8,7 +8,8 @@ benchmark instances, with every SBP configuration.
 
 import pytest
 
-from repro.coloring import exact_chromatic_number, solve_coloring
+from repro.api import BudgetedOptimize, Pipeline
+from repro.coloring import exact_chromatic_number
 from repro.coloring.encoding import encode_coloring
 from repro.experiments.instances import get_instance
 from repro.graphs.coloring_heuristics import dsatur
@@ -19,12 +20,16 @@ from repro.symmetry.detect import detect_symmetries
 
 KNOWN_CHI = {"myciel3": 4, "myciel4": 5, "queen5_5": 5, "queen6_6": 7}
 
+#: The paper's 0-1 ILP flow on the whole graph (no kernelization).
+ILP = Pipeline().reduce(False)
+
 
 @pytest.mark.parametrize("name,chi", sorted(KNOWN_CHI.items()))
 def test_pipelines_agree_on_known_instances(name, chi):
     graph = get_instance(name).graph()
-    ilp = solve_coloring(graph, chi + 2, solver="pbs2", sbp_kind="nu+sc",
-                         time_limit=120)
+    ilp = (ILP.symmetry(sbp_kind="nu+sc")
+           .solve(backend="pbs2", time_limit=120)
+           .run(BudgetedOptimize(graph, chi + 2)))
     assert ilp.status == "OPTIMAL" and ilp.num_colors == chi
     bb = exact_chromatic_number(graph, time_limit=120)
     assert bb.optimal and bb.chromatic_number == chi
@@ -35,7 +40,8 @@ def test_pipelines_agree_on_known_instances(name, chi):
 def test_solvers_cross_agree_on_queen4_4():
     graph = queens_graph(4, 4)
     results = {
-        solver: solve_coloring(graph, 6, solver=solver, time_limit=60)
+        solver: ILP.solve(backend=solver, time_limit=60).run(
+            BudgetedOptimize(graph, 6))
         for solver in ("pbs2", "galena", "pueblo", "cplex-bb")
     }
     values = {r.num_colors for r in results.values()}
@@ -47,10 +53,9 @@ def test_solvers_cross_agree_on_queen4_4():
 @pytest.mark.parametrize("inst_dep", [False, True])
 def test_sbp_grid_consistent_on_myciel3(sbp, inst_dep):
     graph = mycielski_graph(3)
-    result = solve_coloring(
-        graph, 5, solver="pbs2", sbp_kind=sbp,
-        instance_dependent=inst_dep, time_limit=120,
-    )
+    result = (ILP.symmetry(sbp_kind=sbp, instance_dependent=inst_dep)
+              .solve(backend="pbs2", time_limit=120)
+              .run(BudgetedOptimize(graph, 5)))
     assert result.status == "OPTIMAL"
     assert result.num_colors == 4
     assert graph.is_proper_coloring(result.coloring)
@@ -73,7 +78,8 @@ def test_symmetry_counts_shrink_with_sbps():
 def test_unsat_instances_unsat_for_every_solver():
     graph = mycielski_graph(4)  # chi = 5
     for solver in ("pbs2", "pueblo", "cplex-bb"):
-        result = solve_coloring(graph, 4, solver=solver, time_limit=60)
+        result = ILP.solve(backend=solver, time_limit=60).run(
+            BudgetedOptimize(graph, 4))
         assert result.status == "UNSAT", solver
 
 
@@ -81,10 +87,11 @@ def test_optimum_invariant_under_generator_sbps():
     """Adding lex-leader SBPs from detected generators never changes the
     optimum, for every instance-independent base construction."""
     graph = queens_graph(4, 4)
+    base = ILP.solve(backend="pbs2", time_limit=120)
     for kind in ("none", "nu", "nu+sc"):
-        plain = solve_coloring(graph, 5, sbp_kind=kind, time_limit=120)
-        broken = solve_coloring(graph, 5, sbp_kind=kind,
-                                instance_dependent=True, time_limit=120)
+        plain = base.symmetry(sbp_kind=kind).run(BudgetedOptimize(graph, 5))
+        broken = base.symmetry(sbp_kind=kind, instance_dependent=True).run(
+            BudgetedOptimize(graph, 5))
         assert plain.status == broken.status == "OPTIMAL"
         assert plain.num_colors == broken.num_colors
 

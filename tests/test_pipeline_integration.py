@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import DecisionProblem, Pipeline
+from repro.api import BudgetedOptimize, ChromaticProblem, DecisionProblem, Pipeline
 from repro.coloring.sat_pipeline import chromatic_number_sat, sat_k_colorable
-from repro.coloring.solve import find_chromatic_number, solve_coloring
 from repro.graphs.generators import (
     book_graph,
     interference_graph,
@@ -30,12 +29,16 @@ SPARSE_INSTANCES = [
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
 ]
 
+#: The 0-1 ILP chromatic-number flow with NU SBPs; kernelization and
+#: simplification are on by default.
+CHI = Pipeline().symmetry(sbp_kind="nu").solve(backend="pbs2", time_limit=60)
+
 
 @pytest.mark.parametrize("name,make", SPARSE_INSTANCES)
 def test_pipeline_preserves_chromatic_number(name, make):
     graph = make()
-    raw = find_chromatic_number(graph, preprocess=False, reduce=False, time_limit=60)
-    piped = find_chromatic_number(graph, time_limit=60)
+    raw = CHI.reduce(False).simplify(False).run(ChromaticProblem(graph))
+    piped = CHI.run(ChromaticProblem(graph))
     assert piped.status == raw.status == "OPTIMAL"
     assert piped.num_colors == raw.num_colors
     assert graph.is_proper_coloring(piped.coloring)
@@ -43,7 +46,7 @@ def test_pipeline_preserves_chromatic_number(name, make):
 
 def test_default_pipeline_engages_on_sparse_graph():
     graph = book_graph(40, 90, seed=3)
-    result = find_chromatic_number(graph, time_limit=60)
+    result = CHI.run(ChromaticProblem(graph))
     info = result.pipeline
     assert info is not None and info.reduce and info.preprocess
     # Sparse book graphs peel away entirely at the clique bound.
@@ -52,7 +55,9 @@ def test_default_pipeline_engages_on_sparse_graph():
 
 
 def test_preprocess_reports_simplification_on_dense_graph():
-    result = solve_coloring(queens_graph(4, 4), 5, sbp_kind="nu+sc", time_limit=60)
+    result = (Pipeline().reduce(False).symmetry(sbp_kind="nu+sc")
+              .solve(backend="pbs2", time_limit=60)
+              .run(BudgetedOptimize(queens_graph(4, 4), 5)))
     info = result.pipeline
     assert info is not None and info.simplify is not None
     # The SC units must fold into the clause database.
@@ -63,7 +68,8 @@ def test_preprocess_reports_simplification_on_dense_graph():
 
 def test_reduced_unsat_budget():
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    result = solve_coloring(k4, 3, reduce=True, time_limit=30)
+    result = Pipeline().solve(backend="pbs2", time_limit=30).run(
+        BudgetedOptimize(k4, 3))
     assert result.status == "UNSAT" and result.num_colors is None
 
 
@@ -74,7 +80,8 @@ def test_reduced_components_colored_independently():
     for base in (0, 4):
         edges += [(base + i, base + j) for i in range(4) for j in range(i + 1, 4)]
     g = Graph.from_edges(8, edges)
-    result = solve_coloring(g, 5, reduce=True, time_limit=60)
+    result = Pipeline().solve(backend="pbs2", time_limit=60).run(
+        BudgetedOptimize(g, 5))
     assert result.status == "OPTIMAL"
     assert result.num_colors == 4
     assert g.is_proper_coloring(result.coloring)

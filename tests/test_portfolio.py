@@ -7,8 +7,8 @@ conclusive result is exactly what the reference engine
 sound and complete on the kinds it supports.  The tests here check
 that contract differentially, plus the structural pieces: the race
 stage record (winner, cancellations, exchanged bounds), first-
-conclusive-cancels-the-rest, validation, and the clause-sharing
-variant.
+conclusive-cancels-the-rest, validation, and a race between two
+Session-routed CDCL racers.
 """
 
 import pytest
@@ -90,16 +90,15 @@ def test_portfolio_decision_queries(k, expected):
         assert len(set(raced.coloring.values())) <= k
 
 
-def test_portfolio_clause_sharing_matches_reference():
-    """CDCL-vs-CDCL racing with learned-clause exchange stays sound:
-    the descents are assumption-only, so every exported clause is
-    implied by the shared formula."""
+def test_portfolio_two_session_racers_match_reference():
+    """Two Session-routed CDCL descents (linear and binary) race each
+    other and the DSATUR search, exchanging per-query bounds; the
+    merged answer is the reference optimum."""
     graph = get_instance("myciel4").graph()
     raced = race(
         ChromaticProblem(graph),
         racers=("cdcl-incremental:linear", "cdcl-incremental:binary",
                 "exact-dsatur"),
-        share_clauses=True,
     )
     ref = reference(ChromaticProblem(graph))
     assert raced.status == "OPTIMAL"

@@ -130,23 +130,6 @@ def test_deadline_child_never_outlives_parent(clock):
     assert Deadline.unbounded().child(5.0).remaining() == 5.0
 
 
-def test_deadline_split_is_weighted_with_a_floor_slice(clock):
-    deadline = Deadline.after(8.0)
-    a, b, c = deadline.split([6.0, 1.0, 1.0], floor_fraction=0.25)
-    assert a.remaining() == 6.0  # 6/8 of the budget
-    assert b.remaining() == 2.0  # floored up from 1.0 to 8 * 0.25
-    assert c.remaining() == 2.0
-    # Zero total weight: everything floors.
-    zeros = deadline.split([0.0, 0.0], floor_fraction=0.25)
-    assert [d.remaining() for d in zeros] == [2.0, 2.0]
-    # Unbounded parent yields unbounded children.
-    assert all(
-        not d.bounded for d in Deadline.unbounded().split([1.0, 2.0])
-    )
-    with pytest.raises(ValueError, match="floor_fraction"):
-        deadline.split([1.0], floor_fraction=1.5)
-
-
 def test_deadline_share_lets_unused_budget_flow_forward(clock):
     deadline = Deadline.after(10.0)
     # First of two equal sequential consumers gets half...

@@ -70,11 +70,13 @@ def test_empty_graph():
 
 
 def test_sat_pipeline_agrees_with_ilp_pipeline():
-    from repro.coloring.solve import solve_coloring
+    from repro.api import BudgetedOptimize, Pipeline
 
     g = queens_graph(4, 4)
     sat_result = chromatic_number_sat(g, sbp_kind="nu", time_limit=60)
-    ilp_result = solve_coloring(g, 6, sbp_kind="nu", time_limit=60)
+    ilp_result = (Pipeline().reduce(False).symmetry(sbp_kind="nu")
+                  .solve(backend="pbs2", time_limit=60)
+                  .run(BudgetedOptimize(g, 6)))
     assert sat_result.chromatic_number == ilp_result.num_colors == 5
 
 

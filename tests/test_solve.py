@@ -1,22 +1,25 @@
-"""High-level solve pipeline tests: all solvers, SBPs, agreement."""
+"""High-level solve pipeline tests: all solvers, SBPs, agreement.
+
+Budgeted runs use the paper's 0-1 ILP flow on the whole graph (no
+kernelization); chromatic-number runs add NU SBPs and kernelize.
+"""
 
 import pytest
 
-from repro.coloring.solve import (
-    SOLVER_NAMES,
-    find_chromatic_number,
-    prepare_formula,
-    solve_coloring,
-)
+from repro.api import BudgetedOptimize, ChromaticProblem, Pipeline
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.graphs.graph import Graph
 
 TRIANGLE_PLUS = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], name="fig1")
 
+#: The 0-1 ILP flow on the whole graph, as the paper runs it.
+ILP = Pipeline().reduce(False)
 
-@pytest.mark.parametrize("solver", SOLVER_NAMES)
+
+@pytest.mark.parametrize("solver", ["pbs2", "galena", "pueblo", "cplex-bb"])
 def test_all_solvers_agree_on_figure1(solver):
-    result = solve_coloring(TRIANGLE_PLUS, 4, solver=solver, time_limit=30)
+    result = ILP.solve(backend=solver, time_limit=30).run(
+        BudgetedOptimize(TRIANGLE_PLUS, 4))
     assert result.status == "OPTIMAL"
     assert result.num_colors == 3
     assert TRIANGLE_PLUS.is_proper_coloring(result.coloring)
@@ -25,16 +28,17 @@ def test_all_solvers_agree_on_figure1(solver):
 @pytest.mark.parametrize("sbp", ["none", "nu", "ca", "li", "sc", "nu+sc"])
 def test_all_sbps_agree_on_myciel3(sbp):
     g = mycielski_graph(3)
-    result = solve_coloring(g, 5, solver="pbs2", sbp_kind=sbp, time_limit=60)
+    result = (ILP.symmetry(sbp_kind=sbp).solve(backend="pbs2", time_limit=60)
+              .run(BudgetedOptimize(g, 5)))
     assert result.status == "OPTIMAL" and result.num_colors == 4
 
 
 def test_instance_dependent_sbps_sound():
     g = queens_graph(4, 4)
-    base = solve_coloring(g, 6, solver="pbs2", time_limit=60)
-    with_sbps = solve_coloring(
-        g, 6, solver="pbs2", instance_dependent=True, time_limit=60
-    )
+    pipeline = ILP.solve(backend="pbs2", time_limit=60)
+    base = pipeline.run(BudgetedOptimize(g, 6))
+    with_sbps = pipeline.symmetry(instance_dependent=True).run(
+        BudgetedOptimize(g, 6))
     assert base.status == with_sbps.status == "OPTIMAL"
     assert base.num_colors == with_sbps.num_colors == 5
     assert with_sbps.detection is not None
@@ -43,50 +47,44 @@ def test_instance_dependent_sbps_sound():
 
 def test_detection_cache_reused():
     g = queens_graph(4, 4)
+    pipeline = ILP.symmetry(instance_dependent=True).solve(
+        backend="pbs2", time_limit=60)
     cache = {}
-    solve_coloring(g, 5, instance_dependent=True, time_limit=60, detection_cache=cache)
+    pipeline.run(BudgetedOptimize(g, 5), detection_cache=cache)
     assert len(cache) == 1
     report = next(iter(cache.values()))
-    solve_coloring(g, 5, instance_dependent=True, time_limit=60, detection_cache=cache)
+    pipeline.run(BudgetedOptimize(g, 5), detection_cache=cache)
     assert next(iter(cache.values())) is report
 
 
 def test_unsat_when_budget_too_small():
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    result = solve_coloring(k4, 3, solver="pbs2", time_limit=30)
+    result = ILP.solve(backend="pbs2", time_limit=30).run(BudgetedOptimize(k4, 3))
     assert result.status == "UNSAT"
     assert result.num_colors is None
 
 
 def test_unknown_solver_rejected():
     with pytest.raises(ValueError):
-        solve_coloring(TRIANGLE_PLUS, 3, solver="cplex")
-
-
-def test_prepare_formula_shapes():
-    encoding, report = prepare_formula(TRIANGLE_PLUS, 3, sbp_kind="nu")
-    assert report is None
-    assert len(encoding.formula.clauses) > 0
-    encoding, report = prepare_formula(
-        TRIANGLE_PLUS, 3, instance_dependent=True
-    )
-    assert report is not None
+        ILP.solve(backend="cplex")
 
 
 def test_find_chromatic_number_defaults():
-    result = find_chromatic_number(mycielski_graph(3), time_limit=60)
+    result = (Pipeline().symmetry(sbp_kind="nu").solve(backend="pbs2", time_limit=60)
+              .run(ChromaticProblem(mycielski_graph(3))))
     assert result.status == "OPTIMAL"
     assert result.num_colors == 4
 
 
 def test_find_chromatic_number_empty_graph():
-    result = find_chromatic_number(Graph(0))
+    result = (Pipeline().symmetry(sbp_kind="nu").solve(backend="pbs2")
+              .run(ChromaticProblem(Graph(0))))
     assert result.num_colors == 0
 
 
 def test_timeout_reports_unknown_or_sat():
     g = queens_graph(6, 6)
-    result = solve_coloring(g, 9, solver="pbs2", time_limit=0.05)
+    result = ILP.solve(backend="pbs2", time_limit=0.05).run(BudgetedOptimize(g, 9))
     assert result.status in ("UNKNOWN", "SAT", "OPTIMAL")
 
 
@@ -98,10 +96,9 @@ def test_symmetry_detection_after_simplification_same_answers():
     cases = [(mycielski_graph(3), 4), (queens_graph(4, 4), 5)]
     for graph, chi in cases:
         for preprocess in (True, False):
-            result = solve_coloring(
-                graph, chi + 1, solver="pbs2", instance_dependent=True,
-                preprocess=preprocess, time_limit=60,
-            )
+            result = (ILP.symmetry(instance_dependent=True).simplify(preprocess)
+                      .solve(backend="pbs2", time_limit=60)
+                      .run(BudgetedOptimize(graph, chi + 1)))
             assert result.status == "OPTIMAL", (graph.name, preprocess)
             assert result.num_colors == chi, (graph.name, preprocess)
             assert result.detection is not None
@@ -111,10 +108,9 @@ def test_detection_on_simplified_formula_still_finds_symmetries():
     # The simplified queens encoding keeps its color symmetry; the
     # detector must still report generators after the reorder.
     g = queens_graph(4, 4)
-    result = solve_coloring(
-        g, 6, solver="pbs2", instance_dependent=True, preprocess=True,
-        time_limit=60,
-    )
+    result = (ILP.symmetry(instance_dependent=True).simplify(True)
+              .solve(backend="pbs2", time_limit=60)
+              .run(BudgetedOptimize(g, 6)))
     assert result.detection is not None
     assert result.detection.num_generators > 0
 
@@ -123,7 +119,8 @@ def test_binary_solver_profiles_incremental_matches_fresh():
     # The pueblo preset uses the binary optimization strategy; the
     # persistent-solver bisection must agree with fresh-solver probes.
     g = queens_graph(4, 4)
-    inc = solve_coloring(g, 6, solver="pueblo", incremental=True, time_limit=60)
-    fresh = solve_coloring(g, 6, solver="pueblo", incremental=False, time_limit=60)
+    pueblo = ILP.solve(backend="pueblo", time_limit=60)
+    inc = pueblo.solve(incremental=True).run(BudgetedOptimize(g, 6))
+    fresh = pueblo.solve(incremental=False).run(BudgetedOptimize(g, 6))
     assert inc.status == fresh.status == "OPTIMAL"
     assert inc.num_colors == fresh.num_colors == 5

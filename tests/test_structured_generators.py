@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import BudgetedOptimize, Pipeline
 from repro.coloring.coudert import coudert_chromatic_number
 from repro.coloring.exact_dsatur import exact_chromatic_number
 from repro.coloring.necsp import necsp_chromatic_number
-from repro.coloring.solve import solve_coloring
 from repro.graphs.coloring_heuristics import greedy_coloring
 from repro.graphs.generators import (
     complete_multipartite,
@@ -13,6 +13,9 @@ from repro.graphs.generators import (
     kneser_graph,
     wheel_graph,
 )
+
+#: The paper's 0-1 ILP flow on the whole graph (no kernelization).
+ILP = Pipeline().reduce(False)
 
 
 def test_wheel_sizes():
@@ -27,7 +30,8 @@ def test_wheel_sizes():
 def test_wheel_chromatic(spokes, chi):
     g = wheel_graph(spokes)
     assert exact_chromatic_number(g).chromatic_number == chi
-    result = solve_coloring(g, chi + 1, solver="pbs2", sbp_kind="nu", time_limit=60)
+    result = (ILP.symmetry(sbp_kind="nu").solve(backend="pbs2", time_limit=60)
+              .run(BudgetedOptimize(g, chi + 1)))
     assert result.num_colors == chi
 
 
@@ -66,7 +70,8 @@ def test_kneser_validation():
 def test_multipartite_chromatic(sizes, chi):
     g = complete_multipartite(sizes)
     assert exact_chromatic_number(g).chromatic_number == chi
-    result = solve_coloring(g, chi + 1, solver="pbs2", sbp_kind="nu+sc", time_limit=60)
+    result = (ILP.symmetry(sbp_kind="nu+sc").solve(backend="pbs2", time_limit=60)
+              .run(BudgetedOptimize(g, chi + 1)))
     assert result.num_colors == chi
 
 
@@ -78,7 +83,8 @@ def test_multipartite_validation():
 def test_kneser_62_through_ilp_pipeline():
     # chi(K(6,2)) = 4; a nontrivial instance for the full SBP pipeline.
     g = kneser_graph(6, 2)
-    result = solve_coloring(g, 6, solver="pbs2", sbp_kind="nu+sc",
-                            instance_dependent=True, time_limit=120)
+    result = (ILP.symmetry(sbp_kind="nu+sc", instance_dependent=True)
+              .solve(backend="pbs2", time_limit=120)
+              .run(BudgetedOptimize(g, 6)))
     assert result.status == "OPTIMAL"
     assert result.num_colors == 4

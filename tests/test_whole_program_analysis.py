@@ -1,6 +1,6 @@
 """The whole-program layer of ``repro.analysis``: fact extraction, the
 project call graph, the interprocedural rules RPR008–RPR010, and the
-incremental facts cache.
+CLI surface.
 
 Fixture-driven like the per-file suite, but each scenario is a
 *multi-module tree* under ``tests/analysis_fixtures/proj/<scenario>/``
@@ -23,7 +23,6 @@ from repro.analysis import (
     build_call_graph,
     extract_module_facts,
     package_rel,
-    render_json,
     run_project,
 )
 from repro.analysis.core import SourceFile
@@ -201,70 +200,14 @@ def test_facts_extraction_classifies_params_and_calls():
     assert not call.passes_stop
 
 
-# --------------------------------------------------------------------------
-# Incremental cache
-# --------------------------------------------------------------------------
-
-
-def test_warm_cache_extracts_nothing_and_reports_identically(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cold = run_project([PROJ / "rpr008_drop"], cache_dir=cache_dir)
-    assert cold.stats.extracted == 2 and cold.stats.cached == 0
-    warm = run_project([PROJ / "rpr008_drop"], cache_dir=cache_dir)
-    assert warm.stats.extracted == 0 and warm.stats.cached == 2
-    assert render_json(cold.files, []) == render_json(warm.files, [])
-    assert all(r.from_cache for r in warm.files)
-
-
-def test_editing_one_file_invalidates_only_that_entry(tmp_path):
-    tree = tmp_path / "case"
-    shutil.copytree(PROJ / "rpr008_forward_ok", tree)
-    cache_dir = tmp_path / "cache"
-    run_project([tree], cache_dir=cache_dir)
-    facade = tree / "repro" / "api" / "facade.py"
-    facade.write_text(
-        facade.read_text().replace(
-            "search(formula, should_stop=should_stop)", "search(formula)"
-        )
-    )
-    second = run_project([tree], cache_dir=cache_dir)
-    assert second.stats.extracted == 1 and second.stats.cached == 1
-    # The edit reintroduced the module-boundary drop; cached facts for
-    # the *other* file still feed the graph correctly.
-    findings = [f for r in second.files for f in r.findings]
-    assert [f.rule_id for f in findings] == ["RPR008"]
-
-
-def test_corrupt_cache_store_degrades_to_cold_run(tmp_path):
-    cache_dir = tmp_path / "cache"
-    run_project([PROJ / "rpr008_drop"], cache_dir=cache_dir)
-    (cache_dir / "facts.json").write_text("{not json")
-    report = run_project([PROJ / "rpr008_drop"], cache_dir=cache_dir)
-    assert report.stats.extracted == 2
-    findings = [f for r in report.files for f in r.findings]
-    assert [f.rule_id for f in findings] == ["RPR008"]
-
-
-def test_rule_selection_change_invalidates_cache(tmp_path):
-    cache_dir = tmp_path / "cache"
-    run_project([PROJ / "rpr008_drop"], cache_dir=cache_dir)
-    narrowed = run_project(
-        [PROJ / "rpr008_drop"], ["RPR002", "RPR008"], cache_dir=cache_dir
-    )
-    assert narrowed.stats.extracted == 2  # different rules_key: no reuse
+def test_narrowed_rule_selection_still_reports_rpr008():
+    narrowed = run_project([PROJ / "rpr008_drop"], ["RPR002", "RPR008"])
     findings = [f for r in narrowed.files for f in r.findings]
     assert [f.rule_id for f in findings] == ["RPR008"]
 
 
-def test_parallel_extraction_matches_serial(tmp_path):
-    serial = run_project([PROJ / "rpr010_chain"])
-    parallel = run_project([PROJ / "rpr010_chain"], jobs=2)
-    assert render_json(serial.files, []) == render_json(parallel.files, [])
-    assert serial.graph.to_dict() == parallel.graph.to_dict()
-
-
 # --------------------------------------------------------------------------
-# CLI surface (--cache-dir / --jobs / --graph / stats line)
+# CLI surface (--graph / stats line)
 # --------------------------------------------------------------------------
 
 
@@ -284,16 +227,6 @@ def test_cli_interprocedural_finding_and_stats_line():
     assert proc.returncode == 1
     assert "RPR008" in proc.stdout
     assert "analyzed 2 file(s)" in proc.stderr
-    assert "2 extracted, 0 cached" in proc.stderr
-
-
-def test_cli_cache_warm_run_is_byte_identical(tmp_path):
-    cache = str(tmp_path / "cache")
-    cold = _cli("--json", "--cache-dir", cache, str(PROJ / "rpr010_chain"))
-    warm = _cli("--json", "--cache-dir", cache, str(PROJ / "rpr010_chain"))
-    assert cold.stdout == warm.stdout
-    assert "3 extracted" in cold.stderr
-    assert "0 extracted, 3 cached" in warm.stderr
 
 
 def test_cli_graph_export(tmp_path):
