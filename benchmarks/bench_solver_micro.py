@@ -161,54 +161,33 @@ def test_incremental_vs_scratch_descent(bench_json):
     )
 
 
-def test_component_pool_vs_whole_kernel_descent(bench_json):
-    """The pool-vs-whole-kernel head-to-head on a disconnected benchmark.
+def test_whole_kernel_descent_on_a_disjoint_union(bench_json):
+    """The persistent descent on a disconnected benchmark.
 
     A union of two registry instances (both triangle-free, so neither
-    dissolves under peeling) descends two ways: the per-component
-    Session pool (one persistent solver per component) and the
-    historical whole-kernel single solver.  Both must agree with the
-    from-scratch answer; the pool must create exactly one solver per
-    component, which the bench gate pins (a silent fallback to the
-    whole-kernel path would report 1).
+    dissolves under peeling) leaves a two-component kernel.  One
+    persistent solver descends over the whole kernel; it must agree
+    with the from-scratch answer and create exactly one solver, which
+    the bench gate pins along with its conflict count.
     """
     graph = disjoint_union(
         get_instance("myciel3").graph(), get_instance("myciel4").graph()
     )
     records = {}
-    for split, label in ((True, "pool"), (False, "whole-kernel")):
+    for incremental in (True, False):
         record = run_descent(
-            f"myciel3+myciel4[{label}]", graph, strategy="linear",
-            incremental=True, time_limit=120, split_components=split,
+            "myciel3+myciel4", graph, strategy="linear",
+            incremental=incremental, time_limit=120,
         )
-        assert record.status == "OPTIMAL", label
-        assert record.chromatic_number == 5, label
-        records[label] = record
+        assert record.status == "OPTIMAL", incremental
+        assert record.chromatic_number == 5, incremental
+        records[incremental] = record
         fields = record.as_json()
         fields.pop("instance")
-        bench_json.add(f"descent-pool-union-{label}", **fields)
-    pool, whole = records["pool"], records["whole-kernel"]
-    assert pool.components == 2 and pool.solvers_created == 2
-    assert whole.components == 1 and whole.solvers_created <= 1
-    scratch = run_descent(
-        "myciel3+myciel4[scratch]", graph, strategy="linear",
-        incremental=False, time_limit=120,
-    )
-    assert scratch.status == "OPTIMAL"
-    assert scratch.chromatic_number == pool.chromatic_number
-    bench_json.add(
-        "descent-pool-union-aggregate",
-        pool_conflicts=pool.conflicts,
-        whole_conflicts=whole.conflicts,
-        scratch_conflicts=scratch.conflicts,
-        pool_solvers_created=pool.solvers_created,
-        pool_components=pool.components,
-        pool_seconds=round(pool.seconds, 4),
-        whole_seconds=round(whole.seconds, 4),
-        scratch_seconds=round(scratch.seconds, 4),
-    )
-    print(f"\n  component pool: {pool.conflicts} conflicts on "
-          f"{pool.components} solvers vs {whole.conflicts} whole-kernel, "
+        bench_json.add("descent-union-myciel3+myciel4", **fields)
+    whole, scratch = records[True], records[False]
+    assert whole.solvers_created == 1
+    print(f"\n  union descent: {whole.conflicts} conflicts on one solver, "
           f"{scratch.conflicts} scratch")
 
 

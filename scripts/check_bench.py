@@ -64,15 +64,14 @@ GATES = [
      "solvers_created", "eq", 0.0),
     ("solver_micro", {"instance": "smoke-incremental-guard"},
      "solvers_created", "eq", 0.0),
-    # The component pool: exactly one persistent solver per kernel
-    # component (a fallback to the whole-kernel path would report 1),
-    # and its conflict total stays bounded.
-    ("solver_micro", {"instance": "descent-pool-union-aggregate"},
-     "pool_solvers_created", "eq", 0.0),
-    ("solver_micro", {"instance": "descent-pool-union-aggregate"},
-     "pool_components", "eq", 0.0),
-    ("solver_micro", {"instance": "descent-pool-union-pool"},
-     "conflicts", "max", 0.30),
+    # A disconnected kernel: one persistent solver over the whole
+    # kernel, with its conflict total bounded.
+    ("solver_micro", {"instance": "descent-union-myciel3+myciel4",
+                      "incremental": True},
+     "solvers_created", "eq", 0.0),
+    ("solver_micro", {"instance": "descent-union-myciel3+myciel4",
+                      "incremental": True},
+     "conflicts", "max", 0.25),
     # CDCL search quality on the classic refutation fixture.
     ("solver_micro", {"instance": "pigeonhole-7-6"},
      "conflicts", "max", 0.25),
@@ -96,12 +95,14 @@ GATES = [
      "units", "eq", 0.0),
     ("preprocessing", {"instance": "subsumption-indexed-10k"},
      "subsumed", "eq", 0.0),
-    # Execution layer (bench_parallel): the component pool reproduces
-    # the answer on the 3-component union, and the portfolio race
+    # Execution layer (bench_parallel): the descent on the 3-component
+    # union reproduces the answer on one solver, and the portfolio race
     # stays a first-conclusive-cancels-the-rest affair with the
     # exchanged bounds meeting at the optimum.
-    ("parallel", {"instance": "pool-tier-sequential"},
+    ("parallel", {"instance": "union-3xgnp42-descent"},
      "chromatic_number", "eq", 0.0),
+    ("parallel", {"instance": "union-3xgnp42-descent"},
+     "solvers_created", "eq", 0.0),
     ("parallel", {"instance": "portfolio-race-gnp42"},
      "chromatic_number", "eq", 0.0),
     ("parallel", {"instance": "portfolio-race-gnp42"},

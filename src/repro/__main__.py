@@ -7,7 +7,7 @@ Usage::
         [--no-preprocess] [--no-reduce] [--no-incremental]
         [--trace run.trace] [--metrics metrics.json]
     python -m repro chromatic graph.col [--strategy linear|binary]
-        [--no-incremental] [--no-split-components] [--sbp nu]
+        [--no-incremental] [--sbp nu]
         [--time-limit 60] [--trace run.trace] [--metrics metrics.json]
     python -m repro.obs report run.trace [--json]
     python -m repro stats graph.col
@@ -114,7 +114,6 @@ def _pipeline_from_args(args, backend: str) -> Pipeline:
             time_limit=args.time_limit,
             incremental=getattr(args, "incremental", True),
             strategy=getattr(args, "strategy", None),
-            split_components=getattr(args, "split_components", True),
         )
     )
 
@@ -206,9 +205,6 @@ def cmd_chromatic(args) -> int:
         winner = race.details.get("winner") or "(none)"
         mode = (f"portfolio race ({len(race.details['racers'])} racers, "
                 f"winner {winner}, {race.details['cancelled']} cancelled)")
-    elif result.components:
-        mode = (f"component pool ({len(result.components)} components, "
-                f"{result.solvers_created} persistent solvers)")
     elif args.incremental:
         mode = "incremental (1 persistent solver)"
     else:
@@ -216,10 +212,6 @@ def cmd_chromatic(args) -> int:
     print(f"search:           {args.strategy}, {mode}")
     trace = ", ".join(f"K={k}:{status}" for k, status in result.queries) or "(bounds met)"
     print(f"K queries:        {len(result.queries)}  [{trace}]")
-    for trace in result.components:
-        comp_trace = ", ".join(f"K={k}:{s}" for k, s in trace.queries) or "(bounds met)"
-        print(f"  component {trace.index}:    {trace.vertices}v "
-              f"{trace.status} colors={trace.num_colors}  [{comp_trace}]")
     print(f"conflicts:        {result.stats.conflicts}")
     print(f"propagations:     {result.stats.propagations}")
     print(f"time:             {result.total_seconds:.2f}s")
@@ -380,8 +372,8 @@ def main(argv=None) -> int:
     p_chrom.add_argument("--show-coloring", action="store_true")
     p_chrom.add_argument(
         "--preprocess", default=True, action=argparse.BooleanOptionalAction,
-        help="simplify the CNF before solving (model-preserving subset "
-             "on the incremental path, full preprocessor on the scratch path)")
+        help="preprocess the CNF before solving (the full preprocessor; "
+             "the incremental path freezes its activation literals)")
     p_chrom.add_argument(
         "--reduce", default=True, action=argparse.BooleanOptionalAction,
         help="kernelize before encoding (once, at the clique bound)")
@@ -390,13 +382,6 @@ def main(argv=None) -> int:
         help="drive the whole K descent through one persistent solver "
              "(the cdcl-incremental backend); --no-incremental selects "
              "cdcl-scratch, one fresh solver per K query")
-    p_chrom.add_argument(
-        "--split-components", default=True,
-        action=argparse.BooleanOptionalAction,
-        help="when the kernel is disconnected, run the descent on the "
-             "per-component Session pool (one persistent solver per "
-             "component); --no-split-components keeps one solver over "
-             "the whole kernel")
     p_chrom.add_argument(
         "--portfolio", action="store_true",
         help="race cdcl-incremental, pb-pueblo and exact-dsatur on the "

@@ -135,8 +135,8 @@ class TransitiveTaintRule(ProjectRule):
     rule_id = "RPR010"
     title = "deterministic scope must not call transitively nondeterministic helpers"
     rationale = (
-        "the differential oracle (pool == single == scratch == "
-        "exact-dsatur) rots just as silently when the drift hides one "
+        "the differential oracle (incremental == scratch == exact-dsatur "
+        "== pb-pbs2) rots just as silently when the drift hides one "
         "module away; taint is propagated over the call graph with a "
         "witness chain to the root cause"
     )

@@ -9,8 +9,8 @@ RPR002   unbounded solve loops must poll ``should_stop``/cancel (PR 5's
          in-query cancellation gap, frozen as a lint rule)
 RPR003   solver-decision code must not iterate raw sets / ``dict.keys()``
          or consult unseeded ``random`` / ``time.time()`` (the
-         differential oracle pool == single == scratch == exact-dsatur
-         rots silently if decision order drifts)
+         differential oracle incremental == scratch == exact-dsatur ==
+         pb-pbs2 rots silently if decision order drifts)
 RPR004   ``preprocess`` calls in incremental/Session/Pool contexts must
          pass ``frozen=`` (pure-literal/variable elimination is unsound
          for variables later used in assumptions or growth clauses)
@@ -222,7 +222,6 @@ class CancellationRule(Rule):
     _SCOPE_FILES = (
         "api/backends.py",
         "api/session.py",
-        "api/pool.py",
         "coloring/sat_pipeline.py",
         "coloring/exact_dsatur.py",
         "coloring/coudert.py",
@@ -263,15 +262,12 @@ class CancellationRule(Rule):
 #: deterministic scope shared by RPR003 (intra-file) and RPR010
 #: (interprocedural taint).
 DETERMINISTIC_SCOPE_PREFIXES = ("sat/", "symmetry/", "coloring/")
-DETERMINISTIC_SCOPE_FILES = ("api/pool.py",)
 
 
 def in_deterministic_scope(rel: str) -> bool:
     """True when ``rel`` is in the deterministic (differential-oracle)
     scope of the codebase."""
-    return rel.startswith(DETERMINISTIC_SCOPE_PREFIXES) or (
-        rel in DETERMINISTIC_SCOPE_FILES
-    )
+    return rel.startswith(DETERMINISTIC_SCOPE_PREFIXES)
 
 
 def _iter_order_sites(source: SourceFile) -> Iterator[Tuple[ast.expr, str]]:
@@ -392,8 +388,8 @@ class DeterminismRule(Rule):
     rule_id = "RPR003"
     title = "solver-decision code must iterate deterministically"
     rationale = (
-        "the differential harness (pool == single-solver == scratch == "
-        "exact-dsatur) silently rots when decision order drifts between "
+        "the differential harness (incremental == scratch == exact-dsatur "
+        "== pb-pbs2) silently rots when decision order drifts between "
         "runs or interpreter instances"
     )
 
@@ -517,20 +513,20 @@ class PoolBoundaryRule(Rule):
     time at best, or silently capture parent-side state (open handles,
     live solvers) at worst.  Worker payloads must be top-level
     picklables, as the targets handed to
-    :class:`repro.resilience.Worker` by the batch runner, the component
-    pool and the portfolio race are.  A ``Worker`` call is a pool
-    boundary like a ``Process`` call: every argument is checked.
+    :class:`repro.resilience.Worker` by the batch runner and the
+    portfolio race are.  A ``Worker`` call is a pool boundary like a
+    ``Process`` call: every argument is checked.
 
     Thread executors are held to the same bar even though the GIL would
     let closures through: every thread fan-out in this codebase is a
-    process fan-out waiting to happen (the component pool made exactly
-    that migration), and a closure at the submission boundary is the
+    process fan-out waiting to happen (the since-deleted component pool
+    made exactly that migration), and a closure at the submission boundary is the
     one thing that blocks it."""
 
     rule_id = "RPR006"
     title = "executor/pool payloads must be top-level picklables"
     rationale = (
-        "the batch fleet, the component pool and the portfolio race run "
+        "the batch fleet and the portfolio race run "
         "work in child processes; a lambda or closure in the submission "
         "path dies in pickle, taking the tier with it — "
         "and thread-executor closures block the thread->process migration"

@@ -15,9 +15,6 @@ One import gives the four concepts every workload composes from:
   call sites.
 * **Session** — many queries on one graph sharing one persistent
   solver, including raising the color budget in place.
-* **ComponentSessionPool** — kernelization composed with persistence:
-  one persistent Session per kernel component, scheduled largest-first,
-  recombined with per-component provenance.
 * **Resilience** — :class:`Deadline` (one budget object threaded
   through every stage; expiry degrades to a verified ``FEASIBLE``
   best-so-far instead of discarding work) and :class:`RetryPolicy`
@@ -66,7 +63,6 @@ from .config import (
     SymmetryConfig,
 )
 from .pipeline import Pipeline, solve_problem
-from .pool import ComponentSessionPool
 from .problems import (
     BudgetedOptimize,
     ChromaticProblem,
@@ -75,7 +71,6 @@ from .problems import (
     Problem,
 )
 from .results import (
-    ComponentTrace,
     PipelineInfo,
     ProgressEvent,
     Provenance,
@@ -101,8 +96,6 @@ __all__ = [
     "Budget",
     "BudgetedOptimize",
     "ChromaticProblem",
-    "ComponentSessionPool",
-    "ComponentTrace",
     "DEFAULT_STAGE_ORDER",
     "Deadline",
     "DecisionProblem",

@@ -21,8 +21,7 @@ Registered engines:
 ``exact-dsatur``   DSATUR branch and bound (problem-specific baseline)
 ``portfolio``      races the engines in ``SolveConfig.racers`` in worker
                    processes; first conclusive answer cancels the rest,
-                   racers exchange bounds (and optionally short learned
-                   clauses) while they run
+                   racers exchange bounds while they run
 =================  =========================================================
 """
 
@@ -30,15 +29,11 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..coloring.exact_dsatur import exact_chromatic_number
 from ..coloring.reduce import kernelize
-from ..coloring.sat_pipeline import (
-    GROWABLE_SBP_KINDS,
-    chromatic_number_sat,
-    sat_k_colorable,
-)
+from ..coloring.sat_pipeline import chromatic_number_sat, sat_k_colorable
 from ..graphs.graph import Graph
 from ..ilp.branch_and_bound import BranchAndBoundSolver
 from ..pb.optimizer import minimize
@@ -62,7 +57,6 @@ from .pipeline import (
     run_optimize_flow,
     run_reduced,
 )
-from .pool import ComponentSessionPool
 from .problems import BUDGETED, CHROMATIC, DECISION, Problem
 from .results import Result, RunContext, StageStat
 
@@ -278,11 +272,9 @@ class CdclBackend(Backend):
     per-color activation literals (learned clauses, phases and activity
     carry over between K queries), ``cdcl-scratch`` with a fresh
     encoding and solver at every K (the historical behaviour, kept for
-    measurement).  When the kernel is *disconnected*,
-    ``cdcl-incremental`` runs the descent on the per-component Session
-    pool by default — one persistent solver per component, recombined as
-    the max over components (``SolveConfig.split_components`` turns this
-    off).  Reuse across *multiple* queries is what
+    measurement).  A disconnected kernel is not split for the descent:
+    one refutation at chi - 1, in the hardest component, proves the
+    whole kernel's optimum.  Reuse across *multiple* queries is what
     :class:`repro.api.Session` exists for.
     """
 
@@ -355,30 +347,6 @@ class CdclBackend(Backend):
             kernel = kernelize(problem.graph)
             reduce_stage, info = reduce_report(kernel, config)
             stages.append(reduce_stage)
-            if (
-                self.incremental
-                and config.solve.split_components
-                and len(kernel.components) > 1
-                and config.symmetry.sbp_kind in GROWABLE_SBP_KINDS
-                and config.encode.amo == "pairwise"
-            ):
-                # The per-component Session pool: one persistent solver
-                # per kernel component, for a disconnected kernel and a
-                # config the growable sessions can host.
-                pool = ComponentSessionPool(
-                    problem.graph, config=config, on_progress=ctx.on_progress,
-                    cancel=ctx.cancel, kernel=kernel,
-                )
-                ctx.emit(
-                    "pool",
-                    f"kernel split into {len(pool.components)} components; "
-                    "per-component persistent solvers",
-                )
-                return pool.chromatic(
-                    strategy=strategy,
-                    time_limit=ctx.deadline.remaining(),
-                    max_colors=problem.max_colors,
-                )
         ctx.emit("solve", f"{strategy} K descent ({self.name})")
         t0 = time.monotonic()
         sat_result = chromatic_number_sat(
@@ -410,6 +378,7 @@ class CdclBackend(Backend):
             queries=list(sat_result.k_queries),
             solvers_created=sat_result.solvers_created,
             cancelled=sat_result.status not in (OPTIMAL, UNSAT) and ctx.cancelled(),
+            lower_bound=sat_result.lower_bound,
         )
 
 
@@ -496,10 +465,17 @@ class BruteForceBackend(Backend):
 
 
 class ExactDSaturBackend(Backend):
-    """DSATUR-style branch and bound — the problem-specific baseline of
-    the exact-coloring literature (no formula pipeline at all).  The
-    search spends from the run's deadline and stops when the run is
-    cancelled, returning its incumbent."""
+    """DSATUR branch and bound — the problem-specific baseline of the
+    exact-coloring literature (no formula pipeline at all).
+
+    With reduce on, decisions and chromatic runs go through the shared
+    per-component loop (:func:`~repro.api.pipeline.run_reduced`), one
+    branch and bound per kernel component: on a disjoint union the
+    search no longer explores the product of the components' trees.  A
+    component whose chromatic number exceeds the cap (or the decision's
+    k) is UNSAT when proved and UNKNOWN otherwise.  The search spends
+    from the run's deadline and stops when the run is cancelled,
+    returning its incumbent."""
 
     name = "exact-dsatur"
     description = "DSATUR branch and bound (problem-specific baseline)"
@@ -511,36 +487,37 @@ class ExactDSaturBackend(Backend):
         if trivial is not None:
             return trivial
         ctx = ctx.with_deadline(config.solve.time_limit)
-        ctx.emit("solve", "DSATUR branch and bound")
-        t0 = time.monotonic()
-        bb = exact_chromatic_number(
-            problem.graph,
-            time_limit=ctx.deadline.remaining(),
-            should_stop=ctx.cancelled if ctx.cancel else None,
-        )
-        seconds = time.monotonic() - t0
-        stages = [StageStat("solve", seconds, {"nodes": bb.nodes_explored})]
-        cancelled = not bb.optimal and ctx.cancelled()
-        chi = bb.chromatic_number
+        decision = problem.kind == DECISION
+        cap = problem.k if decision else problem.max_colors
 
-        def result(status: str, coloring: Optional[Dict[int, int]] = None) -> Result:
+        def solve(graph: Graph) -> Result:
+            ctx.emit("solve", "DSATUR branch and bound")
+            t0 = time.monotonic()
+            bb = exact_chromatic_number(
+                graph,
+                time_limit=ctx.deadline.remaining(),
+                should_stop=ctx.cancelled if ctx.cancel else None,
+            )
+            chi = bb.chromatic_number
+            if cap is not None and chi > cap:
+                status, coloring = (UNSAT if bb.optimal else UNKNOWN), None
+            elif decision:
+                status, coloring = SAT, bb.coloring
+            else:
+                status, coloring = (OPTIMAL if bb.optimal else SAT), bb.coloring
             return Result(
                 status=status,
                 num_colors=chi if coloring is not None else None,
                 coloring=coloring,
-                stages=stages,
+                stages=[StageStat("solve", time.monotonic() - t0,
+                                  {"nodes": bb.nodes_explored})],
                 solvers_created=1,
-                cancelled=cancelled,
+                cancelled=not bb.optimal and ctx.cancelled(),
             )
 
-        if problem.kind == DECISION:
-            if chi is not None and chi <= problem.k:
-                return result(SAT, bb.coloring)
-            return result(UNSAT if bb.optimal else UNKNOWN)
-        cap = problem.max_colors
-        if cap is not None and chi is not None and chi > cap:
-            return result(UNSAT if bb.optimal else UNKNOWN)
-        return result(OPTIMAL if bb.optimal else SAT, bb.coloring)
+        if config.reduce.enabled:
+            return run_reduced(problem.graph, cap, config, ctx, solve, decision)
+        return solve(problem.graph)
 
 
 # --------------------------------------------------------------------------

@@ -74,7 +74,13 @@ class SymmetryConfig:
 
 @dataclass(frozen=True)
 class SimplifyConfig:
-    """Model-preserving clause-database simplification after encoding."""
+    """Clause-database simplification after encoding.
+
+    Model-preserving on the 0-1 ILP flow only.  The CNF backends run
+    the full preprocessor, which eliminates variables and rebuilds
+    models through its elimination stack; the incremental descent
+    freezes the activation literals its queries assume.
+    """
 
     enabled: bool = True
 
@@ -90,11 +96,6 @@ DEFAULT_RACERS: Tuple[str, ...] = (
 class SolveConfig:
     """Which engine answers the query, and its resource budget.
 
-    ``split_components`` routes chromatic descents on the persistent-
-    solver backend through the per-component Session pool whenever the
-    kernel is disconnected: each component gets its own persistent
-    solver and the results recombine as the max over components.
-
     ``racers`` names the engines the ``portfolio`` backend races
     (``"backend"`` or ``"backend:strategy"`` specs).
     """
@@ -104,7 +105,6 @@ class SolveConfig:
     time_limit: Optional[float] = None
     conflict_limit: Optional[int] = None
     incremental: bool = True
-    split_components: bool = True
     racers: Tuple[str, ...] = DEFAULT_RACERS
 
     def __post_init__(self) -> None:
@@ -192,7 +192,6 @@ class PipelineConfig:
             "time_limit": self.solve.time_limit,
             "conflict_limit": self.solve.conflict_limit,
             "incremental": self.solve.incremental,
-            "split_components": self.solve.split_components,
             "racers": self.solve.racers,
             "prep_fraction": self.budget.prep_fraction,
             "order": self.order,

@@ -14,7 +14,8 @@ prepared formula to the backend's solve hook — recording one
 :class:`~repro.api.results.StageStat` per stage and honouring the run
 context's cancellation between stages.  Its reduce stage,
 :func:`run_reduced`, is the one per-component loop: CDCL decisions run
-it too, with a CNF decision as the per-component solve, and every
+it too, with a CNF decision as the per-component solve, and so does
+``exact-dsatur``, with one branch and bound per component.  Every
 backend that kernelizes reports the kernel through
 :func:`reduce_report`.
 """
@@ -91,13 +92,14 @@ class Pipeline:
         return self._replace(symmetry=replace(self._config.symmetry, **kwargs))
 
     def simplify(self, enabled: bool = True) -> "Pipeline":
-        """Toggle model-preserving clause simplification."""
+        """Toggle clause simplification
+        (:class:`~repro.api.config.SimplifyConfig`)."""
         return self._replace(simplify=replace(self._config.simplify, enabled=enabled))
 
     def solve(self, **kwargs: object) -> "Pipeline":
         """Configure the solve stage (``backend``, ``strategy``,
         ``time_limit``, ``conflict_limit``, ``incremental``,
-        ``split_components``, ``racers``)."""
+        ``racers``)."""
         return self._replace(solve=replace(self._config.solve, **kwargs))
 
     def budget(self, **kwargs: object) -> "Pipeline":
@@ -135,7 +137,10 @@ class Pipeline:
         ).with_deadline(self._config.solve.time_limit)
         ctx.emit("pipeline", f"{problem.kind} on backend {backend.name}")
         result = backend.run(problem, self._config, ctx)
-        if problem.kind != DECISION and result.status in (SAT, FEASIBLE):
+        if problem.kind != DECISION and result.status == OPTIMAL:
+            # A proved optimum is both bounds, whichever backend proved it.
+            result.lower_bound = result.upper_bound = result.num_colors
+        elif problem.kind != DECISION and result.status in (SAT, FEASIBLE):
             # The optimization run produced a verified coloring but no
             # optimality proof: budget ran out (or the caller cancelled)
             # mid-descent.  Degrade, don't discard.
@@ -296,7 +301,7 @@ def reduce_report(kernel: Kernel, config: PipelineConfig) -> Tuple[StageStat, Pi
 
 def run_reduced(
     graph: Graph,
-    budget: int,
+    budget: Optional[int],
     config: PipelineConfig,
     ctx: RunContext,
     solve: Callable[[Graph], Result],
@@ -306,9 +311,10 @@ def run_reduced(
 
     :func:`~repro.coloring.reduce.kernelize` owns the policy (UNSAT when
     the clique bound exceeds ``budget``; decisions peel at ``budget``,
-    optimization at the clique bound).  ``solve(subgraph)`` answers one
-    kernel component — the 0-1 ILP formula stages, or one CNF decision
-    — and the component colorings are lifted back onto ``graph``.
+    optimization at the clique bound; ``None`` is an uncapped chromatic
+    number).  ``solve(subgraph)`` answers one kernel component — the
+    0-1 ILP formula stages, one CNF decision, or one DSATUR branch and
+    bound — and the component colorings are lifted back onto ``graph``.
     Components share the run's deadline sequentially: each one sees
     whatever budget its predecessors left.  ``solvers_created`` is the
     sum of what the components report, so a kernel that peeling or the

@@ -118,30 +118,6 @@ class Provenance:
 
 
 @dataclass
-class ComponentTrace:
-    """Provenance of one kernel component solved by the Session pool.
-
-    The per-component record the :class:`~repro.api.ComponentSessionPool`
-    merges into its :class:`Result`: which piece of the kernel this was
-    (schedule position — components are scheduled largest-first — and
-    size), what the component's own persistent-solver descent answered,
-    and its K-query trace.  ``solvers_created`` is 0 when the
-    component's bounds met without any solver query, else 1 (one
-    persistent solver per component is the pool's contract).
-    """
-
-    index: int
-    vertices: int
-    edges: int
-    status: str
-    num_colors: Optional[int] = None
-    queries: List[Tuple[int, str]] = field(default_factory=list)
-    solvers_created: int = 0
-    seconds: float = 0.0
-    cancelled: bool = False
-
-
-@dataclass
 class Result:
     """The structured outcome of one API query.
 
@@ -171,8 +147,8 @@ class Result:
     # (k, status) trace of descent-style searches, in query order.
     queries: List[Tuple[int, str]] = field(default_factory=list)
     # Fresh solver instantiations this result cost: 1 for a persistent-
-    # solver run, one per kernel component for the Session pool, one per
-    # query for scratch strategies.
+    # solver descent, one per solved kernel component for the 0-1 ILP
+    # flow and CDCL decisions, one per query for scratch strategies.
     solvers_created: int = 0
     cancelled: bool = False
     # True when the run hit its budget (or was cancelled) before proving
@@ -184,9 +160,6 @@ class Result:
     lower_bound: Optional[int] = None
     upper_bound: Optional[int] = None
     provenance: Optional[Provenance] = None
-    # Per-component traces when the Session pool split the kernel
-    # (empty for whole-kernel runs).
-    components: List[ComponentTrace] = field(default_factory=list)
 
     @property
     def solved(self) -> bool:

@@ -44,9 +44,9 @@ from .results import ProgressEvent, Result, RunContext, StageStat
 class Session:
     """Multiple coloring queries on one graph, one persistent solver.
 
-    ``config`` supplies the encoding/simplification knobs (the
-    ``cdcl-incremental`` backend's subset: pairwise AMO, growth-safe
-    SBPs, model-preserving simplification) and the default time limit.
+    ``config`` supplies the encoding/simplification knobs (pairwise
+    AMO, growth-safe SBPs, model-preserving simplification) and the
+    default time limit.
     The solver is created lazily on the first query, encoded at that
     query's horizon, and only ever *grows* afterwards.
     """
@@ -206,7 +206,6 @@ class Session:
         strategy: str = "linear",
         time_limit: Optional[float] = None,
         max_colors: Optional[int] = None,
-        lower_bound: Optional[int] = None,
     ) -> Result:
         """Chromatic number by a K descent on the session's solver.
 
@@ -217,14 +216,6 @@ class Session:
         afterwards.  ``max_colors`` caps the answer (UNSAT below the
         chromatic number); the solver is encoded at the smaller of the
         DSATUR bound and the cap.
-
-        ``lower_bound`` clamps the descent floor: colors below it are
-        never probed, so the proved answer is ``max(lower_bound,
-        chi(graph))`` rather than the chromatic number itself.  The
-        component pool passes the *global* clique bound here — a
-        component whose chromatic number falls below it cannot affect
-        the recombined maximum, so distinguishing values under the bound
-        is wasted UNSAT proving.
         """
         t0 = time.monotonic()
         if time_limit is None:
@@ -237,7 +228,7 @@ class Session:
         outcome = descend(
             lambda k, budget: self._solve_k(horizon, k, budget),
             {v: c + 1 for v, c in heuristic.items()},
-            max(1, clique_lower_bound(self.graph), lower_bound or 0),
+            max(1, clique_lower_bound(self.graph)),
             strategy=strategy,
             deadline=deadline,
             should_stop=self._should_stop(),

@@ -11,8 +11,7 @@ JSON.  Each task combines:
 * a **problem kind** (``chromatic`` / ``decision`` / ``budgeted``) with
   its budget;
 * the **pipeline knobs** (backend, fallback chain, SBP kind, strategy,
-  AMO encoding, reduce/simplify toggles, per-component Session pooling
-  (``split_components``), per-engine time limit).
+  AMO encoding, reduce/simplify toggles, per-engine time limit).
 
 File formats: a ``.json`` manifest is either a JSON list of task dicts
 or ``{"defaults": {...}, "plugins": [...], "tasks": [...]}``; a
@@ -249,7 +248,6 @@ class TaskSpec:
     instance_dependent: bool = False
     detection_node_limit: Optional[int] = None  # None = SymmetryConfig default
     incremental: bool = True
-    split_components: bool = True
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -325,7 +323,6 @@ class TaskSpec:
                 strategy=self.strategy,
                 time_limit=time_limit,
                 incremental=self.incremental,
-                split_components=self.split_components,
             )
         )
 

@@ -50,20 +50,6 @@ def result_to_record(
         },
         "solve_seconds": round(result.solve_seconds, 6),
     }
-    if result.components:
-        # Per-component provenance of a Session-pool run: which kernel
-        # component answered what, on how many persistent solvers.
-        record["components"] = [
-            {
-                "index": trace.index,
-                "vertices": trace.vertices,
-                "status": trace.status,
-                "num_colors": trace.num_colors,
-                "queries": [list(q) for q in trace.queries],
-                "solvers_created": trace.solvers_created,
-            }
-            for trace in result.components
-        ]
     if include_coloring and result.coloring is not None:
         record["coloring"] = {str(v): c for v, c in sorted(result.coloring.items())}
     if result.provenance is not None:

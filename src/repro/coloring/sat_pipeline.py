@@ -29,9 +29,9 @@ route so that claim can be measured:
   per-query behaviour for comparison.  Both simplification stages are
   on by default: either oracle queries the one kernel
   :func:`repro.coloring.reduce.kernelize` built at the clique bound,
-  and the incremental path runs the model-preserving clause
-  simplification, which cannot eliminate the activation variables the
-  assumptions refer to.
+  and the incremental path runs the full preprocessor with the
+  activation variables the assumptions refer to frozen, so it cannot
+  eliminate them.
 """
 
 from __future__ import annotations
@@ -612,6 +612,9 @@ class SatPipelineResult:
     # bench-smoke guard asserts on this to catch silent fallbacks.
     solvers_created: int = 0
     incremental: bool = False
+    # The proved lower bound on the chromatic number when the descent
+    # stopped (the clique bound when nothing was refuted).
+    lower_bound: Optional[int] = None
 
 
 def chromatic_number_sat(
@@ -639,9 +642,11 @@ def chromatic_number_sat(
     (:func:`repro.coloring.reduce.kernelize`; a caller that already
     holds that :class:`~repro.coloring.reduce.Kernel` passes it as
     ``kernel``), and every K query is asked of the kernel graph.
-    Components are not split here: one solver serves the whole kernel,
-    so its learned clauses span components (the component pool is the
-    per-component variant).  The reported chromatic number is the color
+    Components are not split here: one solver serves the whole kernel.
+    A union's chromatic number is that of its hardest component, so the
+    descent needs one refutation at chi - 1, found in that component,
+    where a per-component descent would refute every component down to
+    the clique bound.  The reported chromatic number is the color
     count of the best coloring lifted back to ``graph``
     (:func:`repro.coloring.reduce.lift`), which never falls below the
     clique bound the kernel was peeled at.
@@ -649,20 +654,22 @@ def chromatic_number_sat(
     With ``incremental=True`` (default) every query runs on one
     persistent solver via :class:`IncrementalKSearch`: encoded once at
     the DSATUR bound (or the cap, if lower) with activation literals,
-    simplified once (``preprocess``, model-preserving subset), and every
-    K query reuses the learned clauses of the previous ones.  The linear
-    strategy switches colors off permanently; the binary one uses
-    assumptions, so the failed-assumption core of an UNSAT answer skips
-    K values it proves dead.  The solver is built at the first query, so
+    preprocessed once (``preprocess``: the full preprocessor with the
+    activation literals frozen), and every K query reuses the learned
+    clauses of the previous ones.  The linear strategy switches colors
+    off permanently; the binary one uses assumptions, so the
+    failed-assumption core of an UNSAT answer skips K values it proves
+    dead.  The solver is built at the first query, so
     bounds that already meet create none.  With ``incremental=False``
     each query pays for a fresh encoding, preprocessing and solver (the
     historical behaviour, kept as the differential reference).
 
     ``max_colors`` caps the answer: a cap below the chromatic number
     gives ``UNSAT``, and a search stopped before it settled the cap gives
-    ``UNKNOWN``.  ``time_limit`` bounds the whole call, kernelization and
-    encoding included.  ``should_stop`` (a zero-argument predicate) is
-    polled before each K query *and inside each query* (every few dozen
+    ``UNKNOWN``.  ``lower_bound`` is the bound the descent proved.
+    ``time_limit`` bounds the whole call, kernelization and encoding
+    included.  ``should_stop`` (a zero-argument predicate) is polled
+    before each K query *and inside each query* (every few dozen
     conflicts); when it turns true the search stops and the best-so-far
     answer is returned (status SAT — the bound is not proved).
     """
@@ -724,4 +731,8 @@ def chromatic_number_sat(
             int(search is not None) if incremental else len(outcome.queries)
         ),
         incremental=incremental,
+        # A kernel that colors below the clique bound it was peeled at
+        # meets its bounds at its own color count; the clique bound
+        # still holds for ``graph``.
+        lower_bound=max(lb, outcome.lower_bound),
     )

@@ -81,9 +81,6 @@ class DescentRecord:
     propagations: int
     solvers_created: int
     seconds: float
-    # Kernel components the descent ran on: 1 for whole-kernel runs,
-    # the Session pool's component count when it split.
-    components: int = 1
 
     def as_json(self) -> Dict:
         """Plain-dict form for the benchmark JSON reports."""
@@ -98,7 +95,6 @@ class DescentRecord:
             "conflicts": self.conflicts,
             "propagations": self.propagations,
             "solvers_created": self.solvers_created,
-            "components": self.components,
             "wall_seconds": self.seconds,
         }
 
@@ -113,15 +109,12 @@ def run_descent(
     amo_encoding: str = "pairwise",
     preprocess: bool = True,
     reduce: bool = True,
-    split_components: bool = True,
 ) -> DescentRecord:
     """Run one chromatic-number descent and record it for the perf logs.
 
     Routes through :mod:`repro.api`: the ``cdcl-incremental`` backend
-    drives the descent on persistent solvers — the per-component
-    Session pool when the kernel is disconnected (and
-    ``split_components`` is left on), one whole-kernel solver otherwise
-    — while ``cdcl-scratch`` re-encodes per K query.
+    drives the descent on one persistent solver over the whole kernel,
+    while ``cdcl-scratch`` re-encodes per K query.
     """
     backend = "cdcl-incremental" if incremental else "cdcl-scratch"
     pipeline = (
@@ -130,8 +123,7 @@ def run_descent(
         .encode(amo=amo_encoding)
         .symmetry(sbp_kind=sbp_kind)
         .simplify(preprocess)
-        .solve(backend=backend, strategy=strategy, time_limit=time_limit,
-               split_components=split_components)
+        .solve(backend=backend, strategy=strategy, time_limit=time_limit)
     )
     result: Result = pipeline.run(ChromaticProblem(graph))
     return DescentRecord(
@@ -146,7 +138,6 @@ def run_descent(
         propagations=result.stats.propagations,
         solvers_created=result.solvers_created,
         seconds=result.total_seconds,
-        components=max(1, len(result.components)),
     )
 
 

@@ -168,8 +168,8 @@ def disjoint_union(*graphs: Graph, name: str = "") -> Graph:
     """The disjoint union of the given graphs, vertices renumbered in order.
 
     The canonical disconnected instance: ``chi(G1 + G2) =
-    max(chi(G1), chi(G2))``, which is exactly what the per-component
-    Session pool exploits (and what the differential tests stress).
+    max(chi(G1), chi(G2))``, so a descent over the union needs only the
+    hardest component's refutation (what the differential tests stress).
     """
     union = Graph(sum(g.num_vertices for g in graphs), name=name)
     offset = 0

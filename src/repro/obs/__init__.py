@@ -7,8 +7,8 @@ Three pieces (docs/observability.md):
   costs the solver hot loop exactly one attribute test when disabled;
 * an ambient metrics registry (:mod:`repro.obs.metrics`) of counters,
   gauges and fixed-bucket histograms with deterministic sorted-JSON
-  snapshots, wired through the solver, K-search, sessions, the
-  component pool, pipeline stages and the batch runner;
+  snapshots, wired through the solver, K-search, sessions, pipeline
+  stages, the portfolio race and the batch runner;
 * a profile CLI (``python -m repro.obs``) rendering per-phase timing
   and conflict-rate reports from a trace.
 

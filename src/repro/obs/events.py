@@ -27,10 +27,7 @@ K_QUERY_BEGIN = 7
 K_QUERY_END = 8
 GROW = 9
 STAGE = 10
-COMPONENT_BEGIN = 11
-COMPONENT_END = 12
-POOL_BEGIN = 13
-POOL_END = 14
+# 11-14 are retired; never reuse them.
 DEADLINE_EXPIRED = 15
 DEGRADED = 16
 RACE_BEGIN = 17
@@ -48,10 +45,6 @@ EVENT_NAMES: Dict[int, str] = {
     K_QUERY_END: "k_query_end",
     GROW: "grow",
     STAGE: "stage",
-    COMPONENT_BEGIN: "component_begin",
-    COMPONENT_END: "component_end",
-    POOL_BEGIN: "pool_begin",
-    POOL_END: "pool_end",
     DEADLINE_EXPIRED: "deadline_expired",
     DEGRADED: "degraded",
     RACE_BEGIN: "race_begin",
@@ -60,7 +53,7 @@ EVENT_NAMES: Dict[int, str] = {
 }
 
 # Field names per event, in payload order.  ``solver`` is the tracer-
-# assigned per-solver id (interleaved streams from a component pool
+# assigned per-solver id (interleaved streams from several solvers
 # stay attributable); counter fields on SOLVE_END / K_QUERY_END are the
 # per-call run deltas, so summing them reproduces the cumulative
 # ``SolverStats`` the solver itself reports.
@@ -77,10 +70,6 @@ EVENT_FIELDS: Dict[int, Tuple[str, ...]] = {
                   "propagations", "restarts"),
     GROW: ("old_max", "new_max"),
     STAGE: ("stage",),
-    COMPONENT_BEGIN: ("component", "vertices"),
-    COMPONENT_END: ("component", "status", "colors"),
-    POOL_BEGIN: ("components",),
-    POOL_END: ("status", "colors"),
     DEADLINE_EXPIRED: ("where",),
     DEGRADED: ("where", "status"),
     # ``racer`` indexes the portfolio's racer list (emission order);
@@ -110,7 +99,7 @@ STAGE_CODES: Dict[str, int] = {
     "detect": 5,
     "solve": 6,
     "pipeline": 7,
-    "pool": 8,
+    # 8 is retired; never reuse it.
     "query": 9,
     "grow": 10,
     "decide": 11,
@@ -121,7 +110,7 @@ STAGE_NAMES: Dict[int, str] = {v: k for k, v in STAGE_CODES.items()}
 WHERE_CODES: Dict[str, int] = {
     "descent": 1,
     "session": 2,
-    "pool": 3,
+    # 3 is retired; never reuse it.
     "pipeline": 4,
     "batch": 5,
 }

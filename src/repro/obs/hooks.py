@@ -8,9 +8,10 @@ fresh solver.  A detached solver carries ``tracer = None`` and the hot
 loop pays exactly one attribute test per conflict; everything else
 (locking, varint encoding, file IO) lives behind that branch.
 
-Cold-path call sites (K-search, sessions, the pool, pipeline stages)
-call :func:`active_tracer` directly at each event — a function call is
-irrelevant there, and it keeps those layers free of tracer plumbing.
+Cold-path call sites (K-search, sessions, pipeline stages, the
+portfolio race) call :func:`active_tracer` directly at each event — a
+function call is irrelevant there, and it keeps those layers free of
+tracer plumbing.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class Tracer:
 
     One Tracer serializes all emissions into one record stream; each
     attached solver gets a small integer id so the streams of several
-    solvers (a component pool's sessions, a scratch descent's per-query
-    solvers) remain attributable.
+    solvers (a scratch descent's per-query solvers, a decision's
+    per-component solvers) remain attributable.
     """
 
     def __init__(self, writer: TraceWriter) -> None:
@@ -92,7 +93,7 @@ class Tracer:
         """A level-0 satisfied-clause GC sweep and what it reclaimed."""
         self.emit(ev.GC_SWEEP, sid, clauses, learned, watchers)
 
-    # -- search / session / pool lifecycle -----------------------------
+    # -- search / session lifecycle ------------------------------------
 
     def k_query_begin(self, k: int, permanent: bool) -> None:
         """A K-colorability probe started (permanent vs assumption-based)."""
@@ -112,26 +113,6 @@ class Tracer:
     def stage(self, stage: str) -> None:
         """A pipeline stage transition (coded via ``STAGE_CODES``)."""
         self.emit(ev.STAGE, ev.stage_code(stage))
-
-    def component_begin(self, index: int, vertices: int) -> None:
-        """The pool started descending one kernel component."""
-        self.emit(ev.COMPONENT_BEGIN, index, vertices)
-
-    def component_end(self, index: int, status: str,
-                      colors: Optional[int]) -> None:
-        """One kernel component finished (``colors`` may be None)."""
-        # colors is shifted by one on the wire: 0 means "no coloring".
-        self.emit(ev.COMPONENT_END, index, ev.status_code(status),
-                  0 if colors is None else colors + 1)
-
-    def pool_begin(self, components: int) -> None:
-        """A component-pool chromatic run started."""
-        self.emit(ev.POOL_BEGIN, components)
-
-    def pool_end(self, status: str, colors: Optional[int]) -> None:
-        """The component pool merged its final answer."""
-        self.emit(ev.POOL_END, ev.status_code(status),
-                  0 if colors is None else colors + 1)
 
     # -- portfolio racing ----------------------------------------------
 

@@ -45,11 +45,10 @@ def decode_record(record: TraceRecord) -> Dict[str, Any]:
         if record.event in (ev.DEADLINE_EXPIRED, ev.DEGRADED):
             fields["where"] = ev.WHERE_NAMES.get(  # type: ignore[assignment]
                 int(fields.get("where", 0)), "other")
-        # Optional counts travel shifted by one: 0 means "none".
-        for name in ("colors", "winner"):
-            if name in fields:
-                wire = int(fields[name])
-                fields[name] = None if wire == 0 else wire - 1  # type: ignore[assignment]
+        # The optional winner travels shifted by one: 0 means "none".
+        if "winner" in fields:
+            wire = int(fields["winner"])
+            fields["winner"] = None if wire == 0 else wire - 1  # type: ignore[assignment]
         out["fields"] = fields
     else:
         out["payload_bytes"] = len(record.payload)
@@ -65,7 +64,6 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
              "propagations": 0, "restarts": 0, "learned": 0, "deleted": 0}
     gc = {"sweeps": 0, "clauses": 0, "learned": 0, "watchers": 0}
     reduce_db = {"sweeps": 0, "deleted": 0}
-    pool = {"pools": 0, "components": 0}
     resilience = {"deadline_expired": 0, "degraded": 0}
     totals = {"conflicts": 0, "decisions": 0, "propagations": 0,
               "restarts": 0, "wall_us": 0}
@@ -128,10 +126,6 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
             fields = _named_fields(record)
             reduce_db["sweeps"] += 1
             reduce_db["deleted"] += int(fields.get("deleted", 0))
-        elif record.event == ev.POOL_BEGIN:
-            fields = _named_fields(record)
-            pool["pools"] += 1
-            pool["components"] += int(fields.get("components", 0))
         elif record.event == ev.DEADLINE_EXPIRED:
             resilience["deadline_expired"] += 1
         elif record.event == ev.DEGRADED:
@@ -147,7 +141,6 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
         "solve": solve,
         "gc": gc,
         "db_reduce": reduce_db,
-        "pool": pool,
         "resilience": resilience,
     }
 
@@ -194,10 +187,6 @@ def render_report(profile: Dict[str, Any]) -> str:
                  f"({reduce_db['deleted']} deleted), {gc['sweeps']} "
                  f"level-0 sweep(s) ({gc['clauses']} clauses, "
                  f"{gc['learned']} learned, {gc['watchers']} watchers)")
-    pool = profile["pool"]
-    if pool["pools"]:
-        lines.append(f"pool: {pool['pools']} pool run(s) over "
-                     f"{pool['components']} component(s)")
     resilience = profile["resilience"]
     lines.append(f"resilience: deadline_expired={resilience['deadline_expired']} "
                  f"degraded={resilience['degraded']}")

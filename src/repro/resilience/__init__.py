@@ -2,15 +2,14 @@
 
 Before this package, every execution tier managed time and failure its
 own way: the Pipeline recomputed ``time_limit - elapsed`` by hand per
-component, the Session pool solved every component against the same
-undivided deadline, and the batch runner hard-coded its retry-on-death
-counter.  This package centralizes those concerns:
+component and the batch runner hard-coded its retry-on-death counter.
+This package centralizes those concerns:
 
 * :class:`Deadline` (alias :data:`Budget`) — a monotonic-clock budget
-  with ``remaining()``/``expired()``, child deadlines, weighted shares
-  and a swappable clock seam (the clock-skew fault hook).  All deadline
-  arithmetic in the repo goes through it — enforced by the static
-  checker's RPR007 rule.
+  with ``remaining()``/``expired()``, child deadlines and a swappable
+  clock seam (the clock-skew fault hook).  All deadline arithmetic in
+  the repo goes through it — enforced by the static checker's RPR007
+  rule.
 * :class:`RetryPolicy` — bounded retries with exponential backoff,
   deterministic jitter and transient-vs-fatal failure classification;
   the batch runner's retry and fallback-promotion decisions run

@@ -11,10 +11,7 @@ used to live in ``pb/optimizer``, ``ilp/branch_and_bound`` and
 differently.
 
 Deadlines compose downward: :meth:`child` carves a sub-budget that can
-never outlive its parent, and :meth:`share` computes one sequential
-consumer's weighted allotment: unused budget flows to the consumers
-after it, and a floor slice keeps a tiny consumer from being starved
-to zero.
+never outlive its parent.
 
 The module-level clock is a seam (:func:`set_clock`), which is how the
 fault harness injects clock skew deterministically in tests without
@@ -104,27 +101,6 @@ class Deadline:
         if self._expiry is not None:
             expiry = min(expiry, self._expiry)
         return Deadline(expiry)
-
-    def share(
-        self, weight: float, total_weight: float, floor_fraction: float = 0.0
-    ) -> Optional[float]:
-        """One sequential consumer's allotment of the remaining budget.
-
-        ``weight / total_weight`` of ``remaining()``, floored at
-        ``remaining() * floor_fraction`` and capped at ``remaining()``.
-        Callers recompute per consumer with the *remaining* total
-        weight, so budget a fast consumer left unused flows to the ones
-        after it.  Returns ``None`` (no limit) when unbounded.
-        """
-        if not 0.0 <= floor_fraction <= 1.0:
-            raise ValueError(
-                f"floor_fraction must be in [0, 1], got {floor_fraction}"
-            )
-        budget = self.remaining()
-        if budget is None:
-            return None
-        fraction = weight / total_weight if total_weight > 0 else 1.0
-        return min(budget, budget * max(fraction, floor_fraction))
 
     def __repr__(self) -> str:
         if self._expiry is None:

@@ -1,7 +1,7 @@
 """Shared test configuration: seeded hypothesis profiles.
 
-The differential property harness (``tests/test_component_pool.py``)
-runs under one of three registered profiles, selected by the
+The differential property harness for disconnected graphs
+(``tests/test_component_pool.py``) runs under one of three registered profiles, selected by the
 ``HYPOTHESIS_PROFILE`` environment variable:
 
 * ``ci`` (the default) — derandomized: the same seed every run, so the

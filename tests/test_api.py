@@ -157,6 +157,18 @@ def test_chromatic_across_backends(backend, chi):
     assert result.status == "OPTIMAL" and result.chromatic_number == chi
 
 
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], name="P4")
+
+
+@pytest.mark.parametrize(
+    "backend", ["cdcl-incremental", "cdcl-scratch", "pb-pbs2", "exact-dsatur", "brute"])
+def test_an_optimal_chromatic_result_carries_its_bounds(backend):
+    # A proved optimum is both bounds, on every backend.
+    result = Pipeline().solve(backend=backend, time_limit=60).run(ChromaticProblem(PATH4))
+    assert result.status == "OPTIMAL"
+    assert result.lower_bound == result.upper_bound == result.num_colors == 2
+
+
 def test_decision_across_backends():
     for backend in ("pb-pbs2", "cdcl-incremental", "exact-dsatur"):
         sat = (Pipeline().solve(backend=backend, time_limit=30)

@@ -42,7 +42,8 @@ BASE_PRE = [
     {"instance": "subsumption-indexed-10k", "subsumed": 13},
 ]
 BASE_PARALLEL = [
-    {"instance": "pool-tier-sequential", "chromatic_number": 7},
+    {"instance": "union-3xgnp42-descent", "chromatic_number": 7,
+     "solvers_created": 1},
     {"instance": "portfolio-race-gnp42", "chromatic_number": 7,
      "cancelled": 2, "ub": 7, "lb": 7},
 ]
@@ -116,7 +117,11 @@ def test_improvements_always_pass(check_bench, tmp_path):
 
 def test_parallel_answer_drift_fails_exactly(check_bench, tmp_path):
     fresh = json.loads(json.dumps(BASE_PARALLEL))
-    fresh[0]["chromatic_number"] = 8  # the component pool changed an answer
+    fresh[0]["chromatic_number"] = 8  # the union descent changed an answer
     _write(tmp_path, "parallel", fresh)
     _write_rest(tmp_path, "parallel")
+    assert check_bench.check(_baselines(check_bench), slack=1.0) == 1
+    fresh = json.loads(json.dumps(BASE_PARALLEL))
+    fresh[0]["solvers_created"] = 3  # the descent split the kernel again
+    _write(tmp_path, "parallel", fresh)
     assert check_bench.check(_baselines(check_bench), slack=1.0) == 1

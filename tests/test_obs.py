@@ -139,12 +139,14 @@ def test_torn_tail_is_dropped_and_counted():
 def test_unknown_event_is_skipped_not_fatal():
     records = [
         TraceRecord(99, 5, b"\xde\xad\xbe\xef"),  # not in the catalogue
+        TraceRecord(13, 3, pack_fields((2,))),  # retired (old pool_begin)
         TraceRecord(ev.RESTART, 1, pack_fields((1, 2))),
     ]
     log = read_trace(encode_trace(records))
-    assert [r.event for r in log.records] == [99, ev.RESTART]
+    assert [r.event for r in log.records] == [99, 13, ev.RESTART]
     decoded = decode_record(log.records[0])
     assert decoded["event"] == "event#99" and decoded["payload_bytes"] == 4
+    assert decode_record(log.records[1])["event"] == "event#13"
     # and the re-encode is still byte-exact (opaque payload preserved)
     assert encode_trace(log.records) == encode_trace(records)
 
@@ -319,27 +321,6 @@ def test_tracing_does_not_perturb_the_search():
     assert traced.stats.conflicts == baseline.stats.conflicts
     assert traced.stats.propagations == baseline.stats.propagations
     assert traced.queries == baseline.queries
-
-
-def test_component_pool_events_present():
-    graph = mycielski_graph(3)
-    from repro.graphs.graph import disjoint_union
-    union = disjoint_union(graph, mycielski_graph(2))
-    sink = io.BytesIO()
-    with tracing(sink):
-        result = (
-            Pipeline()
-            .solve(backend="cdcl-incremental", time_limit=120)
-            .run(ChromaticProblem(union))
-        )
-    assert result.status == "OPTIMAL"
-    records = read_trace(sink.getvalue()).records
-    events = {r.event for r in records}
-    assert ev.POOL_BEGIN in events and ev.POOL_END in events
-    assert ev.COMPONENT_BEGIN in events and ev.COMPONENT_END in events
-    # dump decodes the shifted wire value back to the color count
-    pool_end = [decode_record(r) for r in records if r.event == ev.POOL_END]
-    assert pool_end[-1]["fields"]["colors"] == result.num_colors
 
 
 def _portfolio_tier_run():
