@@ -8,8 +8,12 @@
 # `make bench-check` regenerates the counter-bearing records and fails
 # on regressions vs the committed baselines (the CI perf gate);
 # `make batch-smoke` runs the example manifest through the parallel
-# fleet runner; `make chaos-smoke` runs the resilience chaos suite
-# (fault injection seeded by CHAOS_SEED, fresh seeds in nightly CI);
+# fleet runner; `make fuzz-smoke` runs the Hypothesis differential
+# properties (disjoint unions across backends, the incremental and
+# reduce harnesses, and lifted vs formula-graph symmetry detection)
+# under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
+# chaos suite (fault injection seeded by CHAOS_SEED, fresh seeds in
+# nightly CI);
 # `make coverage` runs the tier-1 suite under pytest-cov
 # with the CI coverage floor; `make lint` runs ruff; `make analyze`
 # runs the solver-invariant static checker (repro.analysis — pure
@@ -43,7 +47,8 @@ test:
 fuzz-smoke:
 	$(PYTHONPATH_PREFIX) HYPOTHESIS_PROFILE=$(HYPOTHESIS_PROFILE) \
 		$(PYTHON) -m pytest -q tests/test_component_pool.py \
-		tests/test_incremental.py tests/test_reduce.py
+		tests/test_incremental.py tests/test_reduce.py \
+		tests/test_lifted_symmetry.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

@@ -224,21 +224,37 @@ def _detect_and_break(
     key,
     node_limit: Optional[int],
     cache: Optional[Dict],
+    coloring: ColoringEncoding,
+    should_stop: Callable[[], bool],
 ) -> SymmetryReport:
-    """Detect symmetries and append lex-leader SBPs (cached by key)."""
+    """Detect symmetries and append lex-leader SBPs (cached by key).
+
+    ``coloring`` lets detection lift Aut(G) × S_K instead of searching
+    the formula graph.  A report is cached only when it is complete or
+    was cut by ``node_limit``, which repeats exactly; one that
+    ``should_stop`` cut short is used but not stored, so a later run
+    with more budget does not inherit its partial generator set.
+    """
+    stopped = False
+
+    def stop() -> bool:
+        nonlocal stopped
+        stopped = stopped or should_stop()
+        return stopped
+
+    hit = False
     if cache is not None:
         hit = key in cache
         get_registry().inc(
             "symmetry_cache_total", result="hit" if hit else "miss")
-        if hit:
-            report = cache[key]
-        else:
-            report = detect_symmetries(
-                formula, node_limit=node_limit, compute_order=False)
-            cache[key] = report
+    if hit:
+        report = cache[key]
     else:
         report = detect_symmetries(
-            formula, node_limit=node_limit, compute_order=False)
+            formula, node_limit=node_limit, compute_order=False,
+            coloring=coloring, should_stop=stop)
+        if cache is not None and not stopped:
+            cache[key] = report
     add_symmetry_breaking_predicates(formula, report.generators)
     return report
 
@@ -478,13 +494,17 @@ def _run_formula_stages(
                     if ctx.detection_cache is not None else None
                 )
                 detection = _detect_and_break(
-                    formula, key, sym.detection_node_limit, ctx.detection_cache
+                    formula, key, sym.detection_node_limit, ctx.detection_cache,
+                    encoding,
+                    lambda: prep_deadline.expired() or ctx.cancelled(),
                 )
                 stages.append(
                     StageStat(
                         "detect",
                         time.monotonic() - t0,
-                        {"generators": detection.num_generators},
+                        {"generators": detection.num_generators,
+                         "route": detection.route,
+                         "complete": detection.complete},
                     )
                 )
 

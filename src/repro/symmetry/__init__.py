@@ -1,5 +1,6 @@
 """Symmetry machinery: permutations, groups, refinement, automorphisms,
-formula graphs and the detection pipeline (Saucy + GAP stand-ins)."""
+formula graphs, Aut(G) × S_K lifted onto coloring formulas, and the
+detection pipeline (Saucy + GAP stand-ins)."""
 
 from .automorphism import AutomorphismFinder, AutomorphismResult, find_automorphisms
 from .canonical import (

@@ -12,12 +12,17 @@ automorphisms are conjugates of found ones).
 This returns a *generator set* for the automorphism group, which is
 exactly what the symmetry-breaking flow consumes (the paper's flow
 feeds Saucy generators to the SBP construction).
+
+The search halts on a node budget or a caller's ``should_stop``
+predicate, polled once per node.  A halt unwinds the whole tree: no
+open level individualizes or refines another sibling, and the
+generators found so far come back with ``complete=False``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..graphs.graph import Graph
 from .group import orbit_of
@@ -30,7 +35,7 @@ class AutomorphismResult:
     """Outcome of an automorphism search."""
 
     generators: List[Permutation] = field(default_factory=list)
-    complete: bool = True  # False when the node budget was exhausted
+    complete: bool = True  # False when the node budget or a stop cut it
     nodes_explored: int = 0
 
     def num_generators(self) -> int:
@@ -45,6 +50,7 @@ class AutomorphismFinder:
         graph: Graph,
         colors: Optional[Sequence[int]] = None,
         node_limit: Optional[int] = None,
+        should_stop: Optional[Callable[[], bool]] = None,
     ):
         self.graph = graph
         n = graph.num_vertices
@@ -54,6 +60,13 @@ class AutomorphismFinder:
             raise ValueError("one color per vertex required")
         self.colors = list(colors)
         self.node_limit = node_limit
+        self.should_stop = should_stop
+
+    def _halts(self, nodes: int) -> bool:
+        """True when the node budget is spent or the caller asks to stop."""
+        if self.node_limit is not None and nodes >= self.node_limit:
+            return True
+        return self.should_stop is not None and self.should_stop()
 
     def run(self) -> AutomorphismResult:
         """Execute the search and return the generator set."""
@@ -93,7 +106,7 @@ class AutomorphismFinder:
                 result.generators.append(Permutation(image))
 
         def recurse(partition: OrderedPartition, prefix: List[int]) -> None:
-            if self.node_limit is not None and result.nodes_explored >= self.node_limit:
+            if self._halts(result.nodes_explored):
                 result.complete = False
                 return
             result.nodes_explored += 1
@@ -104,6 +117,8 @@ class AutomorphismFinder:
             cell = sorted(partition.cells[target])
             explored: List[int] = []
             for v in cell:
+                if not result.complete:
+                    return  # halted below: unwind, refine no sibling
                 if explored:
                     fixing = fixing_generators(prefix)
                     if fixing:
@@ -123,6 +138,9 @@ def find_automorphisms(
     graph: Graph,
     colors: Optional[Sequence[int]] = None,
     node_limit: Optional[int] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> AutomorphismResult:
     """Convenience wrapper around :class:`AutomorphismFinder`."""
-    return AutomorphismFinder(graph, colors=colors, node_limit=node_limit).run()
+    return AutomorphismFinder(
+        graph, colors=colors, node_limit=node_limit, should_stop=should_stop
+    ).run()

@@ -1,5 +1,11 @@
 """CNF/PB formula -> colored graph, for symmetry detection.
 
+This is detection's general route.  A coloring formula whose layout
+is known goes first through :mod:`.lifted`, which lifts Aut(G) × S_K
+from the n-vertex graph; the formula graph is searched when no layout
+is given or a lifted permutation fails verification (as under the
+instance-independent SBP kinds).
+
 Follows the construction of Aloul, Ramani, Markov & Sakallah (TCAD
 2003, ASP-DAC 2004) with one safety refinement.  Vertices:
 

@@ -1,8 +1,10 @@
 """Shared test configuration: seeded hypothesis profiles.
 
-The differential property harness for disconnected graphs
-(``tests/test_component_pool.py``) runs under one of three registered profiles, selected by the
-``HYPOTHESIS_PROFILE`` environment variable:
+The differential property harnesses — disconnected graphs across
+backends (``tests/test_component_pool.py``) and lifted vs formula-graph
+symmetry detection (``tests/test_lifted_symmetry.py``) — run under one
+of three registered profiles, selected by the ``HYPOTHESIS_PROFILE``
+environment variable:
 
 * ``ci`` (the default) — derandomized: the same seed every run, so the
   tier-1 suite and the PR ``fuzz-smoke`` job are deterministic;

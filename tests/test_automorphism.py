@@ -84,6 +84,21 @@ def test_node_limit_marks_incomplete():
     assert not result.complete
 
 
+def test_a_stop_unwinds_the_whole_search():
+    # The predicate is polled once per node; once it fires, no open
+    # level enters another sibling, so it is never polled again.
+    polls = []
+
+    def stop():
+        polls.append(len(polls) >= 3)
+        return polls[-1]
+
+    result = find_automorphisms(Graph(8), should_stop=stop)
+    assert polls == [False, False, False, True]
+    assert result.nodes_explored == 3
+    assert not result.complete
+
+
 def test_disjoint_triangles_swap():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     # 3! per triangle, times the swap of the two triangles: 6*6*2.

@@ -168,6 +168,45 @@ def test_cdcl_runs_hold_their_time_limit(backend, kind):
         assert result.solvers_created <= 1
 
 
+def _detecting_pipeline(time_limit, **symmetry):
+    return (Pipeline()
+            .reduce(False)
+            .symmetry(sbp_kind="nu+sc", instance_dependent=True, **symmetry)
+            .solve(backend="pb-pbs2", time_limit=time_limit))
+
+
+@pytest.mark.parametrize("n", [4, 5], ids=["myciel4", "myciel5"])
+def test_detection_holds_the_time_limit(n):
+    # With nu+sc at K=8 the formula-graph search runs for seconds
+    # (myciel4) to minutes (myciel5).  The detect stage polls the
+    # preparation deadline at every search node and unwinds, so the
+    # solve stage still gets its share of the 2 s.
+    graph = mycielski_graph(n)
+    start = time.monotonic()
+    result = _detecting_pipeline(2).run(BudgetedOptimize(graph, 8))
+    elapsed = time.monotonic() - start
+    assert elapsed <= 2.4, f"myciel{n} took {elapsed:.2f}s on a 2s limit"
+    assert result.detection.complete is False
+    if result.coloring is not None:
+        assert is_proper(graph, result.coloring)
+
+
+def test_a_deadline_cut_detection_is_not_cached():
+    # A report the deadline cut short is used but never stored: a later
+    # run with a generous limit must not inherit its partial generators.
+    # A node-limit cut repeats exactly, so it is stored.
+    problem = BudgetedOptimize(mycielski_graph(4), 8)
+    cache = {}
+    cut = _detecting_pipeline(0.4).run(problem, detection_cache=cache)
+    assert cut.detection is not None and cut.detection.complete is False
+    assert cache == {}
+    limited = _detecting_pipeline(None, detection_node_limit=5).run(
+        problem, detection_cache=cache)
+    assert limited.detection.complete is False
+    assert limited.detection.nodes_explored == 5
+    assert list(cache.values()) == [limited.detection]
+
+
 def test_exact_dsatur_honours_the_run_cancel():
     # Left alone, the branch and bound on myciel5 is still searching
     # after 10 s; a cancel that turns true at 0.2 s stops it within the

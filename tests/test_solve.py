@@ -85,7 +85,11 @@ def test_find_chromatic_number_empty_graph():
 def test_timeout_reports_unknown_or_sat():
     g = queens_graph(6, 6)
     result = ILP.solve(backend="pbs2", time_limit=0.05).run(BudgetedOptimize(g, 9))
-    assert result.status in ("UNKNOWN", "SAT", "OPTIMAL")
+    # Pipeline.run reports an optimization run's unproved SAT answer as
+    # a degraded FEASIBLE with a verified coloring.
+    assert result.status in ("UNKNOWN", "FEASIBLE", "OPTIMAL")
+    if result.status == "FEASIBLE":
+        assert result.degraded and g.is_proper_coloring(result.coloring)
 
 
 def test_symmetry_detection_after_simplification_same_answers():
