@@ -10,8 +10,9 @@
 # `make batch-smoke` runs the example manifest through the parallel
 # fleet runner; `make fuzz-smoke` runs the Hypothesis differential
 # properties (disjoint unions across backends, the incremental and
-# reduce harnesses, and lifted vs formula-graph symmetry detection)
-# under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
+# reduce harnesses, lifted vs formula-graph symmetry detection, and the
+# preprocessing properties: model preservation and the simplify
+# fixpoint) under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
 # chaos suite (fault injection seeded by CHAOS_SEED, fresh seeds in
 # nightly CI);
 # `make coverage` runs the tier-1 suite under pytest-cov
@@ -48,7 +49,7 @@ fuzz-smoke:
 	$(PYTHONPATH_PREFIX) HYPOTHESIS_PROFILE=$(HYPOTHESIS_PROFILE) \
 		$(PYTHON) -m pytest -q tests/test_component_pool.py \
 		tests/test_incremental.py tests/test_reduce.py \
-		tests/test_lifted_symmetry.py
+		tests/test_lifted_symmetry.py tests/test_preprocessing.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

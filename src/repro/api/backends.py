@@ -35,7 +35,6 @@ from ..coloring.exact_dsatur import exact_chromatic_number
 from ..coloring.reduce import kernelize
 from ..coloring.sat_pipeline import chromatic_number_sat, sat_k_colorable
 from ..graphs.graph import Graph
-from ..ilp.branch_and_bound import BranchAndBoundSolver
 from ..pb.optimizer import minimize
 from ..pb.presets import get_preset
 from ..sat.brute import MAX_BRUTE_VARS, brute_force_solve
@@ -240,11 +239,17 @@ class BranchAndBoundBackend(_OptimizeFlowBackend):
         self, formula, time_limit, conflict_limit, upper, lower, incremental,
         should_stop=None,
     ):
+        # Imported on first use: repro.ilp loads numpy and scipy, which
+        # no other backend needs.
+        from ..ilp.branch_and_bound import BranchAndBoundSolver
+
         return BranchAndBoundSolver().optimize(
             formula, time_limit=time_limit, should_stop=should_stop
         )
 
     def decide(self, formula, time_limit, conflict_limit, should_stop=None) -> SolveResult:
+        from ..ilp.branch_and_bound import BranchAndBoundSolver
+
         result = BranchAndBoundSolver().optimize(
             formula, time_limit=time_limit, should_stop=should_stop
         )

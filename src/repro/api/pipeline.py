@@ -464,7 +464,7 @@ def _run_formula_stages(
         elif stage_name == "simplify":
             if config.simplify.enabled:
                 ctx.emit("simplify", "simplifying the clause database")
-                simplified, sstats = simplify_formula(formula)
+                simplified, sstats = simplify_formula(formula, deadline=prep_deadline)
                 info.simplify = sstats
                 simplified_ran = True
                 stages.append(

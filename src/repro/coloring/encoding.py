@@ -77,20 +77,23 @@ def encode_coloring(
             encoding.x_var[(v, k)] = formula.new_var(("x", v, k))
     for k in colors:
         encoding.y_var[k] = formula.new_var(("y", k))
+    # xs[v][k - 1] is x(v, k).
+    xs = [[encoding.x_var[(v, k)] for k in colors] for v in range(n)]
+    add_clause = formula.add_clause
 
     # Each vertex gets exactly one color (one PB constraint per vertex).
     for v in range(n):
-        formula.add_exactly_one([encoding.x(v, k) for k in colors])
+        formula.add_exactly_one(xs[v])
     # Adjacent vertices differ (K binary clauses per edge).
     for a, b in graph.edges():
-        for k in colors:
-            formula.add_clause([-encoding.x(a, k), -encoding.x(b, k)])
+        for xa, xb in zip(xs[a], xs[b]):
+            add_clause([-xa, -xb])
     # y_k <-> OR_v x[v][k]: n*K clauses for <-, K long clauses for ->.
     for k in colors:
         yk = encoding.y(k)
         for v in range(n):
-            formula.add_clause([-encoding.x(v, k), yk])
-        formula.add_clause([-yk] + [encoding.x(v, k) for v in range(n)])
+            add_clause([-xs[v][k - 1], yk])
+        add_clause([-yk] + [xs[v][k - 1] for v in range(n)])
     if with_objective:
         formula.set_objective([(1, encoding.y(k)) for k in colors], sense="min")
     return encoding

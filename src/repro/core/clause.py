@@ -1,9 +1,10 @@
 """CNF clauses.
 
 A clause is a disjunction of literals.  The class canonicalizes on
-construction (sorted, duplicate literals removed) so that structurally
-equal clauses compare and hash equal — useful both for formula-level
-deduplication and for tests.
+construction (sorted by variable, duplicate literals removed, ``x``
+before ``-x`` in a tautology) so that structurally equal clauses
+compare and hash equal — useful both for formula-level deduplication
+and for tests.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ class Clause:
     __slots__ = ("literals",)
 
     def __init__(self, literals: Iterable[int]):
-        lits = sorted({check_literal(l) for l in literals}, key=lambda l: (var_of(l), l < 0))
-        self.literals: Tuple[int, ...] = tuple(lits)
+        # Descending first puts x before -x; the stable sort by variable
+        # keeps that order.
+        unique = sorted(set(map(check_literal, literals)), reverse=True)
+        self.literals: Tuple[int, ...] = tuple(sorted(unique, key=abs))
 
     def __len__(self) -> int:
         return len(self.literals)
@@ -50,8 +53,8 @@ class Clause:
     @property
     def is_tautology(self) -> bool:
         """True when the clause contains a literal and its complement."""
-        seen = set(self.literals)
-        return any(-lit in seen for lit in self.literals)
+        # The literals are distinct, so a repeated variable is x next to -x.
+        return len(set(map(abs, self.literals))) < len(self.literals)
 
     def variables(self) -> Tuple[int, ...]:
         """Variables appearing in the clause, ascending."""

@@ -81,7 +81,7 @@ class Formula:
             raise ValueError("refusing to add the empty clause; formula would be trivially UNSAT")
         if skip_tautology and clause.is_tautology:
             return None
-        self._grow_to(clause.variables())
+        self.ensure_var(max(map(abs, clause.literals)))
         self.clauses.append(clause)
         return clause
 

@@ -144,6 +144,8 @@ class CDCLSolver:
 
     # ------------------------------------------------------------ plumbing
     def _ensure_var(self, var: int) -> None:
+        if var <= self.num_vars:
+            return
         while self.num_vars < var:
             self.num_vars += 1
             self.values.append(0)
@@ -178,6 +180,7 @@ class CDCLSolver:
             raise RuntimeError("add_clause is only legal at decision level 0")
         lits: List[int] = []
         seen = set()
+        values = self.values  # grown in place by _ensure_var
         for lit in literals:
             if lit == 0:
                 raise ValueError("0 is not a literal")
@@ -187,10 +190,10 @@ class CDCLSolver:
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self.value_of(lit)
-            if value is True:
+            value = values[lit] if lit > 0 else -values[-lit]
+            if value > 0:
                 return True  # already satisfied at level 0
-            if value is False:
+            if value < 0:
                 continue  # falsified at level 0; drop the literal
             lits.append(lit)
         if not lits:

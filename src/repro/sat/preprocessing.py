@@ -7,17 +7,24 @@ formula.  Implemented here:
 
 * canonical intake: tautologies and duplicate clauses are dropped
   before any other rule runs (a tautology is never a valid subsumer —
-  resolving on it returns the other clause unchanged);
-* unit propagation to fixpoint (with the implied assignment returned);
+  resolving on it returns the other clause unchanged); a
+  :class:`~repro.core.clause.Clause` is already sorted, so intake
+  re-sorts nothing;
+* unit propagation to fixpoint (with the implied assignment returned),
+  in waves over a literal -> clause index, touching only the clauses
+  that hold a newly assigned variable;
 * pure-literal elimination;
-* clause subsumption and self-subsuming resolution (strengthening),
-  driven by an occurrence-list index rather than a pairwise scan, with
-  strengthened clauses re-queued so no opportunity is missed;
+* clause subsumption and self-subsuming resolution (strengthening)
+  over SatELite-style occurrence sets (Eén & Biere, SAT 2005): the
+  candidates of every test are intersections of those sets, computed
+  in C, and strengthened clauses are re-queued so no opportunity is
+  missed;
 * bounded variable elimination (NiVER-style: a variable is resolved
   away when doing so does not grow the clause set), with the removed
   clauses saved so models can be reconstructed.
 
-``preprocess`` runs them to a joint fixpoint and reports what it did.
+``preprocess`` runs them in rounds and stops at the first round that
+leaves the next one nothing to do (one that only propagated units).
 The result is equisatisfiable, *not* equivalent: pure-literal
 elimination and variable elimination discard models.  A model of the
 reduced formula is lifted to a model of the original formula with
@@ -27,15 +34,24 @@ assignment and replays the variable-elimination stack in reverse.
 ``simplify_formula`` is the restricted, *model-preserving* subset
 (tautology/duplicate removal, unit propagation with the units kept,
 subsumption, strengthening) that is safe to run on mixed CNF+PB
-formulas before handing them to the PB/ILP optimizers.
+formulas before handing them to the PB/ILP optimizers.  Its rounds
+stop at the first subsumption pass that strengthens nothing, which is
+the exact fixpoint.
+
+Both take a ``deadline``: once it expires the running subsumption pass
+keeps the clauses it has not visited and no further round runs, so the
+output stays sound.  Both reuse the input's :class:`Clause` objects for
+every clause they leave unchanged.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from operator import neg
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..core.clause import Clause
 from ..core.formula import Formula
 from ..core.literals import var_of
 from ..core.pbconstraint import PBConstraint
@@ -102,61 +118,98 @@ class PreprocessResult:
 
 
 def _canonical_intake(
-    raw: List[Tuple[int, ...]],
-) -> Tuple[List[Tuple[int, ...]], int, int]:
-    """Drop tautologies and duplicate clauses; returns (clauses, #taut, #dup)."""
-    clauses: List[Tuple[int, ...]] = []
-    seen: Set[Tuple[int, ...]] = set()
+    clauses: Iterable[Clause],
+) -> Tuple[List[Tuple[int, ...]], Dict[Tuple[int, ...], Clause], int, int]:
+    """Drop tautologies and duplicate clauses.
+
+    Returns ``(clauses, origin, #taut, #dup)``: the literal tuples in
+    input order and the map from each tuple to the input
+    :class:`Clause` it came from, so the output can reuse every clause
+    the rules leave unchanged.  A :class:`Clause` is already sorted and
+    free of repeated literals, so nothing is re-sorted here.
+    """
+    kept: List[Tuple[int, ...]] = []
+    origin: Dict[Tuple[int, ...], Clause] = {}
     tautologies = 0
     duplicates = 0
-    for literals in raw:
-        unique = frozenset(literals)
-        if any(-lit in unique for lit in unique):
+    for clause in clauses:
+        literals = clause.literals
+        if clause.is_tautology:
             tautologies += 1
-            continue
-        canonical = tuple(sorted(unique, key=lambda l: (var_of(l), l < 0)))
-        if canonical in seen:
+        elif literals in origin:
             duplicates += 1
-            continue
-        seen.add(canonical)
-        clauses.append(canonical)
-    return clauses, tautologies, duplicates
+        else:
+            origin[literals] = clause
+            kept.append(literals)
+    return kept, origin, tautologies, duplicates
+
+
+def _output_formula(
+    num_vars: int,
+    clauses: Iterable[Tuple[int, ...]],
+    origin: Dict[Tuple[int, ...], Clause],
+) -> Formula:
+    """The formula holding ``clauses``, reusing each input clause left
+    unchanged; only a shortened or derived clause is built anew."""
+    out = Formula(num_vars=num_vars)
+    for literals in clauses:
+        clause = origin.get(literals)
+        out.add_clause(clause if clause is not None else Clause(literals))
+    return out
 
 
 def _propagate_units(
     clauses: List[Tuple[int, ...]], forced: Dict[int, bool]
 ) -> Tuple[Optional[List[Tuple[int, ...]]], int]:
-    """Resolve unit clauses to fixpoint; returns (clauses, #units)."""
+    """Resolve unit clauses to fixpoint; returns (clauses, #units).
+
+    Propagation runs in waves.  A wave assigns every unit clause of the
+    current list in clause order, then shortens or drops only the
+    clauses that hold a variable it assigned, found through a literal
+    -> clause index built once per call; the clauses this leaves unit
+    form the next wave.  No clause may be empty or mention a variable
+    of ``forced`` (every caller's invariant).  UNSAT returns ``(None,
+    #units assigned so far)``.
+    """
+    wave = [i for i, clause in enumerate(clauses) if len(clause) == 1]
+    if not wave:
+        return clauses, 0
+    occ: Dict[int, List[int]] = defaultdict(list)
+    for i, clause in enumerate(clauses):
+        for lit in clause:
+            occ[lit].append(i)
+    current: List[Optional[Tuple[int, ...]]] = list(clauses)
     count = 0
-    while True:
-        units = [c[0] for c in clauses if len(c) == 1]
-        if not units:
-            return clauses, count
-        for lit in units:
-            var = var_of(lit)
-            want = lit > 0
-            if var in forced and forced[var] != want:
-                return None, count
-            if var not in forced:
-                forced[var] = want
+    while wave:
+        true_lits: List[int] = []
+        for i in wave:
+            lit = current[i][0]
+            var = abs(lit)
+            value = forced.get(var)
+            if value is None:
+                forced[var] = lit > 0
                 count += 1
-        next_clauses: List[Tuple[int, ...]] = []
-        for clause in clauses:
-            out: List[int] = []
-            satisfied = False
-            for lit in clause:
-                value = forced.get(var_of(lit))
-                if value is None:
-                    out.append(lit)
-                elif (lit > 0) == value:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not out:
+                true_lits.append(lit)
+            elif value != (lit > 0):
                 return None, count
-            next_clauses.append(tuple(out))
-        clauses = next_clauses
+        touched: Set[int] = set()
+        for lit in true_lits:
+            for i in occ.get(lit, ()):
+                current[i] = None  # satisfied, the wave's own units included
+            touched.update(occ.get(-lit, ()))
+        wave = []
+        for i in sorted(touched):
+            clause = current[i]
+            if clause is None:
+                continue
+            # Every assigned literal left in an unsatisfied clause is false.
+            shorter = tuple([lit for lit in clause if abs(lit) not in forced])
+            if not shorter:
+                return None, count
+            current[i] = shorter
+            if len(shorter) == 1:
+                wave.append(i)
+    return [clause for clause in current if clause is not None], count
 
 
 def _eliminate_pure(
@@ -198,43 +251,40 @@ def subsume_clauses(
     clauses: List[Tuple[int, ...]],
     deadline: Optional[Deadline] = None,
 ) -> Tuple[List[Tuple[int, ...]], int, int]:
-    """Subsumption + self-subsuming resolution via an occurrence index.
+    """Subsumption + self-subsuming resolution over occurrence sets.
 
-    Each clause is indexed under every literal it contains; a clause
-    looks for its subsumption victims only among the occurrences of its
-    least-frequent literal, and for strengthening victims among the
-    occurrences of each literal's complement.  Strengthened clauses are
-    re-queued, so a clause shrunk mid-pass still subsumes everything it
-    can (the sorted-once pairwise loop missed those).  Tautological
-    input clauses are dropped: resolving on a tautology returns the
-    other clause unchanged, so treating one as a subsumer or
-    strengthener is unsound.
+    Each clause is indexed under every literal it contains, in a set of
+    clause ids per literal (SatELite's occurrence lists).  Candidates
+    are found by intersecting those sets in C, with no per-candidate
+    Python test: the clauses that ``C`` subsumes are the intersection
+    of ``occ[l]`` over ``C``'s literals, and the clauses it strengthens
+    on ``lit`` (``C = A|lit`` drops ``~lit`` from ``D = B|~lit`` when
+    ``A <= B``) are ``occ[-lit]`` intersected with ``occ[l]`` for every
+    other literal ``l`` of ``C``.  Clauses are visited shortest first
+    (ties by literal tuple) from a FIFO queue, and strengthened clauses
+    are re-queued in the order a walk of ``occ[-lit]`` meets them, so a
+    clause shrunk mid-pass still subsumes everything it can.
+    Tautological input clauses are dropped: resolving on a tautology
+    returns the other clause unchanged, so treating one as a subsumer
+    or strengthener is unsound.  Duplicate clauses collapse into one.
 
     Returns ``(kept, subsumed, strengthened)``.  Strengthening can
     produce unit or empty clauses; callers must handle both.  Once
     ``deadline`` expires the pass stops early; every clause it has not
     yet visited is kept as it is, which is still sound.
     """
-    work: List[Tuple[int, ...]] = sorted(
-        {c for c in clauses if not any(-l in c for l in c)},
-        key=lambda c: (len(c), c),
-    )
-    sets: List[frozenset] = [frozenset(c) for c in work]
+    work = sorted({c for c in clauses if set(c).isdisjoint(map(neg, c))})
+    work.sort(key=len)  # stable: ordered by (len, literals)
     alive = [True] * len(work)
-    occ: Dict[int, Set[int]] = {}
+    occ: Dict[int, Set[int]] = defaultdict(set)
     for idx, clause in enumerate(work):
         for lit in clause:
-            occ.setdefault(lit, set()).add(idx)
+            occ[lit].add(idx)
 
     queue = deque(range(len(work)))
     queued = [True] * len(work)
     subsumed = 0
     strengthened = 0
-
-    def kill(idx: int) -> None:
-        alive[idx] = False
-        for lit in work[idx]:
-            occ.get(lit, set()).discard(idx)
 
     while queue:
         if deadline is not None and deadline.expired():
@@ -244,38 +294,39 @@ def subsume_clauses(
         if not alive[i]:
             continue
         clause = work[i]
-        this = sets[i]
         if not clause:
             continue  # empty clause: reported to the caller via `kept`
-        # Forward subsumption: kill strict supersets of `clause`.
-        pivot = min(clause, key=lambda l: len(occ.get(l, ())))
-        for j in list(occ.get(pivot, ())):
-            if j == i or not alive[j] or len(sets[j]) < len(this):
+        # One occurrence set per distinct literal, in clause order.
+        occ_of = {lit: occ[lit] for lit in clause}
+        sets = list(occ_of.values())
+        # Forward subsumption: kill every other clause holding all of
+        # `clause`.  Kills commute; sorting them keeps set order out.
+        supersets = sets[0].intersection(*sets[1:])
+        supersets.discard(i)
+        for j in sorted(supersets):
+            alive[j] = False
+            for lit in work[j]:
+                occ[lit].discard(j)
+        subsumed += len(supersets)
+        # Self-subsuming resolution on each literal.
+        for k, lit in enumerate(occ_of):
+            complement = occ.get(-lit)
+            if not complement:
                 continue
-            if this <= sets[j]:
-                kill(j)
-                subsumed += 1
-        # Self-subsuming resolution: C = A|x strengthens D = B|~x with
-        # A <= B by dropping ~x from D.
-        for lit in clause:
-            rest = this - {lit}
-            for j in list(occ.get(-lit, ())):
-                if j == i or not alive[j] or len(sets[j]) < len(this):
-                    continue
-                if rest <= sets[j]:
-                    occ[-lit].discard(j)
-                    shrunk = tuple(l for l in work[j] if l != -lit)
-                    work[j] = shrunk
-                    sets[j] = frozenset(shrunk)
-                    strengthened += 1
-                    if not queued[j]:
-                        queue.append(j)
-                        queued[j] = True
+            hits = complement.intersection(*sets[:k], *sets[k + 1:])
+            if not hits:
+                continue
+            # The re-queue order steers the rest of the pass: take the
+            # victims in the order a walk of occ[-lit] meets them.
+            for j in [j for j in complement if j in hits]:
+                complement.discard(j)
+                work[j] = tuple([l for l in work[j] if l != -lit])
+                strengthened += 1
+                if not queued[j]:
+                    queue.append(j)
+                    queued[j] = True
     kept = [c for c, keep in zip(work, alive) if keep]
     return kept, subsumed, strengthened
-
-
-_subsume = subsume_clauses  # internal alias kept for older call sites
 
 
 def _eliminate_variables(
@@ -393,9 +444,7 @@ def preprocess(
         raise ValueError("preprocess handles CNF-only formulas")
     frozen_set = frozenset(frozen)
     result = PreprocessResult(formula=None, num_vars=formula.num_vars)
-    clauses, tautologies, duplicates = _canonical_intake(
-        [c.literals for c in formula.clauses]
-    )
+    clauses, origin, tautologies, duplicates = _canonical_intake(formula.clauses)
     result.tautologies_removed = tautologies
     result.duplicates_removed = duplicates
     forced: Dict[int, bool] = {}
@@ -410,7 +459,7 @@ def preprocess(
         clauses, subsumed, strengthened = subsume_clauses(clauses, deadline)
         result.subsumed += subsumed
         result.strengthened += strengthened
-        if any(not c for c in clauses):
+        if () in clauses:
             return result  # strengthening emptied a clause: UNSAT
         if deadline is not None and deadline.expired():
             break
@@ -424,15 +473,12 @@ def preprocess(
             if clauses_or_none is None:
                 return result  # empty resolvent: UNSAT
             clauses = clauses_or_none
-        if not (units or pure or subsumed or strengthened or removed):
+        # Units were propagated to fixpoint at the top of this round, so
+        # a round that only propagated leaves the next one nothing to do.
+        if not (pure or subsumed or strengthened or removed):
             break
-    out = Formula(num_vars=formula.num_vars)
-    for var in sorted(frozen_set):
-        if var in forced:
-            out.add_clause([var if forced[var] else -var])
-    for clause in clauses:
-        out.add_clause(clause)
-    result.formula = out
+    units = [(var if forced[var] else -var,) for var in sorted(frozen_set) if var in forced]
+    result.formula = _output_formula(formula.num_vars, units + clauses, origin)
     result.forced = forced
     return result
 
@@ -512,7 +558,7 @@ def substitute_forced_into_pb(
 
 
 def simplify_formula(
-    formula: Formula, max_rounds: int = 10
+    formula: Formula, max_rounds: int = 10, deadline: Optional[Deadline] = None
 ) -> Tuple[Optional[Formula], SimplifyStats]:
     """Model-preserving clause simplification for mixed CNF+PB formulas.
 
@@ -524,6 +570,11 @@ def simplify_formula(
     variable elimination are deliberately excluded: variables shared
     with PB constraints or the objective cannot be discarded.
 
+    Rounds of propagation then subsumption run until a subsumption
+    pass strengthens nothing: subsumption alone creates no unit and
+    one pass removes every clause a kept clause subsumes, so another
+    round would change nothing.
+
     Forced literals (from unit propagation) are additionally
     *substituted into the PB constraints*, tightening their degrees and
     dropping dead terms, instead of leaving every solver to re-derive
@@ -531,14 +582,16 @@ def simplify_formula(
     still kept in the output, so the conjunction remains logically
     equivalent over the original variables and models decode unchanged.
 
+    ``deadline`` bounds the subsumption passes: once it expires the
+    current pass keeps every clause it has not visited and no further
+    round runs, so the output is still equivalent to the input.
+
     The objective and ``num_vars`` are carried over untouched.  Returns
     ``(formula, stats)``; the formula is ``None`` when the clause
     database (or a PB constraint under the forced assignment) is UNSAT.
     """
     stats = SimplifyStats(clauses_before=len(formula.clauses))
-    clauses, tautologies, duplicates = _canonical_intake(
-        [c.literals for c in formula.clauses]
-    )
+    clauses, origin, tautologies, duplicates = _canonical_intake(formula.clauses)
     stats.tautologies_removed = tautologies
     stats.duplicates_removed = duplicates
     forced: Dict[int, bool] = {}
@@ -548,23 +601,20 @@ def simplify_formula(
         if clauses_or_none is None:
             return None, stats
         clauses = clauses_or_none
-        clauses, subsumed, strengthened = subsume_clauses(clauses)
+        clauses, subsumed, strengthened = subsume_clauses(clauses, deadline)
         stats.subsumed += subsumed
         stats.strengthened += strengthened
-        if any(not c for c in clauses):
+        if () in clauses:
             return None, stats
-        if not (units or subsumed or strengthened):
+        if not strengthened or (deadline is not None and deadline.expired()):
             break
     pb_constraints = substitute_forced_into_pb(
         formula.pb_constraints, forced, stats
     )
     if pb_constraints is None:
         return None, stats
-    out = Formula(num_vars=formula.num_vars)
-    for var in sorted(forced):
-        out.add_clause([var if forced[var] else -var])
-    for clause in clauses:
-        out.add_clause(clause)
+    units = [(var if forced[var] else -var,) for var in sorted(forced)]
+    out = _output_formula(formula.num_vars, units + clauses, origin)
     out.pb_constraints = pb_constraints
     out.objective = formula.objective
     out.objective_sense = formula.objective_sense

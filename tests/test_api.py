@@ -13,7 +13,10 @@ Covers the API-redesign contract:
   silently loosened (``max_colors=0`` included).
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,8 @@ from repro.experiments.instances import get_instance
 from repro.graphs.generators import book_graph, mycielski_graph, queens_graph
 from repro.graphs.graph import Graph, disjoint_union
 from repro.obs import scoped_registry
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 TRIANGLE_PLUS = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], name="fig1")
 
@@ -93,6 +98,19 @@ def test_registry_resolves_names_and_aliases():
     with pytest.raises(ValueError) as exc:
         get_backend("nope")
     assert "registered backends" in str(exc.value)
+
+
+def test_importing_the_api_loads_neither_numpy_nor_scipy():
+    # cplex-bb imports repro.ilp, and with it numpy and scipy, on its
+    # first use; every other backend runs without them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    probe = ("import sys, repro.api, repro.batch; "
+             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_new_backend_plugs_in_without_call_site_changes():

@@ -25,6 +25,7 @@ from repro.api import (
 )
 from repro.coloring.verify import is_proper
 from repro.core.formula import Formula
+from repro.experiments.instances import get_instance
 from repro.graphs.graph import Graph
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.sat.cdcl import CDCLSolver
@@ -189,6 +190,27 @@ def test_detection_holds_the_time_limit(n):
     assert result.detection.complete is False
     if result.coloring is not None:
         assert is_proper(graph, result.coloring)
+
+
+def test_simplify_holds_the_time_limit():
+    # DSJC125.9 is dense (average degree 111): with nu+sc at K=8 the
+    # formula is small, but subsumption has long occurrence lists to
+    # test, so simplification costs much more than the encoding and the
+    # PB load, which do not poll the deadline.  simplify_formula spends
+    # from the preparation deadline like detection does, so the solve
+    # stage still gets its share.
+    graph = get_instance("DSJC125.9").graph()
+    start = time.monotonic()
+    result = (Pipeline()
+              .reduce(False)
+              .symmetry(sbp_kind="nu+sc")
+              .solve(backend="pb-pbs2", time_limit=2)
+              .run(BudgetedOptimize(graph, 8)))
+    elapsed = time.monotonic() - start
+    assert elapsed <= 2.4, f"DSJC125.9 took {elapsed:.2f}s on a 2s limit"
+    # Its clique bound is 31, so no 8-coloring can come back.
+    assert result.status in ("UNSAT", "UNKNOWN")
+    assert result.coloring is None
 
 
 def test_a_deadline_cut_detection_is_not_cached():

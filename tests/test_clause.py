@@ -12,6 +12,7 @@ lits = st.integers(min_value=-8, max_value=8).filter(lambda x: x != 0)
 def test_canonicalization_dedup_and_order():
     assert Clause([2, 1, 2]).literals == (1, 2)
     assert Clause([-1, 1]).literals == (1, -1)  # var order, pos before neg
+    assert Clause([3, -1, 2, 1]).literals == (1, -1, 2, 3)  # tautology among others
 
 
 def test_equality_and_hash():

@@ -1,16 +1,26 @@
 """CNF preprocessing tests."""
 
+import hashlib
+import itertools
+import random
+from dataclasses import asdict
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.coloring.encoding import encode_coloring
 from repro.core.formula import Formula
+from repro.experiments.instances import get_instance
+from repro.resilience import Deadline
 from repro.sat.brute import brute_force_solve
 from repro.sat.preprocessing import (
+    _propagate_units,
     preprocess,
     simplify_formula,
     subsume_clauses,
 )
+from repro.sbp.instance_independent import apply_sbp
 
 
 def test_unit_propagation_chain():
@@ -278,3 +288,200 @@ def test_simplify_pb_equality_substitution():
     (pb,) = out.pb_constraints
     assert pb.relation == "=" and pb.bound == 0
     assert pb.terms == ((1, 2), (1, 3))
+
+
+def _same_models(a, b, num_vars):
+    for values in itertools.product((False, True), repeat=num_vars):
+        model = dict(zip(range(1, num_vars + 1), values))
+        if a.evaluate(model) != b.evaluate(model):
+            return False
+    return True
+
+
+def test_simplify_formula_stops_at_an_expired_deadline():
+    f = Formula(num_vars=4)
+    f.add_clause([1, 2])
+    f.add_clause([1, 2, 3])  # subsumed by (1 | 2)
+    f.add_clause([3, 4])
+    out, stats = simplify_formula(f)
+    assert stats.subsumed == 1 and stats.strengthened == 0
+    assert len(out.clauses) == 2
+    cut, cut_stats = simplify_formula(f, deadline=Deadline.after(0))
+    assert cut_stats.subsumed == cut_stats.strengthened == 0
+    # A cut pass keeps every clause it did not visit.
+    assert sorted(c.literals for c in cut.clauses) == sorted(c.literals for c in f.clauses)
+    assert _same_models(out, f, 4) and _same_models(cut, f, 4)
+
+
+# Digests of simplify's output on the formulas of the pb-k20 and
+# pb-shatter benchmark workloads: a changed clause, clause order, PB
+# constraint or counter shows here, and perfbench's counter files
+# depend on all of them.
+SIMPLIFY_PINS = [
+    ("myciel4", 20, "nu+sc", 1798, "e46cc4a86a989a96"),
+    ("myciel4", 20, "li", 5076, "b120ba22bbec13bf"),
+    ("queen5_5", 20, "nu+sc", 3438, "54e7e74dbf705e46"),
+    ("queen5_5", 20, "li", 7174, "7350aa31444afa81"),
+    ("miles250", 20, "nu+sc", 9956, "e1b570644b9dab21"),
+    ("huck", 20, "nu+sc", 6896, "e03cb2516822722e"),
+    ("jean", 20, "nu+sc", 6169, "ccba90d460ae0f2e"),
+    ("myciel3", 6, "none", 192, "7173174057e40bb1"),
+    ("queen5_5", 6, "none", 1116, "db62c5f6d60570e3"),
+    ("queen7_7", 6, "none", 3156, "390b709006155db9"),
+    ("queen8_12", 6, "none", 8790, "b4cdc9ea76926305"),
+]
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,k,kind,clauses_after,digest", SIMPLIFY_PINS,
+                         ids=[f"{n}-k{k}-{kind}" for n, k, kind, _, _ in SIMPLIFY_PINS])
+def test_simplify_formula_output_is_pinned(name, k, kind, clauses_after, digest):
+    encoding = encode_coloring(get_instance(name).graph(), k)
+    if kind != "none":
+        encoding = apply_sbp(encoding, kind)
+    out, stats = simplify_formula(encoding.formula)
+    assert stats.clauses_after == clauses_after
+    assert _digest((
+        [c.literals for c in out.clauses],
+        [(p.terms, p.relation, p.bound) for p in out.pb_constraints],
+        asdict(stats),
+    )) == digest
+
+
+def test_subsume_clauses_output_is_pinned():
+    # The 10k-clause input of benchmarks/bench_preprocessing.py.
+    rng = random.Random(42)
+    clauses = []
+    for _ in range(10000):
+        lits = rng.sample(range(1, 2001), rng.randint(2, 5))
+        clauses.append(tuple(l * rng.choice((1, -1)) for l in lits))
+    kept, subsumed, strengthened = subsume_clauses(clauses)
+    assert (subsumed, strengthened) == (13, 24)
+    assert _digest(kept) == "63fccf74d8bf32f5"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_simplify_formula_output_is_a_fixpoint(data):
+    # After simplify, no output clause subsumes another, and none
+    # strengthens another (C = A|x, D = B|~x with A <= B).
+    f = _random_cnf(data, max_vars=6, max_clauses=14)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        lits = [
+            v * data.draw(st.sampled_from([1, -1]))
+            for v in range(1, f.num_vars + 1)
+        ]
+        f.add_pb([(data.draw(st.integers(min_value=1, max_value=3)), l) for l in lits],
+                 data.draw(st.sampled_from([">=", "<=", "="])),
+                 data.draw(st.integers(min_value=0, max_value=f.num_vars)))
+    out, _ = simplify_formula(f)
+    if out is None:
+        return
+    sets = [frozenset(c.literals) for c in out.clauses]
+    for i, c in enumerate(sets):
+        for j, d in enumerate(sets):
+            if i == j:
+                continue
+            assert not c <= d, (out.clauses[i], out.clauses[j])
+            for lit in c:
+                assert not (-lit in d and c - {lit} <= d), (out.clauses[i], out.clauses[j])
+
+
+# Reference implementations: subsumption that tests each candidate of
+# an occurrence list in Python, and propagation that rewrites the whole
+# clause list per wave.  The indexed passes must reproduce them
+# exactly: same clauses in the same order, same counts, same forced
+# assignment, SAT or UNSAT.
+def _reference_subsume(clauses):
+    work = sorted({c for c in clauses if not any(-l in c for l in c)},
+                  key=lambda c: (len(c), c))
+    sets = [frozenset(c) for c in work]
+    alive = [True] * len(work)
+    occ = {}
+    for idx, clause in enumerate(work):
+        for lit in clause:
+            occ.setdefault(lit, set()).add(idx)
+    queue = list(range(len(work)))
+    queued = [True] * len(work)
+    subsumed = strengthened = 0
+    while queue:
+        i = queue.pop(0)
+        queued[i] = False
+        if not alive[i] or not work[i]:
+            continue
+        this = sets[i]
+        pivot = min(work[i], key=lambda l: len(occ.get(l, ())))
+        for j in list(occ.get(pivot, ())):
+            if j != i and alive[j] and this <= sets[j]:
+                alive[j] = False
+                for lit in work[j]:
+                    occ[lit].discard(j)
+                subsumed += 1
+        for lit in work[i]:
+            rest = this - {lit}
+            for j in list(occ.get(-lit, ())):
+                if rest <= sets[j]:
+                    occ[-lit].discard(j)
+                    work[j] = tuple(l for l in work[j] if l != -lit)
+                    sets[j] = frozenset(work[j])
+                    strengthened += 1
+                    if not queued[j]:
+                        queue.append(j)
+                        queued[j] = True
+    return [c for c, keep in zip(work, alive) if keep], subsumed, strengthened
+
+
+def _reference_propagate(clauses, forced):
+    count = 0
+    while True:
+        units = [c[0] for c in clauses if len(c) == 1]
+        if not units:
+            return clauses, count
+        for lit in units:
+            if forced.get(abs(lit), lit > 0) != (lit > 0):
+                return None, count
+            if abs(lit) not in forced:
+                forced[abs(lit)] = lit > 0
+                count += 1
+        out = []
+        for clause in clauses:
+            if any(forced.get(abs(l)) == (l > 0) for l in clause):
+                continue
+            rest = tuple(l for l in clause if abs(l) not in forced)
+            if not rest:
+                return None, count
+            out.append(rest)
+        clauses = out
+
+
+def _clause_lists(max_vars, min_width):
+    lit = st.integers(min_value=1, max_value=max_vars).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+    return st.lists(st.lists(lit, min_size=min_width, max_size=4).map(tuple), max_size=18)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clause_lists(max_vars=7, min_width=0))
+# (1|2|-3) is strengthened after its visit and must be visited again.
+@example([(2, 3), (-1, -3), (1, -2), (1, 2, -3)])
+# (2|3|-4) and (-2|4) are strengthened by one visit; the re-queue order
+# follows the walk of the occurrence set.
+@example([(1, 2), (2, 3, -4), (-1, 2), (-2, 3), (-2, 4)])
+def test_subsume_clauses_matches_the_reference(clauses):
+    # Unsorted literals, repeated literals, tautologies, duplicate and
+    # empty clauses included.
+    assert subsume_clauses(clauses) == _reference_subsume(clauses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clause_lists(max_vars=6, min_width=1))
+def test_propagate_units_matches_the_reference(clauses):
+    # Callers hand over canonical, duplicate-literal-free clauses.
+    clauses = [tuple(sorted(set(c), key=abs)) for c in clauses]
+    clauses = [c for c in clauses if len({abs(l) for l in c}) == len(c)]
+    forced, expected_forced = {}, {}
+    assert _propagate_units(clauses, forced) == _reference_propagate(clauses, expected_forced)
+    assert list(forced.items()) == list(expected_forced.items())
