@@ -4,7 +4,7 @@ Usage::
 
     python -m repro color graph.col [--solver pbs2] [--sbp nu+sc]
         [--instance-dependent] [--k 20] [--time-limit 60]
-        [--no-preprocess] [--no-reduce] [--no-incremental]
+        [--no-preprocess] [--no-reduce]
         [--trace run.trace] [--metrics metrics.json]
     python -m repro chromatic graph.col [--strategy linear|binary]
         [--no-incremental] [--sbp nu]
@@ -112,7 +112,6 @@ def _pipeline_from_args(args, backend: str) -> Pipeline:
         .solve(
             backend=backend,
             time_limit=args.time_limit,
-            incremental=getattr(args, "incremental", True),
             strategy=getattr(args, "strategy", None),
         )
     )
@@ -342,10 +341,6 @@ def main(argv=None) -> int:
         "--reduce", default=True, action=argparse.BooleanOptionalAction,
         help="kernelize the graph before encoding "
              "(low-degree peeling + connected-component split)")
-    p_color.add_argument(
-        "--incremental", default=True, action=argparse.BooleanOptionalAction,
-        help="run binary-search bound probes on one persistent solver "
-             "with selector-guarded bound constraints")
     p_color.add_argument("--trace", default=None, metavar="FILE",
                          help="write a binary solver event trace to FILE "
                               "(render: python -m repro.obs report FILE)")

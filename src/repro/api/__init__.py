@@ -5,9 +5,9 @@ One import gives the four concepts every workload composes from:
 * **Problems** — immutable value objects saying *what* to solve:
   :class:`DecisionProblem`, :class:`ChromaticProblem`,
   :class:`BudgetedOptimize`.
-* **Pipeline** — a validated, reorderable stage chain (reduce → encode
-  → sbp → simplify → detect → solve) with one small config dataclass
-  per stage.
+* **Pipeline** — a validated stage chain in one fixed order (reduce →
+  encode → sbp → simplify → detect → solve) with one small config
+  dataclass per stage.
 * **Backends** — named engines behind a registry
   (``pb-pbs2``/``pb-galena``/``pb-pueblo``, ``cplex-bb``,
   ``cdcl-incremental``, ``cdcl-scratch``, ``brute``, ``exact-dsatur``);
@@ -53,11 +53,9 @@ from .backends import (
     resolve_backend_name,
 )
 from .config import (
-    DEFAULT_STAGE_ORDER,
     EncodeConfig,
     PipelineConfig,
     ReduceConfig,
-    SHATTER_STAGE_ORDER,
     SimplifyConfig,
     SolveConfig,
     SymmetryConfig,
@@ -96,7 +94,6 @@ __all__ = [
     "Budget",
     "BudgetedOptimize",
     "ChromaticProblem",
-    "DEFAULT_STAGE_ORDER",
     "Deadline",
     "DecisionProblem",
     "EncodeConfig",
@@ -111,7 +108,6 @@ __all__ = [
     "Result",
     "RetryPolicy",
     "RunContext",
-    "SHATTER_STAGE_ORDER",
     "Session",
     "SimplifyConfig",
     "SolveConfig",

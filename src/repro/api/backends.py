@@ -182,13 +182,10 @@ class _OptimizeFlowBackend(Backend):
             problem.graph, problem.max_colors, config, ctx, self
         )
 
-    def minimize(
-        self, formula, time_limit, conflict_limit, upper, lower, incremental,
-        should_stop=None,
-    ):
+    def minimize(self, formula, time_limit, upper, lower, should_stop=None):
         raise NotImplementedError
 
-    def decide(self, formula, time_limit, conflict_limit, should_stop=None) -> SolveResult:
+    def decide(self, formula, time_limit, should_stop=None) -> SolveResult:
         raise NotImplementedError
 
 
@@ -202,31 +199,22 @@ class PBPresetBackend(_OptimizeFlowBackend):
         self.persistent = True  # bound probes share one persistent solver
         self.description = self.preset.description
 
-    def minimize(
-        self, formula, time_limit, conflict_limit, upper, lower, incremental,
-        should_stop=None,
-    ):
+    def minimize(self, formula, time_limit, upper, lower, should_stop=None):
         return minimize(
             formula,
             strategy=self.preset.optimization_strategy,
             solver_factory=self.preset.solver_factory(),
             time_limit=time_limit,
-            conflict_limit=conflict_limit,
             upper_bound_hint=upper,
             lower_bound=lower,
-            incremental=incremental,
             should_stop=should_stop,
         )
 
-    def decide(self, formula, time_limit, conflict_limit, should_stop=None) -> SolveResult:
+    def decide(self, formula, time_limit, should_stop=None) -> SolveResult:
         solver = self.preset.make_solver(formula.num_vars)
         if not solver.add_formula(formula):
             return SolveResult(UNSAT)
-        return solver.solve(
-            time_limit=time_limit,
-            conflict_limit=conflict_limit,
-            should_stop=should_stop,
-        )
+        return solver.solve(time_limit=time_limit, should_stop=should_stop)
 
 
 class BranchAndBoundBackend(_OptimizeFlowBackend):
@@ -235,10 +223,7 @@ class BranchAndBoundBackend(_OptimizeFlowBackend):
     name = "cplex-bb"
     description = "LP-relaxation branch and bound standing in for CPLEX"
 
-    def minimize(
-        self, formula, time_limit, conflict_limit, upper, lower, incremental,
-        should_stop=None,
-    ):
+    def minimize(self, formula, time_limit, upper, lower, should_stop=None):
         # Imported on first use: repro.ilp loads numpy and scipy, which
         # no other backend needs.
         from ..ilp.branch_and_bound import BranchAndBoundSolver
@@ -247,7 +232,7 @@ class BranchAndBoundBackend(_OptimizeFlowBackend):
             formula, time_limit=time_limit, should_stop=should_stop
         )
 
-    def decide(self, formula, time_limit, conflict_limit, should_stop=None) -> SolveResult:
+    def decide(self, formula, time_limit, should_stop=None) -> SolveResult:
         from ..ilp.branch_and_bound import BranchAndBoundSolver
 
         result = BranchAndBoundSolver().optimize(

@@ -5,13 +5,9 @@ solve — has its own small config dataclass, and every name is checked
 at *construction* time with a ``ValueError`` naming the registered
 choices, never as a ``KeyError`` deep inside the preset tables.
 
-The stage order itself is explicit and reorderable: the default runs
-symmetry detection *after* clause simplification (the cheaper order —
-detection canonicalizes the smaller formula), while
-``("reduce", "encode", "sbp", "detect", "simplify", "solve")`` restores
-the historical Shatter flow.  ``reduce``/``encode`` must stay first
-(they produce the graph kernel and the formula the later stages
-transform) and ``solve`` last; the middle stages permute freely.
+The stages always run in that order: symmetry detection comes *after*
+clause simplification, the cheaper order (detection searches the
+smaller formula).
 """
 
 from __future__ import annotations
@@ -23,12 +19,6 @@ from ..sbp.instance_independent import SBP_KINDS
 
 AMO_ENCODINGS = ("pairwise", "sequential")
 SEARCH_STRATEGIES = ("linear", "binary")
-
-STAGES = ("reduce", "encode", "sbp", "simplify", "detect", "solve")
-DEFAULT_STAGE_ORDER: Tuple[str, ...] = STAGES
-SHATTER_STAGE_ORDER: Tuple[str, ...] = (
-    "reduce", "encode", "sbp", "detect", "simplify", "solve",
-)
 
 
 def _check_choice(value: str, choices: Sequence[str], what: str) -> None:
@@ -103,8 +93,6 @@ class SolveConfig:
     backend: str = "pb-pbs2"
     strategy: Optional[str] = None  # None = the backend's default
     time_limit: Optional[float] = None
-    conflict_limit: Optional[int] = None
-    incremental: bool = True
     racers: Tuple[str, ...] = DEFAULT_RACERS
 
     def __post_init__(self) -> None:
@@ -124,55 +112,14 @@ class SolveConfig:
 
 
 @dataclass(frozen=True)
-class BudgetConfig:
-    """How the run's time budget is divided across pipeline stages.
-
-    ``prep_fraction`` caps the *optional* preparation stages (sbp,
-    simplify, detect) at that fraction of the total budget: once the
-    prep sub-deadline expires, remaining optional stages are skipped —
-    they only speed the solver up, so on a tight budget the time is
-    better spent solving.  The mandatory stages (reduce, encode, solve)
-    always run against the run's own deadline.  With no time limit
-    configured the budget is unbounded and no stage is ever skipped.
-    """
-
-    prep_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prep_fraction <= 1.0:
-            raise ValueError(
-                f"prep_fraction must be in [0, 1], got {self.prep_fraction}"
-            )
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
-    """The full pipeline: one config per stage plus the stage order."""
+    """The full pipeline: one config per stage."""
 
     reduce: ReduceConfig = field(default_factory=ReduceConfig)
     encode: EncodeConfig = field(default_factory=EncodeConfig)
     symmetry: SymmetryConfig = field(default_factory=SymmetryConfig)
     simplify: SimplifyConfig = field(default_factory=SimplifyConfig)
     solve: SolveConfig = field(default_factory=SolveConfig)
-    budget: BudgetConfig = field(default_factory=BudgetConfig)
-    order: Tuple[str, ...] = DEFAULT_STAGE_ORDER
-
-    def __post_init__(self) -> None:
-        order = tuple(self.order)
-        object.__setattr__(self, "order", order)
-        if sorted(order) != sorted(STAGES):
-            raise ValueError(
-                f"stage order must be a permutation of {STAGES}, got {order}"
-            )
-        if order[0] != "reduce" or order[1] != "encode" or order[-1] != "solve":
-            raise ValueError(
-                "stage order must start with ('reduce', 'encode') and end "
-                f"with 'solve' (the middle stages permute freely), got {order}"
-            )
-
-    def formula_stages(self) -> Tuple[str, ...]:
-        """The stages between encoding and solving, in execution order."""
-        return tuple(s for s in self.order if s in ("sbp", "simplify", "detect"))
 
     def with_stage(self, **stage_configs: object) -> "PipelineConfig":
         """Copy with the named stage configs replaced."""
@@ -190,9 +137,5 @@ class PipelineConfig:
             "backend": self.solve.backend,
             "strategy": self.solve.strategy,
             "time_limit": self.solve.time_limit,
-            "conflict_limit": self.solve.conflict_limit,
-            "incremental": self.solve.incremental,
             "racers": self.solve.racers,
-            "prep_fraction": self.budget.prep_fraction,
-            "order": self.order,
         }

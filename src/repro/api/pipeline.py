@@ -3,21 +3,20 @@
 A pipeline is a validated :class:`~repro.api.config.PipelineConfig`
 plus a fluent builder over it: ``Pipeline().symmetry(sbp_kind="nu+sc")
 .solve(backend="pb-pbs2", time_limit=60).run(problem)``.  Every stage
-is explicit, individually configurable and (for the formula stages)
-reorderable.
+is explicit and individually configurable; the order is fixed.
 
 :func:`run_optimize_flow` is the staged interpreter behind every
 0-1-ILP backend: it executes ``reduce`` (kernelization + component
-split, recursing per component), ``encode``, then the configured
-permutation of ``sbp`` / ``simplify`` / ``detect``, then hands the
-prepared formula to the backend's solve hook — recording one
-:class:`~repro.api.results.StageStat` per stage and honouring the run
-context's cancellation between stages.  Its reduce stage,
-:func:`run_reduced`, is the one per-component loop: CDCL decisions run
-it too, with a CNF decision as the per-component solve, and so does
-``exact-dsatur``, with one branch and bound per component.  Every
-backend that kernelizes reports the kernel through
-:func:`reduce_report`.
+split, recursing per component), ``encode``, ``sbp``, ``simplify`` and
+``detect``, then hands the prepared formula to the backend's solve
+hook — recording one :class:`~repro.api.results.StageStat` per stage
+and honouring the run context's cancellation between stages.  Its
+reduce stage, :func:`run_reduced`, is the one per-component loop: CDCL
+decisions run it too, with a CNF decision as the per-component solve,
+and so does ``exact-dsatur``, with one branch and bound per component.
+Every backend that kernelizes reports the kernel through
+:func:`reduce_report`.  :meth:`Pipeline.run` checks every coloring a
+backend returns, whichever backend it is.
 """
 
 from __future__ import annotations
@@ -55,6 +54,12 @@ from .results import (
     RunContext,
     StageStat,
 )
+
+#: The optional preparation stages (sbp, simplify, detect) may spend at
+#: most this fraction of the budget left when encoding starts; past it
+#: they are skipped.  They only speed the solver up, so on a tight
+#: budget the rest is better spent solving.
+PREP_FRACTION = 0.5
 
 
 class Pipeline:
@@ -98,18 +103,8 @@ class Pipeline:
 
     def solve(self, **kwargs: object) -> "Pipeline":
         """Configure the solve stage (``backend``, ``strategy``,
-        ``time_limit``, ``conflict_limit``, ``incremental``,
-        ``racers``)."""
+        ``time_limit``, ``racers``)."""
         return self._replace(solve=replace(self._config.solve, **kwargs))
-
-    def budget(self, **kwargs: object) -> "Pipeline":
-        """Configure the stage budget split (``prep_fraction=...``)."""
-        current = self._config.budget
-        return self._replace(budget=replace(current, **kwargs))
-
-    def stage_order(self, *order: str) -> "Pipeline":
-        """Reorder the stages (validated; see ``PipelineConfig``)."""
-        return self._replace(order=tuple(order))
 
     def run(
         self,
@@ -124,7 +119,9 @@ class Pipeline:
         stage transitions (and per K query where the backend supports
         it); ``cancel`` is a zero-argument predicate polled between
         stages and queries — when it turns true the run stops and the
-        best-so-far answer is returned with ``cancelled=True``.
+        best-so-far answer is returned with ``cancelled=True``.  A
+        returned coloring is checked against ``problem.graph``; an
+        improper one raises ``ValueError``.
         """
         from .backends import get_backend
 
@@ -137,6 +134,8 @@ class Pipeline:
         ).with_deadline(self._config.solve.time_limit)
         ctx.emit("pipeline", f"{problem.kind} on backend {backend.name}")
         result = backend.run(problem, self._config, ctx)
+        if result.coloring is not None:
+            check_proper(problem.graph, result.coloring)
         if problem.kind != DECISION and result.status == OPTIMAL:
             # A proved optimum is both bounds, whichever backend proved it.
             result.lower_bound = result.upper_bound = result.num_colors
@@ -162,7 +161,6 @@ class Pipeline:
         result.provenance = Provenance(
             problem=problem.kind,
             backend=backend.name,
-            stage_order=self._config.order,
             config=self._config.summary(),
         )
         return result
@@ -270,10 +268,10 @@ def run_optimize_flow(
     """Execute the staged 0-1 ILP flow on ``graph`` with ``budget`` colors.
 
     ``engine`` supplies the solve stage: ``engine.minimize(formula,
-    time_limit, conflict_limit, upper, lower, incremental)`` returning an
-    :class:`OptimizeResult`, and ``engine.decide(formula, time_limit,
-    conflict_limit)`` returning a :class:`SolveResult` (used when
-    ``decision=True`` — satisfiability only, no objective tightening).
+    time_limit, upper, lower)`` returning an :class:`OptimizeResult`,
+    and ``engine.decide(formula, time_limit)`` returning a
+    :class:`SolveResult` (used when ``decision=True`` — satisfiability
+    only, no objective tightening).
     """
     if budget <= 0:
         return _infeasible_budget(graph, budget, config)
@@ -401,8 +399,7 @@ def _run_formula_stages(
     engine,
     decision: bool,
 ) -> Result:
-    """Encode, then run the configured sbp/simplify/detect permutation,
-    then solve."""
+    """Encode, then run sbp, simplify and detect, then solve."""
     stages: List[StageStat] = []
     info = PipelineInfo(
         preprocess=config.simplify.enabled,
@@ -411,14 +408,9 @@ def _run_formula_stages(
     )
     sym = config.symmetry
     deadline = ctx.deadline
-    # The optional preparation stages (sbp / simplify / detect) get at
-    # most prep_fraction of what's left; past that they are skipped —
-    # they only help the solver, and a tight budget is better spent
-    # solving.
     budget_left = deadline.remaining()
     prep_deadline = deadline.child(
-        None if budget_left is None
-        else budget_left * config.budget.prep_fraction
+        None if budget_left is None else budget_left * PREP_FRACTION
     )
 
     t0 = time.monotonic()
@@ -437,7 +429,7 @@ def _run_formula_stages(
 
     detection: Optional[SymmetryReport] = None
     simplified_ran = False
-    for stage_name in config.formula_stages():
+    for stage_name in ("sbp", "simplify", "detect"):
         if ctx.cancelled():
             return _cancelled_result(stages, info)
         if prep_deadline.expired():
@@ -511,7 +503,6 @@ def _run_formula_stages(
     if ctx.cancelled():
         return _cancelled_result(stages, info)
 
-    solve_cfg = config.solve
     upper = None
     lower = 0
     if not decision:
@@ -525,8 +516,7 @@ def _run_formula_stages(
     cancel_hook = ctx.cancelled if ctx.cancel else None
     if decision:
         solve_result = engine.decide(
-            formula, deadline.remaining(), solve_cfg.conflict_limit,
-            should_stop=cancel_hook,
+            formula, deadline.remaining(), should_stop=cancel_hook,
         )
         seconds = time.monotonic() - t0
         stages.append(StageStat("solve", seconds, {"status": solve_result.status}))
@@ -537,13 +527,7 @@ def _run_formula_stages(
             packaged.cancelled = True
         return packaged
     opt_result = engine.minimize(
-        formula,
-        deadline.remaining(),
-        solve_cfg.conflict_limit,
-        upper,
-        lower,
-        solve_cfg.incremental,
-        should_stop=cancel_hook,
+        formula, deadline.remaining(), upper, lower, should_stop=cancel_hook,
     )
     seconds = time.monotonic() - t0
     stages.append(StageStat("solve", seconds, {"status": opt_result.status}))

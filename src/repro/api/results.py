@@ -113,7 +113,6 @@ class Provenance:
 
     problem: str
     backend: str
-    stage_order: Tuple[str, ...] = ()
     config: Dict[str, object] = field(default_factory=dict)
 
 

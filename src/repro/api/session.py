@@ -45,7 +45,8 @@ class Session:
     """Multiple coloring queries on one graph, one persistent solver.
 
     ``config`` supplies the encoding/simplification knobs (pairwise
-    AMO, growth-safe SBPs, model-preserving simplification) and the
+    AMO, growth-safe SBPs, and the assumption-aware preprocessor with
+    every variable frozen, which keeps the formula equivalent) and the
     default time limit.
     The solver is created lazily on the first query, encoded at that
     query's horizon, and only ever *grows* afterwards.
@@ -109,7 +110,7 @@ class Session:
                 max(k_needed, 1),
                 amo_encoding="pairwise",
                 sbp_kind=self.config.symmetry.sbp_kind,
-                simplify=self.config.simplify.enabled,
+                preprocess=self.config.simplify.enabled,
                 growable=True,
             )
             self.solvers_created += 1
@@ -197,6 +198,8 @@ class Session:
             return self._result(UNKNOWN, None, time.monotonic() - t0,
                                 cancelled=True)
         status, coloring, _ = self._solve_k(k, k, deadline)
+        if coloring is not None:
+            check_proper(self.graph, coloring)
         return self._result(status, coloring, time.monotonic() - t0,
                             queries=[(k, status)],
                             cancelled=status == UNKNOWN and self._ctx.cancelled())

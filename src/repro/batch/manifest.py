@@ -247,7 +247,6 @@ class TaskSpec:
     simplify: bool = True
     instance_dependent: bool = False
     detection_node_limit: Optional[int] = None  # None = SymmetryConfig default
-    incremental: bool = True
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -318,12 +317,7 @@ class TaskSpec:
             .encode(amo=self.amo)
             .symmetry(**symmetry_kwargs)
             .simplify(self.simplify)
-            .solve(
-                backend=backend,
-                strategy=self.strategy,
-                time_limit=time_limit,
-                incremental=self.incremental,
-            )
+            .solve(backend=backend, strategy=self.strategy, time_limit=time_limit)
         )
 
     # -------------------------------------------------------- serialization

@@ -57,7 +57,6 @@ def result_to_record(
         record["provenance"] = {
             "problem": prov.problem,
             "backend": prov.backend,
-            "stage_order": list(prov.stage_order),
             "config": _jsonable(prov.config),
         }
     return record

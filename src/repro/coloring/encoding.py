@@ -55,16 +55,8 @@ class ColoringEncoding:
         )
 
 
-def encode_coloring(
-    graph: Graph,
-    num_colors: int,
-    with_objective: bool = True,
-) -> ColoringEncoding:
-    """Build the paper's 0-1 ILP encoding of K-coloring.
-
-    With ``with_objective=False`` the formula is the pure decision
-    problem (used when driving a plain SAT-style search over K).
-    """
+def encode_coloring(graph: Graph, num_colors: int) -> ColoringEncoding:
+    """Build the paper's 0-1 ILP encoding of K-coloring."""
     if num_colors <= 0:
         raise ValueError("need at least one color")
     formula = Formula()
@@ -94,8 +86,7 @@ def encode_coloring(
         for v in range(n):
             add_clause([-xs[v][k - 1], yk])
         add_clause([-yk] + [xs[v][k - 1] for v in range(n)])
-    if with_objective:
-        formula.set_objective([(1, encoding.y(k)) for k in colors], sense="min")
+    formula.set_objective([(1, encoding.y(k)) for k in colors], sense="min")
     return encoding
 
 

@@ -24,14 +24,15 @@ route so that claim can be measured:
 * :func:`chromatic_number_sat` — chromatic number by a descending
   linear or binary search over K, driven by
   :func:`repro.coloring.descent.descend`.  ``incremental=True`` (the
-  default) answers every query on one persistent solver;
-  ``incremental=False`` restores the historical one-fresh-SAT-instance-
-  per-query behaviour for comparison.  Both simplification stages are
-  on by default: either oracle queries the one kernel
-  :func:`repro.coloring.reduce.kernelize` built at the clique bound,
-  and the incremental path runs the full preprocessor with the
-  activation variables the assumptions refer to frozen, so it cannot
-  eliminate them.
+  default, the ``cdcl-incremental`` backend) answers every query on one
+  persistent solver; ``incremental=False`` (``cdcl-scratch``) builds
+  one fresh SAT instance per query, the differential reference.
+  Kernelization and preprocessing are on by default: either oracle
+  queries the one kernel :func:`repro.coloring.reduce.kernelize` built
+  at the clique bound, and the persistent solver's encoding goes
+  through the full preprocessor with the activation variables the
+  assumptions refer to frozen, so it cannot eliminate them — the one
+  preprocessing mode :class:`IncrementalKSearch` has.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from ..resilience import Deadline
 from ..sat.cdcl import CDCLSolver
 from ..sat.factory import new_solver
 from ..sat.preprocessing import preprocess as preprocess_cnf
-from ..sat.preprocessing import simplify_formula
 from ..sat.result import SAT, UNKNOWN, UNSAT, SolverStats
 from .descent import Answer, descend
 from .encoding import add_color_activation_literals
@@ -205,18 +205,18 @@ class IncrementalKSearch:
     speedup of the incremental descent comes from: a refutation learned
     while answering one K query prunes the next one too.
 
-    ``simplify=True`` runs the *model-preserving* clause simplification
-    on the encoding before loading it (tautology/duplicate removal,
-    units kept as unit clauses, subsumption, strengthening).
-    ``eliminate=True`` upgrades that to the assumption-aware full
-    preprocessor: the activation variables (and, on growable searches,
-    the coloring variables that future ``grow_to`` clauses mention) are
-    *frozen*, and pure-literal elimination plus bounded variable
-    elimination run on the rest, with SAT models reconstructed through
-    the elimination stack before decoding.  Running the unrestricted
-    preprocessor would be unsound here — pure-literal elimination
-    fixes the (pure) activation selectors the per-call assumptions
-    negate.
+    ``preprocess=True`` runs the assumption-aware preprocessor on the
+    encoding before loading it: the activation variables (and, on
+    growable searches, the extension literal and the coloring variables
+    that future ``grow_to`` clauses mention) are *frozen*, and
+    pure-literal elimination plus bounded variable elimination run on
+    the rest, with SAT models reconstructed through the elimination
+    stack before decoding.  Running the unrestricted preprocessor would
+    be unsound here — pure-literal elimination fixes the (pure)
+    activation selectors the per-call assumptions negate.  A growable
+    search freezes every variable, so there it amounts to the
+    model-preserving ``simplify_formula`` (units kept as unit clauses,
+    subsumption, strengthening) and yields the same clauses.
 
     ``growable=True`` uses the generation-based encoding of
     :func:`encode_k_coloring_growable`, which additionally supports
@@ -232,9 +232,8 @@ class IncrementalKSearch:
         max_k: int,
         amo_encoding: str = "pairwise",
         sbp_kind: str = "none",
-        simplify: bool = True,
+        preprocess: bool = True,
         growable: bool = False,
-        eliminate: bool = False,
     ):
         self.graph = graph
         self.max_k = max_k
@@ -257,8 +256,8 @@ class IncrementalKSearch:
         self.x = x
         self.activators = activators
         self.root_unsat = False
-        self._pre = None  # PreprocessResult when eliminate ran
-        if simplify and eliminate:
+        self._pre = None  # PreprocessResult when preprocessing ran
+        if preprocess:
             # Assumption-aware preprocessing: freeze the selectors the
             # queries assume — and on growable searches the coloring
             # variables too, since grow_to() adds clauses over them
@@ -275,12 +274,6 @@ class IncrementalKSearch:
             else:
                 formula = pre.formula
                 self._pre = pre
-        elif simplify:
-            simplified, _ = simplify_formula(formula)
-            if simplified is None:
-                self.root_unsat = True
-            else:
-                formula = simplified
         self.solver = new_solver(num_vars=formula.num_vars)
         if not self.root_unsat and not self.solver.add_formula(formula):
             self.root_unsat = True
@@ -291,7 +284,6 @@ class IncrementalKSearch:
         # Cumulative clause-group garbage collection counters (clauses /
         # learnt clauses / watcher pairs reclaimed by shrink + growth).
         self.gc_stats: Dict[str, int] = {"clauses": 0, "learned": 0, "watchers": 0}
-        self._last_coloring: Optional[Dict[int, int]] = None
         # Colors above this bound have been switched off *permanently*
         # (level-0 unit clauses) by monotone-descent queries.
         self._active_ub = max_k
@@ -386,47 +378,34 @@ class IncrementalKSearch:
             self.gc_stats[key] += count
             registry.inc(f"ksearch_gc_{key}_total", count)
 
-    def _prepare_heuristics(self, k: int, carry: bool) -> None:
+    def _prepare_heuristics(self, k: int) -> None:
         """Re-seed the decision heuristics for the next K query.
 
         Learned clauses always persist — they are the expensive state —
-        but the *decision* state is re-seeded per query by default
-        (``carry=False``): saved phases of the coloring variables go
-        back to False (default-phase decisions then walk the
-        at-least-one clauses like a greedy coloring, which measurably
-        beats repairing the previous, now-infeasible solution on SAT
-        chains) and VSIDS activity is reset in place, keeping the
-        solver's decay factor.  With ``carry=True`` only the
-        phases that point at newly disabled colors are neutralized, so a
-        vertex whose color survives keeps steering toward the old
-        solution.
+        but the *decision* state is re-seeded per query: saved phases of
+        the coloring variables go back to False (default-phase decisions
+        then walk the at-least-one clauses like a greedy coloring, which
+        measurably beats repairing the previous, now-infeasible solution
+        on SAT chains) and VSIDS activity is reset in place, keeping the
+        solver's decay factor.
 
-        In both modes the activators of still-active colors are biased
-        True: deciding one False would voluntarily disable a live color
-        (the guard clauses force every ``x[v][c]`` false) and send the
-        search into needless conflicts.
+        The activators of still-active colors are biased True: deciding
+        one False would voluntarily disable a live color (the guard
+        clauses force every ``x[v][c]`` false) and send the search into
+        needless conflicts.
         """
         saved_phase = self.solver.saved_phase
         for c in range(1, k + 1):
             saved_phase[self.activators[c]] = True
-        if not carry:
-            for var in self.x.values():
-                saved_phase[var] = False
-            self.solver.vsids.reset()
-            return
-        if not self._last_coloring:
-            return
-        for v, color in self._last_coloring.items():
-            if color > k:
-                for c in range(1, self.max_k + 1):
-                    saved_phase[self.x[(v, c)]] = False
+        for var in self.x.values():
+            saved_phase[var] = False
+        self.solver.vsids.reset()
 
     def solve_k(
         self,
         k: int,
         time_limit: Optional[float] = None,
         permanent: bool = False,
-        carry_heuristics: bool = False,
         should_stop=None,
     ) -> Tuple[str, Optional[Dict[int, int]], List[int]]:
         """Decide K-colorability on the persistent solver.
@@ -474,7 +453,7 @@ class IncrementalKSearch:
             )
         if self.root_unsat:
             return UNSAT, None, []
-        self._prepare_heuristics(k, carry_heuristics)
+        self._prepare_heuristics(k)
         if permanent:
             disabled = self._active_ub > k
             for c in range(k + 1, self._active_ub + 1):
@@ -517,7 +496,6 @@ class IncrementalKSearch:
                     if model[self.x[(v, c)]]:
                         coloring[v] = c
                         break
-            self._last_coloring = coloring
             return SAT, coloring, []
         if result.is_unsat:
             failed = sorted(
@@ -694,7 +672,7 @@ def chromatic_number_sat(
                 horizon = min(horizon, max_colors)
             search = IncrementalKSearch(
                 work, horizon, amo_encoding=amo_encoding, sbp_kind=sbp_kind,
-                simplify=preprocess, eliminate=preprocess,
+                preprocess=preprocess,
             )
         # The linear strategy is monotone, so colors are switched off
         # permanently (level-0 units): same persistent solver, but learnt

@@ -56,10 +56,6 @@ class Clause:
         # The literals are distinct, so a repeated variable is x next to -x.
         return len(set(map(abs, self.literals))) < len(self.literals)
 
-    def variables(self) -> Tuple[int, ...]:
-        """Variables appearing in the clause, ascending."""
-        return tuple(sorted({var_of(l) for l in self.literals}))
-
     def evaluate(self, assignment: Dict[int, bool]) -> bool:
         """Evaluate under a *total* assignment mapping var -> bool."""
         for lit in self.literals:

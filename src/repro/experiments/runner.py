@@ -151,7 +151,6 @@ def run_one(
     detection_node_limit: int,
     preprocess: bool = True,
     reduce: bool = False,
-    incremental: bool = True,
 ) -> RunRecord:
     """Solve one instance under one configuration.
 
@@ -172,7 +171,7 @@ def run_one(
                 detection_node_limit=detection_node_limit,
             )
             .simplify(preprocess)
-            .solve(backend=solver, time_limit=time_limit, incremental=incremental)
+            .solve(backend=solver, time_limit=time_limit)
         )
         result: Result = pipeline.run(
             BudgetedOptimize(graph, k), detection_cache=DETECTION_CACHE
@@ -209,7 +208,6 @@ def cell_tasks(
     detection_node_limit: int,
     preprocess: bool = True,
     reduce: bool = False,
-    incremental: bool = True,
 ) -> List:
     """The batch TaskSpecs equivalent to one table cell's run_one loop."""
     from ..batch.manifest import GraphSpec, TaskSpec
@@ -227,7 +225,6 @@ def cell_tasks(
             time_limit=time_limit,
             reduce=reduce,
             simplify=preprocess,
-            incremental=incremental,
         )
         for instance in instances
     ]
@@ -269,7 +266,6 @@ def run_cell(
     verbose: bool = False,
     preprocess: bool = True,
     reduce: bool = False,
-    incremental: bool = True,
     jobs: int = 0,
     task_timeout: Optional[float] = None,
 ) -> CellResult:
@@ -300,7 +296,7 @@ def run_cell(
         tasks = cell_tasks(
             instances, k, solver, sbp_kind, instance_dependent,
             time_limit, detection_node_limit,
-            preprocess=preprocess, reduce=reduce, incremental=incremental,
+            preprocess=preprocess, reduce=reduce,
         )
         batch = solve_many(
             tasks, jobs=jobs, task_timeout=task_timeout,
@@ -315,7 +311,7 @@ def run_cell(
         report(run_one(
             instance, k, solver, sbp_kind, instance_dependent,
             time_limit, detection_node_limit,
-            preprocess=preprocess, reduce=reduce, incremental=incremental,
+            preprocess=preprocess, reduce=reduce,
         ))
     return cell
 

@@ -7,14 +7,15 @@ Section 4.1 discussion of how chromatic-number bounds are tightened:
 * **linear** — solve, add ``objective <= value - 1``, repeat until UNSAT
   (the strategy of PBS/Galena: each improving solution permanently
   tightens the bound in one incremental solver).
-* **binary** — bisect on the objective value.  By default this also
-  runs on **one persistent solver**: each probe's bound constraint is
-  guarded by a fresh selector literal (``objective <= mid`` holds only
-  while the selector is assumed true), so upper-half refutations *are*
+* **binary** — bisect on the objective value.  This also runs on
+  **one persistent solver**: each probe's bound constraint is guarded
+  by a fresh selector literal (``objective <= mid`` holds only while
+  the selector is assumed true), so upper-half refutations *are*
   retractable — releasing the selector vacuously satisfies the guarded
   constraint — while learned clauses carry over between probes.
-  ``incremental=False`` restores the historical one-fresh-solver-per-
-  probe behaviour for measurement.
+  :func:`minimize_binary` with ``incremental=False`` builds one fresh
+  solver per probe instead: the reference the persistent bisection is
+  tested against.
 """
 
 from __future__ import annotations
@@ -57,17 +58,14 @@ def minimize_linear(
     conflict_limit: Optional[int] = None,
     upper_bound_hint: Optional[int] = None,
     lower_bound: int = 0,
-    incremental: bool = True,
     should_stop: Optional[ShouldStop] = None,
 ) -> OptimizeResult:
     """Minimize the objective by descending linear search.
 
     ``upper_bound_hint`` (e.g. from a DSATUR coloring) seeds the bound
     constraint before the first solve; ``lower_bound`` (e.g. a clique
-    bound) lets the search stop without a final UNSAT probe.
-    ``incremental`` is accepted for interface symmetry with
-    :func:`minimize_binary`; the linear strategy always runs one
-    persistent solver (bound tightening is monotone).
+    bound) lets the search stop without a final UNSAT probe.  The
+    search runs one persistent solver: bound tightening is monotone.
     """
     if formula.objective is None:
         raise ValueError("formula has no objective")
@@ -131,8 +129,9 @@ def minimize_binary(
     the guard term alone satisfies the constraint, so a refuted
     upper-half probe is retracted simply by dropping the assumption
     while everything learned from it remains sound.  With
-    ``incremental=False`` each probe pays for a fresh solver (the
-    historical behaviour, kept for measurement).
+    ``incremental=False`` each probe pays for a fresh solver; no
+    pipeline runs that mode, which is the reference the tests compare
+    the persistent bisection against.
     """
     if formula.objective is None:
         raise ValueError("formula has no objective")

@@ -7,8 +7,9 @@ Covers the API-redesign contract:
   registered choices (never a deep ``KeyError``);
 * the backend registry resolves names and aliases, and plugging in a
   new backend requires no call-site changes;
-* pipelines are immutable builders, stages are reorderable, and every
-  result carries per-stage stats and provenance;
+* pipelines are immutable builders, the stages run in one fixed order,
+  every result carries per-stage stats and provenance, and every
+  coloring a backend returns is checked;
 * a color budget or cap below the chromatic number is UNSAT, never
   silently loosened (``max_colors=0`` included).
 """
@@ -26,9 +27,7 @@ from repro.api import (
     ChromaticProblem,
     DecisionProblem,
     Pipeline,
-    PipelineConfig,
     Result,
-    SHATTER_STAGE_ORDER,
     SolveConfig,
     SymmetryConfig,
     available_backends,
@@ -75,16 +74,6 @@ def test_bad_names_raise_value_error_with_choices():
         SolveConfig(strategy="ternary")
     with pytest.raises(ValueError, match="pairwise"):
         Pipeline().encode(amo="commander")
-
-
-def test_stage_order_validation():
-    with pytest.raises(ValueError, match="permutation"):
-        PipelineConfig(order=("reduce", "encode", "solve"))
-    with pytest.raises(ValueError, match="start with"):
-        PipelineConfig(order=("encode", "reduce", "sbp", "simplify", "detect", "solve"))
-    # The historical Shatter order (detect before simplify) is legal.
-    config = PipelineConfig(order=SHATTER_STAGE_ORDER)
-    assert config.formula_stages() == ("sbp", "detect", "simplify")
 
 
 # ------------------------------------------------------------------ registry
@@ -145,6 +134,28 @@ def test_new_backend_plugs_in_without_call_site_changes():
                 DecisionProblem(TRIANGLE_PLUS, 3))
     finally:
         _REGISTRY.pop("test-greedy", None)
+
+
+def test_pipeline_run_rejects_an_improper_coloring():
+    class OneColorBackend(Backend):
+        name = "test-one-color"
+        description = "answers SAT with every vertex on color 1"
+        supports = ("decision",)
+        sbp_kinds = ("none",)
+
+        def run(self, problem, config, ctx):
+            return Result(
+                status="SAT", num_colors=1,
+                coloring={v: 1 for v in problem.graph.vertices()},
+            )
+
+    register_backend(OneColorBackend())
+    try:
+        with pytest.raises(ValueError, match="monochromatic"):
+            (Pipeline().solve(backend="test-one-color")
+             .run(DecisionProblem(mycielski_graph(3), 4)))
+    finally:
+        _REGISTRY.pop("test-one-color", None)
 
 
 # ----------------------------------------------------------------- pipelines
@@ -252,39 +263,18 @@ def test_cdcl_decisions_count_the_solvers_they_build(graph, k, solvers):
     assert result.queries == [(k, result.status)]
 
 
-def test_stage_order_is_honoured():
-    problem = BudgetedOptimize(queens_graph(4, 4), 6)
-    default = (Pipeline().reduce(False)
-               .symmetry(sbp_kind="nu", instance_dependent=True)
-               .solve(backend="pb-pbs2", time_limit=60))
-    shatter = default.stage_order(*SHATTER_STAGE_ORDER)
-    r_default = default.run(problem)
-    r_shatter = shatter.run(problem)
-    assert r_default.status == r_shatter.status == "OPTIMAL"
-    assert r_default.num_colors == r_shatter.num_colors == 5
-    # Default order simplifies first, so detect sees fewer clauses than
-    # the Shatter order's raw encoding — both still find symmetries.
-    assert r_default.detection is not None and r_shatter.detection is not None
-    names_default = [s.name for s in r_default.stages]
-    names_shatter = [s.name for s in r_shatter.stages]
-    assert names_default.index("simplify") < names_default.index("detect")
-    assert names_shatter.index("detect") < names_shatter.index("simplify")
-
-
 def test_result_stages_and_provenance():
     pipeline = (Pipeline().symmetry(sbp_kind="nu+sc")
                 .solve(backend="pb-pbs2", time_limit=60))
     result = pipeline.run(BudgetedOptimize(queens_graph(4, 4), 6))
     names = [s.name for s in result.stages]
-    assert names[0] == "reduce" and names[-1] == "solve"
-    assert "encode" in names and "simplify" in names
+    assert names == ["reduce", "encode", "sbp", "simplify", "solve"]
     assert result.total_seconds >= result.solve_seconds >= 0
     assert result.pipeline.preprocess
     prov = result.provenance
     assert prov.problem == "budgeted-optimize"
     assert prov.backend == "pb-pbs2"
     assert prov.config["sbp_kind"] == "nu+sc"
-    assert prov.stage_order[0] == "reduce"
     # A fully peeled graph is solved by the reduce stage alone — the
     # stage trace records exactly that.
     peeled = pipeline.run(BudgetedOptimize(TRIANGLE_PLUS, 4))

@@ -68,6 +68,9 @@ def test_task_spec_validation():
         TaskSpec(graph=graph, kind="budgeted")
     with pytest.raises(ValueError, match="unknown task fields"):
         TaskSpec.from_dict({"graph": "myciel3", "bogus": 1})
+    # A knob the pipeline no longer has is rejected, not ignored.
+    with pytest.raises(ValueError, match="unknown task fields"):
+        TaskSpec.from_dict({"graph": "myciel3", "incremental": False})
     with pytest.raises(ValueError, match="'graph'"):
         TaskSpec.from_dict({"kind": "chromatic"})
     task = TaskSpec.from_dict(

@@ -32,10 +32,6 @@ def test_tautology():
     assert not Clause([1, 2]).is_tautology
 
 
-def test_variables():
-    assert Clause([-3, 1, 2]).variables() == (1, 2, 3)
-
-
 def test_evaluate():
     clause = Clause([1, -2])
     assert clause.evaluate({1: True, 2: True})

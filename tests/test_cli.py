@@ -143,15 +143,6 @@ def test_missing_resume_log_exits_2_naming_the_path(capsys, tmp_path, col_file):
     assert capsys.readouterr().err.splitlines() == [f"error: no such file: {missing}"]
 
 
-def test_color_incremental_flag_accepted(capsys, col_file):
-    code = repro_main([
-        "color", col_file, "--no-incremental", "--time-limit", "60",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "colors used:      4" in out
-
-
 @pytest.mark.parametrize(
     "argv,flag",
     [

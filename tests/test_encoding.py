@@ -37,12 +37,6 @@ def test_variable_maps():
     assert not xs & ys
 
 
-def test_decision_encoding_has_no_objective():
-    g = Graph.from_edges(2, [(0, 1)])
-    enc = encode_coloring(g, 2, with_objective=False)
-    assert enc.formula.objective is None
-
-
 def test_invalid_color_count():
     with pytest.raises(ValueError):
         encode_coloring(Graph(1), 0)

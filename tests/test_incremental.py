@@ -338,21 +338,3 @@ def test_incremental_binary_uses_core_to_skip(monkeypatch):
     assert result.status == "OPTIMAL" and result.chromatic_number == 5
     # Every queried K below chi must have been answered UNSAT.
     assert all(s == UNSAT for k, s in result.k_queries if k < 5)
-
-
-def test_carry_heuristics_descent_agrees():
-    # The carry mode keeps phases/VSIDS across queries (the repair
-    # strategy); it is kept as an option for experimentation and must
-    # produce the same answers as the default re-seeded descent.
-    g = queens_graph(6, 6)
-    search = IncrementalKSearch(g, 9)
-    expected = {8: SAT, 7: SAT}
-    for k in (8, 7):
-        status, coloring, _ = search.solve_k(k, carry_heuristics=True)
-        assert status == expected[k]
-        assert is_proper(g, coloring)
-        assert len(set(coloring.values())) <= k
-    # A vertex whose color was dropped had its phases neutralized, not
-    # its answer: the next query still finds a proper coloring.
-    status, coloring, _ = search.solve_k(7, carry_heuristics=True)
-    assert status == SAT and is_proper(g, coloring)

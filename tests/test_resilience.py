@@ -31,6 +31,7 @@ import time
 
 import pytest
 
+import repro.api.pipeline as pipeline_module
 from repro.api import (
     BudgetedOptimize,
     ChromaticProblem,
@@ -274,15 +275,17 @@ def test_pool_budget_expiry_degrades_to_verified_feasible():
         _assert_degraded_but_verified(result, graph)
 
 
-def test_prep_budget_cap_skips_optional_stages_not_the_solve():
+def test_prep_budget_cap_skips_optional_stages_not_the_solve(monkeypatch):
     graph = queens_graph(5, 5)
-    result = (Pipeline().symmetry(sbp_kind="nu").budget(prep_fraction=0.0)
+    monkeypatch.setattr(pipeline_module, "PREP_FRACTION", 0.0)
+    result = (Pipeline().symmetry(sbp_kind="nu")
               .solve(backend="pb-pbs2", time_limit=120)
               .run(BudgetedOptimize(graph, 7)))
     assert result.status == "OPTIMAL" and result.num_colors == 5
     skipped = {s.name for s in result.stages if s.details.get("skipped") == "budget"}
     assert {"sbp", "simplify"} <= skipped
     # With budget to spare the same stages run.
+    monkeypatch.undo()
     full = (Pipeline().symmetry(sbp_kind="nu")
             .solve(backend="pb-pbs2", time_limit=120)
             .run(BudgetedOptimize(graph, 7)))

@@ -7,10 +7,17 @@ and its answers agree with scratch solving across generator families.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ChromaticProblem, Pipeline, PipelineConfig, Session, SymmetryConfig
-from repro.coloring.sat_pipeline import IncrementalKSearch
+from repro.coloring.sat_pipeline import (
+    GROWABLE_SBP_KINDS,
+    IncrementalKSearch,
+    encode_k_coloring_growable,
+)
 from repro.coloring.verify import is_proper
+from repro.experiments.instances import get_instance
 from repro.graphs.generators import (
     book_graph,
     crown_graph,
@@ -21,6 +28,7 @@ from repro.graphs.generators import (
     wheel_graph,
 )
 from repro.graphs.graph import Graph
+from repro.sat.preprocessing import preprocess, simplify_formula
 from repro.sat.result import SAT, UNSAT
 
 
@@ -170,3 +178,46 @@ def test_permanent_queries_rejected_on_growable_search():
         search.solve_k(3, permanent=True)
     with pytest.raises(ValueError, match="growable=True"):
         IncrementalKSearch(mycielski_graph(3), 4).grow_to(6)
+
+
+def test_session_decide_rejects_an_improper_coloring(monkeypatch):
+    def one_color(self, k, time_limit=None, permanent=False, should_stop=None):
+        return SAT, {v: 1 for v in self.graph.vertices()}, []
+
+    monkeypatch.setattr(IncrementalKSearch, "solve_k", one_color)
+    with pytest.raises(ValueError, match="monochromatic"):
+        Session(mycielski_graph(3)).decide(4)
+
+
+# ------------------------------------------------------- the loaded formula
+def _assert_frozen_preprocess_is_simplify(graph, k, sbp_kind):
+    """A Session preprocesses its growable encoding with every variable
+    frozen, so no literal may be dropped as pure and no variable
+    resolved out: the clauses it loads are ``simplify_formula``'s."""
+    formula = encode_k_coloring_growable(graph, k, sbp_kind)[0]
+    simplified, _ = simplify_formula(formula)
+    pre = preprocess(formula, frozen=range(1, formula.num_vars + 1))
+    if simplified is None:
+        assert pre.is_unsat, (graph.name, k, sbp_kind)
+        return
+    assert pre.formula.num_vars == simplified.num_vars
+    assert [c.literals for c in pre.formula.clauses] == [
+        c.literals for c in simplified.clauses], (graph.name, k, sbp_kind)
+
+
+@pytest.mark.parametrize(
+    "name", ["myciel3", "myciel4", "myciel5", "queen5_5", "queen6_6", "huck", "jean"])
+def test_session_formula_is_the_simplified_encoding_on_registry_graphs(name):
+    graph = get_instance(name).graph()
+    for k in range(1, 10):
+        for sbp_kind in GROWABLE_SBP_KINDS:
+            _assert_frozen_preprocess_is_simplify(graph, k, sbp_kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
+def test_session_formula_is_the_simplified_encoding_on_random_graphs(n, p, seed):
+    graph = gnp_graph(n, p, seed=seed)
+    for k in range(1, 10):
+        for sbp_kind in GROWABLE_SBP_KINDS:
+            _assert_frozen_preprocess_is_simplify(graph, k, sbp_kind)

@@ -7,8 +7,11 @@ kernelization); chromatic-number runs add NU SBPs and kernelize.
 import pytest
 
 from repro.api import BudgetedOptimize, ChromaticProblem, Pipeline
+from repro.coloring.encoding import encode_coloring
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.graphs.graph import Graph
+from repro.pb.optimizer import minimize_binary
+from repro.pb.presets import get_preset
 
 TRIANGLE_PLUS = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], name="fig1")
 
@@ -120,11 +123,14 @@ def test_detection_on_simplified_formula_still_finds_symmetries():
 
 
 def test_binary_solver_profiles_incremental_matches_fresh():
-    # The pueblo preset uses the binary optimization strategy; the
+    # The pueblo preset uses the binary optimization strategy; its
     # persistent-solver bisection must agree with fresh-solver probes.
     g = queens_graph(4, 4)
-    pueblo = ILP.solve(backend="pueblo", time_limit=60)
-    inc = pueblo.solve(incremental=True).run(BudgetedOptimize(g, 6))
-    fresh = pueblo.solve(incremental=False).run(BudgetedOptimize(g, 6))
+    result = ILP.solve(backend="pueblo", time_limit=60).run(BudgetedOptimize(g, 6))
+    assert result.status == "OPTIMAL" and result.num_colors == 5
+    formula = encode_coloring(g, 6).formula
+    factory = get_preset("pueblo").solver_factory()
+    inc = minimize_binary(formula, solver_factory=factory, incremental=True)
+    fresh = minimize_binary(formula, solver_factory=factory, incremental=False)
     assert inc.status == fresh.status == "OPTIMAL"
-    assert inc.num_colors == fresh.num_colors == 5
+    assert inc.best_value == fresh.best_value == 5

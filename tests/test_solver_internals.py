@@ -423,7 +423,7 @@ def test_preprocess_reemits_frozen_units():
 
 def test_incremental_eliminate_never_touches_activators():
     graph = mycielski_graph(3)
-    search = IncrementalKSearch(graph, 5, eliminate=True, sbp_kind="sc")
+    search = IncrementalKSearch(graph, 5, sbp_kind="sc")
     assert search._pre is not None
     eliminated = {var for var, _ in search._pre.eliminated}
     frozen = set(search.activators.values())
@@ -438,9 +438,12 @@ def test_incremental_eliminate_never_touches_activators():
 
 
 def test_incremental_eliminate_agrees_with_plain_simplify():
+    # The preprocessed search (frozen activators, pure-literal and
+    # variable elimination on the rest) answers like the encoding
+    # loaded as it is.
     for graph in (mycielski_graph(3), queens_graph(4, 4)):
-        plain = IncrementalKSearch(graph, 6, eliminate=False)
-        bve = IncrementalKSearch(graph, 6, eliminate=True)
+        plain = IncrementalKSearch(graph, 6, preprocess=False)
+        bve = IncrementalKSearch(graph, 6, preprocess=True)
         for k in (6, 5, 4, 3, 2):
             s_plain, c_plain, _ = plain.solve_k(k)
             s_bve, c_bve, _ = bve.solve_k(k)
