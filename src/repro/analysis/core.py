@@ -224,6 +224,7 @@ KIND_LIST_OF_SET = "list_of_set"
 KIND_NESTED_FUNC = "nested_func"
 KIND_THREAD_EXECUTOR = "thread_executor"
 KIND_PROCESS_EXECUTOR = "process_executor"
+KIND_WORKER = "worker"
 
 
 def _annotation_is_set(annotation: Optional[ast.expr]) -> bool:
@@ -244,6 +245,22 @@ def _annotation_is_set(annotation: Optional[ast.expr]) -> bool:
             "MutableSet",
         )
     return False
+
+
+def _last_name(node: Optional[ast.expr]) -> Optional[str]:
+    """``x`` for ``x`` and ``mod.x``; ``None`` for anything else."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _annotation_is_worker(annotation: Optional[ast.expr]) -> bool:
+    """``Worker`` or ``mod.Worker``, bare or as ``Optional[...]``."""
+    if isinstance(annotation, ast.Subscript) and _last_name(annotation.value) == "Optional":
+        annotation = annotation.slice
+    return _last_name(annotation) == "Worker"
 
 
 class ScopeInfo:
@@ -278,7 +295,8 @@ class ScopeResolver:
 
     The resolver walks every function scope once, recording which local
     names are bound to set-typed values, lists of sets, nested function
-    definitions, or thread/process pool executors.  It is deliberately
+    definitions, thread/process pool executors, or
+    :class:`repro.resilience.Worker` objects.  It is deliberately
     conservative: a name assigned conflicting kinds is forgotten.
     """
 
@@ -311,6 +329,8 @@ class ScopeResolver:
             ]:
                 if _annotation_is_set(arg.annotation):
                     info.bind(arg.arg, KIND_SET)
+                elif _annotation_is_worker(arg.annotation):
+                    info.bind(arg.arg, KIND_WORKER)
         for node in self._walk_scope(root):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 # A def nested inside a function is a closure candidate.
@@ -326,6 +346,8 @@ class ScopeResolver:
             ):
                 if _annotation_is_set(node.annotation):
                     info.bind(node.target.id, KIND_SET)
+                elif _annotation_is_worker(node.annotation):
+                    info.bind(node.target.id, KIND_WORKER)
                 elif node.value is not None:
                     info.bind(node.target.id, self._infer(node.value, info))
             elif isinstance(node, ast.withitem):
@@ -362,6 +384,8 @@ class ScopeResolver:
                     return KIND_THREAD_EXECUTOR
                 if func.id in ("ProcessPoolExecutor", "Pool"):
                     return KIND_PROCESS_EXECUTOR
+                if func.id == "Worker":
+                    return KIND_WORKER
                 if func.id in ("sorted", "list", "tuple"):
                     return None
             if isinstance(func, ast.Attribute):

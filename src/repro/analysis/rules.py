@@ -18,8 +18,8 @@ RPR005   ``CDCLSolver`` is constructed only in ``sat/`` and the backend
          registry chokepoints, so the ROADMAP's compiled ``native`` twin
          can swap in without call-site changes
 RPR006   worker payloads crossing a process boundary (``Worker``,
-         ``Process``, pool/executor submits) must be top-level
-         picklables (no lambdas / closures)
+         ``Worker.submit``, ``Process``, pool/executor submits) must be
+         top-level picklables (no lambdas / closures)
 RPR007   deadline arithmetic must go through ``repro.resilience.Deadline``
          — raw ``time.time()``/``time.monotonic()`` expiry checks outside
          ``resilience/`` re-open the drift/clamping bugs PR 7 unified
@@ -37,6 +37,7 @@ from .core import (
     KIND_NESTED_FUNC,
     KIND_PROCESS_EXECUTOR,
     KIND_THREAD_EXECUTOR,
+    KIND_WORKER,
     Finding,
     Rule,
     ScopeResolver,
@@ -515,7 +516,8 @@ class PoolBoundaryRule(Rule):
     picklables, as the targets handed to
     :class:`repro.resilience.Worker` by the batch runner and the
     portfolio race are.  A ``Worker`` call is a pool boundary like a
-    ``Process`` call: every argument is checked.
+    ``Process`` call, and so is ``submit`` on a worker (the next job of
+    a reused worker, pickled over its pipe): every argument is checked.
 
     Thread executors are held to the same bar even though the GIL would
     let closures through: every thread fan-out in this codebase is a
@@ -550,10 +552,9 @@ class PoolBoundaryRule(Rule):
                     func.attr in ("submit", "map")
                     and isinstance(func.value, ast.Name)
                 ):
-                    info = resolver.scope_for(node)
-                    if info.kind_of(func.value.id) in (
-                        KIND_PROCESS_EXECUTOR,
-                        KIND_THREAD_EXECUTOR,
+                    kind = resolver.scope_for(node).kind_of(func.value.id)
+                    if kind in (KIND_PROCESS_EXECUTOR, KIND_THREAD_EXECUTOR) or (
+                        func.attr == "submit" and kind == KIND_WORKER
                     ):
                         submit_name = func.attr
             if submit_name is None:

@@ -277,6 +277,7 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
             if reported is None:
                 continue
             del flights[index]
+            worker.close()  # one job per racer
             kind, value = reported
             if winner_index is not None:
                 # The race is decided; this survivor was told to stop.

@@ -1,8 +1,12 @@
 """The parallel fleet runner: many problems, a pool of worker processes.
 
 :class:`BatchRunner` fans a list of :class:`~repro.batch.manifest.TaskSpec`
-across up to ``jobs`` concurrent worker processes (one process per
-attempt, so a hung or crashed solver never takes the pool down), with:
+across at most ``jobs`` worker processes kept for the whole run.  Each
+:class:`~repro.resilience.Worker` runs one attempt after another, and
+every attempt starts from the state a fresh fork of the coordinator
+would have; a worker that dies or is killed is replaced by a new one,
+so a hung or crashed solver never takes the pool down.  The runner
+adds:
 
 * **per-task wall-clock timeouts** — each attempt gets ``task_timeout``
   seconds; inside the worker the engine's ``SolveConfig.time_limit`` and
@@ -17,7 +21,8 @@ attempt, so a hung or crashed solver never takes the pool down), with:
   kill, solver crash) is a *transient* failure under the runner's
   :class:`~repro.resilience.RetryPolicy`: retried (with the policy's
   deterministic backoff schedule) up to its retry budget on the same
-  backend before the chain advances;
+  backend before the chain advances.  A backing-off task waits in the
+  queue for its not-before time while the other workers keep running;
 * **deterministic ordering** — records are emitted in manifest order no
   matter the completion order, so ``--jobs 4`` output is byte-comparable
   with ``--jobs 1``;
@@ -30,6 +35,10 @@ attempt, so a hung or crashed solver never takes the pool down), with:
   intact records and schedules only the tasks they don't cover,
   reproducing the uninterrupted run's records byte-for-byte.
 
+Symmetry detection is cached per process: inline mode keeps one plain
+dict for the batch, and each worker keeps one for its run, so tasks
+re-solving an instance in the same process detect once.
+
 ``jobs=0`` runs every attempt inline in the calling process — no
 subprocesses, cooperative timeouts only — which is the right mode for
 debugging and for platforms without ``fork``.
@@ -37,9 +46,7 @@ debugging and for platforms without ``fork``.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
@@ -64,10 +71,10 @@ def _execute_attempt(
 ) -> Tuple[str, Dict[str, object]]:
     """Run one (task, backend) attempt to completion in this process.
 
-    ``detection_cache`` is the pool-wide symmetry-detection cache (a
-    plain dict inline, a ``Manager().dict()`` proxy in workers), keyed
-    on the graph as labeled — tasks re-solving the same instance reuse
-    one detection run instead of re-detecting per attempt.
+    ``detection_cache`` is this process's symmetry-detection cache (a
+    plain dict), keyed on the graph as labeled — tasks re-solving the
+    same instance reuse one detection run instead of re-detecting per
+    attempt.
     """
     start = time.monotonic()
     deadline = Deadline.after(task_timeout)
@@ -112,12 +119,18 @@ def _execute_attempt(
     return outcome, record
 
 
+#: A worker process's symmetry-detection cache, kept across the
+#: attempts it runs.  Only worker jobs fill it, so every worker forks
+#: it empty and it lives as long as the worker: one ``run()``.
+_worker_detection_cache: Dict[Any, Any] = {}
+
+
 def _worker_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
     """Worker target: run one attempt in the child, return (outcome, record).
 
     ``_execute_attempt`` is looked up as a module global at call time,
     so a wrapper set on this module before the batch starts runs in
-    every forked worker.
+    every worker the batch forks.
     """
     load_plugins(payload["plugins"])
     return _execute_attempt(
@@ -125,7 +138,7 @@ def _worker_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
         payload["backend"],
         payload["task_timeout"],
         payload["include_coloring"],
-        detection_cache=payload["detection_cache"],
+        detection_cache=_worker_detection_cache,
     )
 
 
@@ -255,9 +268,6 @@ class BatchRunner:
         self.include_colorings = include_colorings
         self._on_record = on_record
         self._jsonl = jsonl
-        # Set per run by _run_pool (a Manager().dict() proxy) when any
-        # task runs instance-dependent detection.
-        self._detection_cache = None
 
     # ------------------------------------------------------------------ run
     def run(self) -> BatchReport:
@@ -296,15 +306,11 @@ class BatchRunner:
             emitter.add(index, dict(record))
         return frozenset(done)
 
-    def _needs_detection_cache(self) -> bool:
-        """Only instance-dependent tasks ever consult the cache."""
-        return any(task.instance_dependent for task in self.tasks)
-
     # ----------------------------------------------------------- inline mode
     def _run_inline(self, states, emitter, skip=frozenset()) -> None:
         # One plain dict shared across the whole batch: repeated
         # instances re-detect once, not once per task.
-        detection_cache = {} if self._needs_detection_cache() else None
+        detection_cache: Dict[Any, Any] = {}
         for index, task in enumerate(self.tasks):
             if index in skip:
                 continue
@@ -315,56 +321,78 @@ class BatchRunner:
                     self.include_colorings,
                     detection_cache=detection_cache,
                 )
-                if self._settle(index, state, outcome, record, emitter):
+                delay = self._settle(index, state, outcome, record, emitter)
+                if delay is None:
                     break
+                if delay > 0:
+                    time.sleep(delay)
 
     # ------------------------------------------------------------- pool mode
     def _run_pool(self, states, emitter, skip=frozenset()) -> None:
-        # The cross-worker symmetry-detection cache: a manager-hosted
-        # dict proxy shipped in every worker payload, so detection runs
-        # once per graph as labeled across the whole pool.  The
-        # manager process is only paid for when a task can use it.
-        manager = None
-        self._detection_cache = None
-        if self._needs_detection_cache():
-            manager = multiprocessing.Manager()
-            self._detection_cache = manager.dict()
-        try:
-            self._pool_loop(states, emitter, skip)
-        finally:
-            self._detection_cache = None
-            if manager is not None:
-                manager.shutdown()
+        """Run every attempt on at most ``jobs`` workers kept for the run.
 
-    def _pool_loop(self, states, emitter, skip) -> None:
-        pending = deque(i for i in range(len(self.tasks)) if i not in skip)
+        An idle worker takes the next attempt whose not-before time has
+        passed; a worker that died or was killed is gone, and a fresh
+        one takes its slot.  Every worker is closed and joined before
+        this returns, so ``RUSAGE_CHILDREN`` counts all of their CPU.
+        """
+        # Queued attempts in launch order, each with its not-before
+        # time (a retry's backoff; already expired otherwise).
+        pending: List[Tuple[int, Deadline]] = [
+            (i, Deadline.after(0.0))
+            for i in range(len(self.tasks)) if i not in skip]
         flights: Dict[int, Worker] = {}
-        while pending or flights:
-            get_registry().gauge(
-                "batch_queue_depth", len(pending) + len(flights))
-            while pending and len(flights) < self.jobs:
-                index = pending.popleft()
-                flights[index] = self._launch(index, states[index])
-            wait_any(flights.values(), timeout=0.5)
-            for index, worker in list(flights.items()):
-                reported = worker.poll()
-                if reported is None:
-                    continue
-                del flights[index]
-                outcome, record = self._attempt_outcome(worker, reported)
-                if not self._settle(index, states[index], outcome, record, emitter):
-                    pending.append(index)
+        idle: List[Worker] = []
+        try:
+            while pending or flights:
+                get_registry().gauge(
+                    "batch_queue_depth", len(pending) + len(flights))
+                for entry in list(pending):
+                    if len(flights) >= self.jobs:
+                        break
+                    index, not_before = entry
+                    if not_before.expired():
+                        pending.remove(entry)
+                        flights[index] = self._launch(
+                            index, states[index], idle.pop() if idle else None)
+                timeout = None
+                if pending and len(flights) < self.jobs:
+                    # A free slot, and every queued task is backing off:
+                    # wake when the first of them may start.
+                    timeout = min(nb.remaining() or 0.0 for _, nb in pending)
+                wait_any(flights.values(), timeout)
+                for index, worker in list(flights.items()):
+                    reported = worker.poll()
+                    if reported is None:
+                        continue
+                    del flights[index]
+                    if worker.idle:
+                        idle.append(worker)
+                    outcome, record = self._attempt_outcome(worker, reported)
+                    delay = self._settle(
+                        index, states[index], outcome, record, emitter)
+                    if delay is not None:
+                        pending.append((index, Deadline.after(delay)))
+        finally:
+            for worker in idle + list(flights.values()):
+                worker.close()  # stops one still running a job
 
-    def _launch(self, index: int, state: _TaskState) -> Worker:
+    def _launch(self, index: int, state: _TaskState,
+                worker: Optional[Worker]) -> Worker:
+        """Start the task's next attempt on ``worker``, or on a new one."""
         payload = {
             "task": self.tasks[index].to_dict(),
             "backend": state.backend,
             "task_timeout": self.task_timeout,
             "include_coloring": self.include_colorings,
-            "plugins": self.plugins,
-            "detection_cache": self._detection_cache,
+            # A worker loads the plugins with its first job only:
+            # load_plugins re-executes a .py plugin on every call.
+            "plugins": self.plugins if worker is None else (),
         }
-        return Worker(_worker_entry, (payload,), self.task_timeout)
+        if worker is None:
+            return Worker(_worker_entry, (payload,), self.task_timeout)
+        worker.submit(_worker_entry, (payload,), self.task_timeout)
+        return worker
 
     def _attempt_outcome(
         self, worker: Worker, reported: Tuple[str, Any],
@@ -393,11 +421,12 @@ class BatchRunner:
     def _settle(
         self, index: int, state: _TaskState, outcome: str,
         record: Dict[str, object], emitter: _OrderedEmitter,
-    ) -> bool:
+    ) -> Optional[float]:
         """Fold one attempt outcome into the task state.
 
-        Returns True when the task is finalized, False when it was
-        re-queued (retry or fallback promotion).
+        Returns ``None`` when the task is finalized.  Otherwise it was
+        re-queued (retry or fallback promotion), and the result is the
+        backoff in seconds before its next attempt may start.
         """
         state.attempts.append({
             "backend": state.backend,
@@ -408,7 +437,7 @@ class BatchRunner:
                            outcome=outcome, backend=state.backend)
         if outcome == "ok":
             self._finalize(index, state, outcome, record, emitter)
-            return True
+            return None
         colors = record.get("num_colors")
         if colors is not None:
             best = state.best_partial
@@ -416,17 +445,14 @@ class BatchRunner:
                 state.best_partial = (state.backend, record)
         if self.retry_policy.should_retry(outcome, state.retry):
             state.retry += 1
-            delay = self.retry_policy.delay(state.retry)
-            if delay > 0:
-                time.sleep(delay)
-            return False
+            return self.retry_policy.delay(state.retry)
         if self.retry_policy.should_promote(outcome):
             if state.has_fallback():
                 state.backend_idx += 1
                 state.retry = 0
-                return False
+                return 0.0
         self._finalize(index, state, outcome, record, emitter)
-        return True
+        return None
 
     def _finalize(
         self, index: int, state: _TaskState, outcome: str,

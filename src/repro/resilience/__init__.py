@@ -22,9 +22,10 @@ This package centralizes those concerns:
   worker kill, clock skew) installable process-wide and, through the
   ``REPRO_FAULTS`` environment variable, in every child process.
 * :class:`Worker` / :func:`wait_any` — the one way to run work in a
-  child process: fault arming, a parent-side kill deadline and a
-  once-only outcome (``ok`` / ``error`` / ``died`` / ``killed``) for
-  the batch fleet and the portfolio race.
+  child process, one job after another: fault re-arming per job, a
+  parent-side kill deadline per job and a once-only outcome per job
+  (``ok`` / ``error`` / ``died`` / ``killed``) for the batch fleet and
+  the portfolio race.
 
 The package depends only on the standard library and the stdlib-only
 :mod:`repro.obs`, so every layer of the repo (``sat/``, ``pb/``,

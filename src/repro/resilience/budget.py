@@ -51,6 +51,11 @@ def reset_clock() -> None:
     _clock = _default_clock
 
 
+def current_clock() -> Clock:
+    """The clock the seam holds now."""
+    return _clock
+
+
 class Deadline:
     """A monotonic-clock budget: ``None`` expiry means unbounded.
 

@@ -8,9 +8,10 @@ variable holds a serialized :class:`~repro.resilience.faults.FaultPlan`,
 it is installed process-wide on import.  Worker processes arm the plan
 themselves (:class:`~repro.resilience.worker.Worker`); the plugin is
 what arms the parent, and so the inline ``--jobs 0`` runs.  Hit
-counters are per-process, so a plan that kills "the first matching
-attempt" does so in each worker it reaches — pair it with a ``match``
-filter on the backend name to let retries and fallbacks through.
+counters restart with every job a worker runs, so a plan that kills
+"the first matching attempt" does so in every attempt it reaches —
+pair it with a ``match`` filter on the backend name to let retries
+and fallbacks through.
 
 Usage::
 

@@ -21,16 +21,19 @@ Each spec names its point, a fault ``kind`` (``raise`` / ``sleep`` /
 ``kill`` / ``skew``), the hit count ``at`` on which it fires (once),
 and an optional substring ``match`` on the point's detail (e.g. only
 kill attempts on the ``cdcl-incremental`` backend, so the fallback
-chain can be watched recovering).  Counters are plan-local, so a plan
-re-installed in a fresh worker process starts over — which is exactly
-what makes "kill the first attempt, let the retry through" scenarios
-expressible.
+chain can be watched recovering).  Counters are plan-local, and a
+worker process re-arms the plan before every job it runs, so each
+attempt starts over — which is exactly what makes "kill the first
+attempt, let the retry through" scenarios expressible.
 
 Installation is process-global (:func:`install_faults` /
 :func:`clear_faults`); :meth:`FaultPlan.to_env` serializes a plan into
 the ``REPRO_FAULTS`` environment variable, which every child process
 started through :class:`~repro.resilience.worker.Worker` installs
-before it runs its work (batch attempts, racers).
+afresh before each job it runs (batch attempts, racers).  A worker
+runs several jobs in one process, so it takes a :func:`checkpoint` at
+start and re-arms from it before every job: counters restart per
+attempt, as they would in a fresh fork.
 :func:`seeded_plan` derives a plan
 deterministically from an integer seed — the chaos-smoke CI job's
 nightly fresh-seed mode.
@@ -49,7 +52,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .budget import reset_clock, set_clock
+from .budget import current_clock, reset_clock, set_clock
 
 #: Environment variable carrying a serialized plan into batch workers.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -182,13 +185,43 @@ def install_env_faults() -> None:
     """Install the ``REPRO_FAULTS`` plan, if the environment carries one.
 
     Every :class:`~repro.resilience.worker.Worker` child calls this
-    before running its target, so a serialized plan reaches every
-    process tier the same way; the chaos plugin calls it on import,
-    which also arms the parent and ``--jobs 0`` runs.
+    before each job it runs (through :func:`checkpoint`), so a
+    serialized plan reaches every process tier the same way; the chaos
+    plugin calls it on import, which also arms the parent and
+    ``--jobs 0`` runs.
     """
     raw = os.environ.get(FAULTS_ENV)
     if raw:
         install_faults(FaultPlan.from_env(raw))
+
+
+def checkpoint() -> Callable[[], None]:
+    """Snapshot this process's fault state; the result re-arms from it.
+
+    The returned call reinstalls the plan active now with the hit
+    counters it has now, puts back the clock the seam holds now, and
+    then installs the ``REPRO_FAULTS`` plan afresh, if the environment
+    carries one.  A :class:`~repro.resilience.worker.Worker` child takes
+    the snapshot when it starts and re-arms before every job, so each
+    job sees the faults, counters and clock a fresh fork of the parent
+    would have seen — a ``skew`` fired in one job never reaches the next.
+    """
+    plan = _active
+    hits = [] if plan is None else list(plan._hits)
+    fired = [] if plan is None else list(plan._fired)
+    clock = current_clock()
+
+    def rearm() -> None:
+        if plan is None:
+            clear_faults()
+        else:
+            install_faults(plan)
+            plan._hits[:] = hits
+            plan._fired[:] = fired
+        set_clock(clock)
+        install_env_faults()
+
+    return rearm
 
 
 def clear_faults() -> None:

@@ -7,10 +7,13 @@ driven by backends that misbehave deterministically.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
+import repro.api.pipeline as pipeline_module
+import repro.batch.runner as runner_module
 from repro.__main__ import main as repro_main
 from repro.api import ChromaticProblem, DecisionProblem
 from repro.batch import (
@@ -22,6 +25,7 @@ from repro.batch import (
     solve_many,
 )
 from repro.experiments.instances import get_instance
+from repro.resilience import RetryPolicy
 from repro.experiments.runner import run_cell
 from repro.graphs.dimacs import write_dimacs_graph
 from repro.graphs.generators import mycielski_graph, queens_graph
@@ -286,6 +290,94 @@ def test_backend_exception_promotes_without_retry():
     record = report.records[0]
     assert record["status"] == "OPTIMAL" and record["num_colors"] == 5
     assert [a["outcome"] for a in record["attempts"]] == ["error", "ok"]
+
+
+def _log_calls(monkeypatch, module, name, log):
+    """Wrap ``module.name`` to append the calling PID to ``log`` first.
+
+    Workers fork after the patch, so the wrapper runs in every one.
+    """
+    original = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+
+
+def _logged_pids(log):
+    return [int(line) for line in open(log).read().split()]
+
+
+def test_a_pool_runs_its_attempts_on_jobs_workers(tmp_path, monkeypatch):
+    log = str(tmp_path / "pids")
+    _log_calls(monkeypatch, runner_module, "_execute_attempt", log)
+    report = solve_many(
+        [{"graph": "myciel3"}, {"graph": "myciel3", "kind": "decision", "k": 3},
+         {"graph": "queen5_5"}] * 2,
+        jobs=2,
+    )
+    assert report.summary["outcomes"] == {"ok": 6}
+    pids = _logged_pids(log)
+    assert len(pids) == 6
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    # Every worker was closed and joined before solve_many returned.
+    assert multiprocessing.active_children() == []
+
+
+def test_the_retry_of_a_died_attempt_runs_in_a_new_process(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CRASH_MARKER", str(tmp_path / "crashed-once"))
+    log = str(tmp_path / "pids")
+    _log_calls(monkeypatch, runner_module, "_execute_attempt", log)
+    report = solve_many(
+        [{"graph": "myciel3", "backend": "crash-once"}],
+        jobs=1, plugins=[PLUGIN],
+    )
+    record = report.records[0]
+    assert [a["outcome"] for a in record["attempts"]] == ["died", "ok"]
+    died, retried = _logged_pids(log)
+    assert died != retried
+
+
+def test_one_worker_detects_a_repeated_instance_once(tmp_path, monkeypatch):
+    log = str(tmp_path / "detections")
+    _log_calls(monkeypatch, pipeline_module, "detect_symmetries", log)
+    task = {"graph": "myciel3", "kind": "budgeted", "max_colors": 5,
+            "backend": "pb-pbs2", "instance_dependent": True, "reduce": False}
+    report = solve_many([task] * 3, jobs=1)
+    assert [r["status"] for r in report] == ["OPTIMAL"] * 3
+    assert len(_logged_pids(log)) == 1
+
+
+def test_a_failing_run_stops_and_joins_its_workers():
+    def refuse(record):
+        raise RuntimeError("sink full")
+
+    with pytest.raises(RuntimeError, match="sink full"):
+        solve_many(
+            [{"graph": "myciel3"}, {"graph": "myciel3", "backend": "sleepy"}],
+            jobs=2, plugins=[PLUGIN], on_record=refuse,
+        )
+    # The sleeping attempt was stopped, not left to run for 30 s.
+    assert multiprocessing.active_children() == []
+
+
+def test_a_retry_backoff_does_not_stall_the_other_workers():
+    # The crashing task waits 3 s before its retry; meanwhile the hung
+    # attempt must still be killed at its own deadline, 0.3 + 1.0 s.
+    report = solve_many(
+        [{"graph": "myciel3", "backend": "always-crash"},
+         {"graph": "myciel3", "backend": "sleepy"}],
+        jobs=2, task_timeout=0.3, plugins=[PLUGIN],
+        retry_policy=RetryPolicy(max_retries=1, base_delay=3.0, jitter=0.0),
+    )
+    crashed, hung = report.records
+    assert [a["outcome"] for a in crashed["attempts"]] == ["died", "died"]
+    assert [a["outcome"] for a in hung["attempts"]] == ["timeout"]
+    assert hung["attempts"][0]["seconds"] < 2.5
+    assert report.summary["wall_seconds"] >= 3.0  # the backoff still holds
 
 
 def test_run_cell_batch_matches_sequential():

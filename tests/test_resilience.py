@@ -14,9 +14,12 @@ tier (Pipeline / Session / portfolio / batch runner):
   rest;
 * **everything is deterministic** — retry schedules, fault plans and
   the seeded chaos scenario are pure functions of their seeds;
-* **one worker primitive** — every child process reports exactly once
-  (``ok`` / ``error`` / ``died`` / ``killed``), is reaped, arms the
-  ``REPRO_FAULTS`` plan and leaves the parent's tracer alone.
+* **one worker primitive** — every job a child process runs is
+  reported exactly once (``ok`` / ``error`` / ``died`` / ``killed``);
+  a worker runs job after job in one process, re-arms the faults
+  before each (``REPRO_FAULTS`` afresh, an inherited plan back at its
+  state at fork, the clock unskewed), is reaped when it dies, and
+  leaves the parent's tracer alone.
 
 ``test_chaos_smoke_seeded_scenario`` is the ``make chaos-smoke`` entry
 point: ``CHAOS_SEED`` picks the fault scenario (fixed in PRs, fresh
@@ -25,6 +28,7 @@ locally from the seed alone.
 """
 
 import json
+import multiprocessing
 import os
 import shutil
 import time
@@ -60,6 +64,7 @@ from repro.resilience import (
     set_clock,
     wait_any,
 )
+from repro.resilience.budget import current_clock
 from repro.resilience.faults import FAULTS_ENV
 
 CHAOS_PLUGIN = "repro.resilience.chaos_plugin"
@@ -362,6 +367,17 @@ def _tracer_is_dropped():
     return active_tracer() is None
 
 
+def _pid():
+    return os.getpid()
+
+
+def _clock_offset(point):
+    """Fire ``point`` (when given), then how far the clock seam runs ahead."""
+    if point:
+        fire(point)
+    return current_clock()() - time.monotonic()
+
+
 def _outcome(worker, timeout=30.0):
     """Wait for ``worker``'s one report (bounded: a hang fails the test)."""
     deadline = Deadline.after(timeout)
@@ -409,6 +425,100 @@ def test_worker_child_drops_the_parent_tracer(tmp_path):
     with tracing(str(tmp_path / "run.trace")):
         assert active_tracer() is not None
         assert _outcome(Worker(_tracer_is_dropped)) == ("ok", True)
+
+
+def test_later_jobs_of_a_worker_find_no_tracer_either(tmp_path):
+    with tracing(str(tmp_path / "run.trace")):
+        worker = Worker(_echo, (1,))
+        assert _outcome(worker) == ("ok", 1)
+        worker.submit(_tracer_is_dropped)
+        assert _outcome(worker) == ("ok", True)
+        worker.close()
+
+
+def test_worker_runs_jobs_one_after_another_in_one_process():
+    worker = Worker(_pid)
+    kind, pid = _outcome(worker)
+    assert kind == "ok" and pid != os.getpid()
+    assert worker.idle
+    worker.submit(_echo, ("second",))
+    assert not worker.idle
+    with pytest.raises(RuntimeError, match="idle"):
+        worker.submit(_pid)  # one job at a time
+    assert _outcome(worker) == ("ok", "second")
+    worker.submit(_pid)
+    assert _outcome(worker) == ("ok", pid)
+    worker.close()
+    assert not worker.idle and worker.poll() is None
+    assert multiprocessing.active_children() == []
+
+
+def test_a_raising_job_leaves_the_worker_usable():
+    worker = Worker(_raise_boom)
+    assert _outcome(worker) == ("error", "ValueError: boom")
+    assert worker.idle
+    worker.submit(_echo, (7,))
+    assert _outcome(worker) == ("ok", 7)
+    worker.close()
+
+
+def test_an_env_fault_fires_on_every_job_of_a_reused_worker():
+    # Counters restart per job, as in a fresh fork: an at=1 fault fires
+    # on the first hit of every job, not once per worker.
+    plan = FaultPlan([FaultSpec(point="stage:probe", kind="raise", at=1)])
+    os.environ[FAULTS_ENV] = plan.to_env()
+    worker = Worker(_fire_point, ("stage:probe",))
+    for job in range(3):
+        if job:
+            worker.submit(_fire_point, ("stage:probe",))
+        kind, message = _outcome(worker)
+        assert kind == "error"
+        assert message.startswith("FaultInjected: injected fault at stage:probe")
+    worker.close()
+
+
+def test_an_inherited_plan_is_back_at_its_fork_state_for_every_job():
+    plan = FaultPlan([FaultSpec(point="stage:probe", kind="raise", at=2)])
+    install_faults(plan)
+    fire("stage:probe")  # hit 1 in the parent, before the fork
+    worker = Worker(_fire_point, ("stage:probe",))
+    for job in range(2):
+        if job:
+            worker.submit(_fire_point, ("stage:probe",))
+        kind, _ = _outcome(worker)
+        assert kind == "error"  # hit 2 in every job
+    worker.close()
+
+
+def test_a_skew_in_one_job_does_not_reach_the_next_jobs_clock():
+    install_faults(
+        FaultPlan([FaultSpec(point="solver", kind="skew", at=1, seconds=1000.0)])
+    )
+    worker = Worker(_clock_offset, ("solver",))
+    kind, offset = _outcome(worker)
+    assert kind == "ok" and offset > 900.0
+    worker.submit(_clock_offset, ("",))
+    kind, offset = _outcome(worker)
+    assert kind == "ok" and abs(offset) < 1.0
+    worker.close()
+
+
+def test_a_killed_job_leaves_neither_a_worker_nor_a_zombie():
+    worker = Worker(_echo, (1,))
+    assert _outcome(worker) == ("ok", 1)
+    pid = worker._process.pid
+    time.sleep(0.3)  # idle time does not count against the next job
+    submitted = time.monotonic()
+    worker.submit(_sleep, (60.0,), limit=0.2)
+    assert _outcome(worker) == ("killed", None)
+    # Killed 0.2 + max(1.0, 0.1) seconds after the job started.
+    assert 1.2 <= time.monotonic() - submitted < 3.0
+    assert not worker.idle
+    with pytest.raises(RuntimeError):
+        worker.submit(_echo, (2,))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
 
 
 # ==========================================================================
@@ -585,6 +695,25 @@ _EXPECTED_CHI = {"myciel3": 4, "queen5_5": 5}
 _GRAPHS = {"myciel3": mycielski_graph(3), "queen5_5": queens_graph(5, 5)}
 
 
+def _assert_chaos_invariants(report, tasks):
+    assert len(report.records) == len(tasks)
+    for record in report.records:
+        name = record["task"]
+        chi = _EXPECTED_CHI[name]
+        assert record["outcome"] in ("ok", "timeout", "error", "died")
+        if record["status"] == "OPTIMAL":
+            assert record["num_colors"] == chi
+        elif record["status"] == "FEASIBLE":
+            assert record["degraded"] is True
+            assert record["num_colors"] >= chi
+        if record.get("coloring"):
+            coloring = {int(v): c for v, c in record["coloring"].items()}
+            assert is_proper(_GRAPHS[name], coloring)
+            assert len(set(coloring.values())) == record["num_colors"]
+    summary = report.summary
+    assert sum(summary["outcomes"].values()) == len(tasks)
+
+
 def test_chaos_smoke_seeded_scenario():
     """One seeded fault scenario against a small fleet: whatever the
     fault does, every record finalizes, no coloring is improper, and no
@@ -625,20 +754,17 @@ def test_chaos_smoke_seeded_scenario():
             tasks, jobs=0, retries=1, task_timeout=5.0,
             include_colorings=True,
         )
+        clear_faults()
+    _assert_chaos_invariants(report, tasks)
 
-    assert len(report.records) == len(tasks)
-    for record in report.records:
-        name = record["task"]
-        chi = _EXPECTED_CHI[name]
-        assert record["outcome"] in ("ok", "timeout", "error", "died")
-        if record["status"] == "OPTIMAL":
-            assert record["num_colors"] == chi
-        elif record["status"] == "FEASIBLE":
-            assert record["degraded"] is True
-            assert record["num_colors"] >= chi
-        if record.get("coloring"):
-            coloring = {int(v): c for v, c in record["coloring"].items()}
-            assert is_proper(_GRAPHS[name], coloring)
-            assert len(set(coloring.values())) == record["num_colors"]
-    summary = report.summary
-    assert sum(summary["outcomes"].values()) == len(tasks)
+    # The same scenario through a 2-worker pool over 4 tasks: workers
+    # are reused across attempts (the plan re-armed before each) and
+    # replaced when a fault kills one.
+    os.environ[FAULTS_ENV] = plan.to_env()
+    pooled = tasks * 2
+    report = solve_many(
+        pooled, jobs=2, retries=1, task_timeout=10.0,
+        plugins=[CHAOS_PLUGIN], include_colorings=True,
+    )
+    _assert_chaos_invariants(report, pooled)
+    assert multiprocessing.active_children() == []

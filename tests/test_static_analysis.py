@@ -15,6 +15,7 @@ suppression, had the tree needed one) turns that test red.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,7 @@ POSITIVE_FIXTURES = [
     ("repro/api/rpr004_bad.py", "RPR004", 2),
     ("repro/coloring/rpr005_bad.py", "RPR005", 1),
     ("repro/batch/rpr006_bad.py", "RPR006", 8),
+    ("repro/batch/rpr006_submit_bad.py", "RPR006", 3),
     ("repro/pb/rpr007_bad.py", "RPR007", 4),
 ]
 
@@ -73,6 +75,7 @@ NEGATIVE_FIXTURES = [
     "repro/coloring/rpr005_good.py",
     "repro/sat/rpr005_exempt.py",
     "repro/batch/rpr006_good.py",
+    "repro/batch/rpr006_submit_good.py",
     "repro/pb/rpr007_good.py",
 ]
 
@@ -194,12 +197,16 @@ def test_select_rules_splits_file_and_project_rules():
 
 
 def _cli(*args: str) -> subprocess.CompletedProcess:
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    # A caller that keeps bytecode out of the source tree keeps it out here too.
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", *args],
         capture_output=True,
         text=True,
         cwd=SRC.parent,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        env=env,
         timeout=300,
     )
 

@@ -12,6 +12,7 @@ propagation, suppression — is exercised end to end.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -212,12 +213,16 @@ def test_narrowed_rule_selection_still_reports_rpr008():
 
 
 def _cli(*args: str) -> subprocess.CompletedProcess:
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    # A caller that keeps bytecode out of the source tree keeps it out here too.
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", *args],
         capture_output=True,
         text=True,
         cwd=SRC.parent,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        env=env,
         timeout=300,
     )
 
