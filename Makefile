@@ -10,9 +10,10 @@
 # `make batch-smoke` runs the example manifest through the parallel
 # fleet runner; `make fuzz-smoke` runs the Hypothesis differential
 # properties (disjoint unions across backends, the incremental and
-# reduce harnesses, lifted vs formula-graph symmetry detection, and the
+# reduce harnesses, lifted vs formula-graph symmetry detection, the
 # preprocessing properties: model preservation and the simplify
-# fixpoint) under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
+# fixpoint, and the Session's growable encoding) under
+# HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
 # chaos suite (fault injection seeded by CHAOS_SEED, fresh seeds in
 # nightly CI);
 # `make coverage` runs the tier-1 suite under pytest-cov
@@ -49,7 +50,8 @@ fuzz-smoke:
 	$(PYTHONPATH_PREFIX) HYPOTHESIS_PROFILE=$(HYPOTHESIS_PROFILE) \
 		$(PYTHON) -m pytest -q tests/test_component_pool.py \
 		tests/test_incremental.py tests/test_reduce.py \
-		tests/test_lifted_symmetry.py tests/test_preprocessing.py
+		tests/test_lifted_symmetry.py tests/test_preprocessing.py \
+		tests/test_session.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

@@ -103,7 +103,6 @@ def _pipeline_from_args(args, backend: str) -> Pipeline:
     return (
         Pipeline()
         .reduce(args.reduce)
-        .encode(amo=getattr(args, "amo", "pairwise"))
         .symmetry(
             sbp_kind=args.sbp,
             instance_dependent=getattr(args, "instance_dependent", False),
@@ -360,9 +359,6 @@ def main(argv=None) -> int:
     p_chrom.add_argument("--sbp", default="none",
                          choices=("none", "nu", "sc", "nu+sc"),
                          help="CNF-expressible symmetry-breaking predicates")
-    p_chrom.add_argument("--amo", default="pairwise",
-                         choices=("pairwise", "sequential"),
-                         help="at-most-one encoding of the exactly-one rows")
     p_chrom.add_argument("--time-limit", type=float, default=300.0)
     p_chrom.add_argument("--show-coloring", action="store_true")
     p_chrom.add_argument(

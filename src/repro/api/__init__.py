@@ -53,7 +53,6 @@ from .backends import (
     resolve_backend_name,
 )
 from .config import (
-    EncodeConfig,
     PipelineConfig,
     ReduceConfig,
     SimplifyConfig,
@@ -96,7 +95,6 @@ __all__ = [
     "ChromaticProblem",
     "Deadline",
     "DecisionProblem",
-    "EncodeConfig",
     "PROBLEM_KINDS",
     "Pipeline",
     "PipelineConfig",

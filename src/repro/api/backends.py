@@ -31,9 +31,15 @@ import abc
 import time
 from typing import Dict, Iterable, List, Tuple
 
+from ..coloring.encoding import decode_indicators
 from ..coloring.exact_dsatur import exact_chromatic_number
 from ..coloring.reduce import kernelize
-from ..coloring.sat_pipeline import chromatic_number_sat, sat_k_colorable
+from ..coloring.sat_pipeline import (
+    CNF_SBP_KINDS,
+    chromatic_number_sat,
+    encode_k_coloring_cnf,
+    sat_k_colorable,
+)
 from ..graphs.graph import Graph
 from ..pb.optimizer import minimize
 from ..pb.presets import get_preset
@@ -58,9 +64,6 @@ from .pipeline import (
 )
 from .problems import BUDGETED, CHROMATIC, DECISION, Problem
 from .results import Result, RunContext, StageStat
-
-# The CNF route supports the clause-expressible SBP subset only.
-CNF_SBP_KINDS = ("none", "nu", "sc", "nu+sc")
 
 
 class Backend(abc.ABC):
@@ -258,14 +261,17 @@ class CdclBackend(Backend):
     (:func:`~repro.api.pipeline.run_reduced`) with one
     :func:`~repro.coloring.sat_pipeline.sat_k_colorable` call per kernel
     component.  A chromatic run kernelizes once and descends on that
-    kernel: ``cdcl-incremental`` through persistent solvers with
+    kernel: ``cdcl-incremental`` through one persistent solver with
     per-color activation literals (learned clauses, phases and activity
     carry over between K queries), ``cdcl-scratch`` with a fresh
-    encoding and solver at every K (the historical behaviour, kept for
-    measurement).  A disconnected kernel is not split for the descent:
-    one refutation at chi - 1, in the hardest component, proves the
-    whole kernel's optimum.  Reuse across *multiple* queries is what
-    :class:`repro.api.Session` exists for.
+    encoding and solver at every K that preprocessing does not settle
+    (the historical behaviour, kept for measurement).  A disconnected
+    kernel is not split for the descent: one refutation at chi - 1, in
+    the hardest component, proves the whole kernel's optimum.  Every
+    answered K query is emitted as a ``query`` progress event carrying
+    its ``k`` and ``status``, one per entry of ``Result.queries``; a
+    portfolio racer publishes its bounds from them.  Reuse across
+    *multiple* queries is what :class:`repro.api.Session` exists for.
     """
 
     supports = (DECISION, CHROMATIC)
@@ -303,7 +309,6 @@ class CdclBackend(Backend):
                 graph,
                 k,
                 time_limit=ctx.deadline.remaining(),
-                amo_encoding=config.encode.amo,
                 sbp_kind=config.symmetry.sbp_kind,
                 preprocess=config.simplify.enabled,
                 stats=stats,
@@ -338,12 +343,15 @@ class CdclBackend(Backend):
             reduce_stage, info = reduce_report(kernel, config)
             stages.append(reduce_stage)
         ctx.emit("solve", f"{strategy} K descent ({self.name})")
+
+        def on_query(k: int, status: str) -> None:
+            ctx.emit("query", f"K={k}: {status}", k=k, status=status)
+
         t0 = time.monotonic()
         sat_result = chromatic_number_sat(
             problem.graph,
             strategy=strategy,
             time_limit=ctx.deadline.remaining(),
-            amo_encoding=config.encode.amo,
             sbp_kind=config.symmetry.sbp_kind,
             preprocess=config.simplify.enabled,
             reduce=config.reduce.enabled,
@@ -351,6 +359,7 @@ class CdclBackend(Backend):
             should_stop=ctx.cancelled if ctx.cancel else None,
             kernel=kernel,
             max_colors=problem.max_colors,
+            on_query=on_query,
         )
         stages.append(StageStat(
             "solve", time.monotonic() - t0,
@@ -430,8 +439,6 @@ class BruteForceBackend(Backend):
 
     @staticmethod
     def _decide_k(graph, k):
-        from ..coloring.sat_pipeline import encode_k_coloring_cnf
-
         t0 = time.monotonic()
         if k <= 0:
             status = UNSAT if graph.num_vertices else SAT
@@ -445,12 +452,7 @@ class BruteForceBackend(Backend):
         result = brute_force_solve(formula)
         coloring = None
         if result.is_sat:
-            coloring = {}
-            for v in range(graph.num_vertices):
-                for c in range(1, k + 1):
-                    if result.model[x[(v, c)]]:
-                        coloring[v] = c
-                        break
+            coloring = decode_indicators(x, graph.num_vertices, k, result.model)
         return result.status, coloring, time.monotonic() - t0
 
 

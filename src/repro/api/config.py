@@ -1,9 +1,11 @@
-"""Pipeline configuration: one dataclass per stage, validated eagerly.
+"""Pipeline configuration: one dataclass per configurable stage, checked eagerly.
 
-Every stage of the pipeline — reduce, encode, sbp, simplify, detect,
-solve — has its own small config dataclass, and every name is checked
-at *construction* time with a ``ValueError`` naming the registered
-choices, never as a ``KeyError`` deep inside the preset tables.
+The pipeline's stages — reduce, encode, sbp, simplify, detect, solve —
+are configured by four small dataclasses: reduce, symmetry (the sbp and
+detect stages), simplify and solve; encode has nothing to configure.
+Every name is checked at *construction* time with a ``ValueError``
+naming the registered choices, never as a ``KeyError`` deep inside the
+preset tables.
 
 The stages always run in that order: symmetry detection comes *after*
 clause simplification, the cheaper order (detection searches the
@@ -17,7 +19,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..sbp.instance_independent import SBP_KINDS
 
-AMO_ENCODINGS = ("pairwise", "sequential")
 SEARCH_STRATEGIES = ("linear", "binary")
 
 
@@ -34,18 +35,6 @@ class ReduceConfig:
     clique bound plus connected-component splitting."""
 
     enabled: bool = True
-
-
-@dataclass(frozen=True)
-class EncodeConfig:
-    """How constraints are compiled.  ``amo`` selects the at-most-one
-    encoding on the pure-CNF route (the 0-1 ILP route uses native
-    exactly-one PB constraints and ignores it)."""
-
-    amo: str = "pairwise"
-
-    def __post_init__(self) -> None:
-        _check_choice(self.amo, AMO_ENCODINGS, "at-most-one encoding")
 
 
 @dataclass(frozen=True)
@@ -113,10 +102,9 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The full pipeline: one config per stage."""
+    """The full pipeline: one config per configurable stage."""
 
     reduce: ReduceConfig = field(default_factory=ReduceConfig)
-    encode: EncodeConfig = field(default_factory=EncodeConfig)
     symmetry: SymmetryConfig = field(default_factory=SymmetryConfig)
     simplify: SimplifyConfig = field(default_factory=SimplifyConfig)
     solve: SolveConfig = field(default_factory=SolveConfig)
@@ -129,7 +117,6 @@ class PipelineConfig:
         """Flat provenance-friendly view of every knob."""
         return {
             "reduce": self.reduce.enabled,
-            "amo": self.encode.amo,
             "sbp_kind": self.symmetry.sbp_kind,
             "instance_dependent": self.symmetry.instance_dependent,
             "detection_node_limit": self.symmetry.detection_node_limit,

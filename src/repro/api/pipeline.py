@@ -87,10 +87,6 @@ class Pipeline:
         """Toggle graph kernelization (peeling + component split)."""
         return self._replace(reduce=ReduceConfig(enabled=enabled))
 
-    def encode(self, **kwargs: object) -> "Pipeline":
-        """Configure constraint compilation (``amo=...``)."""
-        return self._replace(encode=replace(self._config.encode, **kwargs))
-
     def symmetry(self, **kwargs: object) -> "Pipeline":
         """Configure symmetry breaking (``sbp_kind``,
         ``instance_dependent``, ``detection_node_limit``)."""

@@ -15,10 +15,13 @@ racer publishes the bounds it proves to a queue (a SAT coloring at K is
 ``ub = K`` for everyone, a refuted K is ``lb = K + 1``); the parent
 folds them into shared ``ub``/``lb`` values that racers poll in their
 cancel predicates, so the race also ends when the *combined* bounds
-meet — even if no single racer proved both sides.
-``cdcl-incremental`` racers publish per-K-query (they ride a
-:class:`~repro.api.Session`, whose progress events carry each query's
-outcome); the one-shot engines publish their final bounds.
+meet — even if no single racer proved both sides.  Every racer runs its
+backend's ``run()``, exactly as a direct run would.  A racer publishes
+per K query from its ``query`` progress events, which the ``cdcl-*``
+descents emit for every answered query (they ask the kernel only at
+K no lower than the clique bound it was peeled at, so a SAT answer
+lifts to a K-coloring of the whole graph and an UNSAT answer refutes K
+for it), and every racer publishes its final bounds when it returns.
 
 A dying racer is retried once (:class:`~repro.resilience.RetryPolicy`
 classifies a death as transient), then dropped — the race continues
@@ -40,19 +43,15 @@ from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from ..resilience import Deadline, RetryPolicy, Worker, wait_any
 from ..resilience.faults import fire as _fire_fault
-from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT
+from ..sat.result import OPTIMAL, SAT, UNKNOWN, UNSAT
 from .backends import Backend, get_backend, resolve_backend_name
 from .config import PipelineConfig
 from .problems import CHROMATIC, DECISION, ChromaticProblem, DecisionProblem, Problem
-from .results import Result, RunContext, StageStat
+from .results import ProgressEvent, Result, RunContext, StageStat
 
 #: Racer deaths are transient: retried this many times before the
 #: racer is dropped and the race continues with the survivors.
 _RACER_RETRIES = 1
-
-#: The Session-routed racer (per-query bound publication); every other
-#: engine races through its backend's run().
-_SESSION_RACER = "cdcl-incremental"
 
 
 def parse_racer(spec: str) -> Tuple[str, Optional[str]]:
@@ -67,71 +66,51 @@ def _race_decided(ub_val, lb_val) -> bool:
     return ub > 0 and lb_val.value >= ub
 
 
-def _run_session_racer(payload, cancelled, publish):
-    """A ``cdcl-incremental`` chromatic racer on a whole-graph Session.
-
-    The Session's assumption-based descent emits one progress event per
-    K query; SAT at K publishes ``ub = K``, UNSAT publishes
-    ``lb = K + 1`` — both globally valid for the whole graph, which is
-    exactly what the sibling racers are coloring too.
-    """
-    from .session import Session
-
-    index = payload["index"]
-    config: PipelineConfig = payload["config"]
-
-    def on_progress(event) -> None:
-        if event.stage != "query" or event.k is None or event.status is None:
-            return
-        try:
-            if event.status == SAT:
-                publish.put((index, "ub", event.k))
-            elif event.status == UNSAT:
-                publish.put((index, "lb", event.k + 1))
-        except (BrokenPipeError, OSError):
-            pass
-
-    session = Session(
-        payload["graph"], config=config,
-        on_progress=on_progress, cancel=cancelled,
-    )
-    return session.chromatic(
-        strategy=config.solve.strategy or "linear",
-        time_limit=config.solve.time_limit,
-        max_colors=payload["max_colors"],
-    )
-
-
 def _run_racer(payload, stop_event, ub_val, lb_val, publish) -> Result:
-    """Racer worker target: solve the race's problem with this engine."""
+    """Racer worker target: solve the race's problem with this engine.
+
+    A chromatic racer publishes ``(index, "ub", k)`` for every SAT K
+    query and ``(index, "lb", k + 1)`` for every UNSAT one, from its
+    ``query`` progress events, and its final bounds when it returns.
+    """
     _fire_fault("racer", payload["spec"])
     kind = payload["kind"]
+    index = payload["index"]
 
     def cancelled() -> bool:
         if stop_event.is_set():
             return True
         return kind == CHROMATIC and _race_decided(ub_val, lb_val)
 
-    if kind == CHROMATIC and payload["backend"] == _SESSION_RACER:
-        return _run_session_racer(payload, cancelled, publish)
+    def send(bound: str, value: int) -> None:
+        try:
+            publish.put((index, bound, value))
+        except (BrokenPipeError, OSError):
+            pass
+
+    def on_progress(event: ProgressEvent) -> None:
+        if kind != CHROMATIC or event.stage != "query" or event.k is None:
+            return
+        if event.status == SAT:
+            send("ub", event.k)
+        elif event.status == UNSAT:
+            send("lb", event.k + 1)
+
     backend = get_backend(payload["backend"])
     config: PipelineConfig = payload["config"]
     if kind == DECISION:
         problem: Problem = DecisionProblem(payload["graph"], payload["k"])
     else:
         problem = ChromaticProblem(payload["graph"], payload["max_colors"])
-    result = backend.run(problem, config, RunContext(cancel=cancelled))
+    result = backend.run(
+        problem, config, RunContext(on_progress=on_progress, cancel=cancelled))
     if kind == CHROMATIC:
-        index = payload["index"]
-        try:
-            if result.feasible and result.num_colors is not None:
-                publish.put((index, "ub", result.num_colors))
-            if result.status == OPTIMAL and result.num_colors is not None:
-                publish.put((index, "lb", result.num_colors))
-            elif result.lower_bound is not None:
-                publish.put((index, "lb", result.lower_bound))
-        except (BrokenPipeError, OSError):
-            pass
+        if result.feasible and result.num_colors is not None:
+            send("ub", result.num_colors)
+        if result.status == OPTIMAL and result.num_colors is not None:
+            send("lb", result.num_colors)
+        elif result.lower_bound is not None:
+            send("lb", result.lower_bound)
     return result
 
 

@@ -44,10 +44,10 @@ from .results import ProgressEvent, Result, RunContext, StageStat
 class Session:
     """Multiple coloring queries on one graph, one persistent solver.
 
-    ``config`` supplies the encoding/simplification knobs (pairwise
-    AMO, growth-safe SBPs, and the assumption-aware preprocessor with
-    every variable frozen, which keeps the formula equivalent) and the
-    default time limit.
+    ``config`` supplies the encoding/simplification knobs (growth-safe
+    SBPs, and the assumption-aware preprocessor with every variable
+    frozen, which keeps the formula equivalent) and the default time
+    limit.
     The solver is created lazily on the first query, encoded at that
     query's horizon, and only ever *grows* afterwards.
     """
@@ -108,7 +108,6 @@ class Session:
             self._search = IncrementalKSearch(
                 self.graph,
                 max(k_needed, 1),
-                amo_encoding="pairwise",
                 sbp_kind=self.config.symmetry.sbp_kind,
                 preprocess=self.config.simplify.enabled,
                 growable=True,

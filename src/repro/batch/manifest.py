@@ -242,7 +242,6 @@ class TaskSpec:
     fallback: Tuple[str, ...] = ()
     sbp_kind: str = "none"
     strategy: Optional[str] = None
-    amo: str = "pairwise"
     reduce: bool = True
     simplify: bool = True
     instance_dependent: bool = False
@@ -314,7 +313,6 @@ class TaskSpec:
         return (
             Pipeline()
             .reduce(self.reduce)
-            .encode(amo=self.amo)
             .symmetry(**symmetry_kwargs)
             .simplify(self.simplify)
             .solve(backend=backend, strategy=self.strategy, time_limit=time_limit)

@@ -21,7 +21,10 @@ any encoding and preprocessing, so those count against the budget too.
 The driver owns the policy: linear or binary stepping, the jump of the
 lower bound past an UNSAT core over colors, the cap query, the deadline
 and stop checks before every query, the query trace and the
-``deadline_expired`` record.
+``deadline_expired`` record.  It hands each answered query to an
+optional ``on_query(k, status)`` as it appends it to the trace; the
+``cdcl-*`` backends turn that into one ``query`` progress event per
+query, from which a portfolio racer publishes its bounds.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ def descend(
     should_stop: Optional[Callable[[], bool]] = None,
     cap: Optional[int] = None,
     where: str = "descent",
+    on_query: Optional[Callable[[int, str], None]] = None,
 ) -> DescentOutcome:
     """Tighten ``coloring`` down to the chromatic number.
 
@@ -96,7 +100,8 @@ def descend(
     UNSAT without a query; a cap below the incumbent's color count is
     asked first, and its coloring (if any) seeds the descent.  Before
     every query the driver checks ``deadline`` (recording an expiry under
-    ``where``) and ``should_stop``.
+    ``where``) and ``should_stop``.  ``on_query(k, status)`` is called
+    after every answered query, in the order of ``queries``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -110,6 +115,8 @@ def descend(
             return UNKNOWN, None, []
         answer = decide(k, deadline)
         queries.append((k, answer[0]))
+        if on_query is not None:
+            on_query(k, answer[0])
         return answer
 
     lo, hi, best = lower_bound, _num_colors(coloring), coloring

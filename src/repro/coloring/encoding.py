@@ -16,7 +16,7 @@ clauses, ``n`` PB constraints, one objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from ..core.formula import Formula
 from ..graphs.graph import Graph
@@ -120,24 +120,55 @@ def add_color_activation_literals(
     return activators
 
 
-def decode_coloring(
-    encoding: ColoringEncoding, model: Dict[int, bool]
-) -> Dict[int, int]:
-    """Extract the vertex -> color map from a model.
+def selective_coloring_pins(graph: Graph, num_colors: int) -> List[Tuple[int, int]]:
+    """The ``(vertex, color)`` pairs the SC construction pins.
 
-    Raises ``ValueError`` if some vertex has no color set (which would
-    indicate a solver bug — the exactly-one constraints forbid it).
+    The highest-degree vertex gets color 1 and its highest-degree
+    neighbor color 2 (ties go to the lower index); a graph without
+    vertices, or a budget without colors, pins nothing.
+    """
+    if graph.num_vertices == 0 or num_colors < 1:
+        return []
+
+    def rank(v: int) -> Tuple[int, int]:
+        return graph.degree(v), -v
+
+    vl = max(graph.vertices(), key=rank)
+    pins = [(vl, 1)]
+    neighbors = graph.neighbors(vl)
+    if neighbors and num_colors >= 2:
+        pins.append((max(neighbors, key=rank), 2))
+    return pins
+
+
+def decode_indicators(
+    x_var: Dict[tuple, int], num_vertices: int, num_colors: int, model
+) -> Dict[int, int]:
+    """The vertex -> color map a model sets on the indicators ``x_var``.
+
+    Only colors ``1..num_colors`` are read.  Raises ``ValueError`` if
+    some vertex has no color or two colors set (which would indicate a
+    solver bug — the exactly-one constraints forbid it).
     """
     coloring: Dict[int, int] = {}
-    for v in range(encoding.graph.num_vertices):
-        for k in range(1, encoding.num_colors + 1):
-            if model[encoding.x(v, k)]:
+    for v in range(num_vertices):
+        for k in range(1, num_colors + 1):
+            if model[x_var[(v, k)]]:
                 if v in coloring:
                     raise ValueError(f"vertex {v} has two colors in the model")
                 coloring[v] = k
         if v not in coloring:
             raise ValueError(f"vertex {v} has no color in the model")
     return coloring
+
+
+def decode_coloring(
+    encoding: ColoringEncoding, model: Dict[int, bool]
+) -> Dict[int, int]:
+    """Extract the vertex -> color map from a model (see :func:`decode_indicators`)."""
+    return decode_indicators(
+        encoding.x_var, encoding.graph.num_vertices, encoding.num_colors, model
+    )
 
 
 def used_colors(coloring: Dict[int, int]) -> int:

@@ -4,44 +4,64 @@ The paper (Section 2.3) contrasts 0-1 ILP solvers, which optimize
 directly, with "repeatedly solving instances of the k-coloring using a
 SAT solver, with the value of k being updated after each call", and
 argues the ILP route tends to win.  This module implements the SAT
-route so that claim can be measured:
+route so that claim can be measured.
 
-* :func:`encode_k_coloring_cnf` — the decision encoding compiled to
-  pure CNF (exactly-one constraints via a chosen cardinality encoding);
+One private layout, :func:`_lay_out`, writes the decision encoding:
+the indicator variables ``x[v][c]``, one exactly-one row per vertex (an
+at-least-one clause plus pairwise at-most-one clauses), the edge
+conflicts, and the CNF-expressible SBPs (the NU chain over usage
+variables, the SC pins of
+:func:`repro.coloring.encoding.selective_coloring_pins`).  The three
+public encoders are that layout:
+
+* :func:`encode_k_coloring_cnf` — as it is, the formula of one
+  decision query (``cdcl-scratch``, CDCL decisions, ``brute``);
+* :func:`encode_k_coloring_incremental` — plus per-color activation
+  literals (:func:`repro.coloring.encoding.add_color_activation_literals`),
+  the formula of the persistent ``cdcl-incremental`` descent;
+* :func:`encode_k_coloring_growable` — plus an extension literal in
+  every at-least-one row and the activation literals, the formula of a
+  :class:`~repro.api.Session`, which can raise its color budget.
+
+On top of them:
+
 * :func:`sat_k_colorable` — one decision call on the clause-only CDCL
   solver, with optional CNF preprocessing (full equisatisfiable
   simplification; the forced assignment and eliminated variables are
   folded back into the model before decoding);
 * :class:`IncrementalKSearch` — the **incremental** engine for the
   paper's Section 4.1 bound-tightening procedure: the graph is encoded
-  *once* at the upper bound with per-color activation literals
-  (:func:`repro.coloring.encoding.add_color_activation_literals`), and
-  every K query becomes ``solve(assumptions=[-a_{k+1}, ..., -a_ub])``
-  on one persistent :class:`~repro.sat.cdcl.CDCLSolver`, so learned
-  clauses, saved phases and VSIDS activity carry over between queries.
-  UNSAT answers return an unsat core over colors (failed assumptions),
-  which the binary strategy uses to skip dead K values;
+  *once* at the upper bound, and every K query becomes
+  ``solve(assumptions=[-a_{k+1}, ..., -a_ub])`` on one persistent
+  :class:`~repro.sat.cdcl.CDCLSolver`, so learned clauses, saved phases
+  and VSIDS activity carry over between queries.  UNSAT answers return
+  an unsat core over colors (failed assumptions), which the binary
+  strategy uses to skip dead K values;
 * :func:`chromatic_number_sat` — chromatic number by a descending
   linear or binary search over K, driven by
-  :func:`repro.coloring.descent.descend`.  ``incremental=True`` (the
-  default, the ``cdcl-incremental`` backend) answers every query on one
-  persistent solver; ``incremental=False`` (``cdcl-scratch``) builds
-  one fresh SAT instance per query, the differential reference.
+  :func:`repro.coloring.descent.descend`, which reports each answered
+  query to ``on_query``.  ``incremental=True`` (the default, the
+  ``cdcl-incremental`` backend) answers every query on one persistent
+  solver; ``incremental=False`` (``cdcl-scratch``) builds one fresh
+  SAT instance per query, the differential reference.
   Kernelization and preprocessing are on by default: either oracle
   queries the one kernel :func:`repro.coloring.reduce.kernelize` built
   at the clique bound, and the persistent solver's encoding goes
   through the full preprocessor with the activation variables the
   assumptions refer to frozen, so it cannot eliminate them — the one
   preprocessing mode :class:`IncrementalKSearch` has.
+
+Every SAT model is decoded by
+:func:`repro.coloring.encoding.decode_indicators`, the helper behind
+:func:`~repro.coloring.encoding.decode_coloring`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.cnf_encodings import encode_exactly_one_pairwise, encode_at_most_k_sequential
+from ..core.cnf_encodings import encode_at_most_one_pairwise
 from ..core.formula import Formula
 from ..graphs.cliques import clique_lower_bound
 from ..graphs.coloring_heuristics import dsatur
@@ -54,94 +74,103 @@ from ..sat.factory import new_solver
 from ..sat.preprocessing import preprocess as preprocess_cnf
 from ..sat.result import SAT, UNKNOWN, UNSAT, SolverStats
 from .descent import Answer, descend
-from .encoding import add_color_activation_literals
+from .encoding import (
+    add_color_activation_literals,
+    decode_indicators,
+    selective_coloring_pins,
+)
 from .reduce import Kernel, kernelize, lift
 
+#: The SBP constructions a clause-only encoding can express (CA needs
+#: PB constraints; LI needs the optimization encoding).
+CNF_SBP_KINDS = ("none", "nu", "sc", "nu+sc")
+#: The subset that stays valid when colors are added: SC pins specific
+#: colors, which new colors never invalidate; NU chains quantify over
+#: the color horizon.
+GROWABLE_SBP_KINDS = ("none", "sc")
 
-def encode_k_coloring_cnf(
-    graph: Graph,
-    k: int,
-    amo_encoding: str = "pairwise",
-    sbp_kind: str = "none",
-) -> Tuple[Formula, Dict[Tuple[int, int], int]]:
-    """Pure-CNF decision encoding of K-colorability.
+XVars = Dict[Tuple[int, int], int]
 
-    Returns ``(formula, x_vars)`` with ``x_vars[(v, color)]`` the
-    indicator variable (colors 1..k).  ``amo_encoding`` selects how the
-    per-vertex exactly-one constraint is compiled: ``"pairwise"`` or
-    ``"sequential"``.  ``sbp_kind`` supports the CNF-expressible subset
-    of the paper's constructions: ``"none"``, ``"nu"`` (on usage
-    variables added for the purpose) and ``"sc"``.
+
+def _lay_out(
+    graph: Graph, k: int, sbp_kind: str, growable: bool = False,
+) -> Tuple[Formula, XVars, Optional[int]]:
+    """The CNF K-coloring layout behind every encoder of this module.
+
+    Returns ``(formula, x_vars, ext)``.  With ``growable`` an extension
+    literal ``ext`` is allocated right after the ``x`` variables and
+    added to every at-least-one row; otherwise ``ext`` is ``None``.
     """
-    if sbp_kind not in ("none", "nu", "sc", "nu+sc"):
+    kinds = GROWABLE_SBP_KINDS if growable else CNF_SBP_KINDS
+    if sbp_kind not in kinds:
         raise ValueError(
-            f"CNF pipeline supports none/nu/sc/nu+sc, got {sbp_kind!r} "
-            "(CA needs PB constraints; LI needs the optimization encoding)"
+            f"the {'growable' if growable else 'CNF'} encoding supports "
+            f"sbp_kind in {kinds}, got {sbp_kind!r}"
         )
     formula = Formula()
-    x: Dict[Tuple[int, int], int] = {}
     n = graph.num_vertices
+    colors = range(1, k + 1)
+    x: XVars = {}
     for v in range(n):
-        for c in range(1, k + 1):
+        for c in colors:
             x[(v, c)] = formula.new_var(("x", v, c))
+    ext = formula.new_var(("ext", k)) if growable else None
+    tail = [] if ext is None else [ext]
     for v in range(n):
-        lits = [x[(v, c)] for c in range(1, k + 1)]
-        if amo_encoding == "pairwise":
-            encode_exactly_one_pairwise(formula, lits)
-        elif amo_encoding == "sequential":
-            formula.add_clause(lits)
-            encode_at_most_k_sequential(formula, lits, 1)
-        else:
-            raise ValueError(f"unknown at-most-one encoding {amo_encoding!r}")
+        lits = [x[(v, c)] for c in colors]
+        formula.add_clause(lits + tail)
+        encode_at_most_one_pairwise(formula, lits)
     for a, b in graph.edges():
-        for c in range(1, k + 1):
+        for c in colors:
             formula.add_clause([-x[(a, c)], -x[(b, c)]])
     if sbp_kind in ("nu", "nu+sc"):
         # Usage variables y_c <- any x[v][c]; chain y_{c+1} -> y_c.
-        y = {c: formula.new_var(("y", c)) for c in range(1, k + 1)}
-        for c in range(1, k + 1):
+        y = {c: formula.new_var(("y", c)) for c in colors}
+        for c in colors:
             for v in range(n):
                 formula.add_clause([-x[(v, c)], y[c]])
             formula.add_clause([-y[c]] + [x[(v, c)] for v in range(n)])
         for c in range(1, k):
             formula.add_clause([-y[c + 1], y[c]])
-    if sbp_kind in ("sc", "nu+sc") and n > 0:
-        vl = max(graph.vertices(), key=lambda v: (graph.degree(v), -v))
-        formula.add_clause([x[(vl, 1)]])
-        neighbors = graph.neighbors(vl)
-        if neighbors and k >= 2:
-            vl2 = max(neighbors, key=lambda v: (graph.degree(v), -v))
-            formula.add_clause([x[(vl2, 2)]])
+    if sbp_kind in ("sc", "nu+sc"):
+        for vertex, color in selective_coloring_pins(graph, k):
+            formula.add_clause([x[(vertex, color)]])
+    return formula, x, ext
+
+
+def encode_k_coloring_cnf(
+    graph: Graph, k: int, sbp_kind: str = "none",
+) -> Tuple[Formula, XVars]:
+    """Pure-CNF decision encoding of K-colorability.
+
+    Returns ``(formula, x_vars)`` with ``x_vars[(v, color)]`` the
+    indicator variable (colors 1..k).  ``sbp_kind`` is one of
+    :data:`CNF_SBP_KINDS`: ``"nu"`` adds usage variables for its chain,
+    ``"sc"`` two unit pins.
+    """
+    formula, x, _ = _lay_out(graph, k, sbp_kind)
     return formula, x
 
 
 def encode_k_coloring_incremental(
-    graph: Graph,
-    max_k: int,
-    amo_encoding: str = "pairwise",
-    sbp_kind: str = "none",
-) -> Tuple[Formula, Dict[Tuple[int, int], int], Dict[int, int]]:
+    graph: Graph, max_k: int, sbp_kind: str = "none",
+) -> Tuple[Formula, XVars, Dict[int, int]]:
     """K-coloring encoding at ``max_k`` plus per-color activation literals.
 
     Returns ``(formula, x_vars, activators)``.  Assuming
     ``-activators[c]`` for every ``c > k`` restricts the encoding to a
     K-coloring instance, so one formula serves the whole descent.
     """
-    formula, x = encode_k_coloring_cnf(graph, max_k, amo_encoding, sbp_kind)
+    formula, x, _ = _lay_out(graph, max_k, sbp_kind)
     activators = add_color_activation_literals(
         formula, x, graph.num_vertices, max_k
     )
     return formula, x, activators
 
 
-GROWABLE_SBP_KINDS = ("none", "sc")
-
-
 def encode_k_coloring_growable(
-    graph: Graph,
-    max_k: int,
-    sbp_kind: str = "none",
-) -> Tuple[Formula, Dict[Tuple[int, int], int], Dict[int, int], int]:
+    graph: Graph, max_k: int, sbp_kind: str = "none",
+) -> Tuple[Formula, XVars, Dict[int, int], int]:
     """Growable K-coloring encoding: activation literals *and* an
     at-least-one generation that can be retired when the budget rises.
 
@@ -157,41 +186,15 @@ def encode_k_coloring_growable(
     fresh extension literal.  All other clause groups (at-most-one,
     edge conflicts, activation guards, SC pins) only ever *forbid*
     colors, so they stay valid verbatim as colors are added.
-
-    Only the pairwise at-most-one encoding and the growth-safe SBP
-    subset (``"none"``/``"sc"`` — SC pins specific colors, which new
-    colors never invalidate) are supported.
+    ``sbp_kind`` is one of :data:`GROWABLE_SBP_KINDS`.
 
     Returns ``(formula, x_vars, activators, ext)``.
     """
-    if sbp_kind not in GROWABLE_SBP_KINDS:
-        raise ValueError(
-            f"growable encoding supports sbp_kind in {GROWABLE_SBP_KINDS}, "
-            f"got {sbp_kind!r} (NU chains quantify over the color horizon)"
-        )
-    formula = Formula()
-    x: Dict[Tuple[int, int], int] = {}
-    n = graph.num_vertices
-    for v in range(n):
-        for c in range(1, max_k + 1):
-            x[(v, c)] = formula.new_var(("x", v, c))
-    ext = formula.new_var(("ext", max_k))
-    for v in range(n):
-        formula.add_clause([x[(v, c)] for c in range(1, max_k + 1)] + [ext])
-        for c1 in range(1, max_k + 1):
-            for c2 in range(c1 + 1, max_k + 1):
-                formula.add_clause([-x[(v, c1)], -x[(v, c2)]])
-    for a, b in graph.edges():
-        for c in range(1, max_k + 1):
-            formula.add_clause([-x[(a, c)], -x[(b, c)]])
-    if sbp_kind == "sc" and n > 0:
-        vl = max(graph.vertices(), key=lambda v: (graph.degree(v), -v))
-        formula.add_clause([x[(vl, 1)]])
-        neighbors = graph.neighbors(vl)
-        if neighbors and max_k >= 2:
-            vl2 = max(neighbors, key=lambda v: (graph.degree(v), -v))
-            formula.add_clause([x[(vl2, 2)]])
-    activators = add_color_activation_literals(formula, x, n, max_k)
+    formula, x, ext = _lay_out(graph, max_k, sbp_kind, growable=True)
+    assert ext is not None
+    activators = add_color_activation_literals(
+        formula, x, graph.num_vertices, max_k
+    )
     return formula, x, activators, ext
 
 
@@ -230,7 +233,6 @@ class IncrementalKSearch:
         self,
         graph: Graph,
         max_k: int,
-        amo_encoding: str = "pairwise",
         sbp_kind: str = "none",
         preprocess: bool = True,
         growable: bool = False,
@@ -239,18 +241,13 @@ class IncrementalKSearch:
         self.max_k = max_k
         self.growable = growable
         if growable:
-            if amo_encoding != "pairwise":
-                raise ValueError(
-                    "growable encodings support only the pairwise "
-                    f"at-most-one encoding, got {amo_encoding!r}"
-                )
             formula, x, activators, ext = encode_k_coloring_growable(
                 graph, max_k, sbp_kind
             )
             self._ext: Optional[int] = ext
         else:
             formula, x, activators = encode_k_coloring_incremental(
-                graph, max_k, amo_encoding, sbp_kind
+                graph, max_k, sbp_kind
             )
             self._ext = None
         self.x = x
@@ -485,18 +482,13 @@ class IncrementalKSearch:
         get_registry().inc("ksearch_queries_total", status=status)
         get_registry().observe("ksearch_query_conflicts", run.conflicts)
         if result.is_sat:
-            coloring: Dict[int, int] = {}
             model = result.model
             if self._pre is not None:
                 # Variables eliminated by the assumption-aware
                 # preprocessing are reconstructed before decoding.
                 model = self._pre.extend_model(model)
-            for v in range(self.graph.num_vertices):
-                for c in range(1, k + 1):
-                    if model[self.x[(v, c)]]:
-                        coloring[v] = c
-                        break
-            return SAT, coloring, []
+            return SAT, decode_indicators(
+                self.x, self.graph.num_vertices, k, model), []
         if result.is_unsat:
             failed = sorted(
                 c
@@ -511,7 +503,6 @@ def sat_k_colorable(
     graph: Graph,
     k: int,
     time_limit: Optional[float] = None,
-    amo_encoding: str = "pairwise",
     sbp_kind: str = "none",
     preprocess: bool = True,
     stats: Optional[SolverStats] = None,
@@ -537,7 +528,7 @@ def sat_k_colorable(
     if k <= 0:
         return (UNSAT if graph.num_vertices else SAT), ({} if not graph.num_vertices else None)
     deadline = Deadline.after(time_limit)
-    formula, x = encode_k_coloring_cnf(graph, k, amo_encoding, sbp_kind)
+    formula, x = encode_k_coloring_cnf(graph, k, sbp_kind)
     pre = None
     if preprocess and not deadline.expired():
         pre = preprocess_cnf(formula, deadline=deadline)
@@ -561,13 +552,7 @@ def sat_k_colorable(
         model = result.model
     if pre is not None:
         model = pre.extend_model(model)
-    coloring = {}
-    for v in range(graph.num_vertices):
-        for c in range(1, k + 1):
-            if model[x[(v, c)]]:
-                coloring[v] = c
-                break
-    return SAT, coloring
+    return SAT, decode_indicators(x, graph.num_vertices, k, model)
 
 
 @dataclass
@@ -580,14 +565,14 @@ class SatPipelineResult:
     chromatic_number: Optional[int]
     coloring: Optional[Dict[int, int]]
     sat_calls: int
-    time_seconds: float
     # Aggregated solver statistics over every K query of the search.
     stats: SolverStats = field(default_factory=SolverStats)
     # The (k, status) trace of the descent, in query order.
     k_queries: List[Tuple[int, str]] = field(default_factory=list)
     # How many fresh solvers the search instantiated: 1 for a true
-    # incremental descent, one per query for the scratch strategy.  The
-    # bench-smoke guard asserts on this to catch silent fallbacks.
+    # incremental descent; for the scratch strategy one per query that
+    # preprocessing did not settle.  The bench-smoke guard asserts on
+    # this to catch silent fallbacks.
     solvers_created: int = 0
     incremental: bool = False
     # The proved lower bound on the chromatic number when the descent
@@ -599,7 +584,6 @@ def chromatic_number_sat(
     graph: Graph,
     strategy: str = "linear",
     time_limit: Optional[float] = None,
-    amo_encoding: str = "pairwise",
     sbp_kind: str = "none",
     preprocess: bool = True,
     reduce: bool = True,
@@ -607,6 +591,7 @@ def chromatic_number_sat(
     should_stop=None,
     kernel: Optional[Kernel] = None,
     max_colors: Optional[int] = None,
+    on_query: Optional[Callable[[int, str], None]] = None,
 ) -> SatPipelineResult:
     """Chromatic number via repeated CNF-SAT decision calls.
 
@@ -650,11 +635,12 @@ def chromatic_number_sat(
     before each K query *and inside each query* (every few dozen
     conflicts); when it turns true the search stops and the best-so-far
     answer is returned (status SAT — the bound is not proved).
+    ``on_query(k, status)`` is called after every answered K query, in
+    query order (see :func:`~repro.coloring.descent.descend`).
     """
-    start = time.monotonic()
     deadline = Deadline.after(time_limit)
     if graph.num_vertices == 0:
-        return SatPipelineResult("OPTIMAL", 0, {}, 0, 0.0)
+        return SatPipelineResult("OPTIMAL", 0, {}, 0)
     if reduce and kernel is None:
         kernel = kernelize(graph)
     lb = kernel.clique_bound if kernel is not None else clique_lower_bound(graph)
@@ -663,6 +649,7 @@ def chromatic_number_sat(
     incumbent = {v: c + 1 for v, c in heuristic.items()}
     run_stats = SolverStats()
     search: Optional[IncrementalKSearch] = None
+    scratch_solvers = 0
 
     def persistent(k: int, deadline: Deadline) -> Answer:
         nonlocal search
@@ -671,8 +658,7 @@ def chromatic_number_sat(
             if max_colors is not None:
                 horizon = min(horizon, max_colors)
             search = IncrementalKSearch(
-                work, horizon, amo_encoding=amo_encoding, sbp_kind=sbp_kind,
-                preprocess=preprocess,
+                work, horizon, sbp_kind=sbp_kind, preprocess=preprocess,
             )
         # The linear strategy is monotone, so colors are switched off
         # permanently (level-0 units): same persistent solver, but learnt
@@ -683,17 +669,20 @@ def chromatic_number_sat(
         )
 
     def scratch(k: int, deadline: Deadline) -> Answer:
+        nonlocal scratch_solvers
+        built: List[CDCLSolver] = []
         status, coloring = sat_k_colorable(
-            work, k, time_limit=deadline.remaining(),
-            amo_encoding=amo_encoding, sbp_kind=sbp_kind,
+            work, k, time_limit=deadline.remaining(), sbp_kind=sbp_kind,
             preprocess=preprocess, stats=run_stats, should_stop=should_stop,
+            on_solver=built.append,
         )
+        scratch_solvers += len(built)
         return status, coloring, []
 
     outcome = descend(
         persistent if incremental else scratch, incumbent, max(1, lb),
         strategy=strategy, deadline=deadline, should_stop=should_stop,
-        cap=max_colors,
+        cap=max_colors, on_query=on_query,
     )
     coloring = outcome.coloring
     if coloring is not None and kernel is not None:
@@ -703,11 +692,9 @@ def chromatic_number_sat(
     return SatPipelineResult(
         outcome.status,
         len(set(coloring.values())) if coloring is not None else None,
-        coloring, len(outcome.queries), time.monotonic() - start,
+        coloring, len(outcome.queries),
         stats=run_stats, k_queries=outcome.queries,
-        solvers_created=(
-            int(search is not None) if incremental else len(outcome.queries)
-        ),
+        solvers_created=int(search is not None) + scratch_solvers,
         incremental=incremental,
         # A kernel that colors below the clique bound it was peeled at
         # meets its bounds at its own color count; the clique bound

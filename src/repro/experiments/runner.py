@@ -106,7 +106,6 @@ def run_descent(
     incremental: bool = True,
     time_limit: Optional[float] = None,
     sbp_kind: str = "none",
-    amo_encoding: str = "pairwise",
     preprocess: bool = True,
     reduce: bool = True,
 ) -> DescentRecord:
@@ -120,7 +119,6 @@ def run_descent(
     pipeline = (
         Pipeline()
         .reduce(reduce)
-        .encode(amo=amo_encoding)
         .symmetry(sbp_kind=sbp_kind)
         .simplify(preprocess)
         .solve(backend=backend, strategy=strategy, time_limit=time_limit)

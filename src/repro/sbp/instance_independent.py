@@ -26,7 +26,7 @@ re-verifies optimum preservation by brute force on small graphs).
 from __future__ import annotations
 
 
-from ..coloring.encoding import ColoringEncoding
+from ..coloring.encoding import ColoringEncoding, selective_coloring_pins
 
 SBP_KINDS = ("none", "nu", "ca", "li", "sc", "nu+sc")
 
@@ -115,19 +115,10 @@ def add_lowest_index_ordering(encoding: ColoringEncoding) -> int:
 
 def add_selective_coloring(encoding: ColoringEncoding) -> int:
     """SC: pin the max-degree vertex and its max-degree neighbor."""
-    graph = encoding.graph
-    formula = encoding.formula
-    if graph.num_vertices == 0 or encoding.num_colors < 1:
-        return 0
-    vl = max(graph.vertices(), key=lambda v: (graph.degree(v), -v))
-    formula.add_clause([encoding.x(vl, 1)])
-    added = 1
-    neighbors = graph.neighbors(vl)
-    if neighbors and encoding.num_colors >= 2:
-        vl2 = max(neighbors, key=lambda v: (graph.degree(v), -v))
-        formula.add_clause([encoding.x(vl2, 2)])
-        added += 1
-    return added
+    pins = selective_coloring_pins(encoding.graph, encoding.num_colors)
+    for vertex, color in pins:
+        encoding.formula.add_clause([encoding.x(vertex, color)])
+    return len(pins)
 
 
 def apply_sbp(encoding: ColoringEncoding, kind: str) -> ColoringEncoding:

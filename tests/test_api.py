@@ -72,8 +72,6 @@ def test_bad_names_raise_value_error_with_choices():
     assert "nu+sc" in str(exc.value)
     with pytest.raises(ValueError, match="linear"):
         SolveConfig(strategy="ternary")
-    with pytest.raises(ValueError, match="pairwise"):
-        Pipeline().encode(amo="commander")
 
 
 # ------------------------------------------------------------------ registry
@@ -261,6 +259,41 @@ def test_cdcl_decisions_count_the_solvers_they_build(graph, k, solvers):
     built = registry.snapshot().get("counters", {}).get("solver_created_total", 0)
     assert result.solvers_created == built == solvers
     assert result.queries == [(k, result.status)]
+
+
+def _cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("graph", [
+    _cycle(5), _cycle(7), mycielski_graph(4), queens_graph(5, 5),
+], ids=["C5", "C7", "myciel4", "clique-bound"])
+@pytest.mark.parametrize("strategy", ["linear", "binary"])
+@pytest.mark.parametrize("backend", ["cdcl-incremental", "cdcl-scratch"])
+def test_cdcl_chromatic_runs_count_the_solvers_they_build(backend, strategy, graph):
+    """A K query that preprocessing refutes builds no solver (the odd
+    cycles' K=2), so the count is what the registry saw, not one per
+    query."""
+    with scoped_registry() as registry:
+        result = (Pipeline().solve(backend=backend, strategy=strategy, time_limit=60)
+                  .run(ChromaticProblem(graph)))
+    built = registry.snapshot().get("counters", {}).get("solver_created_total", 0)
+    assert result.status == "OPTIMAL"
+    assert result.solvers_created == built <= len(result.queries)
+
+
+@pytest.mark.parametrize("problem", [
+    ChromaticProblem(queens_graph(7, 7)),
+    ChromaticProblem(mycielski_graph(4), max_colors=4),
+], ids=["queen7_7", "capped-myciel4"])
+@pytest.mark.parametrize("strategy", ["linear", "binary"])
+@pytest.mark.parametrize("backend", ["cdcl-incremental", "cdcl-scratch"])
+def test_cdcl_chromatic_runs_emit_one_query_event_per_query(backend, strategy, problem):
+    events = []
+    result = (Pipeline().solve(backend=backend, strategy=strategy, time_limit=60)
+              .run(problem, on_progress=events.append))
+    assert result.queries
+    assert [(e.k, e.status) for e in events if e.stage == "query"] == result.queries
 
 
 def test_result_stages_and_provenance():

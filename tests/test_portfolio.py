@@ -7,13 +7,24 @@ conclusive result is exactly what the reference engine
 sound and complete on the kinds it supports.  The tests here check
 that contract differentially, plus the structural pieces: the race
 stage record (winner, cancellations, exchanged bounds), first-
-conclusive-cancels-the-rest, validation, and a race between two
-Session-routed CDCL racers.
+conclusive-cancels-the-rest, validation, a race between two CDCL
+descents, and the per-query bounds a CDCL racer publishes.
 """
+
+import queue
+import threading
+from types import SimpleNamespace
 
 import pytest
 
-from repro.api import ChromaticProblem, DecisionProblem, Pipeline
+from repro.api import (
+    ChromaticProblem,
+    DecisionProblem,
+    Pipeline,
+    PipelineConfig,
+    SolveConfig,
+)
+from repro.api.portfolio import _run_racer
 from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import gnp_graph, mycielski_graph, queens_graph
@@ -90,8 +101,8 @@ def test_portfolio_decision_queries(k, expected):
         assert len(set(raced.coloring.values())) <= k
 
 
-def test_portfolio_two_session_racers_match_reference():
-    """Two Session-routed CDCL descents (linear and binary) race each
+def test_portfolio_two_cdcl_descents_match_reference():
+    """Two ``cdcl-incremental`` descents (linear and binary) race each
     other and the DSATUR search, exchanging per-query bounds; the
     merged answer is the reference optimum."""
     graph = get_instance("myciel4").graph()
@@ -104,6 +115,34 @@ def test_portfolio_two_session_racers_match_reference():
     assert raced.status == "OPTIMAL"
     assert raced.chromatic_number == ref.chromatic_number == 5
     assert is_proper(graph, raced.coloring)
+
+
+@pytest.mark.parametrize("graph,chi", [
+    (queens_graph(7, 7), 7),       # SAT queries down from DSATUR's 11
+    (mycielski_graph(4), 5),       # UNSAT queries up from the clique's 2
+], ids=["queen7_7", "myciel4"])
+@pytest.mark.parametrize("strategy", ["linear", "binary"])
+def test_cdcl_racer_publishes_a_bound_per_query(strategy, graph, chi):
+    """Run in-process, a ``cdcl-incremental`` chromatic racer puts
+    ``ub = k`` on the bound queue for each SAT query and ``lb = k + 1``
+    for each UNSAT one, in query order, before its final bounds."""
+    payload = {
+        "index": 3, "spec": f"cdcl-incremental:{strategy}",
+        "backend": "cdcl-incremental", "kind": "chromatic", "graph": graph,
+        "config": PipelineConfig(solve=SolveConfig(
+            backend="cdcl-incremental", strategy=strategy, time_limit=60)),
+        "k": None, "max_colors": None,
+    }
+    bounds = queue.Queue()
+    result = _run_racer(payload, threading.Event(), SimpleNamespace(value=0),
+                        SimpleNamespace(value=0), bounds)
+    published = []
+    while not bounds.empty():
+        published.append(bounds.get_nowait())
+    per_query = [(3, "ub", k) if status == "SAT" else (3, "lb", k + 1)
+                 for k, status in result.queries]
+    assert result.status == "OPTIMAL" and result.queries
+    assert published == per_query + [(3, "ub", chi), (3, "lb", chi)]
 
 
 def test_portfolio_cancellation_returns_cancelled_result():

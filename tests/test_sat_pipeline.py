@@ -1,12 +1,17 @@
 """Pure-CNF coloring pipeline tests."""
 
+import hashlib
+
 import pytest
 
 from repro.coloring.sat_pipeline import (
     chromatic_number_sat,
     encode_k_coloring_cnf,
+    encode_k_coloring_growable,
+    encode_k_coloring_incremental,
     sat_k_colorable,
 )
+from repro.experiments.instances import get_instance
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.graphs.graph import Graph
 
@@ -18,6 +23,48 @@ def test_encoding_is_pure_cnf():
     assert not formula.pb_constraints
     assert formula.objective is None
     assert len(x) == 11 * 4
+
+
+# sha256 prefix of every CNF encoding of a registry graph for K 1-9:
+# encode_k_coloring_cnf and _incremental under each CNF SBP kind,
+# encode_k_coloring_growable under each growth-safe one.  Each entry
+# digests num_vars, the clause literal lists in order, and the returned
+# variable maps.
+ENCODING_PINS = {
+    "myciel3": "33cc416f517f6797",
+    "myciel4": "4bd4c0c21ff8d75f",
+    "myciel5": "d41f23eccaa41928",
+    "queen5_5": "3f9fa99b3dbb4bbd",
+    "queen6_6": "4fcab6c3da3e3169",
+    "huck": "4e463a7acabc61fc",
+    "jean": "a7c4a12f14cfbb18",
+}
+
+
+def _encoding_digest(graph):
+    digest = hashlib.sha256()
+
+    def add(name, k, sbp, formula, *maps):
+        clauses = [c.literals for c in formula.clauses]
+        maps = [sorted(m.items()) if isinstance(m, dict) else m for m in maps]
+        digest.update(repr((name, k, sbp, formula.num_vars, clauses, *maps)).encode())
+
+    for k in range(1, 10):
+        for sbp in ("none", "nu", "sc", "nu+sc"):
+            add("cnf", k, sbp, *encode_k_coloring_cnf(graph, k, sbp_kind=sbp))
+            add("incremental", k, sbp,
+                *encode_k_coloring_incremental(graph, k, sbp_kind=sbp))
+        for sbp in ("none", "sc"):
+            add("growable", k, sbp,
+                *encode_k_coloring_growable(graph, k, sbp_kind=sbp))
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(ENCODING_PINS))
+def test_cnf_encodings_are_pinned(name):
+    """Every CNF K-coloring formula stays byte-identical: the encoders
+    share one layout, and a change to it must not change a formula."""
+    assert _encoding_digest(get_instance(name).graph()) == ENCODING_PINS[name]
 
 
 def test_k_colorable_decision():
@@ -36,10 +83,9 @@ def test_zero_colors():
 
 
 @pytest.mark.parametrize("strategy", ["linear", "binary"])
-@pytest.mark.parametrize("amo", ["pairwise", "sequential"])
-def test_chromatic_number_myciel3(strategy, amo):
+def test_chromatic_number_myciel3(strategy):
     result = chromatic_number_sat(
-        mycielski_graph(3), strategy=strategy, amo_encoding=amo, time_limit=60
+        mycielski_graph(3), strategy=strategy, time_limit=60
     )
     assert result.status == "OPTIMAL"
     assert result.chromatic_number == 4
@@ -58,8 +104,6 @@ def test_cnf_sbps_preserve_answer(sbp):
 def test_unsupported_sbp_rejected():
     with pytest.raises(ValueError):
         encode_k_coloring_cnf(K4, 3, sbp_kind="ca")
-    with pytest.raises(ValueError):
-        encode_k_coloring_cnf(K4, 3, amo_encoding="bdd")
     with pytest.raises(ValueError):
         chromatic_number_sat(K4, strategy="ternary")
 

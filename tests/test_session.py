@@ -4,6 +4,10 @@ The acceptance contract of the API redesign: a :class:`repro.api.Session`
 answers >= 2 consecutive queries — decision at K, then K-1, then the
 budget raised back up — on *one* persistent solver without re-encoding,
 and its answers agree with scratch solving across generator families.
+
+``make fuzz-smoke`` runs this module; nightly CI explores fresh seeds
+(profiles in ``tests/conftest.py``), which also reach the growable
+encoding through the random-graph property at the bottom.
 """
 
 import pytest
