@@ -12,7 +12,8 @@
 # properties (disjoint unions across backends, the incremental and
 # reduce harnesses, lifted vs formula-graph symmetry detection, the
 # preprocessing properties: model preservation and the simplify
-# fixpoint, and the Session's growable encoding) under
+# fixpoint, the 0-1 ILP bound search against brute force, and the
+# Session's decisions against the exact chromatic number) under
 # HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
 # chaos suite (fault injection seeded by CHAOS_SEED, fresh seeds in
 # nightly CI);
@@ -51,7 +52,7 @@ fuzz-smoke:
 		$(PYTHON) -m pytest -q tests/test_component_pool.py \
 		tests/test_incremental.py tests/test_reduce.py \
 		tests/test_lifted_symmetry.py tests/test_preprocessing.py \
-		tests/test_session.py
+		tests/test_session.py tests/test_optimizer.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

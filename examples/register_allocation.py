@@ -7,9 +7,10 @@ simultaneously live), and finds the minimum number of registers with
 the 0-1 ILP pipeline.  The paper's motivating scenario — checking
 whether the program fits a fixed register budget K — is a sequence of
 *decision* queries at different budgets, which is exactly what
-:class:`repro.api.Session` exists for: every query runs on one
-persistent solver, and raising the budget grows the encoding in place
-instead of re-encoding.
+:class:`repro.api.Session` exists for: every budget below the DSATUR
+bound is a query on one persistent solver, encoded once at that bound,
+and every budget at or above it is answered by the DSATUR coloring
+without a solver call.
 
 Run:  python examples/register_allocation.py
 """
@@ -73,9 +74,9 @@ def main() -> None:
         print(f"  {names[vertex]:4s} -> r{color}")
 
     # The paper's embedded-CPU scenario: does it fit in K registers?
-    # One Session = one persistent solver for the whole budget sweep;
-    # the final query *raises* the budget, growing the encoding in
-    # place (no re-encode) on the very same solver.
+    # One Session = at most one persistent solver for the whole budget
+    # sweep, built at the DSATUR bound by the first budget below it;
+    # budgets at or above the bound are answered by the DSATUR coloring.
     need = result.num_colors
     with Session(graph) as session:
         for budget in (need - 1, need, need + 1):
@@ -83,8 +84,8 @@ def main() -> None:
             verdict = "fits" if feasible.status == "SAT" else "does NOT fit"
             print(f"budget of {budget} registers: {verdict}")
         print(f"(all {len(session.queries)} budget checks shared "
-              f"{session.solvers_created} persistent solver; "
-              f"encoded horizon grew to {session.budget} colors)")
+              f"{session.solvers_created} persistent solver, encoded at "
+              f"the DSATUR bound of {session.budget} colors)")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ One import gives the four concepts every workload composes from:
   new engines plug in via :func:`register_backend` without touching
   call sites.
 * **Session** — many queries on one graph sharing one persistent
-  solver, including raising the color budget in place.
+  solver; budgets at or above the DSATUR bound, or below the clique
+  bound, are answered without a solver call.
 * **Resilience** — :class:`Deadline` (one budget object threaded
   through every stage; expiry degrades to a verified ``FEASIBLE``
   best-so-far instead of discarding work) and :class:`RetryPolicy`
@@ -32,15 +33,15 @@ Quickstart::
               .run(ChromaticProblem(queens_graph(5, 5))))
     assert result.status == "OPTIMAL" and result.chromatic_number == 5
 
-Multi-query session (one persistent solver, budget raised in place)::
+Multi-query session (one persistent solver, built at the DSATUR bound)::
 
     from repro.api import Session
 
-    with Session(graph) as session:
-        session.decide(5)          # encodes once at K=5
-        session.decide(4)          # assumption query, same solver
-        session.raise_budget(7)    # adds color groups 6..7 in place
-        session.decide(7)          # still the same solver
+    with Session(queens_graph(6, 6)) as session:
+        session.decide(8)          # encodes once at the DSATUR bound, 9
+        session.decide(7)          # assumption query, same solver
+        session.decide(9)          # at or above the bound: the DSATUR
+                                   # coloring, no solver call
 """
 
 from ..resilience import Budget, Deadline, RetryPolicy

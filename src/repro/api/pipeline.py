@@ -38,7 +38,7 @@ from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from ..sat.preprocessing import SimplifyStats, simplify_formula
-from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT
+from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT, SolverStats
 from ..sbp.lex_leader import add_symmetry_breaking_predicates
 from ..symmetry.detect import SymmetryReport, detect_symmetries
 from .config import (
@@ -516,8 +516,9 @@ def _run_formula_stages(
         )
         seconds = time.monotonic() - t0
         stages.append(StageStat("solve", seconds, {"status": solve_result.status}))
-        packaged = _package_decision(
-            encoding, solve_result, stages, info, detection
+        packaged = _package(
+            encoding, solve_result.status, solve_result.model,
+            solve_result.stats, stages, info, detection,
         )
         if packaged.status == UNKNOWN and ctx.cancelled():
             packaged.cancelled = True
@@ -527,7 +528,10 @@ def _run_formula_stages(
     )
     seconds = time.monotonic() - t0
     stages.append(StageStat("solve", seconds, {"status": opt_result.status}))
-    packaged = _package_optimize(encoding, opt_result, stages, info, detection)
+    packaged = _package(
+        encoding, opt_result.status, opt_result.best_model, opt_result.stats,
+        stages, info, detection, value=opt_result.best_value,
+    )
     packaged.upper_bound = packaged.num_colors
     if packaged.status == OPTIMAL:
         packaged.lower_bound = packaged.num_colors
@@ -541,57 +545,38 @@ def _run_formula_stages(
     return packaged
 
 
-def _package_optimize(
+def _package(
     encoding: ColoringEncoding,
-    result,
+    status: str,
+    model: Optional[Dict[int, bool]],
+    stats: SolverStats,
     stages: List[StageStat],
     info: PipelineInfo,
     detection: Optional[SymmetryReport],
+    value: Optional[int] = None,
 ) -> Result:
+    """Decode, check and wrap the solve stage's model (``None``: no
+    coloring).  ``value`` is the objective value the solver reported
+    for it, which must be the decoded coloring's color count."""
     coloring = None
     num_colors = None
-    if result.best_model is not None:
-        coloring = decode_coloring(encoding, result.best_model)
+    if model is not None:
+        coloring = decode_coloring(encoding, model)
         check_proper(encoding.graph, coloring)
         num_colors = len(set(coloring.values()))
-        if result.best_value is not None and num_colors != result.best_value:
+        if value is not None and num_colors != value:
             raise AssertionError(
                 f"decoded coloring uses {num_colors} colors but solver "
-                f"reported {result.best_value}"
+                f"reported {value}"
             )
     return Result(
-        status=result.status,
+        status=status,
         num_colors=num_colors,
         coloring=coloring,
         stages=stages,
         pipeline=info,
         detection=detection,
-        stats=result.stats,
-        solvers_created=1,
-    )
-
-
-def _package_decision(
-    encoding: ColoringEncoding,
-    result,
-    stages: List[StageStat],
-    info: PipelineInfo,
-    detection: Optional[SymmetryReport],
-) -> Result:
-    coloring = None
-    num_colors = None
-    if result.is_sat and result.model is not None:
-        coloring = decode_coloring(encoding, result.model)
-        check_proper(encoding.graph, coloring)
-        num_colors = len(set(coloring.values()))
-    return Result(
-        status=result.status,
-        num_colors=num_colors,
-        coloring=coloring,
-        stages=stages,
-        pipeline=info,
-        detection=detection,
-        stats=result.stats,
+        stats=stats,
         solvers_created=1,
     )
 

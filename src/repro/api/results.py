@@ -166,10 +166,6 @@ class Result:
         return self.status in (OPTIMAL, UNSAT)
 
     @property
-    def is_sat(self) -> bool:
-        return self.status in (OPTIMAL, FEASIBLE, SAT)
-
-    @property
     def feasible(self) -> bool:
         """A verified coloring exists, optimal or not."""
         return self.status in (OPTIMAL, FEASIBLE, SAT)

@@ -1,18 +1,21 @@
 """Reusable solve sessions: many queries, one persistent solver.
 
-A :class:`Session` owns the persistent
-:class:`~repro.coloring.sat_pipeline.IncrementalKSearch` for one graph
-and answers *multiple* queries against it — decision at K, decision at
-K−1, a full chromatic descent — all on the same solver, so learned
+A :class:`Session` answers *multiple* queries on one graph — decision at
+K, decision at K−1, a full chromatic descent — on one persistent
+:class:`~repro.coloring.sat_pipeline.IncrementalKSearch`, so learned
 clauses, saved phases and activity carry across queries, not just
 across the K values of a single search.
 
-The encoding grows *upward* too: asking about a budget above the
-currently encoded horizon adds the new color groups to the live solver
-(:meth:`IncrementalKSearch.grow_to`) instead of re-encoding — the
-ROADMAP's "incremental encoding growth upward" item.  Downward queries
-are plain assumption queries, so a lowered budget can always be raised
-back.
+The DSATUR coloring, computed when the session is built, already
+answers every budget at or above its own color count (the DSATUR
+bound): such a decision is SAT with that coloring, verified like every
+answer and recorded in :attr:`Session.queries`, and makes no solver
+call.  Likewise a budget below the clique bound is UNSAT, as the
+pipeline's reduce stage answers it.  The first query between the two
+builds the solver, encoded once at the DSATUR bound — the oracle the
+``cdcl-incremental`` descent runs — and every later query, in any
+order, is an assumption query on it, so the encoding never has to
+grow.
 
 Progress callbacks fire per query; the cancellation predicate is
 polled between queries *and inside each query* (every few dozen
@@ -28,7 +31,7 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from ..coloring.descent import Answer, descend
-from ..coloring.sat_pipeline import IncrementalKSearch
+from ..coloring.sat_pipeline import CNF_SBP_KINDS, IncrementalKSearch
 from ..coloring.verify import check_proper
 from ..graphs.cliques import clique_lower_bound
 from ..graphs.coloring_heuristics import dsatur
@@ -36,7 +39,7 @@ from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from ..resilience import Deadline
-from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT
+from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT, SolverStats
 from .config import PipelineConfig
 from .results import ProgressEvent, Result, RunContext, StageStat
 
@@ -44,12 +47,11 @@ from .results import ProgressEvent, Result, RunContext, StageStat
 class Session:
     """Multiple coloring queries on one graph, one persistent solver.
 
-    ``config`` supplies the encoding/simplification knobs (growth-safe
-    SBPs, and the assumption-aware preprocessor with every variable
-    frozen, which keeps the formula equivalent) and the default time
-    limit.
-    The solver is created lazily on the first query, encoded at that
-    query's horizon, and only ever *grows* afterwards.
+    ``config`` supplies the SBP kind (any of
+    :data:`~repro.coloring.sat_pipeline.CNF_SBP_KINDS`), whether the
+    assumption-aware preprocessor runs, and the default time limit.
+    The solver is created lazily at the first query the DSATUR and
+    clique bounds do not settle, encoded at the DSATUR bound.
     """
 
     def __init__(
@@ -61,14 +63,15 @@ class Session:
     ):
         self.graph = graph
         self.config = config if config is not None else PipelineConfig()
-        from ..coloring.sat_pipeline import GROWABLE_SBP_KINDS
-
-        if self.config.symmetry.sbp_kind not in GROWABLE_SBP_KINDS:
+        if self.config.symmetry.sbp_kind not in CNF_SBP_KINDS:
             raise ValueError(
-                f"Session supports sbp_kind in {GROWABLE_SBP_KINDS} (the "
-                "growth-safe subset), got "
+                f"Session supports sbp_kind in {CNF_SBP_KINDS} (the "
+                "clause-only encoding), got "
                 f"{self.config.symmetry.sbp_kind!r}"
             )
+        heuristic, self._bound = dsatur(graph)
+        self._heuristic = {v: c + 1 for v, c in heuristic.items()}
+        self._clique = clique_lower_bound(graph)
         self._ctx = RunContext(on_progress=on_progress, cancel=cancel)
         self._search: Optional[IncrementalKSearch] = None
         self.solvers_created = 0
@@ -90,44 +93,16 @@ class Session:
 
     @property
     def budget(self) -> int:
-        """The currently encoded color horizon (0 before the first query)."""
-        return self._search.max_k if self._search is not None else 0
+        """The DSATUR bound: the solver's color horizon.
+
+        Budgets at or above it are answered by the DSATUR coloring.
+        """
+        return self._bound
 
     @property
-    def stats(self):
+    def stats(self) -> SolverStats:
         """Cumulative solver statistics over every query so far."""
-        if self._search is None:
-            from ..sat.result import SolverStats
-
-            return SolverStats()
-        return self._search.stats
-
-    def _ensure_search(self, k_needed: int) -> IncrementalKSearch:
-        """Create the solver at ``k_needed`` colors, or grow it to reach."""
-        if self._search is None:
-            self._search = IncrementalKSearch(
-                self.graph,
-                max(k_needed, 1),
-                sbp_kind=self.config.symmetry.sbp_kind,
-                preprocess=self.config.simplify.enabled,
-                growable=True,
-            )
-            self.solvers_created += 1
-        elif k_needed > self._search.max_k:
-            self._ctx.emit(
-                "grow",
-                f"raising color budget {self._search.max_k} -> {k_needed} "
-                "(adding color groups in place)",
-                k=k_needed,
-            )
-            self._search.grow_to(k_needed)
-        return self._search
-
-    def raise_budget(self, new_max: int) -> None:
-        """Grow the encoded color horizon to ``new_max`` without re-encoding."""
-        if new_max <= 0:
-            raise ValueError(f"budget must be positive, got {new_max}")
-        self._ensure_search(new_max)
+        return self._search.stats if self._search is not None else SolverStats()
 
     def _should_stop(self):
         """The in-query stop predicate the solver polls mid-search.
@@ -158,30 +133,48 @@ class Session:
             cancelled=cancelled,
         )
 
-    def _solve_k(self, horizon: int, k: int, deadline: Deadline) -> Answer:
-        """One K query on the persistent solver, encoded at ``horizon``.
+    def _solve_k(self, k: int, deadline: Deadline) -> Answer:
+        """One K query: the DSATUR coloring at or above the DSATUR bound,
+        UNSAT below the clique bound, else the persistent solver, built
+        at the DSATUR bound on first use.
 
         The session's oracle for both :meth:`decide` and the
         :meth:`chromatic` descent: it reports the query as progress
-        events and metrics, and reads the budget only after the solver
-        is built or grown.
+        events and metrics.
         """
-        search = self._ensure_search(horizon)
         self._ctx.emit("query", f"deciding {k}-colorability", k=k)
-        status, coloring, failed = search.solve_k(
-            k, time_limit=deadline.remaining(), should_stop=self._should_stop()
-        )
+        if k >= self._bound:
+            answer: Answer = SAT, dict(self._heuristic), []
+        elif k < self._clique:
+            # A clique needs more colors; refuting it is a pigeonhole
+            # proof, exponential for CDCL.
+            answer = UNSAT, None, []
+        else:
+            if self._search is None:
+                self._search = IncrementalKSearch(
+                    self.graph,
+                    self._bound,
+                    sbp_kind=self.config.symmetry.sbp_kind,
+                    preprocess=self.config.simplify.enabled,
+                )
+                self.solvers_created += 1
+            answer = self._search.solve_k(
+                k, time_limit=deadline.remaining(),
+                should_stop=self._should_stop(),
+            )
+        status = answer[0]
         self.queries.append((k, status))
         get_registry().inc("session_queries_total", status=status)
         self._ctx.emit("query", f"K={k}: {status}", k=k, status=status)
-        return status, coloring, failed
+        return answer
 
     def decide(self, k: int, time_limit: Optional[float] = None) -> Result:
         """Is the graph ``k``-colorable?  (SAT/UNSAT/UNKNOWN + coloring.)
 
-        A ``k`` above the current horizon grows the encoding in place; a
-        ``k`` below it is a plain assumption query — so interleaving
-        budgets in any order keeps the one persistent solver.
+        A ``k`` at or above the DSATUR bound is answered by the DSATUR
+        coloring and one below the clique bound is UNSAT; any other is
+        an assumption query on the one persistent solver, so budgets
+        can be asked in any order.
         """
         t0 = time.monotonic()
         if time_limit is None:
@@ -196,7 +189,7 @@ class Session:
         if self._ctx.cancelled():
             return self._result(UNKNOWN, None, time.monotonic() - t0,
                                 cancelled=True)
-        status, coloring, _ = self._solve_k(k, k, deadline)
+        status, coloring, _ = self._solve_k(k, deadline)
         if coloring is not None:
             check_proper(self.graph, coloring)
         return self._result(status, coloring, time.monotonic() - t0,
@@ -212,12 +205,12 @@ class Session:
         """Chromatic number by a K descent on the session's solver.
 
         The descent is :func:`repro.coloring.descent.descend` over the
-        session's oracle.  Unlike the one-shot descent, nothing is
-        disabled permanently — every query is assumption-based, so the
-        session stays fully reusable (including budget raises)
+        session's oracle, starting from the DSATUR coloring, so every
+        query it asks lies below the DSATUR bound.  Unlike the one-shot
+        descent, nothing is disabled permanently — every query is
+        assumption-based, so the session stays fully reusable
         afterwards.  ``max_colors`` caps the answer (UNSAT below the
-        chromatic number); the solver is encoded at the smaller of the
-        DSATUR bound and the cap.
+        chromatic number).
         """
         t0 = time.monotonic()
         if time_limit is None:
@@ -225,12 +218,10 @@ class Session:
         deadline = Deadline.after(time_limit)
         if self.graph.num_vertices == 0:
             return self._result(OPTIMAL, {}, time.monotonic() - t0)
-        heuristic, ub = dsatur(self.graph)
-        horizon = ub if max_colors is None else min(ub, max_colors)
         outcome = descend(
-            lambda k, budget: self._solve_k(horizon, k, budget),
-            {v: c + 1 for v, c in heuristic.items()},
-            max(1, clique_lower_bound(self.graph)),
+            self._solve_k,
+            dict(self._heuristic),
+            max(1, self._clique),
             strategy=strategy,
             deadline=deadline,
             should_stop=self._should_stop(),

@@ -11,7 +11,8 @@ JSON.  Each task combines:
 * a **problem kind** (``chromatic`` / ``decision`` / ``budgeted``) with
   its budget;
 * the **pipeline knobs** (backend, fallback chain, SBP kind, strategy,
-  AMO encoding, reduce/simplify toggles, per-engine time limit).
+  reduce/simplify toggles, instance-dependent detection and its node
+  limit, per-engine time limit).
 
 File formats: a ``.json`` manifest is either a JSON list of task dicts
 or ``{"defaults": {...}, "plugins": [...], "tasks": [...]}``; a

@@ -8,9 +8,10 @@ the *oracle* answering one K query, a callable
 ``decide(k, deadline) -> (status, coloring, failed_colors)``:
 
 * one persistent :class:`~repro.coloring.sat_pipeline.IncrementalKSearch`
-  (:func:`~repro.coloring.sat_pipeline.chromatic_number_sat`),
+  (:func:`~repro.coloring.sat_pipeline.chromatic_number_sat`, and a
+  :class:`~repro.api.Session`, which builds it at the DSATUR bound and
+  keeps it across queries),
 * one fresh solver per query (``chromatic_number_sat(incremental=False)``),
-* the growable solver of a :class:`~repro.api.Session`,
 * the not-equals CSP search of the NECSP baseline
   (:func:`~repro.coloring.necsp.necsp_chromatic_number`).
 

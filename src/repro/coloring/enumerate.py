@@ -63,9 +63,9 @@ def count_colorings(
     formula = encoding.formula.copy()
     x_vars = sorted(encoding.x_var.values())
     if optimal_only:
-        from ..pb.optimizer import minimize_linear
+        from ..pb.optimizer import minimize
 
-        best = minimize_linear(formula)
+        best = minimize(formula)
         if not best.is_optimal:
             raise RuntimeError(f"could not establish the optimum: {best.status}")
         # Fix the number of used colors to the optimum.

@@ -20,8 +20,9 @@ public encoders are that layout:
   literals (:func:`repro.coloring.encoding.add_color_activation_literals`),
   the formula of the persistent ``cdcl-incremental`` descent;
 * :func:`encode_k_coloring_growable` — plus an extension literal in
-  every at-least-one row and the activation literals, the formula of a
-  :class:`~repro.api.Session`, which can raise its color budget.
+  every at-least-one row and the activation literals.  No solver loads
+  it: it stays only because ``perfbench/tracing.py`` wraps it by name,
+  and goes with the next change to that benchmark (ROADMAP item 5).
 
 On top of them:
 
@@ -36,7 +37,8 @@ On top of them:
   :class:`~repro.sat.cdcl.CDCLSolver`, so learned clauses, saved phases
   and VSIDS activity carry over between queries.  UNSAT answers return
   an unsat core over colors (failed assumptions), which the binary
-  strategy uses to skip dead K values;
+  strategy uses to skip dead K values.  It is the oracle of the
+  ``cdcl-incremental`` descent and of a :class:`~repro.api.Session`;
 * :func:`chromatic_number_sat` — chromatic number by a descending
   linear or binary search over K, driven by
   :func:`repro.coloring.descent.descend`, which reports each answered
@@ -84,9 +86,9 @@ from .reduce import Kernel, kernelize, lift
 #: The SBP constructions a clause-only encoding can express (CA needs
 #: PB constraints; LI needs the optimization encoding).
 CNF_SBP_KINDS = ("none", "nu", "sc", "nu+sc")
-#: The subset that stays valid when colors are added: SC pins specific
-#: colors, which new colors never invalidate; NU chains quantify over
-#: the color horizon.
+#: The subset :func:`encode_k_coloring_growable` accepts: SC pins
+#: specific colors, which new colors never invalidate; NU chains
+#: quantify over the color horizon.
 GROWABLE_SBP_KINDS = ("none", "sc")
 
 XVars = Dict[Tuple[int, int], int]
@@ -174,6 +176,11 @@ def encode_k_coloring_growable(
     """Growable K-coloring encoding: activation literals *and* an
     at-least-one generation that can be retired when the budget rises.
 
+    No solver loads this encoding any more (a
+    :class:`~repro.api.Session` answers budgets at or above its DSATUR
+    bound with the DSATUR coloring, so its horizon never grows); it
+    stays for the benchmark's per-layer view, which wraps it by name.
+
     The plain incremental encoding hard-codes the color horizon in the
     per-vertex at-least-one clauses ``(x[v][1] | ... | x[v][max_k])`` —
     once loaded they force every vertex into the first ``max_k`` colors
@@ -206,27 +213,18 @@ class IncrementalKSearch:
     ``k+1..max_k`` negatively.  Between calls the solver keeps its
     learned clauses, saved phases and VSIDS activity, which is where the
     speedup of the incremental descent comes from: a refutation learned
-    while answering one K query prunes the next one too.
+    while answering one K query prunes the next one too.  The horizon
+    never grows: its callers build it at a color count a known coloring
+    already reaches (the DSATUR bound, or a cap below it), so no query
+    they ask lies above it.
 
     ``preprocess=True`` runs the assumption-aware preprocessor on the
-    encoding before loading it: the activation variables (and, on
-    growable searches, the extension literal and the coloring variables
-    that future ``grow_to`` clauses mention) are *frozen*, and
-    pure-literal elimination plus bounded variable elimination run on
-    the rest, with SAT models reconstructed through the elimination
+    encoding before loading it: the activation variables are *frozen*,
+    and pure-literal elimination plus bounded variable elimination run
+    on the rest, with SAT models reconstructed through the elimination
     stack before decoding.  Running the unrestricted preprocessor would
     be unsound here — pure-literal elimination fixes the (pure)
-    activation selectors the per-call assumptions negate.  A growable
-    search freezes every variable, so there it amounts to the
-    model-preserving ``simplify_formula`` (units kept as unit clauses,
-    subsumption, strengthening) and yields the same clauses.
-
-    ``growable=True`` uses the generation-based encoding of
-    :func:`encode_k_coloring_growable`, which additionally supports
-    :meth:`grow_to` — raising the color budget by adding color groups
-    to the live solver instead of re-encoding.  Growable searches keep
-    every refutation retractable, so ``permanent`` queries (which
-    disable colors with level-0 units) are rejected.
+    activation selectors the per-call assumptions negate.
     """
 
     def __init__(
@@ -235,37 +233,20 @@ class IncrementalKSearch:
         max_k: int,
         sbp_kind: str = "none",
         preprocess: bool = True,
-        growable: bool = False,
     ):
         self.graph = graph
         self.max_k = max_k
-        self.growable = growable
-        if growable:
-            formula, x, activators, ext = encode_k_coloring_growable(
-                graph, max_k, sbp_kind
-            )
-            self._ext: Optional[int] = ext
-        else:
-            formula, x, activators = encode_k_coloring_incremental(
-                graph, max_k, sbp_kind
-            )
-            self._ext = None
+        formula, x, activators = encode_k_coloring_incremental(
+            graph, max_k, sbp_kind
+        )
         self.x = x
         self.activators = activators
         self.root_unsat = False
         self._pre = None  # PreprocessResult when preprocessing ran
         if preprocess:
             # Assumption-aware preprocessing: freeze the selectors the
-            # queries assume — and on growable searches the coloring
-            # variables too, since grow_to() adds clauses over them
-            # (resolving a variable out is only sound while no future
-            # clause mentions it).
-            frozen = set(activators.values())
-            if self._ext is not None:
-                frozen.add(self._ext)
-            if growable:
-                frozen.update(x.values())
-            pre = preprocess_cnf(formula, frozen=frozen)
+            # queries assume.
+            pre = preprocess_cnf(formula, frozen=set(activators.values()))
             if pre.is_unsat:
                 self.root_unsat = True
             else:
@@ -274,100 +255,26 @@ class IncrementalKSearch:
         self.solver = new_solver(num_vars=formula.num_vars)
         if not self.root_unsat and not self.solver.add_formula(formula):
             self.root_unsat = True
-        # Fresh variables created by grow_to() start above everything the
-        # encoding (pre- or post-simplification) ever allocated.
-        self._top_var = max(formula.num_vars, self.solver.num_vars)
         self.stats = SolverStats()
         # Cumulative clause-group garbage collection counters (clauses /
-        # learnt clauses / watcher pairs reclaimed by shrink + growth).
+        # learnt clauses / watcher pairs reclaimed by permanent queries).
         self.gc_stats: Dict[str, int] = {"clauses": 0, "learned": 0, "watchers": 0}
         # Colors above this bound have been switched off *permanently*
         # (level-0 unit clauses) by monotone-descent queries.
         self._active_ub = max_k
 
     def assumptions_for(self, k: int) -> List[int]:
-        """The assumption literals that switch off colors above ``k``.
-
-        On growable encodings the current generation's extension literal
-        is also assumed off, restoring exact at-least-one semantics.
-        """
-        assumptions = [-self._ext] if self._ext is not None else []
-        assumptions += [-self.activators[c] for c in range(k + 1, self.max_k + 1)]
-        return assumptions
-
-    def _new_var(self) -> int:
-        self._top_var += 1
-        return self._top_var
-
-    def grow_to(self, new_max_k: int) -> None:
-        """Raise the encoded color budget to ``new_max_k`` in place.
-
-        Adds the new color groups — indicator variables, activation
-        literals, activation guards, per-vertex at-most-one pairs,
-        per-edge conflict clauses — directly to the persistent solver,
-        retires the previous at-least-one generation with a level-0
-        ``ext`` unit, and installs a wider generation under a fresh
-        extension literal.  Learned clauses survive: the clause database
-        only ever grows, so everything derived from it stays sound.
-        """
-        if not self.growable:
-            raise ValueError(
-                "this search was built with growable=False; construct it "
-                "with growable=True to raise the color budget in place"
-            )
-        if new_max_k <= self.max_k:
-            return
-        if self.root_unsat:
-            return
-        solver = self.solver
-        n = self.graph.num_vertices
-        old_max = self.max_k
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.grow(old_max, new_max_k)
-        get_registry().inc("ksearch_grow_total")
-        # Retire the old at-least-one generation (ext satisfies it).
-        ok = solver.add_clause([self._ext])
-        for c in range(old_max + 1, new_max_k + 1):
-            for v in range(n):
-                self.x[(v, c)] = self._new_var()
-            self.activators[c] = self._new_var()
-        for c in range(old_max + 1, new_max_k + 1):
-            a_c = self.activators[c]
-            for v in range(n):
-                x_vc = self.x[(v, c)]
-                ok = solver.add_clause([-x_vc, a_c]) and ok
-                for c2 in range(1, c):
-                    ok = solver.add_clause([-self.x[(v, c2)], -x_vc]) and ok
-            for a, b in self.graph.edges():
-                ok = solver.add_clause([-self.x[(a, c)], -self.x[(b, c)]]) and ok
-        new_ext = self._new_var()
-        solver._ensure_var(new_ext)
-        for v in range(n):
-            ok = solver.add_clause(
-                [self.x[(v, c)] for c in range(1, new_max_k + 1)] + [new_ext]
-            ) and ok
-        solver.saved_phase[new_ext] = False
-        self._ext = new_ext
-        self.max_k = new_max_k
-        self._active_ub = new_max_k
-        if not ok:
-            self.root_unsat = True
-            return
-        # The retired at-least-one generation is satisfied by the level-0
-        # ``ext`` unit — reclaim its clauses and watchers instead of
-        # leaving them as permanent dead weight in the watch lists.
-        self._collect_garbage()
+        """The assumption literals that switch off colors above ``k``."""
+        return [-self.activators[c] for c in range(k + 1, self.max_k + 1)]
 
     def _collect_garbage(self) -> None:
         """Clause-group deletion: sweep clauses killed by level-0 facts.
 
-        Permanent color disabling and at-least-one generation retirement
-        both work by adding level-0 units; every clause of the dead
-        group (activation guards, at-most-one pairs, edge conflicts,
-        retired at-least-one clauses — and any learnt clause satisfied
-        by the facts) becomes root-satisfied.  Delegate to the solver's
-        sweep and accumulate what it reclaimed.
+        Permanent color disabling adds level-0 units; every clause of a
+        disabled color's group (activation guards, at-most-one pairs,
+        edge conflicts — and any learnt clause satisfied by the facts)
+        becomes root-satisfied.  Delegate to the solver's sweep and
+        accumulate what it reclaimed.
         """
         removed = self.solver.collect_level0_satisfied()
         registry = get_registry()
@@ -429,16 +336,7 @@ class IncrementalKSearch:
         solver survives, learned clauses intact).
         """
         if k > self.max_k:
-            raise ValueError(
-                f"k={k} above the encoded bound {self.max_k}; grow_to() a "
-                "growable search (or re-encode) to raise the budget"
-            )
-        if permanent and self.growable:
-            raise ValueError(
-                "permanent queries disable colors with level-0 units, which "
-                "a later grow_to() could never re-enable; growable searches "
-                "must keep permanent=False"
-            )
+            raise ValueError(f"k={k} above the encoded bound {self.max_k}")
         if k > self._active_ub:
             # Colors above _active_ub were disabled with level-0 units by
             # an earlier permanent query; no assumption can re-enable

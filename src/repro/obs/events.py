@@ -25,7 +25,7 @@ DB_REDUCE = 5
 GC_SWEEP = 6
 K_QUERY_BEGIN = 7
 K_QUERY_END = 8
-GROW = 9
+# 9 is retired; never reuse it.
 STAGE = 10
 # 11-14 are retired; never reuse them.
 DEADLINE_EXPIRED = 15
@@ -43,7 +43,6 @@ EVENT_NAMES: Dict[int, str] = {
     GC_SWEEP: "gc_sweep",
     K_QUERY_BEGIN: "k_query_begin",
     K_QUERY_END: "k_query_end",
-    GROW: "grow",
     STAGE: "stage",
     DEADLINE_EXPIRED: "deadline_expired",
     DEGRADED: "degraded",
@@ -68,7 +67,6 @@ EVENT_FIELDS: Dict[int, Tuple[str, ...]] = {
     K_QUERY_BEGIN: ("k", "permanent"),
     K_QUERY_END: ("k", "status", "conflicts", "decisions",
                   "propagations", "restarts"),
-    GROW: ("old_max", "new_max"),
     STAGE: ("stage",),
     DEADLINE_EXPIRED: ("where",),
     DEGRADED: ("where", "status"),
@@ -99,9 +97,8 @@ STAGE_CODES: Dict[str, int] = {
     "detect": 5,
     "solve": 6,
     "pipeline": 7,
-    # 8 is retired; never reuse it.
+    # 8 and 10 are retired; never reuse them.
     "query": 9,
-    "grow": 10,
     "decide": 11,
     "batch": 12,
 }

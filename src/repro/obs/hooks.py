@@ -106,10 +106,6 @@ class Tracer:
         self.emit(ev.K_QUERY_END, k, ev.status_code(status), conflicts,
                   decisions, propagations, restarts)
 
-    def grow(self, old_max: int, new_max: int) -> None:
-        """The color budget grew in place on the live solver."""
-        self.emit(ev.GROW, old_max, new_max)
-
     def stage(self, stage: str) -> None:
         """A pipeline stage transition (coded via ``STAGE_CODES``)."""
         self.emit(ev.STAGE, ev.stage_code(stage))

@@ -1,8 +1,8 @@
 """Pseudo-Boolean (0-1 ILP) solving: engine, optimizer and solver presets."""
 
 from .engine import PBData, PBSolver
-from .optimizer import minimize, minimize_binary, minimize_linear
-from .presets import PRESETS, SolverPreset, get_preset, solve_decision, solve_optimize
+from .optimizer import minimize
+from .presets import PRESETS, SolverPreset, get_preset, solve_optimize
 
 __all__ = [
     "PBData",
@@ -11,8 +11,5 @@ __all__ = [
     "SolverPreset",
     "get_preset",
     "minimize",
-    "minimize_binary",
-    "minimize_linear",
-    "solve_decision",
     "solve_optimize",
 ]

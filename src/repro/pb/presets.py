@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.formula import Formula
 from ..sat.factory import register_solver
-from ..sat.result import OptimizeResult, SolveResult
+from ..sat.result import OptimizeResult
 from .engine import PBSolver
 from .optimizer import minimize
 
@@ -104,27 +104,10 @@ def get_preset(name: str) -> SolverPreset:
         ) from None
 
 
-def solve_decision(
-    formula: Formula,
-    preset: str = "pbs2",
-    time_limit: Optional[float] = None,
-    conflict_limit: Optional[int] = None,
-) -> SolveResult:
-    """Decide a (possibly mixed CNF+PB) formula with a named preset."""
-    config = get_preset(preset)
-    solver = config.make_solver(formula.num_vars)
-    if not solver.add_formula(formula):
-        from ..sat.result import UNSAT
-
-        return SolveResult(UNSAT)
-    return solver.solve(time_limit=time_limit, conflict_limit=conflict_limit)
-
-
 def solve_optimize(
     formula: Formula,
     preset: str = "pbs2",
     time_limit: Optional[float] = None,
-    conflict_limit: Optional[int] = None,
     upper_bound_hint: Optional[int] = None,
     lower_bound: int = 0,
     should_stop: Optional[Callable[[], bool]] = None,
@@ -136,7 +119,6 @@ def solve_optimize(
         strategy=config.optimization_strategy,
         solver_factory=config.solver_factory(),
         time_limit=time_limit,
-        conflict_limit=conflict_limit,
         upper_bound_hint=upper_bound_hint,
         lower_bound=lower_bound,
         should_stop=should_stop,

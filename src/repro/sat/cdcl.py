@@ -574,8 +574,7 @@ class CDCLSolver:
         """Garbage-collect every clause satisfied by the level-0 assignment.
 
         Incremental callers retire whole clause groups by adding level-0
-        units (a chromatic descent disabling a color permanently, a
-        growable encoding retiring an at-least-one generation): the
+        units (a chromatic descent disabling a color permanently): the
         group's clauses are all satisfied by the propagated facts, but
         they still occupy the clause lists and their watchers are still
         visited.  This sweep deletes them — problem clauses and learnt

@@ -231,11 +231,12 @@ def test_a_deadline_cut_detection_is_not_cached():
 
 def test_exact_dsatur_honours_the_run_cancel():
     # Left alone, the branch and bound on myciel5 is still searching
-    # after 10 s; a cancel that turns true at 0.2 s stops it within the
-    # next 256 nodes, with the verified incumbent.
+    # after 3 s (it proves chi = 6 after about 470k nodes, 8.5 s of CPU
+    # on a 2-cpu box); a cancel that turns true at 0.2 s stops it within
+    # the next 256 nodes, with the verified incumbent.
     graph = mycielski_graph(5)
     problem = ChromaticProblem(graph)
-    pipeline = Pipeline().solve(backend="exact-dsatur", time_limit=10)
+    pipeline = Pipeline().solve(backend="exact-dsatur", time_limit=3)
     unfinished = pipeline.run(problem)
     assert unfinished.status == "FEASIBLE" and not unfinished.cancelled
     start = time.monotonic()
@@ -352,24 +353,25 @@ def test_pb_minimize_linear_should_stop_interrupts_descent():
     """The PB bound-tightening loop must poll should_stop both between
     probes and inside each solve (the RPR002 invariant, extended to the
     optimizer in the static-analysis PR)."""
-    from repro.pb.optimizer import minimize_linear
+    from repro.pb.optimizer import minimize
 
     f = _pigeonhole(7, 7)  # SAT, but a costly minimum
     f.set_objective([(1, v) for v in range(1, 8)])
     polls = FlipAfter(0)  # cancel at the very first loop-top poll
-    result = minimize_linear(f, should_stop=polls)
+    result = minimize(f, strategy="linear", should_stop=polls)
     assert result.status == "UNKNOWN"
     assert polls.remaining < 0  # the predicate really was consulted
 
 
 def test_pb_minimize_binary_should_stop_interrupts_bisection():
-    from repro.pb.optimizer import minimize_binary
+    from repro.pb.optimizer import minimize
 
     f = _pigeonhole(7, 7)
     f.set_objective([(1, v) for v in range(1, 8)])
     for incremental in (True, False):
         polls = FlipAfter(0)  # cancel before the feasibility probe solves
-        result = minimize_binary(f, incremental=incremental, should_stop=polls)
+        result = minimize(f, strategy="binary", incremental=incremental,
+                          should_stop=polls)
         assert result.status == "UNKNOWN"
         assert polls.remaining < 0
 

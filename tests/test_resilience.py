@@ -248,7 +248,7 @@ def test_wal_drops_everything_after_the_first_bad_line(tmp_path):
 def _assert_degraded_but_verified(result, graph):
     assert result.status == "FEASIBLE"
     assert result.degraded
-    assert result.feasible and result.is_sat and not result.solved
+    assert result.feasible and not result.solved
     assert result.coloring is not None
     assert is_proper(graph, result.coloring)
     assert result.upper_bound == result.num_colors

@@ -10,7 +10,7 @@ from repro.api import BudgetedOptimize, ChromaticProblem, Pipeline
 from repro.coloring.encoding import encode_coloring
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.graphs.graph import Graph
-from repro.pb.optimizer import minimize_binary
+from repro.pb.optimizer import minimize
 from repro.pb.presets import get_preset
 
 TRIANGLE_PLUS = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], name="fig1")
@@ -130,7 +130,8 @@ def test_binary_solver_profiles_incremental_matches_fresh():
     assert result.status == "OPTIMAL" and result.num_colors == 5
     formula = encode_coloring(g, 6).formula
     factory = get_preset("pueblo").solver_factory()
-    inc = minimize_binary(formula, solver_factory=factory, incremental=True)
-    fresh = minimize_binary(formula, solver_factory=factory, incremental=False)
+    inc = minimize(formula, strategy="binary", solver_factory=factory)
+    fresh = minimize(formula, strategy="binary", solver_factory=factory,
+                     incremental=False)
     assert inc.status == fresh.status == "OPTIMAL"
     assert inc.best_value == fresh.best_value == 5

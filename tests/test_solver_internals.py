@@ -345,22 +345,6 @@ def test_permanent_shrink_garbage_collects_color_groups():
     assert status == UNSAT
 
 
-def test_grow_to_garbage_collects_retired_generation():
-    graph = mycielski_graph(3)
-    search = IncrementalKSearch(graph, 3, growable=True)
-    assert search.solve_k(3)[0] == UNSAT  # chi(myciel3) = 4
-    assert search.gc_stats["clauses"] == 0
-    search.grow_to(5)
-    # The retired at-least-one generation (one clause per vertex, all
-    # satisfied by the level-0 ext unit) must have been reclaimed.
-    assert search.gc_stats["clauses"] >= graph.num_vertices
-    assert search.gc_stats["watchers"] >= 2 * graph.num_vertices
-    status, coloring, _ = search.solve_k(4)
-    assert status == SAT
-    assert graph.is_proper_coloring(coloring)
-    assert search.solve_k(3)[0] == UNSAT  # refutation survived the sweep
-
-
 # ------------------------------------------------- assumption-aware preprocess
 def test_bve_respects_frozen_variables():
     # Every variable occurs in both phases (no pure literals), and var 1
