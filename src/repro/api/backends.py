@@ -172,8 +172,6 @@ class _OptimizeFlowBackend(Backend):
         if trivial is not None:
             return trivial
         if problem.kind == DECISION:
-            if problem.k <= 0:
-                return _infeasible_budget(problem.graph, problem.k, config)
             return run_optimize_flow(
                 problem.graph, problem.k, config, ctx, self, decision=True
             )

@@ -45,7 +45,7 @@ from .config import (
     PipelineConfig,
     ReduceConfig,
 )
-from .problems import CHROMATIC, DECISION, Problem
+from .problems import DECISION, Problem
 from .results import (
     PipelineInfo,
     ProgressEvent,
@@ -343,7 +343,7 @@ def run_reduced(
         if ctx.cancelled():
             return _cancelled_result(stages, info)
         result = solve(kernel.graph.subgraph(component))
-        _merge_stage_times(stages, result.stages)
+        _merge_stages(stages, result.stages)
         merged.stats.merge(result.stats)
         merged.solvers_created += result.solvers_created
         if result.pipeline is not None and result.pipeline.simplify is not None:
@@ -375,16 +375,31 @@ def run_reduced(
     return merged
 
 
-def _merge_stage_times(stages: List[StageStat], new_stages: List[StageStat]) -> None:
-    """Accumulate per-component stage times into the parent's stage list."""
+def _merge_stages(stages: List[StageStat], new_stages: List[StageStat]) -> None:
+    """Fold one component's stages into the parent's stage list.
+
+    Seconds and integer details (variables, clauses, generators, nodes)
+    add up over the components; ``complete`` holds only if every
+    component completed; a string detail keeps the first component's.
+    """
     by_name = {s.name: s for s in stages}
     for stat in new_stages:
-        if stat.name in by_name:
-            by_name[stat.name].seconds += stat.seconds
-        else:
-            copy = StageStat(stat.name, stat.seconds, dict(stat.details))
-            stages.append(copy)
-            by_name[stat.name] = copy
+        merged = by_name.get(stat.name)
+        if merged is None:
+            merged = StageStat(stat.name, stat.seconds, dict(stat.details))
+            stages.append(merged)
+            by_name[stat.name] = merged
+            continue
+        merged.seconds += stat.seconds
+        details = merged.details
+        for key, value in stat.details.items():
+            old = details.get(key)
+            if key not in details:
+                details[key] = value
+            elif isinstance(old, bool) and isinstance(value, bool):
+                details[key] = old and value
+            elif isinstance(old, int) and isinstance(value, int):
+                details[key] = old + value
 
 
 def _run_formula_stages(
@@ -591,15 +606,10 @@ def run_chromatic_via_budget(
     """Chromatic number through the budgeted-optimize flow.
 
     Picks the budget K from the DSATUR upper bound (which always
-    suffices), capped by ``max_colors``.  A cap of zero on a non-empty
-    graph is infeasible (UNSAT) — it must never be clamped up to a
-    budget that silently "solves" with one color.
+    suffices), capped by ``max_colors``.  The caller has answered the
+    empty graph; a cap of zero then reaches :func:`run_optimize_flow`
+    as a zero budget, which is UNSAT.
     """
-    trivial = _trivial_result(CHROMATIC, graph)
-    if trivial is not None:
-        return trivial
-    if max_colors is not None and max_colors <= 0:
-        return _infeasible_budget(graph, max_colors, config)
     _, ub = dsatur(graph)
     k = ub if max_colors is None else min(max_colors, ub)
-    return run_optimize_flow(graph, max(k, 1), config, ctx, engine)
+    return run_optimize_flow(graph, k, config, ctx, engine)

@@ -25,7 +25,9 @@ for it), and every racer publishes its final bounds when it returns.
 
 A dying racer is retried once (:class:`~repro.resilience.RetryPolicy`
 classifies a death as transient), then dropped — the race continues
-with the survivors, and only a fully dead field yields UNKNOWN.  The
+with the survivors, and only a fully dead field yields UNKNOWN.  Every
+racer, a relaunched one too, gets what the run's one deadline has left
+as its time limit and its kill limit.  The
 ``racer`` fault-injection point fires at the top of every racer
 process, which is how the chaos suite kills a racer mid-race and
 watches the field recover.
@@ -161,14 +163,16 @@ class PortfolioBackend(Backend):
 
 
 def _racer_config(config: PipelineConfig, name: str,
-                  strategy: Optional[str]) -> PipelineConfig:
-    """The racer's own config: its backend and strategy."""
+                  strategy: Optional[str],
+                  time_limit: Optional[float]) -> PipelineConfig:
+    """The racer's own config: its backend, strategy and time limit."""
     from dataclasses import replace
 
     return config.with_stage(solve=replace(
         config.solve,
         backend=name,
         strategy=strategy if strategy is not None else config.solve.strategy,
+        time_limit=time_limit,
     ))
 
 
@@ -176,8 +180,9 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     t0 = time.monotonic()
     specs = tuple(config.solve.racers)
     parsed = [parse_racer(spec) for spec in specs]
-    time_limit = config.solve.time_limit
-    deadline = Deadline.after(time_limit)
+    # The run's one deadline bounds every racer, a relaunched one too.
+    ctx = ctx.with_deadline(config.solve.time_limit)
+    deadline = ctx.deadline
     mp_ctx = multiprocessing.get_context()
     stop_event = mp_ctx.Event()
     ub_val = mp_ctx.Value("i", 0)
@@ -198,13 +203,14 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
 
     def launch(index: int) -> None:
         name, strategy = parsed[index]
+        time_limit = deadline.remaining()
         payload = {
             "index": index,
             "spec": specs[index],
             "backend": name,
             "kind": problem.kind,
             "graph": problem.graph,
-            "config": _racer_config(config, name, strategy),
+            "config": _racer_config(config, name, strategy, time_limit),
             "k": getattr(problem, "k", None),
             "max_colors": getattr(problem, "max_colors", None),
         }

@@ -13,7 +13,7 @@ from .instances import (
     get_scale,
 )
 from .report import list_reports, load_report, save_report
-from .runner import CellResult, RunRecord, format_seconds, run_cell, run_one
+from .runner import CellResult, RunRecord, format_seconds, run_grid
 from .tables import (
     SBP_ROWS,
     SolverTable,
@@ -56,8 +56,7 @@ __all__ = [
     "render_table1",
     "render_table2",
     "render_table5",
-    "run_cell",
-    "run_one",
+    "run_grid",
     "solver_table",
     "table1",
     "table2",

@@ -42,8 +42,9 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--scale", default="tiny", help="bench | tiny | small | paper")
     parser.add_argument("--jobs", "-j", type=int, default=0,
-                        help="fan table solves across N worker processes "
-                             "via repro.batch (0 = sequential in-process)")
+                        help="solve each of Tables 3-5 as one repro.batch "
+                             "grid on N worker processes (0 = inline in "
+                             "this process, through the batch runner)")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--save", metavar="DIR", default=None,
                         help="also write <experiment>.json/.md artifacts to DIR")

@@ -1,31 +1,31 @@
-"""Timeout-controlled experiment runner and result records.
+"""The paper's solver-table grid runner and its result records.
 
 The paper's Tables 3/4 report, per (SBP construction, solver,
 with/without instance-dependent SBPs): the summed runtime over all 20
 benchmarks (timeouts charged at the limit) and the number of instances
-solved.  :class:`CellResult` is one such aggregate; ``run_cell``
-produces it.
+solved.  :class:`CellResult` is one such aggregate.  Table 5 reports
+the same grid per queens instance.
 
-``run_cell(..., jobs=N)`` fans the cell's instances across the
-:mod:`repro.batch` worker pool (one slow instance no longer stalls the
-whole table); ``jobs=0`` (the default) keeps the historical sequential
-in-process loop, which shares the symmetry-detection cache across
-cells.
+:func:`run_grid` is the one way to run such a grid: every
+(instance, SBP kind, solver, instance-dependent) cell becomes a
+budgeted-optimize :class:`~repro.batch.TaskSpec`, the whole grid is one
+:func:`~repro.batch.solve_many` call, and the batch records come back
+as :class:`RunRecord` in grid order.  ``jobs`` only sets the worker
+count; ``jobs=0`` is the batch runner's inline mode, in this process.
+The batch runner caches symmetry detection per process, so a grid
+detects each (instance, K, SBP kind) once per worker.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import BudgetedOptimize, ChromaticProblem, Pipeline, Result
-from .instances import Instance
+from ..api import ChromaticProblem, Pipeline, Result
 
-# Symmetry detection depends only on (instance, K, SBP kind) — the
-# encodings are deterministic — so results are shared across solvers and
-# across the with/without-instance-dependent-SBP columns of a table.
-DETECTION_CACHE: Dict = {}
+#: One cell of a solver grid: (instance, SBP kind, solver,
+#: instance-dependent SBPs on?).
+GridCell = Tuple[str, str, str, bool]
 
 
 @dataclass
@@ -139,81 +139,33 @@ def run_descent(
     )
 
 
-def run_one(
-    instance: Instance,
+def run_grid(
+    grid: Sequence[GridCell],
     k: int,
-    solver: str,
-    sbp_kind: str,
-    instance_dependent: bool,
     time_limit: float,
     detection_node_limit: int,
-    preprocess: bool = True,
-    reduce: bool = False,
-) -> RunRecord:
-    """Solve one instance under one configuration.
+    jobs: int = 0,
+    verbose: bool = False,
+) -> List[RunRecord]:
+    """Solve each cell as a ``k``-color budgeted-optimize task, on
+    ``jobs`` workers (``0``: inline); the records come in grid order.
 
-    ``preprocess``/``reduce`` toggle the simplification pipeline; the
-    tables keep kernelization off by default so the measured formulas
-    match the paper's encodings, while clause simplification (which is
-    model-preserving) runs like the paper's Chaff-lineage solvers do.
+    Kernelization stays off, so the solved formulas are the paper's
+    encodings; clause simplification (model-preserving) runs, as in the
+    paper's Chaff-lineage solvers.  A record reports solver time, like
+    the paper (detection is Table 2's); a hard-killed worker has no
+    stage trace, so its wall clock is charged instead
+    (:meth:`CellResult.add` clamps it at the limit).
     """
-    graph = instance.graph()
-    start = time.monotonic()
-    try:
-        pipeline = (
-            Pipeline()
-            .reduce(reduce)
-            .symmetry(
-                sbp_kind=sbp_kind,
-                instance_dependent=instance_dependent,
-                detection_node_limit=detection_node_limit,
-            )
-            .simplify(preprocess)
-            .solve(backend=solver, time_limit=time_limit)
-        )
-        result: Result = pipeline.run(
-            BudgetedOptimize(graph, k), detection_cache=DETECTION_CACHE
-        )
-        status = result.status
-        num_colors = result.num_colors
-        solved = result.solved
-        # Like the paper, report solver runtime; symmetry detection is
-        # accounted separately (Table 2) and amortized by the cache.
-        seconds = result.solve_seconds
-    except MemoryError:
-        status, num_colors, solved = "ERROR", None, False
-        seconds = time.monotonic() - start
-    return RunRecord(
-        instance=instance.name,
-        solver=solver,
-        sbp_kind=sbp_kind,
-        instance_dependent=instance_dependent,
-        k=k,
-        status=status,
-        num_colors=num_colors,
-        seconds=seconds,
-        solved=solved,
-    )
+    # Imported on first use: ``repro.experiments.instances`` is imported
+    # for its registry alone (batch manifests, benchmark inputs), which
+    # need none of the batch runner.
+    from ..batch import GraphSpec, TaskSpec, solve_many
 
-
-def cell_tasks(
-    instances: Sequence[Instance],
-    k: int,
-    solver: str,
-    sbp_kind: str,
-    instance_dependent: bool,
-    time_limit: float,
-    detection_node_limit: int,
-    preprocess: bool = True,
-    reduce: bool = False,
-) -> List:
-    """The batch TaskSpecs equivalent to one table cell's run_one loop."""
-    from ..batch.manifest import GraphSpec, TaskSpec
-
-    return [
+    tasks = [
         TaskSpec(
-            graph=GraphSpec(instance=instance.name),
-            name=instance.name,
+            graph=GraphSpec(instance=name),
+            name=name,
             kind="budgeted-optimize",
             max_colors=k,
             backend=solver,
@@ -221,97 +173,39 @@ def cell_tasks(
             instance_dependent=instance_dependent,
             detection_node_limit=detection_node_limit,
             time_limit=time_limit,
-            reduce=reduce,
-            simplify=preprocess,
+            reduce=False,
         )
-        for instance in instances
+        for (name, sbp_kind, solver, instance_dependent) in grid
     ]
+    records: List[RunRecord] = []
 
-
-def record_to_run_record(
-    record: Dict, k: int, solver: str, sbp_kind: str, instance_dependent: bool
-) -> RunRecord:
-    """Map one batch JSONL record back to the tables' RunRecord shape.
-
-    Like ``run_one``, the reported time is solver time when the solve
-    stage ran; a hard-killed worker has no stage trace, so its full
-    wall clock is charged instead (the caller clamps at the limit).
-    """
-    seconds = record.get("solve_seconds")
-    if seconds is None:
-        seconds = record.get("seconds") or 0.0
-    return RunRecord(
-        instance=str(record.get("task")),
-        solver=solver,
-        sbp_kind=sbp_kind,
-        instance_dependent=instance_dependent,
-        k=k,
-        status=str(record.get("status")),
-        num_colors=record.get("num_colors"),
-        seconds=float(seconds),
-        solved=record.get("outcome") == "ok",
-    )
-
-
-def run_cell(
-    instances: Sequence[Instance],
-    k: int,
-    solver: str,
-    sbp_kind: str,
-    instance_dependent: bool,
-    time_limit: float,
-    detection_node_limit: int,
-    verbose: bool = False,
-    preprocess: bool = True,
-    reduce: bool = False,
-    jobs: int = 0,
-    task_timeout: Optional[float] = None,
-) -> CellResult:
-    """Aggregate one table cell over the instance set.
-
-    ``jobs >= 1`` runs the cell through the :mod:`repro.batch` pool
-    (records come back in instance order, so the aggregate is
-    deterministic); ``jobs=0`` keeps the sequential in-process loop.
-    Both paths bound the *solver* with ``time_limit``, like the paper;
-    ``task_timeout`` optionally adds a hard wall-clock kill per task
-    (which also charges encode/detect time, so it is off by default to
-    keep parallel tables comparable with sequential ones).
-    """
-    cell = CellResult(solver=solver, sbp_kind=sbp_kind, instance_dependent=instance_dependent)
-
-    def report(record: RunRecord) -> None:
-        cell.add(record, time_limit)
+    def collect(record: Dict) -> None:
+        name, sbp_kind, solver, instance_dependent = grid[record["index"]]
+        seconds = record.get("solve_seconds")
+        if seconds is None:
+            seconds = record.get("seconds") or 0.0
+        run = RunRecord(
+            instance=name,
+            solver=solver,
+            sbp_kind=sbp_kind,
+            instance_dependent=instance_dependent,
+            k=k,
+            status=str(record["status"]),
+            num_colors=record["num_colors"],
+            seconds=float(seconds),
+            solved=record.get("outcome") == "ok",
+        )
+        records.append(run)
         if verbose:
             print(
-                f"    {record.instance:12s} {record.status:8s} "
-                f"colors={record.num_colors} {record.seconds:7.2f}s",
+                f"    {name:12s} {sbp_kind:6s} {solver:8s} "
+                f"i-d={instance_dependent!s:5s} {run.status:8s} "
+                f"colors={run.num_colors} {run.seconds:7.2f}s",
                 flush=True,
             )
 
-    if jobs:
-        from ..batch import solve_many
-
-        tasks = cell_tasks(
-            instances, k, solver, sbp_kind, instance_dependent,
-            time_limit, detection_node_limit,
-            preprocess=preprocess, reduce=reduce,
-        )
-        batch = solve_many(
-            tasks, jobs=jobs, task_timeout=task_timeout,
-            on_record=lambda rec: report(
-                record_to_run_record(rec, k, solver, sbp_kind, instance_dependent)
-            ),
-        )
-        assert len(batch) == len(instances)
-        return cell
-
-    for instance in instances:
-        report(run_one(
-            instance, k, solver, sbp_kind, instance_dependent,
-            time_limit, detection_node_limit,
-            preprocess=preprocess, reduce=reduce,
-        ))
-    return cell
+    solve_many(tasks, jobs=jobs, on_record=collect)
+    return records
 
 
 def format_seconds(seconds: float) -> str:

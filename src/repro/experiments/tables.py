@@ -2,14 +2,16 @@
 
 Each ``tableN`` function runs the corresponding experiment at a given
 scale and returns structured rows; ``render_tableN`` turns them into
-the ASCII layout of the paper.  The benchmark harness under
-``benchmarks/`` calls these with the ``tiny`` scale; the CLI
-(``python -m repro.experiments``) exposes every scale.
+the ASCII layout of the paper.  The solver tables (3, 4 and 5) each
+build their (instance, SBP kind, solver, instance-dependent) grid and
+solve it with one :func:`~repro.experiments.runner.run_grid` call, so
+``jobs`` only sets how many batch workers serve the table.  The
+benchmark harness under ``benchmarks/`` calls these with the ``bench``
+scale; the CLI (``python -m repro.experiments``) exposes every scale.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,8 +19,8 @@ from ..coloring.encoding import encode_coloring
 from ..coloring.exact_dsatur import exact_chromatic_number
 from ..sbp.instance_independent import apply_sbp
 from ..symmetry.detect import detect_symmetries
-from .instances import Instance, QUEENS_NAMES, ScalePreset, get_instance
-from .runner import CellResult, format_seconds, run_cell, run_one
+from .instances import QUEENS_NAMES, ScalePreset
+from .runner import CellResult, RunRecord, format_seconds, run_grid
 
 SBP_ROWS = ("none", "nu", "ca", "li", "sc", "nu+sc")
 SBP_LABEL = {
@@ -166,22 +168,30 @@ def solver_table(
 ) -> SolverTable:
     """Run the full (SBP row) x (solver) x (inst-dep?) grid at color budget k.
 
-    ``jobs >= 1`` parallelizes each cell's instances through the
-    :mod:`repro.batch` worker pool.
+    The whole table is one :func:`~repro.experiments.runner.run_grid`
+    call; ``jobs`` sets how many batch workers serve it.
     """
+    grid = [
+        (name, sbp, solver, inst_dep)
+        for sbp in sbp_rows
+        for solver in scale.solvers
+        for inst_dep in (False, True)
+        for name in scale.instance_names
+    ]
     table = SolverTable(k=k, scale_name=scale.name)
-    instances = scale.instances()
-    for sbp in sbp_rows:
-        for solver in scale.solvers:
-            for inst_dep in (False, True):
-                if verbose:
-                    print(f"  cell sbp={sbp} solver={solver} inst_dep={inst_dep}", flush=True)
-                cell = run_cell(
-                    instances, k, solver, sbp, inst_dep,
-                    scale.time_limit, scale.detection_node_limit,
-                    verbose=verbose, jobs=jobs,
-                )
-                table.cells[(sbp, solver, inst_dep)] = cell
+    records = run_grid(
+        grid, k, scale.time_limit, scale.detection_node_limit,
+        jobs=jobs, verbose=verbose,
+    )
+    for record in records:
+        key = (record.sbp_kind, record.solver, record.instance_dependent)
+        cell = table.cells.get(key)
+        if cell is None:
+            cell = table.cells[key] = CellResult(
+                solver=record.solver, sbp_kind=record.sbp_kind,
+                instance_dependent=record.instance_dependent,
+            )
+        cell.add(record, scale.time_limit)
     return table
 
 
@@ -218,12 +228,12 @@ def render_solver_table(table: SolverTable, solvers: Sequence[str]) -> str:
 
 
 # ------------------------------------------------------------------ Table 5
-def table5(scale: ScalePreset, verbose: bool = False, jobs: int = 0) -> List:
+def table5(scale: ScalePreset, verbose: bool = False, jobs: int = 0) -> List[RunRecord]:
     """Appendix Table 5: per-instance queens results, every construction.
 
-    The grid's (instance, sbp, solver, inst-dep) combinations are
-    independent, so ``jobs >= 1`` runs the whole table as one batch
-    (results still arrive in grid order).
+    The (instance, sbp, solver, inst-dep) grid is one
+    :func:`~repro.experiments.runner.run_grid` call; the records come
+    back in grid order whatever ``jobs`` is.
     """
     names = [n for n in QUEENS_NAMES if n in scale.instance_names] or list(QUEENS_NAMES[:2])
     grid = [
@@ -233,44 +243,10 @@ def table5(scale: ScalePreset, verbose: bool = False, jobs: int = 0) -> List:
         for solver in scale.solvers
         for inst_dep in (False, True)
     ]
-
-    def report(record) -> None:
-        if verbose:
-            print(
-                f"    {record.instance} {record.sbp_kind:6s} "
-                f"{record.solver:8s} i-d={record.instance_dependent} "
-                f"{record.status:8s} {record.seconds:6.2f}s",
-                flush=True,
-            )
-
-    if jobs:
-        from ..batch import solve_many
-        from .runner import cell_tasks, record_to_run_record
-
-        tasks = [
-            cell_tasks(
-                [get_instance(name)], scale.k_primary, solver, sbp, inst_dep,
-                scale.time_limit, scale.detection_node_limit,
-            )[0]
-            for (name, sbp, solver, inst_dep) in grid
-        ]
-        batch = solve_many(tasks, jobs=jobs)
-        records = []
-        for rec, (name, sbp, solver, inst_dep) in zip(batch, grid):
-            record = record_to_run_record(rec, scale.k_primary, solver, sbp, inst_dep)
-            records.append(record)
-            report(record)
-        return records
-
-    records = []
-    for (name, sbp, solver, inst_dep) in grid:
-        record = run_one(
-            get_instance(name), scale.k_primary, solver, sbp, inst_dep,
-            scale.time_limit, scale.detection_node_limit,
-        )
-        records.append(record)
-        report(record)
-    return records
+    return run_grid(
+        grid, scale.k_primary, scale.time_limit, scale.detection_node_limit,
+        jobs=jobs, verbose=verbose,
+    )
 
 
 def render_table5(records: Sequence, time_limit: float) -> str:

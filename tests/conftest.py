@@ -12,6 +12,10 @@ environment variable:
   scheduled CI run that explores new inputs every night;
 * ``dev`` — derandomized but small, for quick local iteration.
 
+A property that sets its own ``max_examples`` passes its count through
+``fuzz_budget.fuzz_examples``, so ``nightly`` raises it to at least the
+profile's budget while ``ci`` and ``dev`` keep it.
+
 Solver-backed properties are orders of magnitude slower than the pure
 functions hypothesis expects, so deadlines are disabled and the
 too-slow health check suppressed in every profile.

@@ -36,6 +36,8 @@ from repro.api import (
     solve_problem,
 )
 from repro.api.backends import _REGISTRY
+from repro.coloring.encoding import encode_coloring
+from repro.coloring.reduce import kernelize
 from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import book_graph, mycielski_graph, queens_graph
@@ -314,6 +316,31 @@ def test_result_stages_and_provenance():
     assert peeled.status == "OPTIMAL" and peeled.num_colors == 3
     assert [s.name for s in peeled.stages] == ["reduce"]
     assert peeled.pipeline.peeled_vertices == 4
+
+
+def test_a_multi_component_run_describes_every_component_in_its_stages():
+    # The kernel has two components; the integer stage details add up
+    # over both, as Result.pipeline.simplify does.
+    graph = disjoint_union(get_instance("myciel4").graph(),
+                           get_instance("queen5_5").graph())
+    result = (Pipeline().symmetry(sbp_kind="nu+sc")
+              .solve(backend="pb-pbs2", time_limit=60)
+              .run(BudgetedOptimize(graph, 8)))
+    assert result.status == "OPTIMAL"
+    kernel = kernelize(graph, 8)
+    assert len(kernel.components) == 2
+    formulas = [encode_coloring(kernel.graph.subgraph(c), 8).formula.stats()
+                for c in kernel.components]
+    assert result.stage("encode").details == {
+        "vars": sum(f.num_vars for f in formulas),
+        "clauses": sum(f.num_clauses for f in formulas),
+        "pb": sum(f.num_pb for f in formulas),
+    }
+    simplify = result.stage("simplify").details
+    assert (simplify["clauses_before"], simplify["clauses_after"]) == (
+        result.pipeline.simplify.clauses_before,
+        result.pipeline.simplify.clauses_after)
+    assert result.stage("sbp").details == {"kind": "nu+sc"}
 
 
 def test_progress_and_cancellation():

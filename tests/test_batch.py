@@ -24,11 +24,10 @@ from repro.batch import (
     load_manifest,
     solve_many,
 )
-from repro.experiments.instances import get_instance
-from repro.resilience import RetryPolicy
-from repro.experiments.runner import run_cell
+from repro.experiments.runner import run_grid
 from repro.graphs.dimacs import write_dimacs_graph
 from repro.graphs.generators import mycielski_graph, queens_graph
+from repro.resilience import RetryPolicy
 
 PLUGIN = os.path.join(os.path.dirname(__file__), "batch_plugins.py")
 
@@ -380,16 +379,19 @@ def test_a_retry_backoff_does_not_stall_the_other_workers():
     assert report.summary["wall_seconds"] >= 3.0  # the backoff still holds
 
 
-def test_run_cell_batch_matches_sequential():
-    instances = [get_instance(n) for n in ("myciel3", "myciel4", "queen5_5")]
-    kwargs = dict(k=6, solver="pbs2", sbp_kind="nu", instance_dependent=False,
-                  time_limit=30.0, detection_node_limit=20000)
-    sequential = run_cell(instances, **kwargs)
-    parallel = run_cell(instances, jobs=2, **kwargs)
-    assert sequential.num_solved == parallel.num_solved == 3
-    for left, right in zip(sequential.records, parallel.records):
-        assert (left.instance, left.status, left.num_colors, left.solved) == (
-            right.instance, right.status, right.num_colors, right.solved)
+def test_run_grid_inline_matches_two_workers():
+    grid = [(name, "nu", "pbs2", False)
+            for name in ("myciel3", "myciel4", "queen5_5")]
+    inline = run_grid(grid, 6, 30.0, 20000, jobs=0)
+    pooled = run_grid(grid, 6, 30.0, 20000, jobs=2)
+
+    def answers(records):
+        return [(r.instance, r.sbp_kind, r.solver, r.instance_dependent,
+                 r.status, r.num_colors, r.solved) for r in records]
+
+    assert answers(inline) == answers(pooled)
+    assert [r.instance for r in inline] == ["myciel3", "myciel4", "queen5_5"]
+    assert all(r.solved for r in inline)
 
 
 # ----------------------------------------------------- acceptance: CLI runs

@@ -8,6 +8,7 @@ for the brute-force property.
 import hashlib
 
 import pytest
+from fuzz_budget import fuzz_examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,7 +123,7 @@ def objective_problem(draw):
     return f
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=fuzz_examples(60), deadline=None)
 @given(objective_problem(), st.sampled_from(["linear", "binary"]),
        st.booleans(), st.data())
 def test_optimizer_matches_brute_force(formula, strategy, incremental, data):

@@ -17,17 +17,20 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.api.portfolio as portfolio
 from repro.api import (
     ChromaticProblem,
     DecisionProblem,
     Pipeline,
     PipelineConfig,
+    Result,
     SolveConfig,
 )
 from repro.api.portfolio import _run_racer
 from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import gnp_graph, mycielski_graph, queens_graph
+from repro.resilience import reset_clock, set_clock
 
 RACERS = ("cdcl-incremental", "pb-pueblo", "exact-dsatur")
 
@@ -153,6 +156,44 @@ def test_portfolio_cancellation_returns_cancelled_result():
     )
     assert result.cancelled
     assert result.status in ("FEASIBLE", "UNKNOWN")
+
+
+def test_a_relaunched_racer_gets_only_what_is_left_of_the_run(monkeypatch):
+    """A racer that dies 1 s into a 2 s race is relaunched with the 1 s
+    the run's deadline has left, as its time limit and its kill limit."""
+    now = [100.0]
+    launches = []
+
+    class FakeWorker:
+        def __init__(self, target, args, limit):
+            payload = args[0]
+            self.index = payload["index"]
+            self.dies = self.index == 0 and not launches
+            launches.append(
+                (self.index, payload["config"].solve.time_limit, limit))
+
+        def poll(self):
+            if self.dies:
+                now[0] += 1.0
+                return ("died", -9)
+            return ("ok", Result(status="UNKNOWN"))
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(portfolio, "Worker", FakeWorker)
+    monkeypatch.setattr(portfolio, "wait_any", lambda workers, timeout=None: None)
+    set_clock(lambda: now[0])
+    try:
+        result = race(ChromaticProblem(mycielski_graph(3)), time_limit=2.0,
+                      racers=("cdcl-incremental", "exact-dsatur"))
+    finally:
+        reset_clock()
+    assert result.status == "UNKNOWN"
+    assert [index for index, _, _ in launches] == [0, 1, 0]
+    assert [limit for _, limit, _ in launches[:2]] == [2.0, 2.0]
+    _, time_limit, kill_limit = launches[2]
+    assert time_limit <= 1.0 and kill_limit <= 1.0
 
 
 def test_portfolio_rejects_degenerate_lineups():

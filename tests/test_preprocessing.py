@@ -6,6 +6,7 @@ import random
 from dataclasses import asdict
 
 import pytest
+from fuzz_budget import fuzz_examples
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -158,7 +159,7 @@ def _random_cnf(data, max_vars=6, max_clauses=12, max_width=3):
     return f
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=fuzz_examples(80), deadline=None)
 @given(st.data())
 def test_preprocessing_preserves_satisfiability(data):
     f = _random_cnf(data)
@@ -175,7 +176,7 @@ def test_preprocessing_preserves_satisfiability(data):
     assert after == before
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=fuzz_examples(120), deadline=None)
 @given(st.data())
 def test_preprocessing_model_round_trip(data):
     # Stronger than equisatisfiability: a model of the reduced formula,
@@ -196,7 +197,7 @@ def test_preprocessing_model_round_trip(data):
     assert f.evaluate(model)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=fuzz_examples(100), deadline=None)
 @given(st.data())
 def test_simplify_formula_is_model_preserving(data):
     # simplify_formula must keep mixed CNF+PB formulas logically
@@ -363,7 +364,7 @@ def test_subsume_clauses_output_is_pinned():
     assert _digest(kept) == "63fccf74d8bf32f5"
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=fuzz_examples(100), deadline=None)
 @given(st.data())
 def test_simplify_formula_output_is_a_fixpoint(data):
     # After simplify, no output clause subsumes another, and none
@@ -463,7 +464,7 @@ def _clause_lists(max_vars, min_width):
     return st.lists(st.lists(lit, min_size=min_width, max_size=4).map(tuple), max_size=18)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fuzz_examples(200), deadline=None)
 @given(_clause_lists(max_vars=7, min_width=0))
 # (1|2|-3) is strengthened after its visit and must be visited again.
 @example([(2, 3), (-1, -3), (1, -2), (1, 2, -3)])
@@ -476,7 +477,7 @@ def test_subsume_clauses_matches_the_reference(clauses):
     assert subsume_clauses(clauses) == _reference_subsume(clauses)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fuzz_examples(200), deadline=None)
 @given(_clause_lists(max_vars=6, min_width=1))
 def test_propagate_units_matches_the_reference(clauses):
     # Callers hand over canonical, duplicate-literal-free clauses.

@@ -6,6 +6,7 @@ answers equal to the unreduced runs on random graphs.
 """
 
 import pytest
+from fuzz_budget import fuzz_examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,7 +127,7 @@ def test_kernelize_policy(budget, decision, threshold, kernel_vertices):
     assert infeasible.infeasible and infeasible.components == []
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=fuzz_examples(30), deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=4), st.data())
 def test_reduction_equivalent_to_direct(n, k, data):
     g = Graph(n)

@@ -1,7 +1,8 @@
 """Experiment runner and table driver tests (bench scale, fast rows)."""
 
+import repro.batch.runner as batch_runner
 from repro.experiments.instances import ScalePreset, get_scale
-from repro.experiments.runner import CellResult, RunRecord, format_seconds, run_one
+from repro.experiments.runner import CellResult, RunRecord, format_seconds, run_grid
 from repro.experiments.tables import (
     render_solver_table,
     render_table1,
@@ -18,13 +19,23 @@ FAST = ScalePreset(
 )
 
 
-def test_run_one_solves_myciel3():
-    record = run_one(
-        FAST.instances()[0], 6, "pbs2", "nu", False, 10.0, 20000
-    )
+def test_run_grid_solves_myciel3():
+    [record] = run_grid([("myciel3", "nu", "pbs2", False)], 6, 10.0, 20000)
+    assert (record.instance, record.sbp_kind, record.solver) == (
+        "myciel3", "nu", "pbs2")
     assert record.solved
     assert record.num_colors == 4
     assert record.status == "OPTIMAL"
+
+
+def test_an_inline_grid_starts_no_child_process(monkeypatch):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("an inline grid started a worker process")
+
+    monkeypatch.setattr(batch_runner, "Worker", no_worker)
+    grid = [("myciel3", "nu", "pbs2", inst_dep) for inst_dep in (False, True)]
+    records = run_grid(grid, 6, 10.0, 20000, jobs=0)
+    assert [r.solved for r in records] == [True, True]
 
 
 def test_cell_aggregation():
