@@ -1,7 +1,5 @@
 """Ablation benches: support cap, search strategy, formula growth."""
 
-from conftest import run_once
-
 from repro.experiments.ablations import (
     ablate_formula_growth,
     ablate_strategy,
@@ -9,9 +7,9 @@ from repro.experiments.ablations import (
 )
 
 
-def test_support_cap(benchmark, bench_json):
+def test_support_cap(run_once, bench_json):
     rows = run_once(
-        benchmark, ablate_support_cap,
+        ablate_support_cap,
         instance_name="queen5_5", k=6, caps=(4, 64), time_limit=20.0,
     )
     print()
@@ -24,9 +22,9 @@ def test_support_cap(benchmark, bench_json):
     assert all(r.status in ("OPTIMAL", "SAT") for r in rows)
 
 
-def test_strategy(benchmark, bench_json):
+def test_strategy(run_once, bench_json):
     rows = run_once(
-        benchmark, ablate_strategy, instance_name="queen5_5", k=6, time_limit=20.0,
+        ablate_strategy, instance_name="queen5_5", k=6, time_limit=20.0,
     )
     print()
     for r in rows:
@@ -37,8 +35,8 @@ def test_strategy(benchmark, bench_json):
     assert len(values) <= 1  # strategies agree on the optimum
 
 
-def test_formula_growth(benchmark, bench_scale, bench_json):
-    rows = run_once(benchmark, ablate_formula_growth, bench_scale)
+def test_formula_growth(run_once, bench_scale, bench_json):
+    rows = run_once(ablate_formula_growth, bench_scale)
     print()
     for r in rows:
         print(f"  {r.sbp_kind:6s} vars={r.num_vars} clauses={r.num_clauses} "

@@ -1,12 +1,10 @@
 """Regenerate Figure 1: SBP strength on the paper's worked example."""
 
-from conftest import run_once
-
 from repro.experiments.figure1 import figure1_counts, render_figure1
 
 
-def test_figure1(benchmark, bench_json):
-    (rows, seconds) = bench_json.timed(run_once, benchmark, figure1_counts)
+def test_figure1(run_once, bench_json):
+    (rows, seconds) = bench_json.timed(run_once, figure1_counts)
     print()
     print(render_figure1(rows))
     for r in rows:

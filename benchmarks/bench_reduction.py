@@ -43,5 +43,5 @@ def test_reduced_solve(benchmark, name, k, bench_json):
     # One standalone timed run (benchmark() may loop calibration rounds).
     _, seconds = bench_json.timed(run)
     bench_json.add(f"{name}-solve", k=k, status=result.status,
-                   components_solved=result.pipeline.components_solved,
+                   components_solved=result.stage("reduce").details["components_solved"],
                    wall_seconds=round(seconds, 4))

@@ -1,13 +1,11 @@
 """Regenerate Table 1: benchmark statistics + measured chromatic numbers."""
 
-from conftest import run_once
-
 from repro.experiments.tables import render_table1, table1
 
 
-def test_table1(benchmark, bench_scale, bench_json):
+def test_table1(run_once, bench_scale, bench_json):
     (rows, seconds) = bench_json.timed(
-        run_once, benchmark, table1, bench_scale, per_instance_budget=5.0
+        run_once, table1, bench_scale, per_instance_budget=5.0
     )
     print()
     print(render_table1(rows, bench_scale.k_primary))

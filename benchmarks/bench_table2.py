@@ -1,12 +1,10 @@
 """Regenerate Table 2: formula sizes, symmetry counts, detection time."""
 
-from conftest import run_once
-
 from repro.experiments.tables import render_table2, table2
 
 
-def test_table2(benchmark, bench_scale, bench_json):
-    (rows, seconds) = bench_json.timed(run_once, benchmark, table2, bench_scale)
+def test_table2(run_once, bench_scale, bench_json):
+    (rows, seconds) = bench_json.timed(run_once, table2, bench_scale)
     print()
     print(render_table2(rows))
     for r in rows:

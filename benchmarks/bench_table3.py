@@ -1,12 +1,10 @@
 """Regenerate Table 3: solver x SBP grid at the primary color budget."""
 
-from conftest import run_once
-
 from repro.experiments.tables import render_solver_table, table3
 
 
-def test_table3(benchmark, bench_scale, bench_json):
-    (table, seconds) = bench_json.timed(run_once, benchmark, table3, bench_scale)
+def test_table3(run_once, bench_scale, bench_json):
+    (table, seconds) = bench_json.timed(run_once, table3, bench_scale)
     print()
     print(render_solver_table(table, bench_scale.solvers))
     for (sbp, solver, inst_dep), cell in sorted(table.cells.items()):

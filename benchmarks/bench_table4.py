@@ -1,12 +1,10 @@
 """Regenerate Table 4: the higher color budget (paper's K=30 analog)."""
 
-from conftest import run_once
-
 from repro.experiments.tables import render_solver_table, table4
 
 
-def test_table4(benchmark, bench_scale, bench_json):
-    (table, seconds) = bench_json.timed(run_once, benchmark, table4, bench_scale)
+def test_table4(run_once, bench_scale, bench_json):
+    (table, seconds) = bench_json.timed(run_once, table4, bench_scale)
     print()
     print(render_solver_table(table, bench_scale.solvers))
     for (sbp, solver, inst_dep), cell in sorted(table.cells.items()):

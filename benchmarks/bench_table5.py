@@ -1,7 +1,5 @@
 """Regenerate Table 5 (Appendix): per-instance queens results."""
 
-from conftest import run_once
-
 from repro.experiments.instances import ScalePreset
 from repro.experiments.tables import render_table5, table5
 
@@ -12,8 +10,8 @@ QUEENS_SCALE = ScalePreset(
 )
 
 
-def test_table5(benchmark, bench_json):
-    (records, seconds) = bench_json.timed(run_once, benchmark, table5, QUEENS_SCALE)
+def test_table5(run_once, bench_json):
+    (records, seconds) = bench_json.timed(run_once, table5, QUEENS_SCALE)
     print()
     print(render_table5(records, QUEENS_SCALE.time_limit))
     for r in records:

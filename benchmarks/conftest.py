@@ -28,14 +28,22 @@ def bench_scale():
     return get_scale("bench")
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a table driver exactly once under the benchmark timer.
+@pytest.fixture
+def run_once(benchmark):
+    """``run_once(fn, *args, **kwargs)``: run a table driver exactly once
+    under the benchmark timer.
 
     Table drivers are minutes-long compared to microbenchmarks; a single
     timed round keeps the harness usable while still recording the
-    regeneration cost.
+    regeneration cost.  It is a fixture, so no bench module imports
+    ``conftest`` by name: ``tests/conftest.py`` is a top-level
+    ``conftest`` module too, and a pytest run over both directories
+    would hand a bench module that one.
     """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    def run(fn, *args, **kwargs):
+        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+    return run
 
 
 class BenchReport:

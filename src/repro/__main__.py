@@ -165,15 +165,17 @@ def cmd_color(args) -> int:
         print(f"colors used:      {result.num_colors}")
     print(f"encode time:      {result.encode_seconds:.2f}s")
     print(f"solve time:       {result.solve_seconds:.2f}s")
-    info = result.pipeline
-    if info is not None and info.reduce:
-        print(f"kernel:           {info.kernel_vertices}/{info.original_vertices} vertices "
-              f"({info.peeled_vertices} peeled, {info.components_solved} components solved)")
-    if info is not None and info.simplify is not None and info.simplify.clauses_before:
-        s = info.simplify
-        print(f"preprocessing:    {s.clauses_before} -> {s.clauses_after} clauses "
-              f"({s.units_propagated} units, {s.subsumed} subsumed, "
-              f"{s.strengthened} strengthened)")
+    kernel = result.stage("reduce")
+    if kernel is not None and "kernel_vertices" in kernel.details:
+        d = kernel.details
+        print(f"kernel:           {d['kernel_vertices']}/{graph.num_vertices} vertices "
+              f"({d['peeled_vertices']} peeled, {d['components_solved']} components solved)")
+    simplify = result.stage("simplify")
+    if simplify is not None and simplify.details.get("clauses_before"):
+        d = simplify.details
+        print(f"preprocessing:    {d['clauses_before']} -> {d['clauses_after']} clauses "
+              f"({d['units_propagated']} units, {d['subsumed']} subsumed, "
+              f"{d['strengthened']} strengthened)")
     if result.detection is not None:
         print(f"symmetry gens:    {result.detection.num_generators} "
               f"(detected in {result.detection.detection_seconds:.2f}s)")

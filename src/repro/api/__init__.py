@@ -49,7 +49,6 @@ from .backends import (
     Backend,
     available_backends,
     get_backend,
-    known_backend_names,
     register_backend,
     resolve_backend_name,
 )
@@ -69,7 +68,6 @@ from .problems import (
     Problem,
 )
 from .results import (
-    PipelineInfo,
     ProgressEvent,
     Provenance,
     Result,
@@ -99,7 +97,6 @@ __all__ = [
     "PROBLEM_KINDS",
     "Pipeline",
     "PipelineConfig",
-    "PipelineInfo",
     "Problem",
     "ProgressEvent",
     "Provenance",
@@ -114,7 +111,6 @@ __all__ = [
     "SymmetryConfig",
     "available_backends",
     "get_backend",
-    "known_backend_names",
     "register_backend",
     "resolve_backend_name",
     "solve_many",

@@ -43,6 +43,7 @@ from ..coloring.sat_pipeline import (
 from ..graphs.graph import Graph
 from ..pb.optimizer import minimize
 from ..pb.presets import get_preset
+from ..resilience import Deadline
 from ..sat.brute import MAX_BRUTE_VARS, brute_force_solve
 from ..sat.result import (
     OPTIMAL,
@@ -55,8 +56,6 @@ from ..sat.result import (
 from ..sbp.instance_independent import SBP_KINDS
 from .config import PipelineConfig
 from .pipeline import (
-    _trivial_result,
-    _infeasible_budget,
     reduce_report,
     run_chromatic_via_budget,
     run_optimize_flow,
@@ -126,11 +125,6 @@ def register_backend(backend: Backend, aliases: Iterable[str] = ()) -> Backend:
     return backend
 
 
-def known_backend_names() -> Tuple[str, ...]:
-    """Every accepted backend name (canonical names + aliases), sorted."""
-    return tuple(sorted(set(_REGISTRY) | set(_ALIASES)))
-
-
 def resolve_backend_name(name: str) -> str:
     """Canonical name for ``name``; ``ValueError`` naming the choices."""
     canonical = _ALIASES.get(name, name)
@@ -168,9 +162,6 @@ class _OptimizeFlowBackend(Backend):
     detects = True
 
     def run(self, problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
-        trivial = _trivial_result(problem.kind, problem.graph)
-        if trivial is not None:
-            return trivial
         if problem.kind == DECISION:
             return run_optimize_flow(
                 problem.graph, problem.k, config, ctx, self, decision=True
@@ -212,10 +203,13 @@ class PBPresetBackend(_OptimizeFlowBackend):
         )
 
     def decide(self, formula, time_limit, should_stop=None) -> SolveResult:
+        # Loading the formula spends from the time limit too, as it does
+        # in minimize; the search gets what the load left.
+        deadline = Deadline.after(time_limit)
         solver = self.preset.make_solver(formula.num_vars)
         if not solver.add_formula(formula):
             return SolveResult(UNSAT)
-        return solver.solve(time_limit=time_limit, should_stop=should_stop)
+        return solver.solve(time_limit=deadline.remaining(), should_stop=should_stop)
 
 
 class BranchAndBoundBackend(_OptimizeFlowBackend):
@@ -224,9 +218,16 @@ class BranchAndBoundBackend(_OptimizeFlowBackend):
     name = "cplex-bb"
     description = "LP-relaxation branch and bound standing in for CPLEX"
 
+    def run(self, problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
+        # repro.ilp loads numpy and scipy, which no other backend needs:
+        # imported on first use, but before the flow reads the budget, so
+        # a cold import (most of a second) spends from the run's deadline
+        # instead of overrunning it.
+        from ..ilp import branch_and_bound  # noqa: F401
+
+        return super().run(problem, config, ctx)
+
     def minimize(self, formula, time_limit, upper, lower, should_stop=None):
-        # Imported on first use: repro.ilp loads numpy and scipy, which
-        # no other backend needs.
         from ..ilp.branch_and_bound import BranchAndBoundSolver
 
         return BranchAndBoundSolver().optimize(
@@ -254,8 +255,8 @@ class CdclBackend(Backend):
 
     Both kinds start with the reduce stage
     (:func:`~repro.coloring.reduce.kernelize`), reported as the same
-    ``reduce`` StageStat and ``Result.pipeline`` the 0-1 ILP flow
-    reports.  A decision runs the shared per-component loop
+    ``reduce`` StageStat the 0-1 ILP flow reports.  A decision runs the
+    shared per-component loop
     (:func:`~repro.api.pipeline.run_reduced`) with one
     :func:`~repro.coloring.sat_pipeline.sat_k_colorable` call per kernel
     component.  A chromatic run kernelizes once and descends on that
@@ -285,10 +286,6 @@ class CdclBackend(Backend):
         )
 
     def run(self, problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
-        trivial = _trivial_result(problem.kind, problem.graph)
-        if trivial is not None:
-            return trivial
-        ctx = ctx.with_deadline(config.solve.time_limit)
         if problem.kind == DECISION:
             return self._decide(problem, config, ctx)
         return self._chromatic(problem, config, ctx)
@@ -334,12 +331,10 @@ class CdclBackend(Backend):
         strategy = config.solve.strategy or "linear"
         kernel = None
         stages: List[StageStat] = []
-        info = None
         if config.reduce.enabled:
             ctx.emit("reduce", "kernelizing (peel + component split)")
             kernel = kernelize(problem.graph)
-            reduce_stage, info = reduce_report(kernel, config)
-            stages.append(reduce_stage)
+            stages.append(reduce_report(kernel))
         ctx.emit("solve", f"{strategy} K descent ({self.name})")
 
         def on_query(k: int, status: str) -> None:
@@ -363,14 +358,13 @@ class CdclBackend(Backend):
             "solve", time.monotonic() - t0,
             {"strategy": strategy, "sat_calls": sat_result.sat_calls},
         ))
-        if info is not None and sat_result.coloring is not None:
-            info.components_solved = len(kernel.components)
+        if kernel is not None and sat_result.coloring is not None:
+            stages[0].details["components_solved"] = len(kernel.components)
         return Result(
             status=sat_result.status,
             num_colors=sat_result.chromatic_number,
             coloring=sat_result.coloring,
             stages=stages,
-            pipeline=info,
             stats=sat_result.stats,
             queries=list(sat_result.k_queries),
             solvers_created=sat_result.solvers_created,
@@ -394,9 +388,6 @@ class BruteForceBackend(Backend):
     sbp_kinds = ("none",)
 
     def run(self, problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
-        trivial = _trivial_result(problem.kind, problem.graph)
-        if trivial is not None:
-            return trivial
         if problem.kind == DECISION:
             status, coloring, seconds = self._decide_k(problem.graph, problem.k)
             return Result(
@@ -410,8 +401,7 @@ class BruteForceBackend(Backend):
         queries = []
         stages = []
         cap = problem.max_colors
-        if cap is not None and cap <= 0:
-            return _infeasible_budget(problem.graph, cap, config)
+        # A cap of zero asks no K at all: UNSAT.
         upper = problem.graph.num_vertices if cap is None else min(cap, problem.graph.num_vertices)
         solvers = 0
         for k in range(1, upper + 1):
@@ -438,9 +428,8 @@ class BruteForceBackend(Backend):
     @staticmethod
     def _decide_k(graph, k):
         t0 = time.monotonic()
-        if k <= 0:
-            status = UNSAT if graph.num_vertices else SAT
-            return status, ({} if not graph.num_vertices else None), time.monotonic() - t0
+        if k <= 0:  # the frame has answered the empty graph
+            return UNSAT, None, time.monotonic() - t0
         formula, x = encode_k_coloring_cnf(graph, k)
         if formula.num_vars > MAX_BRUTE_VARS:
             raise ValueError(
@@ -473,10 +462,6 @@ class ExactDSaturBackend(Backend):
     sbp_kinds = ("none",)
 
     def run(self, problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
-        trivial = _trivial_result(problem.kind, problem.graph)
-        if trivial is not None:
-            return trivial
-        ctx = ctx.with_deadline(config.solve.time_limit)
         decision = problem.kind == DECISION
         cap = problem.k if decision else problem.max_colors
 

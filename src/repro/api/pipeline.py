@@ -1,9 +1,16 @@
-"""The :class:`Pipeline` builder and the staged execution engine.
+"""The :class:`Pipeline` builder, the run frame and the staged engine.
 
 A pipeline is a validated :class:`~repro.api.config.PipelineConfig`
 plus a fluent builder over it: ``Pipeline().symmetry(sbp_kind="nu+sc")
 .solve(backend="pb-pbs2", time_limit=60).run(problem)``.  Every stage
 is explicit and individually configurable; the order is fixed.
+
+:func:`run_framed` is the frame every backend's answer is finished in:
+it answers the empty graph and seeds the run's one deadline, and its
+last step, :func:`finish`, checks the coloring, bounds a proved optimum
+and degrades an unproved one to ``FEASIBLE``.  :meth:`Pipeline.run`
+and every portfolio racer run in it; :class:`~repro.api.Session`
+finishes its answers with :func:`finish`.
 
 :func:`run_optimize_flow` is the staged interpreter behind every
 0-1-ILP backend: it executes ``reduce`` (kernelization + component
@@ -15,15 +22,14 @@ reduce stage, :func:`run_reduced`, is the one per-component loop: CDCL
 decisions run it too, with a CNF decision as the per-component solve,
 and so does ``exact-dsatur``, with one branch and bound per component.
 Every backend that kernelizes reports the kernel through
-:func:`reduce_report`.  :meth:`Pipeline.run` checks every coloring a
-backend returns, whichever backend it is.
+:func:`reduce_report`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, replace
+from typing import Any, Callable, Dict, List, Optional
 
 from ..coloring.encoding import (
     ColoringEncoding,
@@ -37,7 +43,8 @@ from ..graphs.coloring_heuristics import dsatur
 from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
-from ..sat.preprocessing import SimplifyStats, simplify_formula
+from ..resilience import Deadline
+from ..sat.preprocessing import simplify_formula
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT, SolverStats
 from ..sbp.lex_leader import add_symmetry_breaking_predicates
 from ..symmetry.detect import SymmetryReport, detect_symmetries
@@ -47,7 +54,6 @@ from .config import (
 )
 from .problems import DECISION, Problem
 from .results import (
-    PipelineInfo,
     ProgressEvent,
     Provenance,
     Result,
@@ -115,9 +121,10 @@ class Pipeline:
         stage transitions (and per K query where the backend supports
         it); ``cancel`` is a zero-argument predicate polled between
         stages and queries — when it turns true the run stops and the
-        best-so-far answer is returned with ``cancelled=True``.  A
-        returned coloring is checked against ``problem.graph``; an
-        improper one raises ``ValueError``.
+        best-so-far answer is returned with ``cancelled=True``.  The
+        backend runs in :func:`run_framed`, so a returned coloring is
+        checked against ``problem.graph``; an improper one raises
+        ``ValueError``.
         """
         from .backends import get_backend
 
@@ -127,22 +134,9 @@ class Pipeline:
             on_progress=on_progress,
             cancel=cancel,
             detection_cache=detection_cache,
-        ).with_deadline(self._config.solve.time_limit)
+        )
         ctx.emit("pipeline", f"{problem.kind} on backend {backend.name}")
-        result = backend.run(problem, self._config, ctx)
-        if result.coloring is not None:
-            check_proper(problem.graph, result.coloring)
-        if problem.kind != DECISION and result.status == OPTIMAL:
-            # A proved optimum is both bounds, whichever backend proved it.
-            result.lower_bound = result.upper_bound = result.num_colors
-        elif problem.kind != DECISION and result.status in (SAT, FEASIBLE):
-            # The optimization run produced a verified coloring but no
-            # optimality proof: budget ran out (or the caller cancelled)
-            # mid-descent.  Degrade, don't discard.
-            result.status = FEASIBLE
-            result.degraded = True
-            if result.upper_bound is None:
-                result.upper_bound = result.num_colors
+        result = run_framed(backend, problem, self._config, ctx)
         registry = get_registry()
         registry.inc("pipeline_runs_total",
                      backend=backend.name, status=result.status)
@@ -168,31 +162,50 @@ def solve_problem(problem: Problem, config: Optional[PipelineConfig] = None, **r
 
 
 # --------------------------------------------------------------------------
-# The staged interpreter behind the 0-1 ILP backends.
+# The frame every answer is finished in.
 # --------------------------------------------------------------------------
 
 
-def _trivial_result(problem_kind: str, graph: Graph) -> Optional[Result]:
-    """Empty-graph fast path shared by every flow (0 colors, optimal)."""
-    if graph.num_vertices:
-        return None
-    status = SAT if problem_kind == DECISION else OPTIMAL
-    return Result(status=status, num_colors=0, coloring={}, solvers_created=0)
+def run_framed(backend, problem: Problem, config: PipelineConfig,
+               ctx: RunContext) -> Result:
+    """Run ``backend`` on ``problem`` and :func:`finish` its answer.
+
+    The empty graph is answered here (0 colors, no solver).  Otherwise
+    ``ctx`` gets the run's one deadline, from ``config.solve.time_limit``:
+    every stage, component, K query and racer of the run spends from it.
+    """
+    if not problem.graph.num_vertices:
+        result = Result(status=SAT if problem.kind == DECISION else OPTIMAL,
+                        num_colors=0, coloring={})
+    else:
+        ctx = replace(ctx, deadline=Deadline.after(config.solve.time_limit))
+        result = backend.run(problem, config, ctx)
+    return finish(problem.graph, problem.kind != DECISION, result)
 
 
-def _infeasible_budget(graph: Graph, budget: int, config: PipelineConfig) -> Result:
-    """A zero/too-small color budget on a non-empty graph is UNSAT."""
-    info = PipelineInfo(
-        preprocess=config.simplify.enabled,
-        reduce=config.reduce.enabled,
-        original_vertices=graph.num_vertices,
-        kernel_vertices=graph.num_vertices,
-    )
-    return Result(status=UNSAT, pipeline=info)
+def finish(graph: Graph, optimizing: bool, result: Result) -> Result:
+    """Check and settle one answer on ``graph`` (the frame's last step).
+
+    A coloring must properly color ``graph`` (``ValueError`` otherwise).
+    When ``optimizing``, a proved optimum is both bounds, and a coloring
+    without an optimality proof (the budget ran out, or the caller
+    cancelled) degrades to ``FEASIBLE`` instead of being discarded.
+    """
+    if result.coloring is not None:
+        check_proper(graph, result.coloring)
+    if optimizing and result.status == OPTIMAL:
+        result.lower_bound = result.upper_bound = result.num_colors
+    elif optimizing and result.status in (SAT, FEASIBLE):
+        result.status = FEASIBLE
+        result.degraded = True
+        if result.upper_bound is None:
+            result.upper_bound = result.num_colors
+    return result
 
 
-def _cancelled_result(stages: List[StageStat], info: PipelineInfo) -> Result:
-    return Result(status=UNKNOWN, stages=stages, pipeline=info, cancelled=True)
+# --------------------------------------------------------------------------
+# The staged interpreter behind the 0-1 ILP backends.
+# --------------------------------------------------------------------------
 
 
 def _detection_key(graph: Graph, budget: int, sbp_kind: str,
@@ -270,10 +283,7 @@ def run_optimize_flow(
     only, no objective tightening).
     """
     if budget <= 0:
-        return _infeasible_budget(graph, budget, config)
-    # Entered outside Pipeline.run (a backend called directly), the run
-    # deadline is seeded here so all components and stages share it.
-    ctx = ctx.with_deadline(config.solve.time_limit)
+        return Result(status=UNSAT)  # no colors for a non-empty graph
 
     def solve(sub: Graph) -> Result:
         return _run_formula_stages(sub, budget, config, ctx, engine, decision)
@@ -283,30 +293,25 @@ def run_optimize_flow(
     return solve(graph)
 
 
-def reduce_report(kernel: Kernel, config: PipelineConfig) -> Tuple[StageStat, PipelineInfo]:
-    """The ``reduce`` StageStat and the ``Result.pipeline`` of a kernel.
+def reduce_report(kernel: Kernel) -> StageStat:
+    """The ``reduce`` StageStat of a kernel.
 
     Every backend that kernelizes reports through here, so a CDCL run
     and a 0-1 ILP run of the same problem describe the same kernel the
-    same way.  An infeasible kernel (clique bound above the budget)
-    reports only its clique bound.
+    same way.  ``components_solved`` starts at 0 and counts the kernel
+    components that came back with a coloring.  An infeasible kernel
+    (clique bound above the budget) reports only its clique bound.
     """
-    n = kernel.source.num_vertices
-    info = PipelineInfo(
-        preprocess=config.simplify.enabled,
-        reduce=True,
-        original_vertices=n,
-        kernel_vertices=kernel.graph.num_vertices,
-    )
     details: Dict[str, Any] = {"clique_bound": kernel.clique_bound}
     if not kernel.infeasible:
-        info.peeled_vertices = n - kernel.graph.num_vertices
+        kept = kernel.graph.num_vertices
         details.update(
-            kernel_vertices=info.kernel_vertices,
-            peeled_vertices=info.peeled_vertices,
+            kernel_vertices=kept,
+            peeled_vertices=kernel.source.num_vertices - kept,
             components=len(kernel.components),
+            components_solved=0,
         )
-    return StageStat("reduce", kernel.seconds, details), info
+    return StageStat("reduce", kernel.seconds, details)
 
 
 def run_reduced(
@@ -332,24 +337,20 @@ def run_reduced(
     """
     ctx.emit("reduce", "kernelizing (peel + component split)")
     kernel = kernelize(graph, budget, decision)
-    reduce_stage, info = reduce_report(kernel, config)
+    reduce_stage = reduce_report(kernel)
     stages: List[StageStat] = [reduce_stage]
     if kernel.infeasible:
-        return Result(status=UNSAT, stages=stages, pipeline=info)
+        return Result(status=UNSAT, stages=stages)
 
-    merged = Result(status=OPTIMAL, stages=stages, pipeline=info)
+    merged = Result(status=OPTIMAL, stages=stages)
     parts = []
     for component in kernel.components:
         if ctx.cancelled():
-            return _cancelled_result(stages, info)
+            return Result(status=UNKNOWN, stages=stages, cancelled=True)
         result = solve(kernel.graph.subgraph(component))
         _merge_stages(stages, result.stages)
         merged.stats.merge(result.stats)
         merged.solvers_created += result.solvers_created
-        if result.pipeline is not None and result.pipeline.simplify is not None:
-            if info.simplify is None:
-                info.simplify = SimplifyStats()
-            info.simplify.merge(result.pipeline.simplify)
         if merged.detection is None:
             merged.detection = result.detection
         if result.status in (UNSAT, UNKNOWN):
@@ -359,19 +360,15 @@ def run_reduced(
         if result.status == SAT and not decision:
             merged.status = SAT  # feasible but optimality not proved
         merged.cancelled = merged.cancelled or result.cancelled
-        info.components_solved += 1
+        reduce_stage.details["components_solved"] += 1
         parts.append((component, result.coloring))
     coloring = lift(kernel, parts)
     if decision and merged.status == OPTIMAL:
         merged.status = SAT
     merged.num_colors = len(set(coloring.values()))
     merged.coloring = coloring
-    if not decision:
-        merged.upper_bound = merged.num_colors
-        merged.lower_bound = (
-            merged.num_colors if merged.status == OPTIMAL
-            else max(kernel.clique_bound, 1)
-        )
+    if not decision and merged.status != OPTIMAL:
+        merged.lower_bound = max(kernel.clique_bound, 1)  # the frame bounds an optimum
     return merged
 
 
@@ -412,11 +409,6 @@ def _run_formula_stages(
 ) -> Result:
     """Encode, then run sbp, simplify and detect, then solve."""
     stages: List[StageStat] = []
-    info = PipelineInfo(
-        preprocess=config.simplify.enabled,
-        original_vertices=graph.num_vertices,
-        kernel_vertices=graph.num_vertices,
-    )
     sym = config.symmetry
     deadline = ctx.deadline
     budget_left = deadline.remaining()
@@ -442,7 +434,7 @@ def _run_formula_stages(
     simplified_ran = False
     for stage_name in ("sbp", "simplify", "detect"):
         if ctx.cancelled():
-            return _cancelled_result(stages, info)
+            return Result(status=UNKNOWN, stages=stages, cancelled=True)
         if prep_deadline.expired():
             ctx.emit(stage_name, "skipped: preparation budget exhausted")
             stages.append(StageStat(stage_name, 0.0, {"skipped": "budget"}))
@@ -468,23 +460,14 @@ def _run_formula_stages(
             if config.simplify.enabled:
                 ctx.emit("simplify", "simplifying the clause database")
                 simplified, sstats = simplify_formula(formula, deadline=prep_deadline)
-                info.simplify = sstats
                 simplified_ran = True
                 stages.append(
-                    StageStat(
-                        "simplify",
-                        time.monotonic() - t0,
-                        {"clauses_before": sstats.clauses_before,
-                         "clauses_after": sstats.clauses_after},
-                    )
+                    StageStat("simplify", time.monotonic() - t0, asdict(sstats))
                 )
                 if simplified is None:
                     # The clause database alone is contradictory (e.g.
                     # SBPs colliding with a too-small budget).
-                    return Result(
-                        status=UNSAT, stages=stages, pipeline=info,
-                        detection=detection,
-                    )
+                    return Result(status=UNSAT, stages=stages, detection=detection)
                 formula = simplified
         elif stage_name == "detect":
             if sym.instance_dependent:
@@ -512,7 +495,7 @@ def _run_formula_stages(
                 )
 
     if ctx.cancelled():
-        return _cancelled_result(stages, info)
+        return Result(status=UNKNOWN, stages=stages, cancelled=True)
 
     upper = None
     lower = 0
@@ -533,7 +516,7 @@ def _run_formula_stages(
         stages.append(StageStat("solve", seconds, {"status": solve_result.status}))
         packaged = _package(
             encoding, solve_result.status, solve_result.model,
-            solve_result.stats, stages, info, detection,
+            solve_result.stats, stages, detection,
         )
         if packaged.status == UNKNOWN and ctx.cancelled():
             packaged.cancelled = True
@@ -545,13 +528,10 @@ def _run_formula_stages(
     stages.append(StageStat("solve", seconds, {"status": opt_result.status}))
     packaged = _package(
         encoding, opt_result.status, opt_result.best_model, opt_result.stats,
-        stages, info, detection, value=opt_result.best_value,
+        stages, detection, value=opt_result.best_value,
     )
-    packaged.upper_bound = packaged.num_colors
-    if packaged.status == OPTIMAL:
-        packaged.lower_bound = packaged.num_colors
-    elif lower > 0:
-        packaged.lower_bound = lower
+    if packaged.status != OPTIMAL and lower > 0:
+        packaged.lower_bound = lower  # the frame bounds an optimum
     # A stop that fired inside the minimize loop surfaces as a
     # best-so-far SAT/UNKNOWN; stamp it so callers can tell a cancelled
     # descent from a naturally unproved one.
@@ -566,18 +546,17 @@ def _package(
     model: Optional[Dict[int, bool]],
     stats: SolverStats,
     stages: List[StageStat],
-    info: PipelineInfo,
     detection: Optional[SymmetryReport],
     value: Optional[int] = None,
 ) -> Result:
-    """Decode, check and wrap the solve stage's model (``None``: no
-    coloring).  ``value`` is the objective value the solver reported
-    for it, which must be the decoded coloring's color count."""
+    """Decode and wrap the solve stage's model (``None``: no coloring).
+    ``value`` is the objective value the solver reported for it, which
+    must be the decoded coloring's color count; the frame checks the
+    coloring itself."""
     coloring = None
     num_colors = None
     if model is not None:
         coloring = decode_coloring(encoding, model)
-        check_proper(encoding.graph, coloring)
         num_colors = len(set(coloring.values()))
         if value is not None and num_colors != value:
             raise AssertionError(
@@ -589,7 +568,6 @@ def _package(
         num_colors=num_colors,
         coloring=coloring,
         stages=stages,
-        pipeline=info,
         detection=detection,
         stats=stats,
         solvers_created=1,
@@ -606,7 +584,7 @@ def run_chromatic_via_budget(
     """Chromatic number through the budgeted-optimize flow.
 
     Picks the budget K from the DSATUR upper bound (which always
-    suffices), capped by ``max_colors``.  The caller has answered the
+    suffices), capped by ``max_colors``.  The frame has answered the
     empty graph; a cap of zero then reaches :func:`run_optimize_flow`
     as a zero budget, which is UNSAT.
     """

@@ -16,12 +16,15 @@ racer publishes the bounds it proves to a queue (a SAT coloring at K is
 folds them into shared ``ub``/``lb`` values that racers poll in their
 cancel predicates, so the race also ends when the *combined* bounds
 meet — even if no single racer proved both sides.  Every racer runs its
-backend's ``run()``, exactly as a direct run would.  A racer publishes
-per K query from its ``query`` progress events, which the ``cdcl-*``
-descents emit for every answered query (they ask the kernel only at
-K no lower than the clique bound it was peeled at, so a SAT answer
-lifts to a K-coloring of the whole graph and an UNSAT answer refutes K
-for it), and every racer publishes its final bounds when it returns.
+backend in the frame a direct run uses
+(:func:`~repro.api.pipeline.run_framed`); a racer whose coloring fails
+the frame's check ends with an error, and the race goes on without it.
+A racer publishes per K query from its ``query`` progress events,
+which the ``cdcl-*`` descents emit for every answered query (they ask
+the kernel only at K no lower than the clique bound it was peeled at,
+so a SAT answer lifts to a K-coloring of the whole graph and an UNSAT
+answer refutes K for it), and every racer publishes its final bounds
+when it returns.
 
 A dying racer is retried once (:class:`~repro.resilience.RetryPolicy`
 classifies a death as transient), then dropped — the race continues
@@ -40,7 +43,6 @@ import queue as queue_mod
 import time
 from typing import Dict, Optional, Tuple
 
-from ..coloring.verify import check_proper
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from ..resilience import Deadline, RetryPolicy, Worker, wait_any
@@ -48,6 +50,7 @@ from ..resilience.faults import fire as _fire_fault
 from ..sat.result import OPTIMAL, SAT, UNKNOWN, UNSAT
 from .backends import Backend, get_backend, resolve_backend_name
 from .config import PipelineConfig
+from .pipeline import run_framed
 from .problems import CHROMATIC, DECISION, ChromaticProblem, DecisionProblem, Problem
 from .results import ProgressEvent, Result, RunContext, StageStat
 
@@ -104,8 +107,9 @@ def _run_racer(payload, stop_event, ub_val, lb_val, publish) -> Result:
         problem: Problem = DecisionProblem(payload["graph"], payload["k"])
     else:
         problem = ChromaticProblem(payload["graph"], payload["max_colors"])
-    result = backend.run(
-        problem, config, RunContext(on_progress=on_progress, cancel=cancelled))
+    result = run_framed(
+        backend, problem, config,
+        RunContext(on_progress=on_progress, cancel=cancelled))
     if kind == CHROMATIC:
         if result.feasible and result.num_colors is not None:
             send("ub", result.num_colors)
@@ -154,11 +158,6 @@ class PortfolioBackend(Backend):
 
     def run(self, problem: Problem, config: PipelineConfig,
             ctx: RunContext) -> Result:
-        from .pipeline import _trivial_result
-
-        trivial = _trivial_result(problem.kind, problem.graph)
-        if trivial is not None:
-            return trivial
         return _race(problem, config, ctx)
 
 
@@ -181,7 +180,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     specs = tuple(config.solve.racers)
     parsed = [parse_racer(spec) for spec in specs]
     # The run's one deadline bounds every racer, a relaunched one too.
-    ctx = ctx.with_deadline(config.solve.time_limit)
     deadline = ctx.deadline
     mp_ctx = multiprocessing.get_context()
     stop_event = mp_ctx.Event()
@@ -328,11 +326,11 @@ def _settle_race(problem, results: Dict[int, Result],
                  ctx: RunContext) -> Result:
     """The race's merged answer: the winner's, or the best of the field.
 
-    Without an individually conclusive winner, the best *verified*
-    coloring across the field wins — upgraded to OPTIMAL when the
-    combined published bounds met at its color count (one racer proved
-    the coloring, another refuted the color count below it: together
-    they are a proof neither had alone).
+    Without an individually conclusive winner, the best coloring across
+    the field wins (each racer's frame checked its own) — upgraded to
+    OPTIMAL when the combined published bounds met at its color count
+    (one racer proved the coloring, another refuted the color count
+    below it: together they are a proof neither had alone).
     """
     if winner_index is not None:
         return results[winner_index]
@@ -355,10 +353,7 @@ def _settle_race(problem, results: Dict[int, Result],
         )
     if problem.kind == CHROMATIC and lb is not None \
             and best.num_colors is not None and lb >= best.num_colors:
-        check_proper(problem.graph, best.coloring)
-        best.status = OPTIMAL
-        best.lower_bound = best.num_colors
-        best.upper_bound = best.num_colors
+        best.status = OPTIMAL  # the frame gives it its bounds
         best.degraded = False
         best.cancelled = False
     return best

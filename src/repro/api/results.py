@@ -5,24 +5,28 @@ Every query — whatever the problem kind or backend — returns one
 trace (:class:`StageStat`, in execution order, with wall seconds and
 stage-specific details), aggregated solver statistics, the K-query
 trace of descent-style searches, and :class:`Provenance` recording
-exactly which problem, backend and configuration produced it.
+exactly which problem, backend and configuration produced it.  The
+stage trace is a run's only per-layer account: the kernel a ``reduce``
+stage found, what ``simplify`` did to the clause database and what
+``detect`` found are all stage details (``docs/observability.md``
+lists them), and the stage switches are ``provenance.config``.
 
 :class:`RunContext` is the side-channel a run carries: the progress
 callback (:class:`ProgressEvent` per stage transition / K query), the
 cancellation predicate (checked between stages and between queries —
 a cancelled run returns its best-so-far answer with ``cancelled=True``
-rather than raising), and the shared symmetry-detection cache.
+rather than raising), the run's one deadline and the shared
+symmetry-detection cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.hooks import active_tracer
 from ..resilience import Deadline
 from ..resilience.faults import fire as _fire_fault
-from ..sat.preprocessing import SimplifyStats
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNSAT, SolverStats
 from ..symmetry.detect import SymmetryReport
 
@@ -34,19 +38,6 @@ class StageStat:
     name: str
     seconds: float = 0.0
     details: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class PipelineInfo:
-    """What the simplification stages did during one solve."""
-
-    preprocess: bool = False
-    reduce: bool = False
-    simplify: Optional[SimplifyStats] = None
-    original_vertices: int = 0
-    kernel_vertices: int = 0
-    peeled_vertices: int = 0
-    components_solved: int = 0
 
 
 @dataclass
@@ -64,10 +55,11 @@ class RunContext:
     """Per-run side channel: progress, cancellation, budget, caches.
 
     ``deadline`` is the run's :class:`~repro.resilience.Deadline`
-    (unbounded by default); :meth:`with_deadline` seeds it from the
-    configured time limit and every stage checks it instead of
-    re-deriving elapsed-time arithmetic.  ``emit`` doubles as the fault
-    harness's ``stage:<name>`` injection point.
+    (unbounded by default).  The frame every run passes through
+    (:func:`repro.api.pipeline.run_framed`) seeds it once from the
+    configured time limit, and every stage, component and query spends
+    from it instead of re-deriving elapsed-time arithmetic.  ``emit``
+    doubles as the fault harness's ``stage:<name>`` injection point.
     """
 
     on_progress: Optional[Callable[[ProgressEvent], None]] = None
@@ -93,18 +85,6 @@ class RunContext:
     def cancelled(self) -> bool:
         """True when the caller has requested cancellation."""
         return bool(self.cancel and self.cancel())
-
-    def with_deadline(self, time_limit: Optional[float]) -> "RunContext":
-        """This context, its deadline seeded from ``time_limit``.
-
-        ``Pipeline.run`` seeds the run's deadline here once; a backend
-        entered directly (portfolio racers pass a bare context) seeds it
-        on entry, so every stage spends from one budget.  A context
-        that already carries a bounded deadline comes back unchanged.
-        """
-        if self.deadline.bounded or time_limit is None:
-            return self
-        return replace(self, deadline=Deadline.after(time_limit))
 
 
 @dataclass
@@ -140,7 +120,6 @@ class Result:
     num_colors: Optional[int] = None
     coloring: Optional[Dict[int, int]] = None
     stages: List[StageStat] = field(default_factory=list)
-    pipeline: Optional[PipelineInfo] = None
     detection: Optional[SymmetryReport] = None
     stats: SolverStats = field(default_factory=SolverStats)
     # (k, status) trace of descent-style searches, in query order.

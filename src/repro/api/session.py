@@ -15,7 +15,8 @@ pipeline's reduce stage answers it.  The first query between the two
 builds the solver, encoded once at the DSATUR bound — the oracle the
 ``cdcl-incremental`` descent runs — and every later query, in any
 order, is an assumption query on it, so the encoding never has to
-grow.
+grow.  Every answer is finished as a pipeline run's is, by
+:func:`~repro.api.pipeline.finish`.
 
 Progress callbacks fire per query; the cancellation predicate is
 polled between queries *and inside each query* (every few dozen
@@ -32,7 +33,6 @@ from typing import Callable, List, Optional, Tuple
 
 from ..coloring.descent import Answer, descend
 from ..coloring.sat_pipeline import CNF_SBP_KINDS, IncrementalKSearch
-from ..coloring.verify import check_proper
 from ..graphs.cliques import clique_lower_bound
 from ..graphs.coloring_heuristics import dsatur
 from ..graphs.graph import Graph
@@ -41,6 +41,7 @@ from ..obs.metrics import get_registry
 from ..resilience import Deadline
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNKNOWN, UNSAT, SolverStats
 from .config import PipelineConfig
+from .pipeline import finish
 from .results import ProgressEvent, Result, RunContext, StageStat
 
 
@@ -190,11 +191,9 @@ class Session:
             return self._result(UNKNOWN, None, time.monotonic() - t0,
                                 cancelled=True)
         status, coloring, _ = self._solve_k(k, deadline)
-        if coloring is not None:
-            check_proper(self.graph, coloring)
-        return self._result(status, coloring, time.monotonic() - t0,
-                            queries=[(k, status)],
-                            cancelled=status == UNKNOWN and self._ctx.cancelled())
+        return finish(self.graph, False, self._result(
+            status, coloring, time.monotonic() - t0, queries=[(k, status)],
+            cancelled=status == UNKNOWN and self._ctx.cancelled()))
 
     def chromatic(
         self,
@@ -217,7 +216,8 @@ class Session:
             time_limit = self.config.solve.time_limit
         deadline = Deadline.after(time_limit)
         if self.graph.num_vertices == 0:
-            return self._result(OPTIMAL, {}, time.monotonic() - t0)
+            return finish(self.graph, True,
+                          self._result(OPTIMAL, {}, time.monotonic() - t0))
         outcome = descend(
             self._solve_k,
             dict(self._heuristic),
@@ -229,23 +229,19 @@ class Session:
             where="session",
         )
         status, coloring = outcome.status, outcome.coloring
-        cancelled = status not in (OPTIMAL, UNSAT) and self._ctx.cancelled()
+        result = self._result(
+            status, coloring, time.monotonic() - t0, queries=outcome.queries,
+            cancelled=status not in (OPTIMAL, UNSAT) and self._ctx.cancelled())
+        if coloring:
+            result.lower_bound = outcome.lower_bound
         # A descent stopped by its budget (or a cancel) before the bounds
-        # met degrades to FEASIBLE: the best-so-far coloring, re-verified
-        # here, with whatever bounds were proved.  Degradation weakens
+        # met degrades to FEASIBLE: the best-so-far coloring, verified,
+        # with whatever bounds were proved.  Degradation weakens
         # optimality, never correctness.
-        degraded = status == SAT
-        if degraded:
-            status = FEASIBLE
+        finish(self.graph, True, result)
+        if result.degraded:
             tracer = active_tracer()
             if tracer is not None:
                 tracer.degraded("session", FEASIBLE)
             get_registry().inc("session_degraded_total")
-        result = self._result(status, coloring, time.monotonic() - t0,
-                              queries=outcome.queries, cancelled=cancelled)
-        result.degraded = degraded
-        if coloring:
-            check_proper(self.graph, coloring)
-            result.upper_bound = len(set(coloring.values()))
-            result.lower_bound = outcome.lower_bound
         return result

@@ -250,15 +250,18 @@ def table5(scale: ScalePreset, verbose: bool = False, jobs: int = 0) -> List[Run
 
 
 def render_table5(records: Sequence, time_limit: float) -> str:
-    """ASCII rendering in the paper's Table 5 (Appendix) layout."""
-    lines = [f"{'Instance':11s} {'SBP':8s} " + " ".join(
-        f"{'[' + s + ' o/w]':>17s}" for s in ("pbs2", "galena", "pueblo", "cplex-bb"))]
+    """ASCII rendering in the paper's Table 5 (Appendix) layout.
+
+    One column per solver in the records, in record order.
+    """
     by_key: Dict[Tuple[str, str], Dict[Tuple[str, bool], object]] = {}
     solvers_seen = []
     for r in records:
         by_key.setdefault((r.instance, r.sbp_kind), {})[(r.solver, r.instance_dependent)] = r
         if r.solver not in solvers_seen:
             solvers_seen.append(r.solver)
+    lines = [f"{'Instance':11s} {'SBP':8s} " + "".join(
+        f"{'[' + s + ' o/w]':>18s}" for s in solvers_seen)]
     for (instance, sbp), cells in by_key.items():
         line = f"{instance:11s} {SBP_LABEL[sbp]:8s} "
         for solver in solvers_seen:

@@ -83,12 +83,6 @@ def formula_to_ilp(formula: Formula) -> ILPModel:
     return ILPModel(n, a_ub, b_ub, c, offset, sense)
 
 
-def model_objective_value(model: ILPModel, x: np.ndarray) -> float:
-    """Objective value of a (possibly fractional) point, in formula terms."""
-    raw = float(model.c @ x) + model.objective_offset
-    return raw if model.sense == "min" else -raw + 2 * model.objective_offset
-
-
 def assignment_from_point(x: np.ndarray) -> dict:
     """Round an integral LP point to a variable assignment."""
     return {v + 1: bool(round(val)) for v, val in enumerate(x)}

@@ -152,10 +152,6 @@ class TraceWriter:
         self._fh.write(encode_uvarint(event) + encode_uvarint(dt if dt > 0 else 0)
                        + encode_uvarint(len(payload)) + payload)
 
-    def emit_record(self, record: TraceRecord) -> None:
-        """Append a pre-built record verbatim (re-encode/repair tooling)."""
-        self._fh.write(record.encode())
-
     def close(self) -> None:
         """Flush, and close the file only if this writer opened it."""
         self._fh.flush()

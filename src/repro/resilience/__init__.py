@@ -38,7 +38,6 @@ from .faults import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    active_plan,
     clear_faults,
     fire,
     install_env_faults,
@@ -57,7 +56,6 @@ __all__ = [
     "FaultSpec",
     "RetryPolicy",
     "Worker",
-    "active_plan",
     "append_record",
     "clear_faults",
     "corrupt_tail",

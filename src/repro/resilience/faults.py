@@ -141,10 +141,6 @@ _active: Optional[FaultPlan] = None
 _previous_factory: Optional[Callable[..., Any]] = None
 
 
-def active_plan() -> Optional[FaultPlan]:
-    return _active
-
-
 def fire(point: str, detail: str = "") -> None:
     """Injection-point hook: free when no plan is installed."""
     if _active is not None:

@@ -35,18 +35,6 @@ TRANSIENT_OUTCOMES = frozenset({"died"})
 #: promotes immediately; "ok" never promotes).
 PROMOTABLE_OUTCOMES = frozenset({"timeout", "inconclusive", "error", "died"})
 
-#: Exception types that plausibly vanish on retry (resource pressure,
-#: torn pipes) vs. everything else, which is treated as deterministic.
-TRANSIENT_EXCEPTIONS = (
-    BrokenPipeError,
-    ConnectionError,
-    EOFError,
-    InterruptedError,
-    MemoryError,
-    TimeoutError,
-)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retry budget + backoff schedule + failure classification.
@@ -77,11 +65,6 @@ class RetryPolicy:
     def classify(self, outcome: str) -> str:
         """``"transient"`` (retryable) or ``"fatal"`` (deterministic)."""
         return "transient" if outcome in TRANSIENT_OUTCOMES else "fatal"
-
-    def classify_exception(self, exc: BaseException) -> str:
-        return (
-            "transient" if isinstance(exc, TRANSIENT_EXCEPTIONS) else "fatal"
-        )
 
     def should_retry(self, outcome: str, retries_used: int) -> bool:
         """Retry the same backend?  Transient failures only, bounded."""

@@ -485,7 +485,11 @@ def preprocess(
 
 @dataclass
 class SimplifyStats:
-    """What :func:`simplify_formula` did to the clause database."""
+    """What :func:`simplify_formula` did to the clause database.
+
+    The pipeline's ``simplify`` stage reports every field as a stage
+    detail, summed over the kernel components of a run.
+    """
 
     clauses_before: int = 0
     clauses_after: int = 0
@@ -496,18 +500,6 @@ class SimplifyStats:
     strengthened: int = 0
     pb_tightened: int = 0
     pb_satisfied: int = 0
-
-    def merge(self, other: "SimplifyStats") -> None:
-        """Accumulate another run's counters (clause totals included)."""
-        self.clauses_before += other.clauses_before
-        self.clauses_after += other.clauses_after
-        self.tautologies_removed += other.tautologies_removed
-        self.duplicates_removed += other.duplicates_removed
-        self.units_propagated += other.units_propagated
-        self.subsumed += other.subsumed
-        self.strengthened += other.strengthened
-        self.pb_tightened += other.pb_tightened
-        self.pb_satisfied += other.pb_satisfied
 
 
 def substitute_forced_into_pb(

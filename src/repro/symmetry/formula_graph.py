@@ -57,10 +57,6 @@ class FormulaGraph:
     colors: List[int]
     num_literal_vertices: int  # literal vertices are 0 .. this-1
 
-    def literal_vertex(self, lit: int) -> int:
-        """Graph vertex of a literal (uses the dense literal index)."""
-        return lit_index(lit)
-
 
 def build_formula_graph(formula: Formula) -> FormulaGraph:
     """Construct the colored symmetry graph of a formula."""

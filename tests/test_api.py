@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -43,6 +44,8 @@ from repro.experiments.instances import get_instance
 from repro.graphs.generators import book_graph, mycielski_graph, queens_graph
 from repro.graphs.graph import Graph, disjoint_union
 from repro.obs import scoped_registry
+from repro.sat.preprocessing import simplify_formula
+from repro.sbp.instance_independent import apply_sbp
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -242,10 +245,17 @@ def test_cdcl_runs_report_the_reduce_stage(backend, graph):
     assert run.stages[0].name == ilp.stages[0].name == "reduce"
     assert run.stages[0].details == ilp.stages[0].details
     assert set(run.stages[0].details) == {
-        "clique_bound", "kernel_vertices", "peeled_vertices", "components"}
-    for field in ("reduce", "original_vertices", "kernel_vertices",
-                  "peeled_vertices", "components_solved"):
-        assert getattr(run.pipeline, field) == getattr(ilp.pipeline, field), field
+        "clique_bound", "kernel_vertices", "peeled_vertices", "components",
+        "components_solved"}
+    assert run.provenance.config["reduce"] == ilp.provenance.config["reduce"]
+    for result in (run, ilp):
+        details = result.stage("reduce").details
+        # The input graph is the kernel plus the peeled vertices, and an
+        # optimum solved every kernel component.
+        assert details["kernel_vertices"] + details["peeled_vertices"] == graph.num_vertices
+        assert details["components_solved"] == details["components"]
+    for field in ("kernel_vertices", "peeled_vertices", "components_solved"):
+        assert run.stage("reduce").details[field] == ilp.stage("reduce").details[field], field
 
 
 @pytest.mark.parametrize("graph,k,solvers", [
@@ -305,7 +315,7 @@ def test_result_stages_and_provenance():
     names = [s.name for s in result.stages]
     assert names == ["reduce", "encode", "sbp", "simplify", "solve"]
     assert result.total_seconds >= result.solve_seconds >= 0
-    assert result.pipeline.preprocess
+    assert result.provenance.config["simplify"]
     prov = result.provenance
     assert prov.problem == "budgeted-optimize"
     assert prov.backend == "pb-pbs2"
@@ -315,12 +325,12 @@ def test_result_stages_and_provenance():
     peeled = pipeline.run(BudgetedOptimize(TRIANGLE_PLUS, 4))
     assert peeled.status == "OPTIMAL" and peeled.num_colors == 3
     assert [s.name for s in peeled.stages] == ["reduce"]
-    assert peeled.pipeline.peeled_vertices == 4
+    assert peeled.stage("reduce").details["peeled_vertices"] == 4
 
 
 def test_a_multi_component_run_describes_every_component_in_its_stages():
     # The kernel has two components; the integer stage details add up
-    # over both, as Result.pipeline.simplify does.
+    # over both.
     graph = disjoint_union(get_instance("myciel4").graph(),
                            get_instance("queen5_5").graph())
     result = (Pipeline().symmetry(sbp_kind="nu+sc")
@@ -336,10 +346,15 @@ def test_a_multi_component_run_describes_every_component_in_its_stages():
         "clauses": sum(f.num_clauses for f in formulas),
         "pb": sum(f.num_pb for f in formulas),
     }
-    simplify = result.stage("simplify").details
-    assert (simplify["clauses_before"], simplify["clauses_after"]) == (
-        result.pipeline.simplify.clauses_before,
-        result.pipeline.simplify.clauses_after)
+    # Every SimplifyStats field, summed over what simplifying each
+    # component's formula does.
+    simplified = [
+        simplify_formula(apply_sbp(encode_coloring(
+            kernel.graph.subgraph(c), 8), "nu+sc").formula)[1]
+        for c in kernel.components]
+    assert result.stage("simplify").details == {
+        field: sum(getattr(stats, field) for stats in simplified)
+        for field in asdict(simplified[0])}
     assert result.stage("sbp").details == {"kind": "nu+sc"}
 
 

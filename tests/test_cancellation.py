@@ -12,6 +12,11 @@ layer's hard kill.  The batch layer's timeout -> fallback-promotion
 path on top of this plumbing is covered in ``tests/test_batch.py``.
 """
 
+import json
+import os
+import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -130,24 +135,65 @@ def test_pipeline_time_limit_chromatic_gives_unproved_bound():
 
 
 QUEENS9 = queens_graph(9, 9)  # chi = 10: no run below finishes in 2 s
+C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)], name="C5")
 
 LIMITED_PROBLEMS = {
     "decision-9": DecisionProblem(QUEENS9, 9),
     "chromatic": ChromaticProblem(QUEENS9),
     "chromatic-cap-11": ChromaticProblem(QUEENS9, max_colors=11),
     "budgeted-11": BudgetedOptimize(QUEENS9, 11),
+    # brute enumerates every assignment: a tiny graph, answered at once.
+    "C5-decision-3": DecisionProblem(C5, 3),
+    "C5-chromatic": ChromaticProblem(C5),
+    "C5-chromatic-cap-4": ChromaticProblem(C5, max_colors=4),
 }
 CNF_KINDS = ("decision-9", "chromatic", "chromatic-cap-11")
+ALL_KINDS = CNF_KINDS + ("budgeted-11",)
 LIMITED_RUNS = [
     (backend, kind)
     for backend, kinds in (
         ("cdcl-incremental", CNF_KINDS),
         ("cdcl-scratch", CNF_KINDS),
-        ("pb-pbs2", CNF_KINDS + ("budgeted-11",)),
+        ("pb-pbs2", ALL_KINDS),
         ("exact-dsatur", CNF_KINDS),
+        ("pb-galena", ALL_KINDS),
+        ("pb-pueblo", ALL_KINDS),
+        ("cplex-bb", ALL_KINDS),
+        ("portfolio", CNF_KINDS),
+        ("brute", ("C5-decision-3", "C5-chromatic", "C5-chromatic-cap-4")),
     )
     for kind in kinds
 ]
+
+# cplex-bb's run is its first in a fresh interpreter: that run imports
+# numpy and scipy (most of a second), and the limit must cover it.
+_FIRST_RUN = """
+import json, pickle, sys, time
+from repro.api import Pipeline
+problem = pickle.load(sys.stdin.buffer)
+assert not {"numpy", "scipy"} & set(sys.modules)
+start = time.monotonic()
+result = Pipeline().solve(backend=sys.argv[1], time_limit=2).run(problem)
+print(json.dumps([time.monotonic() - start, result.status, result.queries,
+                  result.solvers_created]))
+"""
+
+
+def _run_on_a_2s_limit(backend, problem):
+    """(wall seconds, status, queries, solvers created) of one run."""
+    if backend != "cplex-bb":
+        start = time.monotonic()
+        result = Pipeline().solve(backend=backend, time_limit=2).run(problem)
+        return (time.monotonic() - start, result.status, result.queries,
+                result.solvers_created)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _FIRST_RUN, backend],
+                          input=pickle.dumps(problem), capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return tuple(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize("backend,kind", LIMITED_RUNS,
@@ -155,18 +201,17 @@ LIMITED_RUNS = [
 def test_cdcl_runs_hold_their_time_limit(backend, kind):
     # One Deadline bounds the whole run: kernelization, encoding,
     # preprocessing, the cap query and every K query spend from it —
-    # on the CNF backends, the 0-1 ILP flow and the DSATUR search alike.
+    # on the CNF backends, the 0-1 ILP flow, the DSATUR search and the
+    # portfolio's racers alike.
     problem = LIMITED_PROBLEMS[kind]
-    start = time.monotonic()
-    result = Pipeline().solve(backend=backend, time_limit=2).run(problem)
-    elapsed = time.monotonic() - start
+    elapsed, status, queries, solvers = _run_on_a_2s_limit(backend, problem)
     assert elapsed <= 2.4, f"{backend} took {elapsed:.2f}s on a 2s limit"
-    assert result.status in ("SAT", "UNKNOWN", "FEASIBLE", "OPTIMAL")
+    assert status in ("SAT", "UNKNOWN", "FEASIBLE", "OPTIMAL")
     if getattr(problem, "max_colors", None) is not None:
         # The cap query seeds the descent: no K above the cap is asked.
-        assert all(k <= problem.max_colors for k, _ in result.queries)
+        assert all(k <= problem.max_colors for k, _ in queries)
     if backend == "cdcl-incremental":
-        assert result.solvers_created <= 1
+        assert solvers <= 1
 
 
 def _detecting_pipeline(time_limit, **symmetry):

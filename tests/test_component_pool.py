@@ -149,7 +149,7 @@ def test_pool_unsat_early_exit_skips_later_components():
         assert result.stages[0].details["components"] == 2
         if backend != "cdcl-incremental":
             # myciel3 is refuted first; the wheel never starts.
-            assert result.pipeline.components_solved == 0
+            assert result.stages[0].details["components_solved"] == 0
 
 
 def test_connected_kernel_falls_back_to_whole_kernel_descent():

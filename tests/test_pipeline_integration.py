@@ -47,22 +47,23 @@ def test_pipeline_preserves_chromatic_number(name, make):
 def test_default_pipeline_engages_on_sparse_graph():
     graph = book_graph(40, 90, seed=3)
     result = CHI.run(ChromaticProblem(graph))
-    info = result.pipeline
-    assert info is not None and info.reduce and info.preprocess
+    assert result.provenance.config["reduce"] and result.provenance.config["simplify"]
+    kernel = result.stage("reduce")
+    assert kernel is not None
     # Sparse book graphs peel away entirely at the clique bound.
-    assert info.peeled_vertices > 0
-    assert info.kernel_vertices < graph.num_vertices
+    assert kernel.details["peeled_vertices"] > 0
+    assert kernel.details["kernel_vertices"] < graph.num_vertices
 
 
 def test_preprocess_reports_simplification_on_dense_graph():
     result = (Pipeline().reduce(False).symmetry(sbp_kind="nu+sc")
               .solve(backend="pbs2", time_limit=60)
               .run(BudgetedOptimize(queens_graph(4, 4), 5)))
-    info = result.pipeline
-    assert info is not None and info.simplify is not None
+    simplify = result.stage("simplify")
+    assert simplify is not None
     # The SC units must fold into the clause database.
-    assert info.simplify.units_propagated >= 1
-    assert info.simplify.clauses_after < info.simplify.clauses_before
+    assert simplify.details["units_propagated"] >= 1
+    assert simplify.details["clauses_after"] < simplify.details["clauses_before"]
     assert result.status == "OPTIMAL" and result.num_colors == 5
 
 

@@ -68,7 +68,7 @@ def test_solve_with_reduction_sat():
     result = decide(g, 8)
     assert result.status == "SAT"
     assert g.is_proper_coloring(result.coloring)
-    assert result.pipeline.kernel_vertices < g.num_vertices
+    assert result.stage("reduce").details["kernel_vertices"] < g.num_vertices
 
 
 def test_solve_with_reduction_unsat():
@@ -96,8 +96,8 @@ def test_components_solved_independently():
     for backend in ("cdcl-incremental", "pb-pbs2"):
         result = decide(g, 3, backend)
         assert result.status == "SAT"
-        assert result.pipeline.components_solved == 2
-        assert result.pipeline.kernel_vertices == 12
+        assert result.stage("reduce").details["components_solved"] == 2
+        assert result.stage("reduce").details["kernel_vertices"] == 12
         assert g.is_proper_coloring(result.coloring)
 
 

@@ -1,5 +1,7 @@
 """Experiment runner and table driver tests (bench scale, fast rows)."""
 
+import re
+
 import repro.batch.runner as batch_runner
 from repro.experiments.instances import ScalePreset, get_scale
 from repro.experiments.runner import CellResult, RunRecord, format_seconds, run_grid
@@ -7,6 +9,7 @@ from repro.experiments.tables import (
     render_solver_table,
     render_table1,
     render_table2,
+    render_table5,
     solver_table,
     table1,
     table2,
@@ -86,3 +89,26 @@ def test_solver_table_smoke():
 def test_bench_scale_exists():
     scale = get_scale("bench")
     assert scale.time_limit <= 10.0
+
+
+def test_table5_has_one_column_per_solver_in_the_records():
+    # Two solvers, as at the bench scale: the header names exactly those,
+    # in record order, and each row puts its cells under them.
+    records = [
+        RunRecord("queen5_5", solver, sbp, inst_dep, 6, status, colors, 1.5, solved)
+        for sbp in ("none", "nu+sc")
+        for solver, status, colors, solved in (
+            ("pbs2", "OPTIMAL", 5, True), ("pueblo", "UNKNOWN", None, False))
+        for inst_dep in (False, True)
+    ]
+    header, *rows, legend = render_table5(records, 10.0).splitlines()
+    assert re.findall(r"\[(\S+) o/w\]", header) == ["pbs2", "pueblo"]
+    assert legend.startswith("entries:")
+    assert len(rows) == 2
+    width = 18  # one right-aligned column per solver after "Instance SBP "
+    start = len(header) - 2 * width
+    for row in rows:
+        assert len(row) == len(header)
+        cells = [row[start + i * width:start + (i + 1) * width].strip()
+                 for i in range(2)]
+        assert cells == ["1.5/1.5", "T/O/T/O"]
