@@ -333,7 +333,10 @@ def run_reduced(
     Components share the run's deadline sequentially: each one sees
     whatever budget its predecessors left.  ``solvers_created`` is the
     sum of what the components report, so a kernel that peeling or the
-    clique bound settles reports none.
+    clique bound settles reports none.  A run stopped early (a
+    component it could not settle, or a cancel) still reports the
+    components it solved, and an optimization left unproved keeps the
+    clique bound as its lower bound.
     """
     ctx.emit("reduce", "kernelizing (peel + component split)")
     kernel = kernelize(graph, budget, decision)
@@ -346,7 +349,8 @@ def run_reduced(
     parts = []
     for component in kernel.components:
         if ctx.cancelled():
-            return Result(status=UNKNOWN, stages=stages, cancelled=True)
+            merged.status, merged.cancelled = UNKNOWN, True
+            break
         result = solve(kernel.graph.subgraph(component))
         _merge_stages(stages, result.stages)
         merged.stats.merge(result.stats)
@@ -356,18 +360,19 @@ def run_reduced(
         if result.status in (UNSAT, UNKNOWN):
             merged.status = result.status
             merged.cancelled = result.cancelled
-            return merged
+            break
         if result.status == SAT and not decision:
             merged.status = SAT  # feasible but optimality not proved
         merged.cancelled = merged.cancelled or result.cancelled
         reduce_stage.details["components_solved"] += 1
         parts.append((component, result.coloring))
-    coloring = lift(kernel, parts)
-    if decision and merged.status == OPTIMAL:
-        merged.status = SAT
-    merged.num_colors = len(set(coloring.values()))
-    merged.coloring = coloring
-    if not decision and merged.status != OPTIMAL:
+    else:  # every component came back with a coloring
+        coloring = lift(kernel, parts)
+        if decision and merged.status == OPTIMAL:
+            merged.status = SAT
+        merged.num_colors = len(set(coloring.values()))
+        merged.coloring = coloring
+    if not decision and merged.status in (SAT, UNKNOWN):
         merged.lower_bound = max(kernel.clique_bound, 1)  # the frame bounds an optimum
     return merged
 
@@ -407,7 +412,12 @@ def _run_formula_stages(
     engine,
     decision: bool,
 ) -> Result:
-    """Encode, then run sbp, simplify and detect, then solve."""
+    """Encode, then run sbp, simplify and detect, then solve.
+
+    An optimization's solve starts from the DSATUR and clique bounds,
+    and answers with the DSATUR coloring (unproved) when it fits the
+    budget and the engine ends with no coloring of its own.
+    """
     stages: List[StageStat] = []
     sym = config.symmetry
     deadline = ctx.deadline
@@ -497,15 +507,16 @@ def _run_formula_stages(
     if ctx.cancelled():
         return Result(status=UNKNOWN, stages=stages, cancelled=True)
 
+    # The DSATUR and clique bounds only seed the solve: its clock runs.
+    t0 = time.monotonic()
+    heuristic: Optional[Dict[int, int]] = None  # DSATUR's, if it fits
     upper = None
     lower = 0
     if not decision:
-        _, heuristic_colors = dsatur(graph)
-        if heuristic_colors <= budget:
-            upper = heuristic_colors
+        dsatur_coloring, dsatur_colors = dsatur(graph)
+        if dsatur_colors <= budget:
+            heuristic, upper = dsatur_coloring, dsatur_colors
         lower = clique_lower_bound(graph)
-
-    t0 = time.monotonic()
     ctx.emit("solve", "decision query" if decision else "minimizing used colors")
     cancel_hook = ctx.cancelled if ctx.cancel else None
     if decision:
@@ -530,6 +541,12 @@ def _run_formula_stages(
         encoding, opt_result.status, opt_result.best_model, opt_result.stats,
         stages, detection, value=opt_result.best_value,
     )
+    if packaged.status == UNKNOWN and packaged.coloring is None and heuristic is not None:
+        # The engine found no coloring in time, but the DSATUR one fits
+        # the budget: an unproved answer, which the frame degrades.
+        packaged.status = SAT
+        packaged.coloring = {v: c + 1 for v, c in heuristic.items()}
+        packaged.num_colors = upper
     if packaged.status != OPTIMAL and lower > 0:
         packaged.lower_bound = lower  # the frame bounds an optimum
     # A stop that fired inside the minimize loop surfaces as a

@@ -205,10 +205,11 @@ class Session:
 
         The descent is :func:`repro.coloring.descent.descend` over the
         session's oracle, starting from the DSATUR coloring, so every
-        query it asks lies below the DSATUR bound.  Unlike the one-shot
-        descent, nothing is disabled permanently — every query is
-        assumption-based, so the session stays fully reusable
-        afterwards.  ``max_colors`` caps the answer (UNSAT below the
+        query it asks lies below the DSATUR bound.  Every query is an
+        assumption query, so the session stays fully reusable
+        afterwards.  It is the descent a ``cdcl-incremental`` run with
+        reduce off makes: the same queries on the same solver, with the
+        same counters.  ``max_colors`` caps the answer (UNSAT below the
         chromatic number).
         """
         t0 = time.monotonic()

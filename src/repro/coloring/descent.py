@@ -10,7 +10,8 @@ the *oracle* answering one K query, a callable
 * one persistent :class:`~repro.coloring.sat_pipeline.IncrementalKSearch`
   (:func:`~repro.coloring.sat_pipeline.chromatic_number_sat`, and a
   :class:`~repro.api.Session`, which builds it at the DSATUR bound and
-  keeps it across queries),
+  keeps it across queries), asked every K under assumptions whatever
+  the strategy,
 * one fresh solver per query (``chromatic_number_sat(incremental=False)``),
 * the not-equals CSP search of the NECSP baseline
   (:func:`~repro.coloring.necsp.necsp_chromatic_number`).
@@ -92,10 +93,9 @@ def descend(
     ``coloring`` is the heuristic incumbent; its color count is the
     starting upper bound.  ``lower_bound`` is a proved lower bound (a
     clique bound).  ``strategy`` ``"linear"`` asks one below the
-    incumbent each time (monotone, so oracles may disable colors for
-    good); ``"binary"`` bisects between the bounds, and an UNSAT core
-    lifts the lower bound to its smallest color, since every K below it
-    is dead too.
+    incumbent each time; ``"binary"`` bisects between the bounds.  An
+    UNSAT core lifts the lower bound to its smallest color, since every
+    K below it is dead too.
 
     ``cap`` is the problem's color limit.  A cap below ``lower_bound`` is
     UNSAT without a query; a cap below the incumbent's color count is

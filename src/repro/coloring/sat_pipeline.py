@@ -37,7 +37,8 @@ On top of them:
   :class:`~repro.sat.cdcl.CDCLSolver`, so learned clauses, saved phases
   and VSIDS activity carry over between queries.  UNSAT answers return
   an unsat core over colors (failed assumptions), which the binary
-  strategy uses to skip dead K values.  It is the oracle of the
+  strategy uses to skip dead K values.  Assumptions are the only way
+  it asks a K, for the linear strategy too.  It is the oracle of the
   ``cdcl-incremental`` descent and of a :class:`~repro.api.Session`;
 * :func:`chromatic_number_sat` — chromatic number by a descending
   linear or binary search over K, driven by
@@ -256,31 +257,10 @@ class IncrementalKSearch:
         if not self.root_unsat and not self.solver.add_formula(formula):
             self.root_unsat = True
         self.stats = SolverStats()
-        # Cumulative clause-group garbage collection counters (clauses /
-        # learnt clauses / watcher pairs reclaimed by permanent queries).
-        self.gc_stats: Dict[str, int] = {"clauses": 0, "learned": 0, "watchers": 0}
-        # Colors above this bound have been switched off *permanently*
-        # (level-0 unit clauses) by monotone-descent queries.
-        self._active_ub = max_k
 
     def assumptions_for(self, k: int) -> List[int]:
         """The assumption literals that switch off colors above ``k``."""
         return [-self.activators[c] for c in range(k + 1, self.max_k + 1)]
-
-    def _collect_garbage(self) -> None:
-        """Clause-group deletion: sweep clauses killed by level-0 facts.
-
-        Permanent color disabling adds level-0 units; every clause of a
-        disabled color's group (activation guards, at-most-one pairs,
-        edge conflicts — and any learnt clause satisfied by the facts)
-        becomes root-satisfied.  Delegate to the solver's sweep and
-        accumulate what it reclaimed.
-        """
-        removed = self.solver.collect_level0_satisfied()
-        registry = get_registry()
-        for key, count in removed.items():
-            self.gc_stats[key] += count
-            registry.inc(f"ksearch_gc_{key}_total", count)
 
     def _prepare_heuristics(self, k: int) -> None:
         """Re-seed the decision heuristics for the next K query.
@@ -309,7 +289,6 @@ class IncrementalKSearch:
         self,
         k: int,
         time_limit: Optional[float] = None,
-        permanent: bool = False,
         should_stop=None,
     ) -> Tuple[str, Optional[Dict[int, int]], List[int]]:
         """Decide K-colorability on the persistent solver.
@@ -319,17 +298,9 @@ class IncrementalKSearch:
         colors in the final-conflict core — the formula is already
         unsatisfiable with just those colors disabled, so every ``k' <
         min(failed_colors)`` is dead too (the unsat core over colors the
-        binary descent uses to skip queries).
-
-        ``permanent=True`` disables colors ``k+1..`` with level-0 unit
-        clauses instead of per-call assumptions.  That is only sound for
-        *monotone* descents (the linear strategy: K never goes back up),
-        but it is measurably cheaper: literals forced at level 0 are
-        dropped from every learnt clause, whereas assumption-level
-        literals ride along in each one — and the clauses of the
-        now-dead color groups are garbage-collected outright.  Binary
-        probes must keep ``permanent=False`` so refutations stay
-        retractable and return assumption cores.
+        binary descent uses to skip queries).  Every query is an
+        assumption query that leaves the formula as it was, so queries
+        may come in any order.
 
         ``should_stop`` is polled inside the solver every few dozen
         conflicts; when it turns true the query returns UNKNOWN (the
@@ -337,38 +308,14 @@ class IncrementalKSearch:
         """
         if k > self.max_k:
             raise ValueError(f"k={k} above the encoded bound {self.max_k}")
-        if k > self._active_ub:
-            # Colors above _active_ub were disabled with level-0 units by
-            # an earlier permanent query; no assumption can re-enable
-            # them, so answering such a query would silently report the
-            # wrong (smaller) color budget as UNSAT.
-            raise ValueError(
-                f"k={k} exceeds the permanently disabled bound "
-                f"{self._active_ub}: permanent queries are monotone"
-            )
         if self.root_unsat:
             return UNSAT, None, []
         self._prepare_heuristics(k)
-        if permanent:
-            disabled = self._active_ub > k
-            for c in range(k + 1, self._active_ub + 1):
-                if not self.solver.add_clause([-self.activators[c]]):
-                    self.root_unsat = True
-            self._active_ub = k
-            if self.root_unsat:
-                return UNSAT, None, []
-            if disabled:
-                # Shrink: the disabled colors' clause groups are now
-                # satisfied at level 0 — reclaim them.
-                self._collect_garbage()
-            assumptions: List[int] = []
-        else:
-            assumptions = self.assumptions_for(k)
         tracer = active_tracer()
         if tracer is not None:
-            tracer.k_query_begin(k, permanent)
+            tracer.k_query_begin(k)
         result = self.solver.solve(
-            assumptions=assumptions, time_limit=time_limit,
+            assumptions=self.assumptions_for(k), time_limit=time_limit,
             should_stop=should_stop,
         )
         self.stats.merge(result.stats)
@@ -517,13 +464,14 @@ def chromatic_number_sat(
     the DSATUR bound (or the cap, if lower) with activation literals,
     preprocessed once (``preprocess``: the full preprocessor with the
     activation literals frozen), and every K query reuses the learned
-    clauses of the previous ones.  The linear strategy switches colors
-    off permanently; the binary one uses assumptions, so the
-    failed-assumption core of an UNSAT answer skips K values it proves
-    dead.  The solver is built at the first query, so
-    bounds that already meet create none.  With ``incremental=False``
-    each query pays for a fresh encoding, preprocessing and solver (the
-    historical behaviour, kept as the differential reference).
+    clauses of the previous ones.  Every query is an assumption query,
+    so the failed-assumption core of an UNSAT answer skips K values it
+    proves dead, and a reduce-off descent asks the same queries of the
+    same solver as a :class:`~repro.api.Session`'s.  The solver is built
+    at the first query, so bounds that already meet create none.  With
+    ``incremental=False`` each query pays for a fresh encoding,
+    preprocessing and solver (the historical behaviour, kept as the
+    differential reference).
 
     ``max_colors`` caps the answer: a cap below the chromatic number
     gives ``UNSAT``, and a search stopped before it settled the cap gives
@@ -558,12 +506,8 @@ def chromatic_number_sat(
             search = IncrementalKSearch(
                 work, horizon, sbp_kind=sbp_kind, preprocess=preprocess,
             )
-        # The linear strategy is monotone, so colors are switched off
-        # permanently (level-0 units): same persistent solver, but learnt
-        # clauses stay free of assumption literals.
         return search.solve_k(
-            k, time_limit=deadline.remaining(), permanent=strategy == "linear",
-            should_stop=should_stop,
+            k, time_limit=deadline.remaining(), should_stop=should_stop,
         )
 
     def scratch(k: int, deadline: Deadline) -> Answer:

@@ -22,7 +22,7 @@ SOLVE_END = 2
 CONFLICT = 3
 RESTART = 4
 DB_REDUCE = 5
-GC_SWEEP = 6
+# 6 is retired; never reuse it.
 K_QUERY_BEGIN = 7
 K_QUERY_END = 8
 # 9 is retired; never reuse it.
@@ -40,7 +40,6 @@ EVENT_NAMES: Dict[int, str] = {
     CONFLICT: "conflict",
     RESTART: "restart",
     DB_REDUCE: "db_reduce",
-    GC_SWEEP: "gc_sweep",
     K_QUERY_BEGIN: "k_query_begin",
     K_QUERY_END: "k_query_end",
     STAGE: "stage",
@@ -63,8 +62,7 @@ EVENT_FIELDS: Dict[int, Tuple[str, ...]] = {
     CONFLICT: ("solver", "level", "lbd", "propagations"),
     RESTART: ("solver", "conflicts"),
     DB_REDUCE: ("solver", "deleted", "kept"),
-    GC_SWEEP: ("solver", "clauses", "learned", "watchers"),
-    K_QUERY_BEGIN: ("k", "permanent"),
+    K_QUERY_BEGIN: ("k",),
     K_QUERY_END: ("k", "status", "conflicts", "decisions",
                   "propagations", "restarts"),
     STAGE: ("stage",),

@@ -88,16 +88,11 @@ class Tracer:
         """A learned-clause DB reduction: ``deleted`` dropped, ``kept`` left."""
         self.emit(ev.DB_REDUCE, sid, deleted, kept)
 
-    def gc_sweep(self, sid: int, clauses: int, learned: int,
-                 watchers: int) -> None:
-        """A level-0 satisfied-clause GC sweep and what it reclaimed."""
-        self.emit(ev.GC_SWEEP, sid, clauses, learned, watchers)
-
     # -- search / session lifecycle ------------------------------------
 
-    def k_query_begin(self, k: int, permanent: bool) -> None:
-        """A K-colorability probe started (permanent vs assumption-based)."""
-        self.emit(ev.K_QUERY_BEGIN, k, int(permanent))
+    def k_query_begin(self, k: int) -> None:
+        """A K-colorability probe started."""
+        self.emit(ev.K_QUERY_BEGIN, k)
 
     def k_query_end(self, k: int, status: str, conflicts: int,
                     decisions: int, propagations: int,

@@ -62,7 +62,6 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
     open_phases: List[Tuple[Dict[str, Any], int]] = []  # (phase, wall_us)
     solve = {"calls": 0, "conflicts": 0, "decisions": 0,
              "propagations": 0, "restarts": 0, "learned": 0, "deleted": 0}
-    gc = {"sweeps": 0, "clauses": 0, "learned": 0, "watchers": 0}
     reduce_db = {"sweeps": 0, "deleted": 0}
     resilience = {"deadline_expired": 0, "degraded": 0}
     totals = {"conflicts": 0, "decisions": 0, "propagations": 0,
@@ -77,11 +76,7 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
         open_phases = [(p, wall + record.dt_us) for p, wall in open_phases]
 
         if record.event == ev.K_QUERY_BEGIN:
-            fields = _named_fields(record)
-            phase: Dict[str, Any] = {
-                "k": fields.get("k", 0),
-                "mode": "permanent" if fields.get("permanent") else "assumption",
-            }
+            phase: Dict[str, Any] = {"k": _named_fields(record).get("k", 0)}
             open_phases.append((phase, 0))
         elif record.event == ev.K_QUERY_END:
             fields = _named_fields(record)
@@ -92,7 +87,7 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
                     match = entry
                     break
             if match is None:
-                match = ({"k": k, "mode": "assumption"}, record.dt_us)
+                match = ({"k": k}, record.dt_us)
             else:
                 open_phases.remove(match)
             phase, wall_us = match
@@ -117,11 +112,6 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
             for key in ("conflicts", "decisions", "propagations",
                         "restarts", "learned", "deleted"):
                 solve[key] += int(fields.get(key, 0))
-        elif record.event == ev.GC_SWEEP:
-            fields = _named_fields(record)
-            gc["sweeps"] += 1
-            for key in ("clauses", "learned", "watchers"):
-                gc[key] += int(fields.get(key, 0))
         elif record.event == ev.DB_REDUCE:
             fields = _named_fields(record)
             reduce_db["sweeps"] += 1
@@ -139,7 +129,6 @@ def build_profile(log: TraceLog) -> Dict[str, Any]:
         "phases": phases,
         "totals": totals,
         "solve": solve,
-        "gc": gc,
         "db_reduce": reduce_db,
         "resilience": resilience,
     }
@@ -160,7 +149,7 @@ def render_report(profile: Dict[str, Any]) -> str:
                      f"{'decisions':>9s} {'propagations':>12s} "
                      f"{'restarts':>8s} {'wall':>9s} {'confl/s':>9s}")
         for phase in phases:
-            label = f"K={phase['k']} ({phase['mode'][:4]})"
+            label = f"K={phase['k']}"
             lines.append(
                 f"{label:16s} {phase['status']:8s} {phase['conflicts']:>9d} "
                 f"{phase['decisions']:>9d} {phase['propagations']:>12d} "
@@ -182,11 +171,8 @@ def render_report(profile: Dict[str, Any]) -> str:
                  f"{solve['propagations']} propagations, "
                  f"{solve['learned']} learned, {solve['deleted']} deleted")
     reduce_db = profile["db_reduce"]
-    gc = profile["gc"]
     lines.append(f"clause GC: {reduce_db['sweeps']} db-reduce sweep(s) "
-                 f"({reduce_db['deleted']} deleted), {gc['sweeps']} "
-                 f"level-0 sweep(s) ({gc['clauses']} clauses, "
-                 f"{gc['learned']} learned, {gc['watchers']} watchers)")
+                 f"({reduce_db['deleted']} deleted)")
     resilience = profile["resilience"]
     lines.append(f"resilience: deadline_expired={resilience['deadline_expired']} "
                  f"degraded={resilience['degraded']}")

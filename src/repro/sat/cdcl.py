@@ -47,7 +47,7 @@ Hot-path design (measured on the multi-K coloring descents):
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..core.formula import Formula
 from ..obs.metrics import get_registry
@@ -565,59 +565,6 @@ class CDCLSolver:
             if watchlist:
                 watchlist[:] = [w for w in watchlist if not w[0].deleted]
         self._dead_watchers = 0
-
-    def watcher_count(self) -> int:
-        """Total watcher pairs in the watch table (incl. not-yet-drained)."""
-        return sum(len(w) for w in self.watches)
-
-    def collect_level0_satisfied(self) -> Dict[str, int]:
-        """Garbage-collect every clause satisfied by the level-0 assignment.
-
-        Incremental callers retire whole clause groups by adding level-0
-        units (a chromatic descent disabling a color permanently): the
-        group's clauses are all satisfied by the propagated facts, but
-        they still occupy the clause lists and their watchers are still
-        visited.  This sweep deletes them — problem clauses and learnt
-        clauses alike — and compacts the watch lists in one pass.
-
-        Level-0 facts never participate in conflict analysis again, so
-        the reason pointers of root assignments are dropped too (a
-        deleted reason clause must not stay pinned).  Must be called at
-        decision level 0 (between ``solve`` calls).  Returns the removal
-        counts: ``{"clauses", "learned", "watchers"}``.
-        """
-        if self.trail_lim:
-            raise RuntimeError(
-                "collect_level0_satisfied is only legal at decision level 0"
-            )
-        values = self.values
-
-        def satisfied(clause: WClause) -> bool:
-            for lit in clause:
-                if (values[lit] if lit > 0 else -values[-lit]) > 0:
-                    return True
-            return False
-
-        removed = {"clauses": 0, "learned": 0, "watchers": 0}
-        for name, pool in (("clauses", self.clauses), ("learned", self.learned)):
-            keep: List[WClause] = []
-            for clause in pool:
-                if satisfied(clause):
-                    clause.deleted = True
-                    removed[name] += 1
-                else:
-                    keep.append(clause)
-            pool[:] = keep
-        for lit in self.trail:
-            self.reason[abs(lit)] = None
-        before = self.watcher_count()
-        self._compact_watches()
-        removed["watchers"] = before - self.watcher_count()
-        self.stats.deleted += removed["clauses"] + removed["learned"]
-        if self.tracer is not None:
-            self.tracer.gc_sweep(self.tracer_id, removed["clauses"],
-                                 removed["learned"], removed["watchers"])
-        return removed
 
     # --------------------------------------------------------------- solve
     def solve(

@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 
 import pytest
@@ -36,7 +37,8 @@ from repro.api import (
     register_backend,
     solve_problem,
 )
-from repro.api.backends import _REGISTRY
+from repro.api import pipeline as pipeline_module
+from repro.api.backends import _REGISTRY, PBPresetBackend
 from repro.coloring.encoding import encode_coloring
 from repro.coloring.reduce import kernelize
 from repro.coloring.verify import is_proper
@@ -45,6 +47,7 @@ from repro.graphs.generators import book_graph, mycielski_graph, queens_graph
 from repro.graphs.graph import Graph, disjoint_union
 from repro.obs import scoped_registry
 from repro.sat.preprocessing import simplify_formula
+from repro.sat.result import UNKNOWN, OptimizeResult
 from repro.sbp.instance_independent import apply_sbp
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -406,6 +409,60 @@ def test_zero_budget_is_unsat_not_one_color():
     empty = ChromaticProblem(Graph(0), max_colors=0)
     result = Pipeline().solve(backend="pb-pbs2").run(empty)
     assert result.status == "OPTIMAL" and result.num_colors == 0
+
+
+# ------------------------------------------------------- unproved optimizations
+@pytest.mark.parametrize("reduce", [True, False], ids=["reduce-on", "reduce-off"])
+@pytest.mark.parametrize("problem", [
+    BudgetedOptimize(mycielski_graph(4), 8),
+    ChromaticProblem(mycielski_graph(4)),
+], ids=["budgeted", "chromatic"])
+def test_an_engine_that_finds_no_coloring_leaves_the_dsatur_one(
+        monkeypatch, problem, reduce):
+    # The 0-1 ILP flow holds a DSATUR coloring within the budget: when
+    # the engine ends with none of its own, that coloring is the
+    # (unproved) answer, bracketed by the clique bound.
+    monkeypatch.setattr(PBPresetBackend, "minimize",
+                        lambda self, *args, **kwargs: OptimizeResult(UNKNOWN))
+    result = (Pipeline().reduce(reduce).solve(backend="pb-pbs2", time_limit=60)
+              .run(problem))
+    assert result.status == "FEASIBLE" and result.degraded
+    assert is_proper(problem.graph, result.coloring)
+    assert (result.lower_bound, result.upper_bound, result.num_colors) == (2, 5, 5)
+
+
+def test_a_run_cancelled_between_components_reports_what_it_solved(monkeypatch):
+    solved = []
+    real_minimize = PBPresetBackend.minimize
+
+    def minimize(self, *args, **kwargs):
+        result = real_minimize(self, *args, **kwargs)
+        solved.append(result.stats.conflicts)
+        return result
+
+    monkeypatch.setattr(PBPresetBackend, "minimize", minimize)
+    graph = disjoint_union(get_instance("myciel4").graph(),
+                           get_instance("queen5_5").graph())
+    result = (Pipeline().solve(backend="pb-pbs2", time_limit=60)
+              .run(BudgetedOptimize(graph, 8), cancel=lambda: bool(solved)))
+    assert result.status == "UNKNOWN" and result.cancelled
+    assert result.stage("reduce").details["components_solved"] == 1
+    assert (result.solvers_created, result.stats.conflicts) == (1, solved[0])
+    assert result.lower_bound == 5  # queen5_5's clique
+
+
+def test_the_solve_stage_times_the_bounds_that_seed_it(monkeypatch):
+    real_dsatur = pipeline_module.dsatur
+
+    def slow_dsatur(graph):
+        time.sleep(0.25)
+        return real_dsatur(graph)
+
+    monkeypatch.setattr(pipeline_module, "dsatur", slow_dsatur)
+    result = (Pipeline().reduce(False).solve(backend="pb-pbs2", time_limit=60)
+              .run(BudgetedOptimize(queens_graph(5, 5), 6)))
+    assert result.status == "OPTIMAL"
+    assert result.stage("solve").seconds >= 0.25
 
 
 def test_solve_problem_convenience():

@@ -6,7 +6,7 @@ Three layers, mirroring what the incremental descent relies on:
   restarts, final-conflict (failed-assumption) extraction and its
   guarantees (the core really is jointly unsatisfiable);
 * search-level: :class:`IncrementalKSearch` semantics, including the
-  monotone ``permanent`` mode and the unsat core over colors;
+  unsat core over colors;
 * pipeline-level: property tests over the graph generator families
   asserting the incremental and from-scratch descents agree on the
   chromatic number and produce valid colorings, for both strategies.
@@ -192,24 +192,6 @@ def test_incremental_search_descent_and_core():
     assert status == UNSAT and coloring is None
     # The core over colors only mentions disabled colors (> 3).
     assert all(c in (4, 5) for c in failed)
-
-
-def test_incremental_search_permanent_mode_is_monotone():
-    g = mycielski_graph(3)
-    search = IncrementalKSearch(g, 5)
-    status, _, _ = search.solve_k(4, permanent=True)
-    assert status == SAT
-    with pytest.raises(ValueError):
-        search.solve_k(5)  # k >= max_k rejected
-    status, _, _ = search.solve_k(3, permanent=True)
-    assert status == UNSAT
-    with pytest.raises(ValueError):
-        search.solve_k(4, permanent=True)  # non-monotone rejected
-    with pytest.raises(ValueError):
-        # Plain queries above the permanent ceiling are rejected too:
-        # the level-0 units cannot be retracted by assumptions, so
-        # answering would report a wrong UNSAT.
-        search.solve_k(4)
 
 
 def test_incremental_encoding_guards_every_color():

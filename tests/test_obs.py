@@ -20,6 +20,7 @@ docs/TRACE_FORMAT.md):
 
 import io
 import json
+import os
 
 import pytest
 
@@ -59,6 +60,9 @@ from repro.obs.trace import (
     pack_fields,
 )
 from repro.sat.factory import new_solver
+
+TRACE_FORMAT = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                            "TRACE_FORMAT.md")
 
 
 # --------------------------------------------------------------- varints
@@ -156,6 +160,58 @@ def test_bad_magic_and_future_version_raise():
         read_trace(b"NOPE" + b"\x01")
     with pytest.raises(TraceError):
         read_trace(MAGIC + encode_uvarint(99))
+
+
+def test_a_trace_in_the_old_layout_still_reads():
+    """Traces once held ``gc_sweep`` records (id 6, now retired) and a
+    ``k_query_begin`` with a second field: both read, and the K phase
+    is still counted."""
+    records = [
+        TraceRecord(ev.K_QUERY_BEGIN, 0, pack_fields((4, 1))),
+        TraceRecord(6, 10, pack_fields((1, 120, 3, 240))),
+        TraceRecord(ev.K_QUERY_END, 90, pack_fields((4, 2, 5, 9, 40, 0))),
+    ]
+    log = read_trace(encode_trace(records))
+    assert log.truncated_bytes == 0 and len(log.records) == 3
+    assert decode_record(log.records[0])["fields"] == {"k": 4}
+    assert decode_record(log.records[1])["event"] == "event#6"
+    profile = build_profile(log)
+    assert [(p["k"], p["status"], p["conflicts"], p["wall_us"])
+            for p in profile["phases"]] == [(4, "UNSAT", 5, 100)]
+    assert profile["totals"]["conflicts"] == 5
+    assert profile["events"]["event#6"] == 1
+    assert "K=4" in render_report(profile)
+
+
+def _documented_events():
+    """The event table of docs/TRACE_FORMAT.md: ``(ids, event, fields)``
+    cells per row, ``ids`` a range (``11–14`` spans four)."""
+    with open(TRACE_FORMAT, encoding="utf-8") as fh:
+        section = fh.read().split("## Event catalogue", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0][:1].isdigit():
+            continue  # not a row, or the header and its rule
+        first, _, last = cells[0].partition("–")
+        rows.append((range(int(first), int(last or first) + 1), cells[1], cells[2]))
+    return rows
+
+
+def test_the_documented_event_catalogue_is_the_code():
+    live, retired = {}, set()
+    for ids, event, fields in _documented_events():
+        if event == "*retired*":
+            retired.update(ids)
+        else:
+            (wire,) = ids
+            live[wire] = (event.strip("`"),
+                          tuple(field.strip() for field in fields.split(",")))
+    assert live == {wire: (name, ev.EVENT_FIELDS[wire])
+                    for wire, name in ev.EVENT_NAMES.items()}
+    assert retired and not retired & set(ev.EVENT_NAMES)
+    ids = set(live) | retired
+    assert ids == set(range(1, max(ids) + 1))
 
 
 def test_write_trace_path_form(tmp_path):

@@ -7,6 +7,9 @@ encoded once at the DSATUR bound, and its answers agree with scratch
 solving across generator families.  Budgets at or above the DSATUR
 bound, and below the clique bound, are answered without a solver call.
 
+A Session descent is also the ``cdcl-incremental`` descent with reduce
+off: the same queries on the same solver, with the same counters.
+
 ``make fuzz-smoke`` runs this module; nightly CI explores fresh seeds
 (profiles in ``tests/conftest.py``), which reach the Session through
 the random-graph property at the bottom.
@@ -168,6 +171,30 @@ def test_nu_sc_session_agrees_with_scratch(name, build):
     assert session.solvers_created == _solvers_needed(session), name
 
 
+def _account(result):
+    stats = result.stats
+    return (result.status, result.num_colors, result.queries,
+            stats.conflicts, stats.decisions, stats.propagations)
+
+
+@pytest.mark.parametrize("strategy", ["linear", "binary"])
+@pytest.mark.parametrize("sbp_kind", ["none", "nu+sc"])
+@pytest.mark.parametrize("name,build", FAMILIES)
+def test_a_session_descent_is_the_cdcl_incremental_descent(
+        name, build, sbp_kind, strategy):
+    """With reduce off, ``cdcl-incremental`` builds the Session's solver
+    (the same encoding at the DSATUR bound) and asks it the same
+    assumption queries: the two descents agree query for query, down to
+    the solver counters."""
+    graph = build()
+    session = Session(graph, config=_with_sbp(sbp_kind)).chromatic(strategy=strategy)
+    run = (Pipeline().reduce(False).symmetry(sbp_kind=sbp_kind)
+           .solve(backend="cdcl-incremental", strategy=strategy)
+           .run(ChromaticProblem(graph)))
+    assert session.status == "OPTIMAL", name
+    assert _account(session) == _account(run), name
+
+
 def test_session_binary_and_linear_agree():
     graph = gnp_graph(16, 0.5, seed=3)
     chi_linear = Session(graph).chromatic(strategy="linear")
@@ -215,7 +242,7 @@ def test_session_progress_and_cancellation():
 
 
 def test_session_decide_rejects_an_improper_coloring(monkeypatch):
-    def one_color(self, k, time_limit=None, permanent=False, should_stop=None):
+    def one_color(self, k, time_limit=None, should_stop=None):
         return SAT, {v: 1 for v in self.graph.vertices()}, []
 
     monkeypatch.setattr(IncrementalKSearch, "solve_k", one_color)

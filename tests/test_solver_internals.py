@@ -237,7 +237,7 @@ def test_pigeonhole_trajectory():
 
 
 @pytest.mark.parametrize("strategy,queries,counts", [
-    ("linear", [(4, "UNSAT")], (1882, 2254, 46848)),
+    ("linear", [(4, "UNSAT")], (1725, 2121, 42032)),
     ("binary", [(3, "UNSAT"), (4, "UNSAT")], (1749, 2097, 41977)),
 ])
 def test_incremental_descent_trajectory(strategy, queries, counts):
@@ -291,58 +291,6 @@ def test_solver_reuse_after_unsat_result():
     solver.add_clause([1, 2])
     assert solver.solve(assumptions=[-1, -2]).is_unsat
     assert solver.solve().is_sat  # UNSAT was only under assumptions
-
-
-# ---------------------------------------------------------------- clause GC
-def test_collect_level0_satisfied_drops_clauses_and_watchers():
-    solver = CDCLSolver(num_vars=6)
-    solver.add_clause([1, 2])
-    solver.add_clause([1, 3, 4])
-    solver.add_clause([-2, 5])
-    solver.add_clause([3, -5, 6])
-    watchers_before = solver.watcher_count()
-    assert len(solver.clauses) == 4
-    solver.add_clause([1])  # satisfies the first two clauses at level 0
-    removed = solver.collect_level0_satisfied()
-    assert removed["clauses"] == 2
-    assert removed["watchers"] == 4
-    assert len(solver.clauses) == 2
-    assert solver.watcher_count() == watchers_before - 4
-    # The swept solver still answers correctly.
-    result = solver.solve(assumptions=[2])
-    assert result.is_sat and result.model[5]
-
-
-def test_collect_level0_requires_root_level():
-    solver = CDCLSolver(num_vars=2)
-    solver.add_clause([1, 2])
-    solver.trail_lim.append(len(solver.trail))
-    solver._enqueue(1, None)
-    with pytest.raises(RuntimeError, match="level 0"):
-        solver.collect_level0_satisfied()
-    solver._backtrack(0)
-
-
-def test_permanent_shrink_garbage_collects_color_groups():
-    """Disabling colors permanently must reclaim their clause groups:
-    clause count and watcher count actually drop, and later queries on
-    the shrunk solver stay correct."""
-    graph = queens_graph(5, 5)  # chi = 5
-    search = IncrementalKSearch(graph, 8)
-    status, coloring, _ = search.solve_k(7, permanent=True)
-    assert status == SAT
-    clauses_before = len(search.solver.clauses) + len(search.solver.learned)
-    watchers_before = search.solver.watcher_count()
-    gc_before = dict(search.gc_stats)
-    status, coloring, _ = search.solve_k(5, permanent=True)
-    assert status == SAT
-    assert search.gc_stats["clauses"] > gc_before["clauses"]
-    assert search.gc_stats["watchers"] > gc_before["watchers"]
-    assert len(search.solver.clauses) + len(search.solver.learned) < clauses_before
-    assert search.solver.watcher_count() < watchers_before
-    # Correctness on the shrunk database: K=4 is UNSAT for queens 5x5.
-    status, _, _ = search.solve_k(4, permanent=True)
-    assert status == UNSAT
 
 
 # ------------------------------------------------- assumption-aware preprocess
