@@ -6,7 +6,8 @@ Two questions, matching the pipeline's two jobs:
   (:func:`repro.sat.preprocessing.subsume_clauses`) against the
   sorted-once pairwise loop it replaced, on formulas of >= 10k clauses
   (the legacy loop is reproduced below, minus its soundness bug, as the
-  measurement baseline);
+  measurement baseline), and ``simplify_formula`` on a 0-1 ILP coloring
+  encoding where no clause can act;
 * **end-to-end effect** — preprocessing a real coloring encoding, and
   the full chromatic-number ``Pipeline`` (peel + split + simplify)
   against the raw path on the paper's sparse families (books, register
@@ -19,9 +20,12 @@ import time
 import pytest
 
 from repro.api import ChromaticProblem, Pipeline
+from repro.coloring.encoding import encode_coloring
 from repro.coloring.sat_pipeline import encode_k_coloring_cnf
+from repro.experiments.instances import get_instance
 from repro.graphs.generators import book_graph, interference_graph
-from repro.sat.preprocessing import preprocess, subsume_clauses
+from repro.sat.preprocessing import preprocess, simplify_formula, subsume_clauses
+from repro.sbp.instance_independent import apply_sbp
 
 
 def random_clauses(num_clauses, num_vars, seed=42, min_width=2, max_width=5):
@@ -142,6 +146,22 @@ def test_preprocess_coloring_encoding(benchmark, bench_json):
     bench_json.add("preprocess-book-encoding",
                    units=result.units_propagated,
                    subsumed=result.subsumed,
+                   wall_seconds=round(seconds, 4))
+
+
+def test_simplify_miles250_k20(benchmark, bench_json):
+    # The pb-k20 perfbench shape: the 0-1 ILP encoding of miles250 at
+    # K=20 with nu+sc, ~10k clauses, 99% binary, none of which can
+    # subsume or strengthen another.
+    encoding = apply_sbp(encode_coloring(get_instance("miles250").graph(), 20), "nu+sc")
+
+    def run():
+        return simplify_formula(encoding.formula)
+
+    _, stats = benchmark.pedantic(run, rounds=3, iterations=1)
+    (_, stats), seconds = bench_json.timed(run)
+    bench_json.add("simplify-miles250-k20", clauses_after=stats.clauses_after,
+                   subsumed=stats.subsumed, strengthened=stats.strengthened,
                    wall_seconds=round(seconds, 4))
 
 

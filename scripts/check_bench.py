@@ -12,8 +12,8 @@ compares the *deterministic* tracked counters against the committed
   descent must never silently fall back to per-K scratch solving),
 * the incremental-vs-scratch ``conflict_ratio`` must not shrink beyond
   tolerance (the reason the incremental subsystem exists),
-* the preprocessing counters (units, subsumed) must stay exact at
-  fixed inputs.
+* the preprocessing counters (units, subsumed, strengthened, clauses
+  kept) must stay exact at fixed inputs.
 
 Wall-clock fields are deliberately *not* gated — CI runners are noisy;
 counters are the stable signal.  On failure the regenerated files are
@@ -90,11 +90,21 @@ GATES = [
      "enabled_overhead_ratio", "max", 0.50),
     ("solver_micro", {"instance": "tracing-overhead"},
      "trace_records", "eq", 0.25),
-    # Preprocessing counters are exact at fixed inputs.
+    # Preprocessing counters are exact at fixed inputs: the 10k-clause
+    # pass where subsumption and strengthening both fire, and the pb-k20
+    # formula where no clause can act.
     ("preprocessing", {"instance": "preprocess-book-encoding"},
      "units", "eq", 0.0),
     ("preprocessing", {"instance": "subsumption-indexed-10k"},
      "subsumed", "eq", 0.0),
+    ("preprocessing", {"instance": "subsumption-indexed-10k"},
+     "strengthened", "eq", 0.0),
+    ("preprocessing", {"instance": "simplify-miles250-k20"},
+     "clauses_after", "eq", 0.0),
+    ("preprocessing", {"instance": "simplify-miles250-k20"},
+     "subsumed", "eq", 0.0),
+    ("preprocessing", {"instance": "simplify-miles250-k20"},
+     "strengthened", "eq", 0.0),
     # Execution layer (bench_parallel): the descent on the 3-component
     # union reproduces the answer on one solver, and the portfolio race
     # stays a first-conclusive-cancels-the-rest affair with the

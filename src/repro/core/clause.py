@@ -20,10 +20,15 @@ class Clause:
     __slots__ = ("literals",)
 
     def __init__(self, literals: Iterable[int]):
+        lits = tuple(literals)
+        # Types are checked before dedup ({1, True} is {1}); check_literal names a bad one.
+        if not {int}.issuperset(map(type, lits)) or 0 in lits:
+            lits = tuple(map(check_literal, lits))
         # Descending first puts x before -x; the stable sort by variable
         # keeps that order.
-        unique = sorted(set(map(check_literal, literals)), reverse=True)
-        self.literals: Tuple[int, ...] = tuple(sorted(unique, key=abs))
+        unique = sorted(set(lits), reverse=True)
+        unique.sort(key=abs)
+        self.literals: Tuple[int, ...] = tuple(unique)
 
     def __len__(self) -> int:
         return len(self.literals)

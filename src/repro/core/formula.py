@@ -63,25 +63,18 @@ class Formula:
             self.pool.fresh()
 
     # ---------------------------------------------------------- constraints
-    def add_clause(
-        self, literals: Iterable[int], skip_tautology: bool = False
-    ) -> Optional[Clause]:
+    def add_clause(self, literals: Iterable[int]) -> Clause:
         """Append a CNF clause; returns the canonicalized clause.
 
-        :class:`Clause` canonicalizes at construction (literals sorted,
-        duplicates removed), so every downstream consumer — CDCL
-        watches, subsumption, signatures — sees canonical clauses.
-        Tautologies (a literal next to its complement) are still legal
-        input because they are satisfiable, but they carry no
-        information; with ``skip_tautology=True`` they are dropped and
-        ``None`` is returned so encoders can filter them at intake.
+        :class:`Clause` canonicalizes at construction (literals sorted
+        by variable, duplicates removed), so every downstream consumer —
+        CDCL watches, subsumption, signatures — sees canonical clauses.
+        Tautologies are legal input (they are satisfiable).
         """
         clause = literals if isinstance(literals, Clause) else Clause(literals)
-        if clause.is_empty:
+        if not clause.literals:
             raise ValueError("refusing to add the empty clause; formula would be trivially UNSAT")
-        if skip_tautology and clause.is_tautology:
-            return None
-        self.ensure_var(max(map(abs, clause.literals)))
+        self.ensure_var(abs(clause.literals[-1]))
         self.clauses.append(clause)
         return clause
 

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.formula import Formula
 from ..core.pbconstraint import LinearGE, normalize_terms
-from ..sat.cdcl import CDCLSolver
+from ..sat.cdcl import CDCLSolver, _load_clauses
 from ..sat.result import SolveResult, UNSAT
 
 
@@ -118,19 +118,14 @@ class PBSolver(CDCLSolver):
         return True
 
     def add_formula(self, formula: Formula) -> bool:
-        """Load clauses and PB constraints of a formula (objective ignored)."""
-        self._ensure_var(formula.num_vars)
-        ok = True
-        for clause in formula.clauses:
-            ok = self.add_clause(clause.literals) and ok
-            if not ok:
-                return False
+        """Load clauses and PB constraints (objective ignored); False once refuted."""
+        if not _load_clauses(self, formula):
+            return False
         for pb in formula.pb_constraints:
             for geq in pb.to_geq():
-                ok = self.add_linear_ge(geq.terms, geq.degree) and ok
-                if not ok:
+                if not self.add_linear_ge(geq.terms, geq.degree):
                     return False
-        return ok
+        return True
 
     # --------------------------------------------------------- propagation
     def _propagate_extra(self) -> Optional[PBData]:

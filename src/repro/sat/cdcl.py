@@ -73,7 +73,7 @@ class WClause(list):
     __slots__ = ("learnt", "lbd", "deleted")
 
     def __init__(self, lits: Iterable[int], learnt: bool = False, lbd: int = 0):
-        super().__init__(lits)
+        self.extend(lits)  # list.__new__ made it empty; half the cost of list.__init__
         self.learnt = learnt
         self.lbd = lbd
         self.deleted = False
@@ -213,14 +213,10 @@ class CDCLSolver:
         return False
 
     def add_formula(self, formula: Formula) -> bool:
-        """Load all clauses of a CNF-only formula."""
+        """Load all clauses of a CNF-only formula; False once it is refuted."""
         if formula.pb_constraints:
             raise ValueError("CDCLSolver is CNF-only; use repro.pb.PBSolver")
-        self._ensure_var(formula.num_vars)
-        ok = True
-        for clause in formula.clauses:
-            ok = self.add_clause(clause.literals) and ok
-        return ok
+        return _load_clauses(self, formula)
 
     # --------------------------------------------------------- propagation
     def _enqueue(self, lit: int, reason) -> None:
@@ -709,6 +705,40 @@ class CDCLSolver:
         registry.observe("solver_solve_conflicts", run.conflicts)
         registry.observe_seconds("solver_solve_seconds", run.time_seconds)
         return SolveResult(status, stats=run)
+
+
+def _load_clauses(solver: CDCLSolver, formula: Formula) -> bool:
+    """Copy ``formula``'s clauses into ``solver``; False at the first refutation.
+
+    ``Formula.add_clause`` keeps clauses canonical (distinct literals
+    sorted by variable).  One of two or more literals, none assigned at
+    level 0 and no ``x`` next to ``-x``, becomes a :class:`WClause` and
+    two watches as ``add_clause`` builds them; the rest go through it.
+    """
+    if solver.trail_lim:
+        raise RuntimeError("add_formula is only legal at decision level 0")
+    clauses = formula.clauses
+    solver._ensure_var(max([formula.num_vars] + [abs(c.literals[-1]) for c in clauses]))
+    values, watches, store = solver.values, solver.watches, solver.clauses
+    for clause in clauses:
+        lits = clause.literals
+        if len(lits) > 1:
+            prev = 0
+            for lit in lits:
+                var = lit if lit > 0 else -lit
+                if var == prev or values[var]:
+                    break
+                prev = var
+            else:
+                wclause = WClause(lits)
+                store.append(wclause)
+                first, second = lits[0], lits[1]
+                watches[(first << 1) | 1 if first > 0 else (-first) << 1].append((wclause, second))
+                watches[(second << 1) | 1 if second > 0 else (-second) << 1].append((wclause, first))
+                continue
+        if not solver.add_clause(lits):
+            return False
+    return True
 
 
 def solve_formula(

@@ -15,10 +15,11 @@ formula.  Implemented here:
   that hold a newly assigned variable;
 * pure-literal elimination;
 * clause subsumption and self-subsuming resolution (strengthening)
-  over SatELite-style occurrence sets (Eén & Biere, SAT 2005): the
-  candidates of every test are intersections of those sets, computed
-  in C, and strengthened clauses are re-queued so no opportunity is
-  missed;
+  over SatELite-style occurrence sets (Eén & Biere, SAT 2005), visiting
+  only the clauses that can act: a clause acts only on clauses at least
+  as long, so an index of the 3+ literal clauses and lookups among the
+  binaries prove the others inert, and a pass where none can act
+  returns at once;
 * bounded variable elimination (NiVER-style: a variable is resolved
   away when doing so does not grow the clause set), with the removed
   clauses saved so models can be reconstructed.
@@ -46,6 +47,7 @@ every clause they leave unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from operator import neg
@@ -247,6 +249,50 @@ def _eliminate_pure(
     return kept, len(pure)
 
 
+def _acts_on(clause: Tuple[int, ...], other: Tuple[int, ...]) -> bool:
+    """True when ``other`` holds ``clause``, or ``clause`` with one literal negated."""
+    held = set(other)
+    missing = [lit for lit in clause if lit not in held]
+    return not missing or len(missing) == 1 and -missing[0] in held
+
+
+def _acting_clauses(work: List[Tuple[int, ...]]) -> Set[Tuple[int, ...]]:
+    """The clauses of ``work`` (distinct, tautology-free, sorted by
+    length) that can subsume or strengthen another one.
+
+    ``C`` acts on ``D`` only if ``D`` holds ``C``, or ``C`` with one
+    literal negated, so ``|D| >= |C|``.  A clause of 3+ literals is
+    checked exactly against those of 3+ literals that hold two of its
+    first three literals.  A binary ``(a, b)`` acts if a clause holds
+    ``{-a, b}``, ``{a, -b}`` or (another one) ``{a, b}``.  A tuple acts
+    as its set: units, the empty clause and a tuple with a repeated
+    literal always act.
+    """
+    lengths = list(map(len, work))
+    lo, hi = bisect_left(lengths, 2), bisect_left(lengths, 3)
+    acting = set(work[:lo])
+    long_occ: Dict[int, Set[int]] = defaultdict(set)
+    for i in range(hi, len(work)):
+        for lit in work[i]:
+            long_occ[lit].add(i)
+    for i in range(hi, len(work)):
+        c = work[i]
+        first, second, third = long_occ[c[0]], long_occ[c[1]], long_occ[c[2]]
+        near = (first & second) | (first & third) | (second & third)
+        if len(set(c)) < len(c) or any(j != i and _acts_on(c, work[j]) for j in near):
+            acting.add(c)
+    pairs = set(work[lo:hi])
+    both = pairs | {(b, a) for a, b in pairs}
+    get, empty = long_occ.get, frozenset()
+    for a, b in work[lo:hi]:
+        if (a == b or (b, a) in pairs or (-a, b) in both or (a, -b) in both
+                or (a in long_occ or b in long_occ) and not (
+                    get(b, empty).isdisjoint(get(a, empty) | get(-a, empty))
+                    and get(a, empty).isdisjoint(get(-b, empty)))):
+            acting.add((a, b))
+    return acting
+
+
 def subsume_clauses(
     clauses: List[Tuple[int, ...]],
     deadline: Optional[Deadline] = None,
@@ -268,6 +314,10 @@ def subsume_clauses(
     returns the other clause unchanged, so treating one as a subsumer
     or strengthener is unsound.  Duplicate clauses collapse into one.
 
+    The queue visits only the clauses :func:`_acting_clauses` proves can
+    act, and those strengthened on the way (a clause that cannot act at
+    the start never can).  If none can act, the sorted clauses return.
+
     Returns ``(kept, subsumed, strengthened)``.  Strengthening can
     produce unit or empty clauses; callers must handle both.  Once
     ``deadline`` expires the pass stops early; every clause it has not
@@ -275,6 +325,10 @@ def subsume_clauses(
     """
     work = sorted({c for c in clauses if set(c).isdisjoint(map(neg, c))})
     work.sort(key=len)  # stable: ordered by (len, literals)
+    acting = _acting_clauses(work)
+    if not acting:
+        return work, 0, 0
+    acts = list(map(acting.__contains__, work))
     alive = [True] * len(work)
     occ: Dict[int, Set[int]] = defaultdict(set)
     for idx, clause in enumerate(work):
@@ -287,11 +341,12 @@ def subsume_clauses(
     strengthened = 0
 
     while queue:
-        if deadline is not None and deadline.expired():
-            break
         i = queue.popleft()
         queued[i] = False
-        if not alive[i]:
+        # Poll before each visit, and every 4096 clauses of a run that skips.
+        if (acts[i] or not i % 4096) and deadline is not None and deadline.expired():
+            break
+        if not (acts[i] and alive[i]):
             continue
         clause = work[i]
         if not clause:
@@ -322,6 +377,7 @@ def subsume_clauses(
                 complement.discard(j)
                 work[j] = tuple([l for l in work[j] if l != -lit])
                 strengthened += 1
+                acts[j] = True
                 if not queued[j]:
                     queue.append(j)
                     queued[j] = True

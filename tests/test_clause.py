@@ -44,6 +44,14 @@ def test_rejects_zero_literal():
         Clause([0])
 
 
+@pytest.mark.parametrize("literals", [[1, True], [2, 2.0], ["3"], [True], [1, 0, 1]])
+def test_rejects_non_int_literals_before_deduplicating(literals):
+    # {1, True} and {2, 2.0} are {1} and {2} as sets, so the literals are
+    # checked as given, not after duplicates collapse.
+    with pytest.raises(ValueError, match="not a literal"):
+        Clause(literals)
+
+
 def test_apply_renaming():
     clause = Clause([1, -2])
     renamed = clause.apply_renaming({1: 3, -1: -3, -2: 2, 2: -2})

@@ -15,20 +15,22 @@ def test_new_var_and_growth():
     assert f.num_vars == 10  # grows to cover mentioned variables
 
 
-def test_add_clause_skip_tautology():
+def test_add_clause_keeps_tautologies():
     f = Formula(num_vars=2)
-    kept = f.add_clause([1, 2], skip_tautology=True)
-    assert kept is not None
-    skipped = f.add_clause([1, -1, 2], skip_tautology=True)
-    assert skipped is None
-    assert len(f.clauses) == 1
-    # A skipped tautology must not inflate the variable range either.
-    assert f.add_clause([5, -5], skip_tautology=True) is None
-    assert f.num_vars == 2
-    # Without the flag, tautologies stay legal input (they are SAT).
+    f.add_clause([1, 2])
+    # Tautologies stay legal input (they are SAT).
     taut = f.add_clause([1, -1])
     assert taut is not None and taut.is_tautology
     assert len(f.clauses) == 2
+
+
+@pytest.mark.parametrize("literals", [[3, True], [3, 0], [3, 3.0], ["3"]])
+def test_add_clause_rejects_non_literals(literals):
+    # The types are checked before duplicates collapse: {3, 3.0} is {3}.
+    f = Formula(num_vars=3)
+    with pytest.raises(ValueError):
+        f.add_clause(literals)
+    assert f.clauses == [] and f.num_vars == 3
 
 
 def test_add_clause_canonical():

@@ -13,15 +13,17 @@ from hypothesis import strategies as st
 from repro.coloring.encoding import encode_coloring
 from repro.core.formula import Formula
 from repro.experiments.instances import get_instance
+from repro.graphs.graph import Graph
 from repro.resilience import Deadline
 from repro.sat.brute import brute_force_solve
 from repro.sat.preprocessing import (
+    _canonical_intake,
     _propagate_units,
     preprocess,
     simplify_formula,
     subsume_clauses,
 )
-from repro.sbp.instance_independent import apply_sbp
+from repro.sbp.instance_independent import SBP_KINDS, apply_sbp
 
 
 def test_unit_propagation_chain():
@@ -471,9 +473,44 @@ def _clause_lists(max_vars, min_width):
 # (2|3|-4) and (-2|4) are strengthened by one visit; the re-queue order
 # follows the walk of the occurrence set.
 @example([(1, 2), (2, 3, -4), (-1, 2), (-2, 3), (-2, 4)])
+# A repeated literal makes a length-2 tuple a unit.
+@example([(1, 1), (1, 2)])
+@example([(1, 1), (-1, 2)])
+# Equal as sets: one subsumes the other.
+@example([(2, 1), (1, 2)])
+# A binary strengthens a binary, subsumes a ternary, strengthens one.
+@example([(1, 2), (-1, 2)])
+@example([(1, 2), (1, 2, 3)])
+@example([(1, 2), (-1, 2, 3)])
+# A ternary strengthens a ternary.
+@example([(1, 2, 3), (1, 2, -3)])
 def test_subsume_clauses_matches_the_reference(clauses):
     # Unsorted literals, repeated literals, tautologies, duplicate and
     # empty clauses included.
+    assert subsume_clauses(clauses) == _reference_subsume(clauses)
+
+
+@settings(max_examples=fuzz_examples(60), deadline=None)
+@given(st.data())
+def test_subsume_clauses_matches_the_reference_on_colorings(data):
+    # The clauses simplify_formula hands the pass on a coloring encoding,
+    # where most clauses can act on no other, plus a few random clauses
+    # over its variables that may.
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    graph = Graph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if data.draw(st.booleans()):
+            graph.add_edge(u, v)
+    encoding = encode_coloring(graph, data.draw(st.integers(min_value=2, max_value=4)))
+    formula = apply_sbp(encoding, data.draw(st.sampled_from(SBP_KINDS))).formula
+    clauses, _, _, _ = _canonical_intake(formula.clauses)
+    clauses, _ = _propagate_units(clauses, {})
+    if clauses is None:
+        return
+    lit = st.integers(min_value=1, max_value=formula.num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+    clauses = clauses + data.draw(st.lists(
+        st.lists(lit, min_size=1, max_size=4).map(tuple), max_size=2))
     assert subsume_clauses(clauses) == _reference_subsume(clauses)
 
 

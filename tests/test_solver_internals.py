@@ -4,14 +4,19 @@ garbage collection, assumption-aware preprocessing, and the
 preprocessing + search integration."""
 
 import random
+from dataclasses import astuple, replace
 
 import pytest
+from fuzz_budget import fuzz_examples
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import BudgetedOptimize, ChromaticProblem, Pipeline
 from repro.coloring.sat_pipeline import IncrementalKSearch
 from repro.core.formula import Formula
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import mycielski_graph, queens_graph
+from repro.pb.engine import PBSolver
 from repro.sat.brute import brute_force_solve
 from repro.sat.cdcl import CDCLSolver, solve_formula
 from repro.sat.factory import reset_solver_factory, set_solver_factory
@@ -393,3 +398,64 @@ def test_large_implication_chain_fast():
     result = solver.solve()
     assert result.is_sat
     assert all(result.model[v] for v in (1, n // 2, n))
+
+
+def _loaded_state(solver):
+    """What loading leaves in a solver, with clauses named by position."""
+    position = {id(clause): k for k, clause in enumerate(solver.clauses)}
+    return (
+        [list(clause) for clause in solver.clauses],
+        [[(position[id(clause)], blocker) for clause, blocker in watchers]
+         for watchers in solver.watches],
+        solver.trail,
+        solver.values,
+        solver._unsat,
+        [(d.terms, d.degree, d.slack) for d in getattr(solver, "pb_constraints", ())],
+    )
+
+
+def _formula(num_vars, clauses, pbs=()):
+    f = Formula(num_vars=num_vars)
+    for clause in clauses:
+        f.add_clause(clause)
+    for terms, relation, bound in pbs:
+        f.add_pb(terms, relation, bound)
+    return f
+
+
+@st.composite
+def _loadable_formulas(draw):
+    # Few variables and many units: clauses satisfied or falsified at
+    # level 0 by earlier units, tautologies and refutations mid-load.
+    n = draw(st.integers(min_value=1, max_value=6))
+    lit = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4), max_size=14))
+    pbs = draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.integers(min_value=1, max_value=3), lit), min_size=1, max_size=4),
+        st.sampled_from([">=", "<=", "="]),
+        st.integers(min_value=0, max_value=4)), max_size=3))
+    return n, clauses, pbs
+
+
+@pytest.mark.parametrize("solver_class", [CDCLSolver, PBSolver])
+@settings(max_examples=fuzz_examples(150), deadline=None)
+@given(case=_loadable_formulas())
+# Units first, then a clause they satisfy, one they shorten, a tautology.
+@example(case=(4, [[-3], [1], [1, 2], [2, 3, 4], [2, -2, 4], [-4, -1, 2]], []))
+# Refuted by the third clause, with clauses after it.
+@example(case=(3, [[1, 2], [-1], [-2], [2, 3], [3]], [([(1, 3)], ">=", 1)]))
+def test_add_formula_loads_like_one_clause_at_a_time(solver_class, case):
+    n, clauses, pbs = case
+    formula = _formula(n, clauses, pbs if solver_class is PBSolver else ())
+    bulk = solver_class()
+    loaded = bulk.add_formula(formula)
+    one = solver_class(num_vars=formula.num_vars)
+    expected = all(one.add_clause(c.literals) for c in formula.clauses) and all(
+        one.add_linear_ge(geq.terms, geq.degree)
+        for pb in formula.pb_constraints for geq in pb.to_geq())
+    assert loaded == expected and bulk._unsat == one._unsat
+    if loaded:
+        assert _loaded_state(bulk) == _loaded_state(one)
+    bulk_result, one_result = bulk.solve(), one.solve()
+    assert bulk_result.status == one_result.status
+    assert astuple(replace(bulk.stats, time_seconds=0)) == astuple(replace(one.stats, time_seconds=0))
