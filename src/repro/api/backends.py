@@ -237,12 +237,9 @@ class BranchAndBoundBackend(_OptimizeFlowBackend):
     def decide(self, formula, time_limit, should_stop=None) -> SolveResult:
         from ..ilp.branch_and_bound import BranchAndBoundSolver
 
-        result = BranchAndBoundSolver().optimize(
+        return BranchAndBoundSolver().decide(
             formula, time_limit=time_limit, should_stop=should_stop
         )
-        if result.status in (OPTIMAL, SAT) and result.best_model is not None:
-            return SolveResult(SAT, model=result.best_model, stats=result.stats)
-        return SolveResult(result.status, stats=result.stats)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from .encoding import (
     used_colors,
 )
 from .encoding import add_color_activation_literals
-from .enumerate import count_colorings, distinct_colorings, enumerate_models
 from .exact_dsatur import ExactColoringResult, exact_chromatic_number
 from .mehrotra_trick import (
     MTResult,
@@ -49,9 +48,6 @@ __all__ = [
     "IncrementalKSearch",
     "Kernel",
     "MTResult",
-    "count_colorings",
-    "distinct_colorings",
-    "enumerate_models",
     "extend_coloring",
     "kernelize",
     "lift",

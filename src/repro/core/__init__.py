@@ -1,15 +1,7 @@
 """Formula core: literals, clauses, PB constraints, formulas and I/O."""
 
 from .clause import Clause
-from .cnf_encodings import (
-    build_totalizer,
-    encode_at_least_k_totalizer,
-    encode_at_most_k_sequential,
-    encode_at_most_k_totalizer,
-    encode_at_most_one_pairwise,
-    encode_exactly_one_pairwise,
-    pb_to_cnf,
-)
+from .cnf_encodings import encode_at_most_one_pairwise
 from .formula import Formula, FormulaStats
 from .io_opb import (
     formula_to_string,
@@ -46,14 +38,8 @@ __all__ = [
     "VariablePool",
     "at_least_k",
     "at_most_k",
-    "build_totalizer",
     "check_literal",
-    "encode_at_least_k_totalizer",
-    "encode_at_most_k_sequential",
-    "encode_at_most_k_totalizer",
     "encode_at_most_one_pairwise",
-    "encode_exactly_one_pairwise",
-    "pb_to_cnf",
     "exactly_one",
     "formula_to_string",
     "index_lit",

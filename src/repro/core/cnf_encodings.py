@@ -1,25 +1,17 @@
-"""CNF encodings of cardinality constraints.
+"""The CNF at-most-one encoding of the pure-CNF coloring layout.
 
-Section 2.3 of the paper discusses the CNF-vs-PB trade-off: a PB
-"counting constraint" needs polynomially many clauses (exponentially
-many for naive conversions), citing Warners' linear-overhead
-transformation.  These encoders make that trade-off concrete and let
-the *pure CNF* pipeline (decision K-coloring + repeated SAT calls) run
-on the clause-only CDCL solver:
-
-* ``pairwise``            — at-most-one via O(n^2) binary clauses;
-* ``sequential_counter``  — Sinz-style at-most-k, O(n*k) clauses and
-  auxiliary variables (the modern form of Warners' linear conversion);
-* ``totalizer``           — Bailleux–Boufkhad unary totalizer, O(n log n)
-  variables, supports both at-most-k and at-least-k on the same tree.
-
-All encoders take/return literals and allocate auxiliaries from the
-formula they extend.
+Section 2.3 of the paper weighs CNF against PB: a PB counting
+constraint stands for many clauses.  The repeated-SAT route (Sections
+2.3 and 4.1) runs on the clause-only CDCL solver, so its K-coloring
+layout (``coloring.sat_pipeline._lay_out``) writes each vertex's
+exactly-one row as one at-least-one clause plus the pairwise
+at-most-one clauses built here: O(n^2) binary clauses, no auxiliary
+variables.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from .formula import Formula
 
@@ -32,186 +24,3 @@ def encode_at_most_one_pairwise(formula: Formula, lits: Sequence[int]) -> int:
             formula.add_clause([-a, -b])
             added += 1
     return added
-
-
-def encode_exactly_one_pairwise(formula: Formula, lits: Sequence[int]) -> int:
-    """Exactly-one = at-least-one clause + pairwise at-most-one."""
-    if not lits:
-        raise ValueError("exactly-one over an empty set is unsatisfiable")
-    formula.add_clause(list(lits))
-    return 1 + encode_at_most_one_pairwise(formula, lits)
-
-
-def encode_at_most_k_sequential(
-    formula: Formula, lits: Sequence[int], k: int
-) -> int:
-    """Sinz sequential-counter at-most-k; returns #clauses added.
-
-    Auxiliary ``s[i][j]`` means "at least j of the first i+1 literals
-    are true"; the encoding forbids the (k+1)-th count.
-    """
-    n = len(lits)
-    if k < 0:
-        raise ValueError("k cannot be negative")
-    if k >= n:
-        return 0  # vacuous
-    if k == 0:
-        for lit in lits:
-            formula.add_clause([-lit])
-        return n
-    added = 0
-    # s[i][j] for i in 0..n-1, j in 1..k
-    s = [[formula.new_var() for _ in range(k)] for _ in range(n)]
-    formula.add_clause([-lits[0], s[0][0]])
-    added += 1
-    for j in range(1, k):
-        formula.add_clause([-s[0][j]])
-        added += 1
-    for i in range(1, n):
-        formula.add_clause([-lits[i], s[i][0]])
-        formula.add_clause([-s[i - 1][0], s[i][0]])
-        added += 2
-        for j in range(1, k):
-            formula.add_clause([-lits[i], -s[i - 1][j - 1], s[i][j]])
-            formula.add_clause([-s[i - 1][j], s[i][j]])
-            added += 2
-        formula.add_clause([-lits[i], -s[i - 1][k - 1]])
-        added += 1
-    return added
-
-
-class _TotalizerNode:
-    """A node of the totalizer tree: unary counter outputs for a subset."""
-
-    __slots__ = ("outputs",)
-
-    def __init__(self, outputs: List[int]):
-        self.outputs = outputs  # outputs[j] <=> "at least j+1 true below"
-
-
-def _merge(formula: Formula, left: _TotalizerNode, right: _TotalizerNode) -> _TotalizerNode:
-    total = len(left.outputs) + len(right.outputs)
-    outputs = [formula.new_var() for _ in range(total)]
-    node = _TotalizerNode(outputs)
-    a, b = left.outputs, right.outputs
-    # r_{i+j} <- a_i & b_j (with sentinel cases i=0 / j=0).
-    for i in range(len(a) + 1):
-        for j in range(len(b) + 1):
-            if i + j == 0 or i + j > total:
-                continue
-            clause = [outputs[i + j - 1]]
-            if i > 0:
-                clause.append(-a[i - 1])
-            if j > 0:
-                clause.append(-b[j - 1])
-            if len(clause) > 1:
-                formula.add_clause(clause)
-    # And the converse direction, needed for at-least constraints:
-    # ~r_{i+j+1} <- ~a_{i+1} & ~b_{j+1}
-    for i in range(len(a) + 1):
-        for j in range(len(b) + 1):
-            if i + j >= total:
-                continue
-            clause = [-outputs[i + j]]
-            if i < len(a):
-                clause.append(a[i])
-            if j < len(b):
-                clause.append(b[j])
-            if len(clause) > 1:
-                formula.add_clause(clause)
-    return node
-
-
-def build_totalizer(formula: Formula, lits: Sequence[int]) -> List[int]:
-    """Build a totalizer over ``lits``; returns the unary output literals.
-
-    ``outputs[j]`` is true iff at least ``j+1`` of the inputs are true
-    (both implication directions are encoded).
-    """
-    if not lits:
-        return []
-    nodes = [_TotalizerNode([lit]) for lit in lits]
-    while len(nodes) > 1:
-        merged = []
-        for i in range(0, len(nodes) - 1, 2):
-            merged.append(_merge(formula, nodes[i], nodes[i + 1]))
-        if len(nodes) % 2:
-            merged.append(nodes[-1])
-        nodes = merged
-    return nodes[0].outputs
-
-
-def encode_at_most_k_totalizer(formula: Formula, lits: Sequence[int], k: int) -> List[int]:
-    """At-most-k via a totalizer; returns the totalizer outputs."""
-    outputs = build_totalizer(formula, lits)
-    for j in range(k, len(outputs)):
-        formula.add_clause([-outputs[j]])
-    return outputs
-
-
-def encode_at_least_k_totalizer(formula: Formula, lits: Sequence[int], k: int) -> List[int]:
-    """At-least-k via a totalizer; returns the totalizer outputs."""
-    outputs = build_totalizer(formula, lits)
-    if k > len(outputs):
-        raise ValueError(f"at-least-{k} over {len(outputs)} literals is unsatisfiable")
-    for j in range(k):
-        formula.add_clause([outputs[j]])
-    return outputs
-
-
-def pb_to_cnf(formula: Formula, strategy: str = "sequential") -> Formula:
-    """Compile every PB constraint of ``formula`` into CNF clauses.
-
-    Returns a new clause-only formula (objective dropped — CNF has no
-    objectives; use the repeated-SAT pipeline for optimization).  Only
-    cardinality-form PB constraints are supported, which covers every
-    constraint the coloring encoding produces.
-    """
-    if strategy not in ("sequential", "totalizer", "pairwise"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    out = Formula(num_vars=formula.num_vars)
-    for clause in formula.clauses:
-        out.add_clause(clause.literals)
-    for pb in formula.pb_constraints:
-        if any(abs(c) != 1 for c, _ in pb.terms):
-            raise ValueError(
-                "pb_to_cnf handles cardinality constraints only; "
-                f"got weighted constraint {pb!r}"
-            )
-        lits = [l if c > 0 else -l for c, l in pb.terms]
-        negatives = sum(1 for c, _ in pb.terms if c < 0)
-        bound = pb.bound + negatives  # shift negated coefficients
-        if pb.relation in (">=", "="):
-            _encode_at_least(out, lits, bound, strategy)
-        if pb.relation in ("<=", "="):
-            _encode_at_most(out, lits, bound, strategy)
-    return out
-
-
-def _encode_at_most(formula: Formula, lits: List[int], k: int, strategy: str) -> None:
-    if k >= len(lits):
-        return
-    if k < 0:
-        raise ValueError("at-most with negative bound is unsatisfiable")
-    if strategy == "pairwise":
-        if k == 1:
-            encode_at_most_one_pairwise(formula, lits)
-            return
-        strategy = "sequential"  # pairwise only covers k=1
-    if strategy == "sequential":
-        encode_at_most_k_sequential(formula, lits, k)
-    else:
-        encode_at_most_k_totalizer(formula, lits, k)
-
-
-def _encode_at_least(formula: Formula, lits: List[int], k: int, strategy: str) -> None:
-    if k <= 0:
-        return
-    if k == 1:
-        formula.add_clause(lits)
-        return
-    if strategy == "totalizer":
-        encode_at_least_k_totalizer(formula, lits, k)
-    else:
-        # at-least-k over lits == at-most-(n-k) over negations.
-        encode_at_most_k_sequential(formula, [-l for l in lits], len(lits) - k)

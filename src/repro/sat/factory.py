@@ -39,12 +39,12 @@ def register_solver(solver: SolverT) -> SolverT:
     """Count a freshly built solver and attach the installed tracer.
 
     The observability seam every engine passes through at birth:
-    :func:`new_solver` for the swappable CDCL core, and the PB engine's
-    construction sites (``SolverPreset.make_solver``, solution
-    enumeration), which build :class:`~repro.pb.engine.PBSolver`
-    directly.  Bumps ``solver_created_total``; when a tracer is
-    installed (:func:`repro.obs.tracing`), the solver's searches are
-    traced from its first call.
+    :func:`new_solver` for the swappable CDCL core, and
+    ``SolverPreset.make_solver``, where every ``pb-*`` backend builds
+    its :class:`~repro.pb.engine.PBSolver` directly.  Bumps
+    ``solver_created_total``; when a tracer is installed
+    (:func:`repro.obs.tracing`), the solver's searches are traced from
+    its first call.
     """
     get_registry().inc("solver_created_total")
     tracer = active_tracer()

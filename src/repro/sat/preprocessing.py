@@ -24,8 +24,8 @@ formula.  Implemented here:
   away when doing so does not grow the clause set), with the removed
   clauses saved so models can be reconstructed.
 
-``preprocess`` runs them in rounds and stops at the first round that
-leaves the next one nothing to do (one that only propagated units).
+``preprocess`` runs them in at most ten rounds and stops at the first
+round that leaves the next one nothing to do (one that only propagated units).
 The result is equisatisfiable, *not* equivalent: pure-literal
 elimination and variable elimination discard models.  A model of the
 reduced formula is lifted to a model of the original formula with
@@ -36,8 +36,8 @@ assignment and replays the variable-elimination stack in reverse.
 (tautology/duplicate removal, unit propagation with the units kept,
 subsumption, strengthening) that is safe to run on mixed CNF+PB
 formulas before handing them to the PB/ILP optimizers.  Its rounds
-stop at the first subsumption pass that strengthens nothing, which is
-the exact fixpoint.
+(at most ten) stop at the first subsumption pass that strengthens
+nothing, which is the exact fixpoint.
 
 Both take a ``deadline``: once it expires the running subsumption pass
 keeps the clauses it has not visited and no further round runs, so the
@@ -58,6 +58,8 @@ from ..core.formula import Formula
 from ..core.literals import var_of
 from ..core.pbconstraint import PBConstraint
 from ..resilience import Deadline
+
+_MAX_ROUNDS = 10
 
 
 @dataclass
@@ -470,9 +472,6 @@ def _eliminate_variables(
 
 def preprocess(
     formula: Formula,
-    max_rounds: int = 10,
-    eliminate: bool = True,
-    elimination_occ_limit: int = 12,
     frozen: Iterable[int] = (),
     deadline: Optional[Deadline] = None,
 ) -> PreprocessResult:
@@ -481,9 +480,7 @@ def preprocess(
     Returns an equisatisfiable formula plus the forced assignment, or
     ``formula=None`` when the input is UNSAT.  Models of the reduced
     formula are lifted to models of the input with
-    :meth:`PreprocessResult.extend_model`.  ``eliminate=False`` turns
-    bounded variable elimination off (useful when callers want the
-    reduced formula to use only implied clauses of the input).
+    :meth:`PreprocessResult.extend_model`.
 
     ``frozen`` names variables an incremental caller will later assume
     (or add clauses over): they are exempt from pure-literal elimination
@@ -504,7 +501,7 @@ def preprocess(
     result.tautologies_removed = tautologies
     result.duplicates_removed = duplicates
     forced: Dict[int, bool] = {}
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         clauses_or_none, units = _propagate_units(clauses, forced)
         result.units_propagated += units
         if clauses_or_none is None:
@@ -519,16 +516,13 @@ def preprocess(
             return result  # strengthening emptied a clause: UNSAT
         if deadline is not None and deadline.expired():
             break
-        removed = 0
-        if eliminate:
-            clauses_or_none, removed = _eliminate_variables(
-                clauses, result.eliminated,
-                occ_limit=elimination_occ_limit, frozen=frozen_set,
-            )
-            result.variables_eliminated += removed
-            if clauses_or_none is None:
-                return result  # empty resolvent: UNSAT
-            clauses = clauses_or_none
+        clauses_or_none, removed = _eliminate_variables(
+            clauses, result.eliminated, frozen=frozen_set
+        )
+        result.variables_eliminated += removed
+        if clauses_or_none is None:
+            return result  # empty resolvent: UNSAT
+        clauses = clauses_or_none
         # Units were propagated to fixpoint at the top of this round, so
         # a round that only propagated leaves the next one nothing to do.
         if not (pure or subsumed or strengthened or removed):
@@ -606,7 +600,7 @@ def substitute_forced_into_pb(
 
 
 def simplify_formula(
-    formula: Formula, max_rounds: int = 10, deadline: Optional[Deadline] = None
+    formula: Formula, deadline: Optional[Deadline] = None
 ) -> Tuple[Optional[Formula], SimplifyStats]:
     """Model-preserving clause simplification for mixed CNF+PB formulas.
 
@@ -643,7 +637,7 @@ def simplify_formula(
     stats.tautologies_removed = tautologies
     stats.duplicates_removed = duplicates
     forced: Dict[int, bool] = {}
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         clauses_or_none, units = _propagate_units(clauses, forced)
         stats.units_propagated += units
         if clauses_or_none is None:

@@ -11,7 +11,6 @@ from .instance_independent import (
 )
 from .lex_leader import (
     DEFAULT_SUPPORT_CAP,
-    add_full_group_sbps,
     add_lex_leader_sbp,
     add_symmetry_breaking_predicates,
     generator_support_vars,
@@ -21,7 +20,6 @@ __all__ = [
     "DEFAULT_SUPPORT_CAP",
     "SBP_KINDS",
     "add_cardinality_ordering",
-    "add_full_group_sbps",
     "add_lex_leader_sbp",
     "add_lowest_index_ordering",
     "add_null_color_elimination",

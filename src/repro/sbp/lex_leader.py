@@ -107,48 +107,3 @@ def add_symmetry_breaking_predicates(
         total += add_lex_leader_sbp(formula, generator, support_cap=support_cap)
     return total
 
-
-def add_full_group_sbps(
-    formula: Formula,
-    generators: Sequence[Permutation],
-    element_limit: int = 5000,
-    support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
-) -> int:
-    """Crawford-style *complete* lex-leader breaking: one predicate per
-    group element, not just per generator.
-
-    The paper (Section 2.4) credits Crawford et al. with breaking the
-    whole group — complete but potentially exponential — and Aloul et
-    al. with the generators-only compromise the experiments use.  This
-    function materializes the Crawford variant so the two can be
-    compared; ``element_limit`` guards against group blow-up (a
-    ``ValueError`` is raised when the closure exceeds it, since a
-    silently truncated enumeration would no longer be "complete").
-
-    Returns the number of clauses added.
-    """
-    degree = max((g.degree for g in generators), default=0)
-    if degree == 0:
-        return 0
-    elements = {Permutation.identity(degree)}
-    frontier = [g for g in generators if not g.is_identity]
-    while frontier:
-        element = frontier.pop()
-        if element in elements:
-            continue
-        elements.add(element)
-        if len(elements) > element_limit:
-            raise ValueError(
-                f"group closure exceeds element_limit={element_limit}; "
-                "use add_symmetry_breaking_predicates (generators only)"
-            )
-        for gen in generators:
-            product = gen * element
-            if product not in elements:
-                frontier.append(product)
-    total = 0
-    for element in sorted(elements, key=lambda p: p.image):
-        if element.is_identity:
-            continue
-        total += add_lex_leader_sbp(formula, element, support_cap=support_cap)
-    return total

@@ -11,4 +11,4 @@ class IncrementalSearch:
 
 class Session:
     def warm(self, formula):
-        return preprocess(formula, max_rounds=5)  # violation
+        return preprocess(formula, deadline=None)  # violation

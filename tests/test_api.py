@@ -214,6 +214,23 @@ def test_decision_across_backends():
         assert unsat.status == "UNSAT", backend
 
 
+@pytest.mark.parametrize("graph,k,status", [
+    (mycielski_graph(4), 5, "SAT"),
+    (queens_graph(6, 6), 8, "SAT"),
+    (mycielski_graph(3), 3, "UNSAT"),
+], ids=["myciel4-5", "queen6_6-8", "myciel3-3"])
+def test_a_cplex_bb_decision_stops_at_its_first_coloring(graph, k, status):
+    # A decision asks for any K-coloring, so branch and bound must not
+    # go on minimizing the colors used once it holds one (it did, and
+    # answered SAT only when its time ran out).
+    result = (Pipeline().reduce(False).solve(backend="cplex-bb", time_limit=5)
+              .run(DecisionProblem(graph, k)))
+    assert result.status == status
+    if status == "SAT":
+        assert is_proper(graph, result.coloring)
+        assert result.stats.decisions <= 100
+
+
 def test_brute_backend_matches_cdcl_on_tiny_graph():
     tiny = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     brute = Pipeline().solve(backend="brute").run(ChromaticProblem(tiny))

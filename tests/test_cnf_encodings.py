@@ -1,20 +1,8 @@
-"""Cardinality -> CNF encoding tests: semantics vs brute force."""
+"""The pairwise at-most-one encoding: semantics vs brute force."""
 
 import itertools
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.core.cnf_encodings import (
-    build_totalizer,
-    encode_at_least_k_totalizer,
-    encode_at_most_k_sequential,
-    encode_at_most_k_totalizer,
-    encode_at_most_one_pairwise,
-    encode_exactly_one_pairwise,
-    pb_to_cnf,
-)
+from repro.core.cnf_encodings import encode_at_most_one_pairwise
 from repro.core.formula import Formula
 from repro.sat.cdcl import solve_formula
 
@@ -39,116 +27,3 @@ def test_pairwise_amo():
     models = _count_models_projected(f, 3)
     assert models == {b for b in itertools.product([False, True], repeat=3) if sum(b) <= 1}
 
-
-def test_pairwise_exactly_one():
-    f = Formula(num_vars=3)
-    encode_exactly_one_pairwise(f, [1, 2, 3])
-    models = _count_models_projected(f, 3)
-    assert models == {b for b in itertools.product([False, True], repeat=3) if sum(b) == 1}
-
-
-def test_exactly_one_empty_rejected():
-    with pytest.raises(ValueError):
-        encode_exactly_one_pairwise(Formula(), [])
-
-
-@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3), (4, 0), (3, 3)])
-def test_sequential_at_most_k(n, k):
-    f = Formula(num_vars=n)
-    encode_at_most_k_sequential(f, list(range(1, n + 1)), k)
-    models = _count_models_projected(f, n)
-    expected = {b for b in itertools.product([False, True], repeat=n) if sum(b) <= k}
-    assert models == expected
-
-
-def test_sequential_negative_k():
-    with pytest.raises(ValueError):
-        encode_at_most_k_sequential(Formula(num_vars=2), [1, 2], -1)
-
-
-@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2)])
-def test_totalizer_at_most(n, k):
-    f = Formula(num_vars=n)
-    encode_at_most_k_totalizer(f, list(range(1, n + 1)), k)
-    models = _count_models_projected(f, n)
-    assert models == {b for b in itertools.product([False, True], repeat=n) if sum(b) <= k}
-
-
-@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 4)])
-def test_totalizer_at_least(n, k):
-    f = Formula(num_vars=n)
-    encode_at_least_k_totalizer(f, list(range(1, n + 1)), k)
-    models = _count_models_projected(f, n)
-    assert models == {b for b in itertools.product([False, True], repeat=n) if sum(b) >= k}
-
-
-def test_totalizer_at_least_too_big():
-    with pytest.raises(ValueError):
-        encode_at_least_k_totalizer(Formula(num_vars=2), [1, 2], 3)
-
-
-def test_totalizer_outputs_are_unary_counter():
-    f = Formula(num_vars=4)
-    outputs = build_totalizer(f, [1, 2, 3, 4])
-    assert len(outputs) == 4
-    # Fix exactly 2 inputs true; outputs must read "exactly 2".
-    probe = f.copy()
-    for lit in (1, 2, -3, -4):
-        probe.add_clause([lit])
-    result = solve_formula(probe)
-    assert result.is_sat
-    assert result.model[outputs[0]] and result.model[outputs[1]]
-    assert not result.model[outputs[2]] and not result.model[outputs[3]]
-
-
-@pytest.mark.parametrize("strategy", ["sequential", "totalizer", "pairwise"])
-def test_pb_to_cnf_equisatisfiable(strategy):
-    f = Formula(num_vars=4)
-    f.add_exactly_one([1, 2, 3])
-    f.add_at_most([2, 3, 4], 2)
-    f.add_clause([4])
-    cnf = pb_to_cnf(f, strategy=strategy)
-    assert not cnf.pb_constraints
-    models = _count_models_projected(cnf, 4)
-    expected = set()
-    for bits in itertools.product([False, True], repeat=4):
-        assignment = dict(enumerate(bits, start=1))
-        if f.evaluate(assignment):
-            expected.add(bits)
-    assert models == expected
-
-
-def test_pb_to_cnf_rejects_weighted():
-    f = Formula(num_vars=2)
-    f.add_pb([(2, 1), (1, 2)], ">=", 2)
-    with pytest.raises(ValueError):
-        pb_to_cnf(f)
-
-
-def test_pb_to_cnf_negative_coefficients():
-    # -x1 - x2 >= -1  ==  at most one of x1, x2.
-    f = Formula(num_vars=2)
-    f.add_pb([(-1, 1), (-1, 2)], ">=", -1)
-    cnf = pb_to_cnf(f)
-    models = _count_models_projected(cnf, 2)
-    assert (True, True) not in models
-    assert len(models) == 3
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=5),
-    st.sampled_from(["sequential", "totalizer"]),
-)
-def test_cardinality_encodings_agree(n, k, strategy):
-    f = Formula(num_vars=n)
-    if strategy == "sequential":
-        encode_at_most_k_sequential(f, list(range(1, n + 1)), min(k, n))
-    else:
-        encode_at_most_k_totalizer(f, list(range(1, n + 1)), min(k, n))
-    models = _count_models_projected(f, n)
-    expected = {
-        b for b in itertools.product([False, True], repeat=n) if sum(b) <= min(k, n)
-    }
-    assert models == expected
