@@ -16,9 +16,11 @@ compares the *deterministic* tracked counters against the committed
   kept) must stay exact at fixed inputs.
 
 Wall-clock fields are deliberately *not* gated — CI runners are noisy;
-counters are the stable signal.  On failure the regenerated files are
-left in place so the diff against the committed baselines is
-inspectable (and uploadable as a CI artifact); an intentional perf
+counters are the stable signal.  The one exception is the tracing
+overhead ratio (traced over untraced wall time), held under a fixed
+ceiling of 1.5 that no regeneration of the baselines moves.  On
+failure the regenerated files are left in place so the diff against
+the committed baselines is inspectable (and uploadable as a CI artifact); an intentional perf
 change ships by committing the regenerated BENCH files with the PR.
 
 Usage::
@@ -49,6 +51,8 @@ MODULES = ("bench_solver_micro.py", "bench_preprocessing.py",
 #   direction "max": fresh <= base * (1 + tol)   (counter must not grow)
 #   direction "min": fresh >= base * (1 - tol)   (ratio must not shrink)
 #   direction "eq":  |fresh - base| <= base * tol (deterministic counter)
+#   direction "ceiling": fresh <= 1 + tol        (a timing ratio; the
+#                                                 baseline does not move it)
 GATES = [
     # The incremental K-search must keep beating scratch on conflicts.
     ("solver_micro", {"instance": "descent-aggregate"},
@@ -82,12 +86,13 @@ GATES = [
     ("solver_micro", {"instance": "descent-budgeted-myciel4"},
      "degraded", "eq", 0.0),
     # Observability (docs/observability.md): an installed tracer stays
-    # bounded against the untraced run, and the event-stream size
-    # tracks the (bounded) conflict count — a hook that silently stops
-    # emitting or double-emits fails here even though the ratio would
-    # still look fine.
+    # under 1.5x the untraced run (a fixed ceiling: five regenerations
+    # on one 2-cpu machine read 1.05 to 1.30), and the event-stream
+    # size tracks the (bounded) conflict count — a hook that silently
+    # stops emitting or double-emits fails here even though the ratio
+    # would still look fine.
     ("solver_micro", {"instance": "tracing-overhead"},
-     "enabled_overhead_ratio", "max", 0.50),
+     "enabled_overhead_ratio", "ceiling", 0.50),
     ("solver_micro", {"instance": "tracing-overhead"},
      "trace_records", "eq", 0.25),
     # Preprocessing counters are exact at fixed inputs: the 10k-clause
@@ -178,6 +183,8 @@ def check(baselines, slack: float) -> int:
             ok = fresh <= base * (1.0 + tol)
         elif direction == "min":
             ok = fresh >= base * (1.0 - tol)
+        elif direction == "ceiling":
+            ok = fresh <= 1.0 + tol
         else:
             ok = abs(fresh - base) <= abs(base) * tol
         verdict = "ok" if ok else f"REGRESSION ({direction}, tol {tol:.0%})"

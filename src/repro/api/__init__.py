@@ -16,11 +16,10 @@ One import gives the four concepts every workload composes from:
 * **Session** — many queries on one graph sharing one persistent
   solver; budgets at or above the DSATUR bound, or below the clique
   bound, are answered without a solver call.
-* **Resilience** — :class:`Deadline` (one budget object threaded
+* **Resilience** — :class:`Deadline`, one budget object threaded
   through every stage; expiry degrades to a verified ``FEASIBLE``
-  best-so-far instead of discarding work) and :class:`RetryPolicy`
-  (bounded, deterministic retry for the batch runner).  Re-exported
-  from :mod:`repro.resilience`; see ``docs/resilience.md``.
+  best-so-far instead of discarding work.  Re-exported from
+  :mod:`repro.resilience`; see ``docs/resilience.md``.
 
 Quickstart::
 
@@ -44,7 +43,7 @@ Multi-query session (one persistent solver, built at the DSATUR bound)::
                                    # coloring, no solver call
 """
 
-from ..resilience import Budget, Deadline, RetryPolicy
+from ..resilience import Deadline
 from .backends import (
     Backend,
     available_backends,
@@ -89,7 +88,6 @@ def __getattr__(name):
 
 __all__ = [
     "Backend",
-    "Budget",
     "BudgetedOptimize",
     "ChromaticProblem",
     "Deadline",
@@ -102,7 +100,6 @@ __all__ = [
     "Provenance",
     "ReduceConfig",
     "Result",
-    "RetryPolicy",
     "RunContext",
     "Session",
     "SimplifyConfig",

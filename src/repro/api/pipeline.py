@@ -453,16 +453,9 @@ def _run_formula_stages(
         if stage_name == "sbp":
             if sym.sbp_kind != "none":
                 ctx.emit("sbp", f"appending {sym.sbp_kind} SBPs")
-                work = ColoringEncoding(
-                    graph=encoding.graph,
-                    num_colors=encoding.num_colors,
-                    formula=formula,
-                    x_var=encoding.x_var,
-                    y_var=encoding.y_var,
-                )
                 from ..sbp.instance_independent import apply_sbp
 
-                formula = apply_sbp(work, sym.sbp_kind).formula
+                formula = apply_sbp(encoding, sym.sbp_kind).formula
                 stages.append(
                     StageStat("sbp", time.monotonic() - t0, {"kind": sym.sbp_kind})
                 )

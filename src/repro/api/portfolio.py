@@ -26,13 +26,12 @@ so a SAT answer lifts to a K-coloring of the whole graph and an UNSAT
 answer refutes K for it), and every racer publishes its final bounds
 when it returns.
 
-A dying racer is retried once (:class:`~repro.resilience.RetryPolicy`
-classifies a death as transient), then dropped — the race continues
-with the survivors, and only a fully dead field yields UNKNOWN.  Every
-racer, a relaunched one too, gets what the run's one deadline has left
-as its time limit and its kill limit.  The
-``racer`` fault-injection point fires at the top of every racer
-process, which is how the chaos suite kills a racer mid-race and
+A dying racer is relaunched at once, one time (a death is transient),
+then dropped — the race continues with the survivors, and only a fully
+dead field yields UNKNOWN.  Every racer, a relaunched one too, gets
+what the run's one deadline has left as its time limit and its kill
+limit.  The ``racer`` fault-injection point fires at the top of every
+racer process, which is how the chaos suite kills a racer mid-race and
 watches the field recover.
 """
 
@@ -45,7 +44,7 @@ from typing import Dict, Optional, Tuple
 
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
-from ..resilience import Deadline, RetryPolicy, Worker, wait_any
+from ..resilience import Deadline, Worker, wait_any
 from ..resilience.faults import fire as _fire_fault
 from ..sat.result import OPTIMAL, SAT, UNKNOWN, UNSAT
 from .backends import Backend, get_backend, resolve_backend_name
@@ -192,7 +191,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     if tracer is not None:
         tracer.race_begin(len(specs))
     ctx.emit("race", f"racing {len(specs)} engines: {', '.join(specs)}")
-    retry_policy = RetryPolicy(max_retries=_RACER_RETRIES)
     flights: Dict[int, Worker] = {}
     retries = [0] * len(specs)
     results: Dict[int, Result] = {}
@@ -273,7 +271,7 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
                     grace = Deadline.after(1.0)
             elif kind == "died":
                 registry.inc("race_racer_deaths_total")
-                if retry_policy.should_retry("died", retries[index]):
+                if retries[index] < _RACER_RETRIES:
                     ctx.emit("race", f"racer {specs[index]} died; relaunching")
                     retries[index] += 1
                     launch(index)

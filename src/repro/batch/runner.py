@@ -18,11 +18,9 @@ adds:
   re-queued on the next backend of the task's chain (e.g.
   ``cdcl-incremental`` -> ``cplex-bb``), with a fresh timeout budget;
 * **retry on worker death** — a worker that dies without reporting (OOM
-  kill, solver crash) is a *transient* failure under the runner's
-  :class:`~repro.resilience.RetryPolicy`: retried (with the policy's
-  deterministic backoff schedule) up to its retry budget on the same
-  backend before the chain advances.  A backing-off task waits in the
-  queue for its not-before time while the other workers keep running;
+  kill, solver crash) is a *transient* failure: the attempt is
+  re-queued at once on the same backend, up to ``retries`` times,
+  before the chain advances;
 * **deterministic ordering** — records are emitted in manifest order no
   matter the completion order, so ``--jobs 4`` output is byte-comparable
   with ``--jobs 1``;
@@ -47,19 +45,19 @@ debugging and for platforms without ``fork``.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import get_registry, scoped_registry
-from ..resilience import Deadline, RetryPolicy, Worker, append_record, wait_any
+from ..resilience import Deadline, Worker, append_record, wait_any
 from ..resilience.faults import fire as _fire_fault
 from .manifest import TaskSpec, as_task, load_plugins
 from .records import conclusive, error_record, result_to_record
 
-# Outcomes an attempt can end with: "ok" finalizes; the rest are
-# classified by the runner's RetryPolicy — "died" is transient (retry,
-# then advance the fallback chain), "timeout" / "inconclusive" /
-# "error" promote to the next backend immediately.
+# Outcomes an attempt can end with: "ok" finalizes; "died" is transient
+# (retried, then the fallback chain advances); "timeout" /
+# "inconclusive" / "error" advance the chain at once.
 
 
 def _execute_attempt(
@@ -221,9 +219,11 @@ class BatchRunner:
 
     ``tasks`` items may be :class:`TaskSpec`, manifest-style dicts, api
     ``Problem`` objects, or ``(name, Problem)`` pairs.  ``fallback``
-    appends a runner-level backend chain to every task.  ``jsonl`` is an
-    optional open text file receiving one record per line (in manifest
-    order, streamed) plus a final ``{"summary": ...}`` line.
+    appends a runner-level backend chain to every task.  ``retries`` is
+    how many times a died attempt re-runs on the same backend before the
+    chain advances.  ``jsonl`` is an optional open text file receiving
+    one record per line (in manifest order, streamed) plus a final
+    ``{"summary": ...}`` line.
     """
 
     def __init__(
@@ -237,11 +237,12 @@ class BatchRunner:
         plugins: Sequence[str] = (),
         on_record=None,
         jsonl: Optional[IO[str]] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         resume_records: Sequence[Dict[str, object]] = (),
     ):
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {task_timeout}")
         load_plugins(plugins)
@@ -258,12 +259,6 @@ class BatchRunner:
         self.jobs = jobs
         self.task_timeout = task_timeout
         self.retries = retries
-        # One policy object answers retry?/promote?/wait-how-long for
-        # every attempt; ``retries`` remains the convenience knob.
-        self.retry_policy = (
-            retry_policy if retry_policy is not None
-            else RetryPolicy(max_retries=retries)
-        )
         self.resume_records = list(resume_records)
         self.include_colorings = include_colorings
         self._on_record = on_record
@@ -321,46 +316,32 @@ class BatchRunner:
                     self.include_colorings,
                     detection_cache=detection_cache,
                 )
-                delay = self._settle(index, state, outcome, record, emitter)
-                if delay is None:
+                if not self._settle(index, state, outcome, record, emitter):
                     break
-                if delay > 0:
-                    time.sleep(delay)
 
     # ------------------------------------------------------------- pool mode
     def _run_pool(self, states, emitter, skip=frozenset()) -> None:
         """Run every attempt on at most ``jobs`` workers kept for the run.
 
-        An idle worker takes the next attempt whose not-before time has
-        passed; a worker that died or was killed is gone, and a fresh
-        one takes its slot.  Every worker is closed and joined before
-        this returns, so ``RUSAGE_CHILDREN`` counts all of their CPU.
+        An idle worker takes the next queued attempt; a worker that died
+        or was killed is gone, and a fresh one takes its slot.  Every
+        worker is closed and joined before this returns, so
+        ``RUSAGE_CHILDREN`` counts all of their CPU.
         """
-        # Queued attempts in launch order, each with its not-before
-        # time (a retry's backoff; already expired otherwise).
-        pending: List[Tuple[int, Deadline]] = [
-            (i, Deadline.after(0.0))
-            for i in range(len(self.tasks)) if i not in skip]
+        # Task indices whose next attempt waits for a worker, in
+        # launch order.
+        pending = deque(i for i in range(len(self.tasks)) if i not in skip)
         flights: Dict[int, Worker] = {}
         idle: List[Worker] = []
         try:
             while pending or flights:
                 get_registry().gauge(
                     "batch_queue_depth", len(pending) + len(flights))
-                for entry in list(pending):
-                    if len(flights) >= self.jobs:
-                        break
-                    index, not_before = entry
-                    if not_before.expired():
-                        pending.remove(entry)
-                        flights[index] = self._launch(
-                            index, states[index], idle.pop() if idle else None)
-                timeout = None
-                if pending and len(flights) < self.jobs:
-                    # A free slot, and every queued task is backing off:
-                    # wake when the first of them may start.
-                    timeout = min(nb.remaining() or 0.0 for _, nb in pending)
-                wait_any(flights.values(), timeout)
+                while pending and len(flights) < self.jobs:
+                    index = pending.popleft()
+                    flights[index] = self._launch(
+                        index, states[index], idle.pop() if idle else None)
+                wait_any(flights.values())
                 for index, worker in list(flights.items()):
                     reported = worker.poll()
                     if reported is None:
@@ -369,10 +350,9 @@ class BatchRunner:
                     if worker.idle:
                         idle.append(worker)
                     outcome, record = self._attempt_outcome(worker, reported)
-                    delay = self._settle(
-                        index, states[index], outcome, record, emitter)
-                    if delay is not None:
-                        pending.append((index, Deadline.after(delay)))
+                    if self._settle(
+                            index, states[index], outcome, record, emitter):
+                        pending.append(index)
         finally:
             for worker in idle + list(flights.values()):
                 worker.close()  # stops one still running a job
@@ -421,12 +401,13 @@ class BatchRunner:
     def _settle(
         self, index: int, state: _TaskState, outcome: str,
         record: Dict[str, object], emitter: _OrderedEmitter,
-    ) -> Optional[float]:
+    ) -> bool:
         """Fold one attempt outcome into the task state.
 
-        Returns ``None`` when the task is finalized.  Otherwise it was
-        re-queued (retry or fallback promotion), and the result is the
-        backoff in seconds before its next attempt may start.
+        Returns whether the task was re-queued: a died attempt is
+        retried on the same backend while ``retries`` allows, any other
+        failure (or a death past them) advances the fallback chain, and
+        a task with no backend left is finalized.
         """
         state.attempts.append({
             "backend": state.backend,
@@ -437,22 +418,21 @@ class BatchRunner:
                            outcome=outcome, backend=state.backend)
         if outcome == "ok":
             self._finalize(index, state, outcome, record, emitter)
-            return None
+            return False
         colors = record.get("num_colors")
         if colors is not None:
             best = state.best_partial
             if best is None or best[1].get("num_colors") > colors:
                 state.best_partial = (state.backend, record)
-        if self.retry_policy.should_retry(outcome, state.retry):
+        if outcome == "died" and state.retry < self.retries:
             state.retry += 1
-            return self.retry_policy.delay(state.retry)
-        if self.retry_policy.should_promote(outcome):
-            if state.has_fallback():
-                state.backend_idx += 1
-                state.retry = 0
-                return 0.0
+            return True
+        if state.has_fallback():
+            state.backend_idx += 1
+            state.retry = 0
+            return True
         self._finalize(index, state, outcome, record, emitter)
-        return None
+        return False
 
     def _finalize(
         self, index: int, state: _TaskState, outcome: str,
@@ -518,7 +498,6 @@ def solve_many(
     plugins: Sequence[str] = (),
     on_record=None,
     jsonl_path: Optional[str] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     resume_records: Sequence[Dict[str, object]] = (),
 ) -> BatchReport:
     """Solve many problems across a worker pool; records in input order.
@@ -532,8 +511,7 @@ def solve_many(
     kwargs = dict(
         jobs=jobs, task_timeout=task_timeout, fallback=fallback,
         retries=retries, include_colorings=include_colorings, plugins=plugins,
-        on_record=on_record, retry_policy=retry_policy,
-        resume_records=resume_records,
+        on_record=on_record, resume_records=resume_records,
     )
     if jsonl_path is not None:
         with open(jsonl_path, "w") as fh:

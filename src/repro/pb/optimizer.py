@@ -34,6 +34,7 @@ from ..core.formula import Formula
 from ..core.literals import var_of
 from ..core.pbconstraint import normalize_terms
 from ..resilience import Deadline
+from ..sat.factory import register_solver
 from ..sat.result import OPTIMAL, OptimizeResult, SAT, UNKNOWN, UNSAT, SolverStats
 from .engine import PBSolver
 
@@ -135,7 +136,10 @@ def minimize(
     without refuting it.  ``time_limit`` and ``should_stop`` are checked
     before every probe's solve and polled inside it; either ends the
     search with the best solution so far (SAT), or UNKNOWN without one.
-    ``incremental=False`` answers every probe on a fresh solver.
+    ``incremental=False`` answers every probe on a fresh solver.  With
+    no ``solver_factory`` each solver is a default :class:`PBSolver`,
+    registered like every engine (counted, and traced when a tracer is
+    installed).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown optimization strategy {strategy!r}")
@@ -143,7 +147,7 @@ def minimize(
         raise ValueError("formula has no objective")
     deadline = Deadline.after(time_limit)
     stats = SolverStats()
-    factory = solver_factory or PBSolver
+    factory = solver_factory or (lambda: register_solver(PBSolver()))
 
     def solve(solver: PBSolver, assumptions: List[int]) -> Answer:
         if deadline.expired() or (should_stop is not None and should_stop()):

@@ -2,18 +2,12 @@
 
 Before this package, every execution tier managed time and failure its
 own way: the Pipeline recomputed ``time_limit - elapsed`` by hand per
-component and the batch runner hard-coded its retry-on-death counter.
-This package centralizes those concerns:
+component.  This package centralizes those concerns:
 
-* :class:`Deadline` (alias :data:`Budget`) — a monotonic-clock budget
-  with ``remaining()``/``expired()``, child deadlines and a swappable
-  clock seam (the clock-skew fault hook).  All deadline arithmetic in
-  the repo goes through it — enforced by the static checker's RPR007
-  rule.
-* :class:`RetryPolicy` — bounded retries with exponential backoff,
-  deterministic jitter and transient-vs-fatal failure classification;
-  the batch runner's retry and fallback-promotion decisions run
-  through one policy object.
+* :class:`Deadline` — a monotonic-clock budget with
+  ``remaining()``/``expired()``, child deadlines and a swappable clock
+  seam (the clock-skew fault hook).  All deadline arithmetic in the
+  repo goes through it — enforced by the static checker's RPR007 rule.
 * :mod:`~repro.resilience.wal` — write-ahead-log JSONL helpers
   (flush+fsync per record, truncated-tail detection) behind the batch
   runner's crash-safe ``--resume``.
@@ -25,7 +19,8 @@ This package centralizes those concerns:
   child process, one job after another: fault re-arming per job, a
   parent-side kill deadline per job and a once-only outcome per job
   (``ok`` / ``error`` / ``died`` / ``killed``) for the batch fleet and
-  the portfolio race.
+  the portfolio race.  Each caller keeps its own retry rule: a ``died``
+  job is retried at once, a bounded number of times.
 
 The package depends only on the standard library and the stdlib-only
 :mod:`repro.obs`, so every layer of the repo (``sat/``, ``pb/``,
@@ -33,7 +28,7 @@ The package depends only on the standard library and the stdlib-only
 cycles.
 """
 
-from .budget import Budget, Deadline, reset_clock, set_clock
+from .budget import Deadline, reset_clock, set_clock
 from .faults import (
     FaultInjected,
     FaultPlan,
@@ -44,17 +39,14 @@ from .faults import (
     install_faults,
     seeded_plan,
 )
-from .retry import RetryPolicy
 from .wal import append_record, corrupt_tail, fsync_file, read_wal
 from .worker import Worker, wait_any
 
 __all__ = [
-    "Budget",
     "Deadline",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
-    "RetryPolicy",
     "Worker",
     "append_record",
     "clear_faults",

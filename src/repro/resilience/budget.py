@@ -111,7 +111,3 @@ class Deadline:
         if self._expiry is None:
             return "Deadline(unbounded)"
         return f"Deadline(remaining={self.remaining():.3f}s)"
-
-
-#: The ISSUE-facing alias: a Deadline *is* the budget object.
-Budget = Deadline

@@ -618,7 +618,6 @@ class CDCLSolver:
                 self._backtrack(bt)
                 self._record_learnt(learnt, lbd)
                 self.vsids.decay()
-                self._on_conflict()
                 if tracer is not None:
                     tracer.conflict(self.tracer_id, bt, lbd,
                                     self.stats.propagations - props_mark)
@@ -677,9 +676,6 @@ class CDCLSolver:
             trail_lim.append(len(self.trail))
             lit = var if self.saved_phase[var] else -var
             self._enqueue(lit, None)
-
-    def _on_conflict(self) -> None:
-        """Hook for subclasses (e.g. extra learning)."""
 
     def _finish(
         self, status: str, start: float, base: SolverStats, run: SolverStats

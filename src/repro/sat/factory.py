@@ -39,9 +39,10 @@ def register_solver(solver: SolverT) -> SolverT:
     """Count a freshly built solver and attach the installed tracer.
 
     The observability seam every engine passes through at birth:
-    :func:`new_solver` for the swappable CDCL core, and
+    :func:`new_solver` for the swappable CDCL core,
     ``SolverPreset.make_solver``, where every ``pb-*`` backend builds
-    its :class:`~repro.pb.engine.PBSolver` directly.  Bumps
+    its :class:`~repro.pb.engine.PBSolver` directly, and the default
+    factory of :func:`repro.pb.optimizer.minimize`.  Bumps
     ``solver_created_total``; when a tracer is installed
     (:func:`repro.obs.tracing`), the solver's searches are traced from
     its first call.

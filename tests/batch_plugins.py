@@ -14,6 +14,8 @@ hardware:
   ``cdcl-incremental``: the retry-on-worker-death path.
 * ``always-crash`` — dies on every attempt: retry exhaustion and the
   death -> fallback promotion path.
+* ``shrug`` — answers UNKNOWN at once, never cancelled: the
+  inconclusive -> fallback promotion path.
 """
 
 import os
@@ -77,6 +79,16 @@ class AlwaysCrashBackend(Backend):
         os._exit(3)
 
 
+class ShrugBackend(Backend):
+    """Gives up at once, inside any budget."""
+
+    name = "shrug"
+    description = "test backend: answers UNKNOWN at once"
+
+    def run(self, problem, config, ctx):
+        return Result(status="UNKNOWN")
+
+
 def _register() -> None:
     # Re-registering under the same name is an overwrite, so loading
     # this plugin twice (parent + worker) is harmless.
@@ -84,6 +96,7 @@ def _register() -> None:
     register_backend(DozyBackend())
     register_backend(CrashOnceBackend())
     register_backend(AlwaysCrashBackend())
+    register_backend(ShrugBackend())
 
 
 _register()

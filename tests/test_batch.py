@@ -27,7 +27,6 @@ from repro.batch import (
 from repro.experiments.runner import run_grid
 from repro.graphs.dimacs import write_dimacs_graph
 from repro.graphs.generators import mycielski_graph, queens_graph
-from repro.resilience import RetryPolicy
 
 PLUGIN = os.path.join(os.path.dirname(__file__), "batch_plugins.py")
 
@@ -260,6 +259,26 @@ def test_worker_death_without_fallback_is_an_error():
     assert len(record["attempts"]) == 2
 
 
+def test_an_inconclusive_attempt_promotes_without_retry():
+    report = solve_many(
+        [{"graph": "myciel3", "backend": "shrug",
+          "fallback": ["cdcl-incremental"]}],
+        jobs=1, plugins=[PLUGIN],
+    )
+    record = report.records[0]
+    assert record["status"] == "OPTIMAL" and record["num_colors"] == 4
+    assert [a["outcome"] for a in record["attempts"]] == ["inconclusive", "ok"]
+    assert report.summary["retries"] == 0
+
+
+def test_a_negative_retry_count_is_rejected():
+    tasks = [{"graph": "myciel3"}]
+    with pytest.raises(ValueError, match="retries"):
+        BatchRunner(tasks, retries=-1)
+    with pytest.raises(ValueError, match="retries"):
+        solve_many(tasks, retries=-1)
+
+
 def test_failed_chain_keeps_best_partial_answer():
     # Attempt 1 (cdcl) times out on the hard K=6 UNSAT proof but has a
     # feasible coloring in hand; attempt 2 (always-crash) dies.  The
@@ -363,20 +382,19 @@ def test_a_failing_run_stops_and_joins_its_workers():
     assert multiprocessing.active_children() == []
 
 
-def test_a_retry_backoff_does_not_stall_the_other_workers():
-    # The crashing task waits 3 s before its retry; meanwhile the hung
-    # attempt must still be killed at its own deadline, 0.3 + 1.0 s.
+def test_a_retry_runs_at_once_beside_a_hung_attempt():
+    # The crashing task is retried at once on a fresh worker; meanwhile
+    # the hung attempt must still be killed at its own deadline,
+    # 0.3 + 1.0 s.
     report = solve_many(
         [{"graph": "myciel3", "backend": "always-crash"},
          {"graph": "myciel3", "backend": "sleepy"}],
         jobs=2, task_timeout=0.3, plugins=[PLUGIN],
-        retry_policy=RetryPolicy(max_retries=1, base_delay=3.0, jitter=0.0),
     )
     crashed, hung = report.records
     assert [a["outcome"] for a in crashed["attempts"]] == ["died", "died"]
     assert [a["outcome"] for a in hung["attempts"]] == ["timeout"]
     assert hung["attempts"][0]["seconds"] < 2.5
-    assert report.summary["wall_seconds"] >= 3.0  # the backoff still holds
 
 
 def test_run_grid_inline_matches_two_workers():

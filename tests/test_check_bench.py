@@ -125,3 +125,20 @@ def test_parallel_answer_drift_fails_exactly(check_bench, tmp_path):
     fresh[0]["solvers_created"] = 3  # the descent split the kernel again
     _write(tmp_path, "parallel", fresh)
     assert check_bench.check(_baselines(check_bench), slack=1.0) == 1
+
+
+def test_the_tracing_overhead_ceiling_ignores_the_baseline(check_bench, tmp_path):
+    def gate(base, fresh):
+        entry = {"instance": "tracing-overhead", "trace_records": 100}
+        _write(tmp_path, "solver_micro",
+               BASE_SOLVER + [dict(entry, enabled_overhead_ratio=fresh)])
+        _write_rest(tmp_path, "solver_micro")
+        baselines = _baselines(check_bench)
+        baselines["solver_micro"] = BASE_SOLVER + [
+            dict(entry, enabled_overhead_ratio=base)]
+        return check_bench.check(baselines, slack=1.0)
+
+    # Within 50% of a 1.05 baseline, but over the fixed 1.5 ceiling.
+    assert gate(base=1.05, fresh=1.55) == 1
+    # More than 50% over a low baseline, but under the ceiling.
+    assert gate(base=0.9, fresh=1.45) == 0

@@ -17,6 +17,8 @@ from repro.core.formula import Formula
 from repro.experiments.instances import get_instance
 from repro.graphs.cliques import clique_lower_bound
 from repro.graphs.coloring_heuristics import dsatur
+from repro.graphs.generators import mycielski_graph
+from repro.obs.metrics import scoped_registry
 from repro.pb.optimizer import minimize
 from repro.pb.presets import PRESETS, get_preset, solve_optimize
 from repro.sat.brute import brute_force_optimize
@@ -93,6 +95,21 @@ def test_presets_exist_and_solve():
     for name in PRESETS:
         result = solve_optimize(_small_problem(), preset=name)
         assert result.is_optimal and result.best_value == 2
+
+
+@pytest.mark.parametrize("incremental, built", [(True, 1), (False, 2)])
+def test_the_default_factory_registers_every_solver(incremental, built):
+    """With no ``solver_factory`` every solver is counted, as a preset's
+    is, and the search is the one the pbs2 preset's solvers make."""
+    formula = encode_coloring(mycielski_graph(3), 5).formula
+    with scoped_registry() as registry:
+        result = minimize(formula, incremental=incremental)
+    counters = registry.snapshot()["counters"]
+    assert counters.get("solver_created_total") == built
+    preset = minimize(formula, incremental=incremental,
+                      solver_factory=get_preset("pbs2").solver_factory())
+    assert result.is_optimal and result.best_value == 4
+    assert result.stats.conflicts == preset.stats.conflicts == 328
 
 
 def test_unknown_preset():

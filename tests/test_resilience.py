@@ -1,4 +1,4 @@
-"""The chaos suite: deadlines, retries, the WAL, and injected faults.
+"""The chaos suite: deadlines, the WAL, workers, and injected faults.
 
 The resilience layer's contract, asserted here across every execution
 tier (Pipeline / Session / portfolio / batch runner):
@@ -12,8 +12,8 @@ tier (Pipeline / Session / portfolio / batch runner):
 * **crash-safe resume is exact** — a batch resumed from a torn WAL
   replays completed records byte-identically and re-solves only the
   rest;
-* **everything is deterministic** — retry schedules, fault plans and
-  the seeded chaos scenario are pure functions of their seeds;
+* **everything is deterministic** — fault plans and the seeded chaos
+  scenario are pure functions of their seeds;
 * **one worker primitive** — every job a child process runs is
   reported exactly once (``ok`` / ``error`` / ``died`` / ``killed``);
   a worker runs job after job in one process, re-arms the faults
@@ -52,7 +52,6 @@ from repro.resilience import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     Worker,
     clear_faults,
     corrupt_tail,
@@ -147,60 +146,6 @@ def test_clock_skew_expires_deadlines_without_sleeping():
     assert deadline.expired()
     clear_faults()  # undoes the seam: the real clock comes back
     assert not deadline.expired()
-
-
-# ==========================================================================
-# RetryPolicy
-# ==========================================================================
-
-
-def test_retry_schedule_is_deterministic_and_bounded():
-    policy = RetryPolicy(max_retries=4, base_delay=0.5, backoff=3.0,
-                         max_delay=5.0, jitter=0.1, seed=7)
-    schedule = policy.schedule()
-    assert schedule == RetryPolicy(
-        max_retries=4, base_delay=0.5, backoff=3.0, max_delay=5.0,
-        jitter=0.1, seed=7,
-    ).schedule()
-    assert len(schedule) == 4
-    for attempt, delay in enumerate(schedule, start=1):
-        raw = min(0.5 * 3.0 ** (attempt - 1), 5.0)
-        assert raw * 0.9 <= delay <= raw * 1.1
-    # A different seed jitters differently; zero jitter is exact.
-    assert schedule != RetryPolicy(
-        max_retries=4, base_delay=0.5, backoff=3.0, max_delay=5.0,
-        jitter=0.1, seed=8,
-    ).schedule()
-    exact = RetryPolicy(max_retries=3, base_delay=1.0, backoff=2.0,
-                        max_delay=30.0, jitter=0.0)
-    assert exact.schedule() == [1.0, 2.0, 4.0]
-    assert RetryPolicy(base_delay=0.0).delay(1) == 0.0
-
-
-def test_retry_classification_transient_vs_fatal():
-    policy = RetryPolicy(max_retries=2)
-    assert policy.classify("died") == "transient"
-    for outcome in ("timeout", "error", "inconclusive", "ok"):
-        assert policy.classify(outcome) == "fatal"
-    assert policy.should_retry("died", retries_used=0)
-    assert policy.should_retry("died", retries_used=1)
-    assert not policy.should_retry("died", retries_used=2)  # budget spent
-    assert not policy.should_retry("timeout", retries_used=0)  # deterministic
-    assert policy.should_promote("timeout")
-    assert policy.should_promote("error")
-    assert policy.should_promote("died")
-    assert not policy.should_promote("ok")
-
-
-def test_retry_policy_validation():
-    with pytest.raises(ValueError, match="max_retries"):
-        RetryPolicy(max_retries=-1)
-    with pytest.raises(ValueError, match="backoff"):
-        RetryPolicy(backoff=0.5)
-    with pytest.raises(ValueError, match="jitter"):
-        RetryPolicy(jitter=1.0)
-    with pytest.raises(ValueError, match="1-based"):
-        RetryPolicy().delay(0)
 
 
 # ==========================================================================
