@@ -25,7 +25,12 @@
 # one-line timing/stats summary to stderr; `make typecheck` runs the
 # typed-core mypy gate (mypy.ini); `make docs-check` runs the docs
 # gate (scripts/check_docs.py — pure stdlib: intra-repo Markdown
-# link/anchor integrity plus the public-API docstring-coverage floor).
+# link/anchor integrity plus the public-API docstring-coverage floor);
+# `make perfbench-trace-smoke` runs each perfbench workload for 1 s
+# with the per-layer tracer on (`--trace 1`) and fails unless the run
+# exits 0 and its last line reads "correct": true with "failed": 0 —
+# the check that the wrapped functions' return shapes still fit
+# perfbench/tracing.py's post hooks.
 #
 # Tools that offline dev environments may lack (ruff, pytest-cov,
 # mypy) are skipped with a notice locally but are hard failures when
@@ -42,7 +47,8 @@ HYPOTHESIS_PROFILE ?= ci
 CHAOS_SEED ?= 0
 
 .PHONY: test lint analyze typecheck docs-check bench-smoke bench \
-	bench-json bench-check batch-smoke coverage fuzz-smoke chaos-smoke
+	bench-json bench-check batch-smoke coverage fuzz-smoke chaos-smoke \
+	perfbench-trace-smoke
 
 test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -117,3 +123,16 @@ batch-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro batch examples/batch_manifest.json \
 		--jobs 4 --task-timeout 8 --fallback exact-dsatur \
 		--out batch-smoke.jsonl
+
+PERFBENCH_WORKLOADS = cdcl-descent fleet pb-shatter pb-k20
+PERFBENCH_LAST_LINE_OK = import json, sys; r = json.loads(sys.stdin.read()); \
+	sys.exit(r["correct"] is not True or r["failed"] != 0)
+
+perfbench-trace-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench --trace 1: $$w"; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seconds 1 --trace 1) \
+			&& printf '%s\n' "$$out" | tail -n 1 \
+			| $(PYTHON) -c '$(PERFBENCH_LAST_LINE_OK)' \
+			|| { printf '%s\n' "$$out"; exit 1; }; \
+	done

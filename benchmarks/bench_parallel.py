@@ -9,8 +9,9 @@ random graphs and records the results in ``BENCH_parallel.json``:
   runs — min-of-reps is the stable estimator on a shared runner) plus
   the answer counters it must reproduce exactly,
 * the portfolio race on one component: wall seconds, winner, and the
-  exchanged bounds (the race must finish far below the per-engine
-  budget because the first conclusive racer cancels the rest).
+  race's bounds, taken from the racers' answers (the race must finish
+  far below the per-engine budget because the first conclusive racer
+  cancels the rest).
 
 ``scripts/check_bench.py`` gates the deterministic counters (chromatic
 numbers, solver count, race status) exactly against the committed

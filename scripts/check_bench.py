@@ -113,7 +113,7 @@ GATES = [
     # Execution layer (bench_parallel): the descent on the 3-component
     # union reproduces the answer on one solver, and the portfolio race
     # stays a first-conclusive-cancels-the-rest affair with the
-    # exchanged bounds meeting at the optimum.
+    # race's bounds meeting at the optimum.
     ("parallel", {"instance": "union-3xgnp42-descent"},
      "chromatic_number", "eq", 0.0),
     ("parallel", {"instance": "union-3xgnp42-descent"},

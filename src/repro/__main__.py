@@ -378,8 +378,7 @@ def main(argv=None) -> int:
     p_chrom.add_argument(
         "--portfolio", action="store_true",
         help="race cdcl-incremental, pb-pueblo and exact-dsatur on the "
-             "whole problem; first conclusive answer cancels the rest "
-             "(racers exchange bounds while running)")
+             "whole problem; first conclusive answer cancels the rest")
     p_chrom.add_argument("--trace", default=None, metavar="FILE",
                          help="write a binary solver event trace to FILE "
                               "(render: python -m repro.obs report FILE)")

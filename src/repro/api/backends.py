@@ -20,8 +20,7 @@ Registered engines:
 ``brute``          exhaustive enumeration (tiny instances; the oracle)
 ``exact-dsatur``   DSATUR branch and bound (problem-specific baseline)
 ``portfolio``      races the engines in ``SolveConfig.racers`` in worker
-                   processes; first conclusive answer cancels the rest,
-                   racers exchange bounds while they run
+                   processes; first conclusive answer cancels the rest
 =================  =========================================================
 """
 
@@ -41,8 +40,7 @@ from ..coloring.sat_pipeline import (
     sat_k_colorable,
 )
 from ..graphs.graph import Graph
-from ..pb.optimizer import minimize
-from ..pb.presets import get_preset
+from ..pb.presets import get_preset, solve_optimize
 from ..resilience import Deadline
 from ..sat.brute import MAX_BRUTE_VARS, brute_force_solve
 from ..sat.result import (
@@ -62,7 +60,7 @@ from .pipeline import (
     run_reduced,
 )
 from .problems import BUDGETED, CHROMATIC, DECISION, Problem
-from .results import Result, RunContext, StageStat
+from .results import Result, RunContext, StageStat, conclusive
 
 
 class Backend(abc.ABC):
@@ -192,15 +190,9 @@ class PBPresetBackend(_OptimizeFlowBackend):
         self.description = self.preset.description
 
     def minimize(self, formula, time_limit, upper, lower, should_stop=None):
-        return minimize(
-            formula,
-            strategy=self.preset.optimization_strategy,
-            solver_factory=self.preset.solver_factory(),
-            time_limit=time_limit,
-            upper_bound_hint=upper,
-            lower_bound=lower,
-            should_stop=should_stop,
-        )
+        return solve_optimize(formula, self.preset.name, time_limit=time_limit,
+                              upper_bound_hint=upper, lower_bound=lower,
+                              should_stop=should_stop)
 
     def decide(self, formula, time_limit, should_stop=None) -> SolveResult:
         # Loading the formula spends from the time limit too, as it does
@@ -265,8 +257,8 @@ class CdclBackend(Backend):
     kernel is not split for the descent: one refutation at chi - 1, in
     the hardest component, proves the whole kernel's optimum.  Every
     answered K query is emitted as a ``query`` progress event carrying
-    its ``k`` and ``status``, one per entry of ``Result.queries``; a
-    portfolio racer publishes its bounds from them.  Reuse across
+    its ``k`` and ``status``, one per entry of ``Result.queries``.
+    Reuse across
     *multiple* queries is what :class:`repro.api.Session` exists for.
     """
 
@@ -477,15 +469,17 @@ class ExactDSaturBackend(Backend):
                 status, coloring = SAT, bb.coloring
             else:
                 status, coloring = (OPTIMAL if bb.optimal else SAT), bb.coloring
-            return Result(
+            result = Result(
                 status=status,
                 num_colors=chi if coloring is not None else None,
                 coloring=coloring,
                 stages=[StageStat("solve", time.monotonic() - t0,
                                   {"nodes": bb.nodes_explored})],
                 solvers_created=1,
-                cancelled=not bb.optimal and ctx.cancelled(),
             )
+            result.cancelled = (not conclusive(result, problem.kind)
+                                and ctx.cancelled())
+            return result
 
         if config.reduce.enabled:
             return run_reduced(problem.graph, cap, config, ctx, solve, decision)

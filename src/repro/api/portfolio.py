@@ -8,23 +8,17 @@ backend turns that observation into a solving strategy: every racer
 named in ``SolveConfig.racers`` (``"backend"`` or
 ``"backend:strategy"`` specs) attacks the *same* problem in its own
 worker process, and the first conclusive answer (optimum proved, or
-infeasibility proved) cancels the rest through the shared stop event.
-
-Racers cooperate while they compete through **bound exchange**: every
-racer publishes the bounds it proves to a queue (a SAT coloring at K is
-``ub = K`` for everyone, a refuted K is ``lb = K + 1``); the parent
-folds them into shared ``ub``/``lb`` values that racers poll in their
-cancel predicates, so the race also ends when the *combined* bounds
-meet — even if no single racer proved both sides.  Every racer runs its
+infeasibility proved) cancels the rest through the shared stop event,
+the only state racers share with the parent.  Every racer runs its
 backend in the frame a direct run uses
 (:func:`~repro.api.pipeline.run_framed`); a racer whose coloring fails
 the frame's check ends with an error, and the race goes on without it.
-A racer publishes per K query from its ``query`` progress events,
-which the ``cdcl-*`` descents emit for every answered query (they ask
-the kernel only at K no lower than the clique bound it was peeled at,
-so a SAT answer lifts to a K-coloring of the whole graph and an UNSAT
-answer refutes K for it), and every racer publishes its final bounds
-when it returns.
+
+A chromatic race takes its bounds from the answers it collects, once
+the racers are done: the fewest colors among the feasible answers is
+its upper bound, the largest proved ``lower_bound`` its lower bound.
+When no racer proved the optimum alone but one racer's coloring meets
+another's lower bound, the two together are the proof.
 
 A dying racer is relaunched at once, one time (a death is transient),
 then dropped — the race continues with the survivors, and only a fully
@@ -38,7 +32,6 @@ watches the field recover.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import time
 from typing import Dict, Optional, Tuple
 
@@ -46,12 +39,12 @@ from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from ..resilience import Deadline, Worker, wait_any
 from ..resilience.faults import fire as _fire_fault
-from ..sat.result import OPTIMAL, SAT, UNKNOWN, UNSAT
+from ..sat.result import OPTIMAL, UNKNOWN
 from .backends import Backend, get_backend, resolve_backend_name
 from .config import PipelineConfig
 from .pipeline import run_framed
 from .problems import CHROMATIC, DECISION, ChromaticProblem, DecisionProblem, Problem
-from .results import ProgressEvent, Result, RunContext, StageStat
+from .results import Result, RunContext, StageStat, conclusive
 
 #: Racer deaths are transient: retried this many times before the
 #: racer is dropped and the race continues with the survivors.
@@ -64,71 +57,29 @@ def parse_racer(spec: str) -> Tuple[str, Optional[str]]:
     return resolve_backend_name(name), (strategy or None)
 
 
-def _race_decided(ub_val, lb_val) -> bool:
-    """Have the published bounds met?  (``ub`` of 0 means "none yet".)"""
-    ub = ub_val.value
-    return ub > 0 and lb_val.value >= ub
-
-
-def _run_racer(payload, stop_event, ub_val, lb_val, publish) -> Result:
-    """Racer worker target: solve the race's problem with this engine.
-
-    A chromatic racer publishes ``(index, "ub", k)`` for every SAT K
-    query and ``(index, "lb", k + 1)`` for every UNSAT one, from its
-    ``query`` progress events, and its final bounds when it returns.
-    """
+def _run_racer(payload, stop_event) -> Result:
+    """Racer worker target: solve the race's problem with this engine."""
     _fire_fault("racer", payload["spec"])
-    kind = payload["kind"]
-    index = payload["index"]
-
-    def cancelled() -> bool:
-        if stop_event.is_set():
-            return True
-        return kind == CHROMATIC and _race_decided(ub_val, lb_val)
-
-    def send(bound: str, value: int) -> None:
-        try:
-            publish.put((index, bound, value))
-        except (BrokenPipeError, OSError):
-            pass
-
-    def on_progress(event: ProgressEvent) -> None:
-        if kind != CHROMATIC or event.stage != "query" or event.k is None:
-            return
-        if event.status == SAT:
-            send("ub", event.k)
-        elif event.status == UNSAT:
-            send("lb", event.k + 1)
-
     backend = get_backend(payload["backend"])
     config: PipelineConfig = payload["config"]
-    if kind == DECISION:
+    if payload["kind"] == DECISION:
         problem: Problem = DecisionProblem(payload["graph"], payload["k"])
     else:
         problem = ChromaticProblem(payload["graph"], payload["max_colors"])
-    result = run_framed(
-        backend, problem, config,
-        RunContext(on_progress=on_progress, cancel=cancelled))
-    if kind == CHROMATIC:
-        if result.feasible and result.num_colors is not None:
-            send("ub", result.num_colors)
-        if result.status == OPTIMAL and result.num_colors is not None:
-            send("lb", result.num_colors)
-        elif result.lower_bound is not None:
-            send("lb", result.lower_bound)
-    return result
+    return run_framed(backend, problem, config,
+                      RunContext(cancel=stop_event.is_set))
 
 
 class PortfolioBackend(Backend):
     """Race the configured engines; first conclusive answer wins.
 
-    See the module docstring for the cooperation protocol (bound
-    exchange) and the failure model (retry once, then drop the racer).
-    The merged Result is the winner's, with a ``race`` stage recording
-    the field, the winner, how many racers were cancelled, and the
-    final shared bounds; when no racer is individually conclusive the
-    best verified coloring is returned, upgraded to OPTIMAL if the
-    *combined* published bounds met it.
+    See the module docstring for the failure model (retry once, then
+    drop the racer).  The merged Result is the winner's, with a
+    ``race`` stage recording the field, the winner, how many racers
+    were cancelled, and the bounds of the answers collected; when no
+    racer is individually conclusive the best verified coloring is
+    returned, upgraded to OPTIMAL if another answer's lower bound
+    meets it.
     """
 
     name = "portfolio"
@@ -180,11 +131,7 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     parsed = [parse_racer(spec) for spec in specs]
     # The run's one deadline bounds every racer, a relaunched one too.
     deadline = ctx.deadline
-    mp_ctx = multiprocessing.get_context()
-    stop_event = mp_ctx.Event()
-    ub_val = mp_ctx.Value("i", 0)
-    lb_val = mp_ctx.Value("i", 0)
-    publish = mp_ctx.Queue()
+    stop_event = multiprocessing.get_context().Event()
     registry = get_registry()
     tracer = active_tracer()
     registry.inc("race_runs_total")
@@ -194,14 +141,11 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     flights: Dict[int, Worker] = {}
     retries = [0] * len(specs)
     results: Dict[int, Result] = {}
-    ub: Optional[int] = None
-    lb: Optional[int] = None
 
     def launch(index: int) -> None:
         name, strategy = parsed[index]
         time_limit = deadline.remaining()
         payload = {
-            "index": index,
             "spec": specs[index],
             "backend": name,
             "kind": problem.kind,
@@ -210,37 +154,7 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
             "k": getattr(problem, "k", None),
             "max_colors": getattr(problem, "max_colors", None),
         }
-        flights[index] = Worker(
-            _run_racer, (payload, stop_event, ub_val, lb_val, publish),
-            time_limit)
-
-    def drain_bounds() -> None:
-        nonlocal ub, lb
-        while True:
-            try:
-                racer, kind, value = publish.get_nowait()
-            except queue_mod.Empty:
-                break
-            except (EOFError, OSError):
-                break
-            if kind == "ub" and (ub is None or value < ub):
-                ub = value
-                with ub_val.get_lock():
-                    ub_val.value = value
-            elif kind == "lb" and (lb is None or value > lb):
-                lb = value
-                with lb_val.get_lock():
-                    lb_val.value = value
-            else:
-                continue
-            registry.inc("race_bounds_total", kind=kind)
-            if tracer is not None:
-                tracer.race_bound(racer, kind, value)
-
-    def conclusive(result: Result) -> bool:
-        if problem.kind == DECISION:
-            return result.status in (SAT, UNSAT)
-        return result.solved
+        flights[index] = Worker(_run_racer, (payload, stop_event), time_limit)
 
     if not ctx.cancelled():  # a pre-cancelled run launches nothing
         for index in range(len(specs)):
@@ -251,7 +165,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     while flights:
         if ctx.cancelled():
             stop_event.set()
-        drain_bounds()
         wait_any(flights.values(), timeout=0.1)
         for index, worker in list(flights.items()):
             reported = worker.poll()
@@ -265,7 +178,7 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
                 cancelled_count += 1
             elif kind == "ok":
                 results[index] = value
-                if conclusive(value):
+                if conclusive(value, problem.kind):
                     winner_index = index
                     stop_event.set()
                     grace = Deadline.after(1.0)
@@ -291,15 +204,19 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
                 worker.stop()
             cancelled_count += len(flights)
             flights.clear()
-    drain_bounds()
-    final = _settle_race(problem, results, winner_index, ub, lb, deadline, ctx)
-    # The exchanged bounds are race-level knowledge: a loser's refutation
-    # tightens the winner's result even when the winner never saw it.
+    ub = lb = None
     if problem.kind == CHROMATIC:
-        if ub is not None and (final.upper_bound is None or ub < final.upper_bound):
-            final.upper_bound = ub
-        if lb is not None and (final.lower_bound is None or lb > final.lower_bound):
-            final.lower_bound = lb
+        ub = min((r.num_colors for r in results.values()
+                  if r.feasible and r.num_colors is not None), default=None)
+        lb = max((r.lower_bound for r in results.values()
+                  if r.lower_bound is not None), default=None)
+    final = _settle_race(results, winner_index, lb, deadline, ctx)
+    # The race's bounds are race-level knowledge: one racer's refutation
+    # tightens another's coloring.
+    if ub is not None and (final.upper_bound is None or ub < final.upper_bound):
+        final.upper_bound = ub
+    if lb is not None and (final.lower_bound is None or lb > final.lower_bound):
+        final.lower_bound = lb
     registry.inc("race_cancelled_total", amount=cancelled_count)
     if winner_index is not None:
         registry.inc("race_winner_total", backend=specs[winner_index])
@@ -318,17 +235,16 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
     return final
 
 
-def _settle_race(problem, results: Dict[int, Result],
-                 winner_index: Optional[int], ub: Optional[int],
+def _settle_race(results: Dict[int, Result], winner_index: Optional[int],
                  lb: Optional[int], deadline: Deadline,
                  ctx: RunContext) -> Result:
     """The race's merged answer: the winner's, or the best of the field.
 
     Without an individually conclusive winner, the best coloring across
     the field wins (each racer's frame checked its own) — upgraded to
-    OPTIMAL when the combined published bounds met at its color count
-    (one racer proved the coloring, another refuted the color count
-    below it: together they are a proof neither had alone).
+    OPTIMAL when the race's lower bound meets its color count (one
+    racer found the coloring, another refuted the color count below
+    it: together they are a proof neither had alone).
     """
     if winner_index is not None:
         return results[winner_index]
@@ -346,11 +262,8 @@ def _settle_race(problem, results: Dict[int, Result],
             status=UNKNOWN,
             cancelled=ctx.cancelled(),
             degraded=deadline.expired(),
-            lower_bound=lb,
-            upper_bound=ub,
         )
-    if problem.kind == CHROMATIC and lb is not None \
-            and best.num_colors is not None and lb >= best.num_colors:
+    if lb is not None and lb >= best.num_colors:
         best.status = OPTIMAL  # the frame gives it its bounds
         best.degraded = False
         best.cancelled = False

@@ -29,6 +29,7 @@ from ..resilience import Deadline
 from ..resilience.faults import fire as _fire_fault
 from ..sat.result import FEASIBLE, OPTIMAL, SAT, UNSAT, SolverStats
 from ..symmetry.detect import SymmetryReport
+from .problems import DECISION
 
 
 @dataclass
@@ -183,3 +184,15 @@ class Result:
     @property
     def total_seconds(self) -> float:
         return self.stage_seconds()
+
+
+def conclusive(result: Result, kind: str) -> bool:
+    """Did this result definitively answer a problem of this kind?
+
+    ``OPTIMAL``/``UNSAT`` are conclusive for every kind; ``SAT``
+    additionally settles a *decision* query.  ``FEASIBLE`` — a verified
+    but degraded best-so-far bound from a budget-expired descent — is
+    deliberately *not* conclusive: a fallback backend or another racer
+    may still improve on it.
+    """
+    return result.solved or (kind == DECISION and result.status == SAT)

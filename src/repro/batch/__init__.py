@@ -32,6 +32,7 @@ The CLI form is ``python -m repro batch MANIFEST --jobs N``;
 ``repro.api.solve_many`` re-exports the facade.
 """
 
+from ..api.results import conclusive
 from .manifest import (
     GENERATORS,
     GraphSpec,
@@ -41,7 +42,7 @@ from .manifest import (
     load_manifest,
     load_plugins,
 )
-from .records import conclusive, result_to_record
+from .records import result_to_record
 from .runner import BatchReport, BatchRunner, solve_many
 
 __all__ = [

@@ -14,21 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..api.problems import DECISION
 from ..api.results import Result
-from ..sat.result import SAT
-
-
-def conclusive(result: Result, kind: str) -> bool:
-    """Did this result definitively answer the problem?
-
-    ``OPTIMAL``/``UNSAT`` are conclusive for every kind; ``SAT``
-    additionally settles a *decision* query.  ``FEASIBLE`` — a verified
-    but degraded best-so-far bound from a budget-expired descent — is
-    deliberately *not* conclusive: a fallback backend may still improve
-    on it, and the runner keeps the best partial answer either way.
-    """
-    return result.solved or (kind == DECISION and result.status == SAT)
 
 
 def result_to_record(

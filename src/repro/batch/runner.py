@@ -49,11 +49,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
+from ..api.results import conclusive
 from ..obs.metrics import get_registry, scoped_registry
 from ..resilience import Deadline, Worker, append_record, wait_any
 from ..resilience.faults import fire as _fire_fault
 from .manifest import TaskSpec, as_task, load_plugins
-from .records import conclusive, error_record, result_to_record
+from .records import error_record, result_to_record
 
 # Outcomes an attempt can end with: "ok" finalizes; "died" is transient
 # (retried, then the fallback chain advances); "timeout" /

@@ -26,7 +26,7 @@ and stop checks before every query, the query trace and the
 ``deadline_expired`` record.  It hands each answered query to an
 optional ``on_query(k, status)`` as it appends it to the trace; the
 ``cdcl-*`` backends turn that into one ``query`` progress event per
-query, from which a portfolio racer publishes its bounds.
+query.
 """
 
 from __future__ import annotations

@@ -54,11 +54,6 @@ class Kernel:
     seconds: float = 0.0  # time kernelize spent building this kernel
 
     @property
-    def fully_reduced(self) -> bool:
-        """True when peeling alone proves K-colorability."""
-        return self.graph.num_vertices == 0
-
-    @property
     def infeasible(self) -> bool:
         """True when the clique bound alone exceeds the K colors."""
         return self.clique_bound > self.k

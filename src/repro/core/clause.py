@@ -46,11 +46,6 @@ class Clause:
         return f"Clause({list(self.literals)})"
 
     @property
-    def is_empty(self) -> bool:
-        """An empty clause is unsatisfiable."""
-        return not self.literals
-
-    @property
     def is_unit(self) -> bool:
         """True when the clause contains exactly one literal."""
         return len(self.literals) == 1
@@ -68,11 +63,3 @@ class Clause:
             if (lit > 0) == value:
                 return True
         return False
-
-    def apply_renaming(self, mapping: Dict[int, int]) -> "Clause":
-        """Rename literals via ``mapping`` (literal -> literal).
-
-        Literals absent from the mapping are kept as-is.  Used when
-        composing formulas and when applying permutations in tests.
-        """
-        return Clause(mapping.get(l, l) for l in self.literals)

@@ -3,12 +3,12 @@
 Encoders (the coloring reduction, SBP constructions, auxiliary Tseitin
 variables) need fresh variables with meaningful names so that models can
 be decoded and debugged.  :class:`VariablePool` hands out consecutive
-variable ids and remembers an optional name for each.
+variable ids and maps an optional name (key) to each.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, Optional
+from typing import Dict, Hashable, Iterator
 
 
 class VariablePool:
@@ -27,7 +27,6 @@ class VariablePool:
             raise ValueError("variable pool cannot start below 0")
         self._next = start + 1
         self._by_key: Dict[Hashable, int] = {}
-        self._names: Dict[int, Hashable] = {}
 
     @property
     def num_vars(self) -> int:
@@ -47,28 +46,12 @@ class VariablePool:
             raise KeyError(f"variable key already allocated: {k!r}")
         var = self.fresh()
         self._by_key[k] = var
-        self._names[var] = k
-        return var
-
-    def get_or_new(self, *key: Hashable) -> int:
-        """Return the variable for ``key``, allocating it on first use."""
-        k = key if len(key) != 1 else key[0]
-        existing = self._by_key.get(k)
-        if existing is not None:
-            return existing
-        var = self.fresh()
-        self._by_key[k] = var
-        self._names[var] = k
         return var
 
     def lookup(self, *key: Hashable) -> int:
         """Return the variable for ``key``; raises ``KeyError`` if absent."""
         k = key if len(key) != 1 else key[0]
         return self._by_key[k]
-
-    def name_of(self, var: int) -> Optional[Hashable]:
-        """Name under which ``var`` was allocated, or ``None``."""
-        return self._names.get(var)
 
     def items(self) -> Iterator:
         """Iterate over ``(key, var)`` pairs of all named variables."""

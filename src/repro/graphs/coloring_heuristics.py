@@ -83,8 +83,3 @@ def dsatur(graph: Graph) -> Tuple[Dict[int, int], int]:
                 neighbor_colors[w].add(color)
                 heapq.heappush(heap, (-len(neighbor_colors[w]), -graph.degree(w), w))
     return coloring, max(coloring.values()) + 1
-
-
-def saturation_degree(graph: Graph, coloring: Dict[int, int], v: int) -> int:
-    """Number of distinct colors adjacent to ``v`` under a partial coloring."""
-    return len({coloring[w] for w in graph.neighbors(v) if w in coloring})

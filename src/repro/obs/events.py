@@ -31,7 +31,7 @@ STAGE = 10
 DEADLINE_EXPIRED = 15
 DEGRADED = 16
 RACE_BEGIN = 17
-RACE_BOUND = 18
+# 18 is retired; never reuse it.
 RACE_END = 19
 
 EVENT_NAMES: Dict[int, str] = {
@@ -46,7 +46,6 @@ EVENT_NAMES: Dict[int, str] = {
     DEADLINE_EXPIRED: "deadline_expired",
     DEGRADED: "degraded",
     RACE_BEGIN: "race_begin",
-    RACE_BOUND: "race_bound",
     RACE_END: "race_end",
 }
 
@@ -68,10 +67,7 @@ EVENT_FIELDS: Dict[int, Tuple[str, ...]] = {
     STAGE: ("stage",),
     DEADLINE_EXPIRED: ("where",),
     DEGRADED: ("where", "status"),
-    # ``racer`` indexes the portfolio's racer list (emission order);
-    # bound kind 0 = upper bound tightened, 1 = lower bound raised.
     RACE_BEGIN: ("racers",),
-    RACE_BOUND: ("racer", "kind", "value"),
     RACE_END: ("winner", "status", "cancelled"),
 }
 

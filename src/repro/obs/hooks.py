@@ -111,10 +111,6 @@ class Tracer:
         """A portfolio race started with this many racer processes."""
         self.emit(ev.RACE_BEGIN, racers)
 
-    def race_bound(self, racer: int, kind: str, value: int) -> None:
-        """A racer published a bound (``kind`` is ``"ub"`` or ``"lb"``)."""
-        self.emit(ev.RACE_BOUND, racer, 0 if kind == "ub" else 1, value)
-
     def race_end(self, winner: Optional[int], status: str,
                  cancelled: int) -> None:
         """The race settled; ``cancelled`` racers were stopped mid-run."""

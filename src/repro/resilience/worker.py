@@ -39,8 +39,8 @@ arguments (rule RPR006), so the platform's default start method works:
 fork on Linux, spawn on macOS and Windows, where forcing fork hits the
 objc fork-safety abort.  The first job reaches the child through the
 process arguments, so it may carry objects that only cross by
-inheritance (the portfolio's ``Event``, ``Value`` and ``Queue``); a
-submitted job is pickled over the pipe.
+inheritance (the portfolio's stop ``Event``); a submitted job is
+pickled over the pipe.
 """
 
 from __future__ import annotations
@@ -214,8 +214,7 @@ def wait_any(workers: Iterable[Worker], timeout: Optional[float] = None) -> None
 
     Wakes on a message, a child's exit or the nearest kill deadline of
     a running job, and after ``timeout`` seconds at the latest
-    (``None``: no extra cap).  With no job running it sleeps
-    ``timeout`` seconds, or returns at once when that is ``None``.
+    (``None``: no extra cap).  With no job running it returns at once.
     """
     handles: List[Any] = []
     for worker in workers:
@@ -227,5 +226,3 @@ def wait_any(workers: Iterable[Worker], timeout: Optional[float] = None) -> None
             timeout = remaining
     if handles:
         multiprocessing.connection.wait(handles, timeout)
-    elif timeout is not None:
-        time.sleep(timeout)

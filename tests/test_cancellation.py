@@ -120,6 +120,20 @@ def test_a_proved_chromatic_answer_is_not_cancelled(backend, graph):
         assert result.status == "OPTIMAL" and result.num_colors == 2
 
 
+def test_an_exact_dsatur_coloring_settles_a_decision_despite_a_cancel():
+    # The cancel turns true at its 3rd poll, inside the search; the
+    # search stops with an 8-coloring of queen6_6, which settles the
+    # decision.  A conclusive answer is never "cancelled", as on the
+    # cdcl-* backends.
+    graph = queens_graph(6, 6)
+    result = (Pipeline()
+              .solve(backend="exact-dsatur")
+              .run(DecisionProblem(graph, 8), cancel=FlipAfter(2)))
+    assert result.status == "SAT" and not result.cancelled
+    assert is_proper(graph, result.coloring)
+    assert len(set(result.coloring.values())) <= 8
+
+
 def test_pipeline_time_limit_chromatic_gives_unproved_bound():
     result = (Pipeline()
               .solve(backend="cdcl-incremental", time_limit=0.2)

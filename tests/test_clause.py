@@ -23,8 +23,6 @@ def test_equality_and_hash():
 
 def test_is_unit_and_empty():
     assert Clause([5]).is_unit
-    assert Clause([]).is_empty
-    assert not Clause([1, 2]).is_empty
 
 
 def test_tautology():
@@ -50,12 +48,6 @@ def test_rejects_non_int_literals_before_deduplicating(literals):
     # checked as given, not after duplicates collapse.
     with pytest.raises(ValueError, match="not a literal"):
         Clause(literals)
-
-
-def test_apply_renaming():
-    clause = Clause([1, -2])
-    renamed = clause.apply_renaming({1: 3, -1: -3, -2: 2, 2: -2})
-    assert renamed == Clause([3, 2])
 
 
 @given(st.lists(lits, min_size=1, max_size=6))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.graphs.coloring_heuristics import (
     dsatur,
     greedy_coloring,
-    saturation_degree,
     welsh_powell,
 )
 from repro.graphs.generators import mycielski_graph, queens_graph
@@ -64,13 +63,6 @@ def test_dsatur_queens():
     coloring, colors = dsatur(queens_graph(5, 5))
     assert queens_graph(5, 5).is_proper_coloring(coloring)
     assert 5 <= colors <= 8
-
-
-def test_saturation_degree():
-    g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    assert saturation_degree(g, {1: 1, 2: 1}, 0) == 1
-    assert saturation_degree(g, {1: 1, 2: 2}, 0) == 2
-    assert saturation_degree(g, {}, 0) == 0
 
 
 @settings(max_examples=40, deadline=None)

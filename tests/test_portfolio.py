@@ -6,30 +6,27 @@ conclusive result is exactly what the reference engine
 (``cdcl-incremental``) would have produced, because every racer is
 sound and complete on the kinds it supports.  The tests here check
 that contract differentially, plus the structural pieces: the race
-stage record (winner, cancellations, exchanged bounds), first-
+stage record (winner, cancellations, the race's bounds), first-
 conclusive-cancels-the-rest, validation, a race between two CDCL
-descents, and the per-query bounds a CDCL racer publishes.
+descents, and the settle step that joins two racers' partial answers
+into one proof.
 """
-
-import queue
-import threading
-from types import SimpleNamespace
 
 import pytest
 
 import repro.api.portfolio as portfolio
 from repro.api import (
+    Backend,
     ChromaticProblem,
     DecisionProblem,
     Pipeline,
-    PipelineConfig,
     Result,
-    SolveConfig,
 )
-from repro.api.portfolio import _run_racer
+from repro.api.backends import _REGISTRY
 from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import gnp_graph, mycielski_graph, queens_graph
+from repro.graphs.graph import Graph
 from repro.resilience import reset_clock, set_clock
 
 RACERS = ("cdcl-incremental", "pb-pueblo", "exact-dsatur")
@@ -88,7 +85,7 @@ def test_portfolio_first_conclusive_cancels_the_rest():
     # Exactly the losers get cancelled: the winner's answer is in hand,
     # so nobody runs to their own deadline.
     assert stage.details["cancelled"] == len(RACERS) - 1
-    # Bounds met at the optimum: the exchanged ub/lb close the window.
+    # Bounds met at the optimum: the race's ub/lb close the window.
     assert stage.details["ub"] == stage.details["lb"] == 5
     assert result.upper_bound == result.lower_bound == 5
 
@@ -106,8 +103,8 @@ def test_portfolio_decision_queries(k, expected):
 
 def test_portfolio_two_cdcl_descents_match_reference():
     """Two ``cdcl-incremental`` descents (linear and binary) race each
-    other and the DSATUR search, exchanging per-query bounds; the
-    merged answer is the reference optimum."""
+    other and the DSATUR search; the merged answer is the reference
+    optimum."""
     graph = get_instance("myciel4").graph()
     raced = race(
         ChromaticProblem(graph),
@@ -118,34 +115,6 @@ def test_portfolio_two_cdcl_descents_match_reference():
     assert raced.status == "OPTIMAL"
     assert raced.chromatic_number == ref.chromatic_number == 5
     assert is_proper(graph, raced.coloring)
-
-
-@pytest.mark.parametrize("graph,chi", [
-    (queens_graph(7, 7), 7),       # SAT queries down from DSATUR's 11
-    (mycielski_graph(4), 5),       # UNSAT queries up from the clique's 2
-], ids=["queen7_7", "myciel4"])
-@pytest.mark.parametrize("strategy", ["linear", "binary"])
-def test_cdcl_racer_publishes_a_bound_per_query(strategy, graph, chi):
-    """Run in-process, a ``cdcl-incremental`` chromatic racer puts
-    ``ub = k`` on the bound queue for each SAT query and ``lb = k + 1``
-    for each UNSAT one, in query order, before its final bounds."""
-    payload = {
-        "index": 3, "spec": f"cdcl-incremental:{strategy}",
-        "backend": "cdcl-incremental", "kind": "chromatic", "graph": graph,
-        "config": PipelineConfig(solve=SolveConfig(
-            backend="cdcl-incremental", strategy=strategy, time_limit=60)),
-        "k": None, "max_colors": None,
-    }
-    bounds = queue.Queue()
-    result = _run_racer(payload, threading.Event(), SimpleNamespace(value=0),
-                        SimpleNamespace(value=0), bounds)
-    published = []
-    while not bounds.empty():
-        published.append(bounds.get_nowait())
-    per_query = [(3, "ub", k) if status == "SAT" else (3, "lb", k + 1)
-                 for k, status in result.queries]
-    assert result.status == "OPTIMAL" and result.queries
-    assert published == per_query + [(3, "ub", chi), (3, "lb", chi)]
 
 
 def test_portfolio_cancellation_returns_cancelled_result():
@@ -167,10 +136,10 @@ def test_a_relaunched_racer_gets_only_what_is_left_of_the_run(monkeypatch):
     class FakeWorker:
         def __init__(self, target, args, limit):
             payload = args[0]
-            self.index = payload["index"]
-            self.dies = self.index == 0 and not launches
+            spec = payload["spec"]
+            self.dies = spec == "cdcl-incremental" and not launches
             launches.append(
-                (self.index, payload["config"].solve.time_limit, limit))
+                (spec, payload["config"].solve.time_limit, limit))
 
         def poll(self):
             if self.dies:
@@ -190,10 +159,54 @@ def test_a_relaunched_racer_gets_only_what_is_left_of_the_run(monkeypatch):
     finally:
         reset_clock()
     assert result.status == "UNKNOWN"
-    assert [index for index, _, _ in launches] == [0, 1, 0]
+    assert [spec for spec, _, _ in launches] == [
+        "cdcl-incremental", "exact-dsatur", "cdcl-incremental"]
     assert [limit for _, limit, _ in launches[:2]] == [2.0, 2.0]
     _, time_limit, kill_limit = launches[2]
     assert time_limit <= 1.0 and kill_limit <= 1.0
+
+
+C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+class ColorsC5WithoutProof(Backend):
+    """Test racer: a proper 3-coloring of the 5-cycle, no proof."""
+
+    name = "test-colors-c5"
+    description = "test racer: answers SAT with a 3-coloring of C5"
+
+    def run(self, problem, config, ctx):
+        return Result(status="SAT", num_colors=3,
+                      coloring={0: 1, 1: 2, 2: 1, 3: 2, 4: 3})
+
+
+class RefutesTwoColors(Backend):
+    """Test racer: no coloring, but a proof that 2 colors do not do."""
+
+    name = "test-refutes-two"
+    description = "test racer: answers UNKNOWN with lower bound 3"
+
+    def run(self, problem, config, ctx):
+        return Result(status="UNKNOWN", lower_bound=3)
+
+
+def test_the_race_joins_a_coloring_and_a_refutation_into_an_optimum(
+        monkeypatch):
+    """Neither racer is conclusive alone.  The race's bounds come from
+    the answers it holds: ub 3 from the coloring, lb 3 from the other
+    racer's refutation, so the settle step upgrades the coloring to
+    OPTIMAL."""
+    for backend in (ColorsC5WithoutProof(), RefutesTwoColors()):
+        monkeypatch.setitem(_REGISTRY, backend.name, backend)
+    result = race(ChromaticProblem(C5),
+                  racers=("test-colors-c5", "test-refutes-two"))
+    stage = race_stage(result)
+    assert stage.details["winner"] is None
+    assert stage.details["ub"] == stage.details["lb"] == 3
+    assert result.status == "OPTIMAL" and result.chromatic_number == 3
+    assert result.lower_bound == result.upper_bound == 3
+    assert not result.degraded
+    assert is_proper(C5, result.coloring)
 
 
 def test_portfolio_rejects_degenerate_lineups():

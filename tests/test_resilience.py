@@ -356,6 +356,16 @@ def test_worker_is_killed_past_its_limit_and_reaped():
         os.waitpid(pid, os.WNOHANG)  # no zombie left behind
 
 
+def test_wait_any_with_no_running_job_returns_at_once():
+    idle = Worker(_echo, (1,))
+    assert _outcome(idle) == ("ok", 1)
+    for workers in ([], [idle]):
+        start = time.monotonic()
+        wait_any(workers, timeout=5.0)
+        assert time.monotonic() - start < 0.5
+    idle.close()
+
+
 def test_worker_arms_the_env_fault_plan_without_a_plugin():
     plan = FaultPlan([FaultSpec(point="stage:probe", kind="raise")])
     os.environ[FAULTS_ENV] = plan.to_env()

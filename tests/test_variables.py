@@ -21,7 +21,6 @@ def test_named_allocation_and_lookup():
     pool = VariablePool()
     x = pool.new("x", 1, 2)
     assert pool.lookup("x", 1, 2) == x
-    assert pool.name_of(x) == ("x", 1, 2)
 
 
 def test_duplicate_key_rejected():
@@ -29,13 +28,6 @@ def test_duplicate_key_rejected():
     pool.new("k")
     with pytest.raises(KeyError):
         pool.new("k")
-
-
-def test_get_or_new_idempotent():
-    pool = VariablePool()
-    a = pool.get_or_new("y", 3)
-    b = pool.get_or_new("y", 3)
-    assert a == b
 
 
 def test_contains_and_len():
@@ -51,7 +43,6 @@ def test_single_element_key_unwrapped():
     pool = VariablePool()
     v = pool.new("solo")
     assert pool.lookup("solo") == v
-    assert pool.name_of(v) == "solo"
 
 
 def test_items_enumerates_named():
