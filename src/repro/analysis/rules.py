@@ -78,16 +78,16 @@ def _describe(node: ast.AST) -> str:
 
 @register_rule
 class ClauseIntakeRule(Rule):
-    """Raw mutation of a ``.clauses`` list bypasses ``add_clause`` — and
-    with it the canonicalization + tautology screening that PR 1's
-    soundness fix depends on (tautologies reaching subsumption could
-    flip SAT instances to UNSAT)."""
+    """Raw mutation of a ``.clauses`` list bypasses ``add_clause``, where
+    a clause becomes canonical (checked literals, sorted by variable, no
+    literal repeated); every reader takes a formula's clauses as they
+    are."""
 
     rule_id = "RPR001"
     title = "clause intake must go through Formula.add_clause"
     rationale = (
-        "PR 1 unsoundness: tautologies that bypassed intake screening "
-        "poisoned self-subsuming resolution"
+        "Formula.add_clause is where a clause becomes canonical; readers "
+        "take the clause tuples as they are"
     )
 
     def applies_to(self, rel: str) -> bool:
@@ -110,8 +110,8 @@ class ClauseIntakeRule(Rule):
                         node,
                         "raw clause-list mutation "
                         f"`{_describe(func.value)}.{func.attr}(...)` bypasses "
-                        "add_clause intake (canonicalization + tautology "
-                        "screening); route the clause through "
+                        "add_clause intake (literal checks and "
+                        "canonicalization); route the clause through "
                         "Formula.add_clause",
                     )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -132,7 +132,7 @@ class ClauseIntakeRule(Rule):
                             node,
                             f"assignment to `{_describe(stored)}` replaces the "
                             "clause list wholesale; build a fresh Formula via "
-                            "add_clause so intake screening applies",
+                            "add_clause so every clause is canonical",
                         )
 
 

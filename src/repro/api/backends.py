@@ -134,11 +134,6 @@ def resolve_backend_name(name: str) -> str:
     return canonical
 
 
-def check_backend_name(name: str) -> None:
-    """Eager-validation hook used by ``SolveConfig``."""
-    resolve_backend_name(name)
-
-
 def get_backend(name: str) -> Backend:
     """Look up a backend by name or alias (``ValueError`` if unknown)."""
     return _REGISTRY[resolve_backend_name(name)]
@@ -223,7 +218,8 @@ class BranchAndBoundBackend(_OptimizeFlowBackend):
         from ..ilp.branch_and_bound import BranchAndBoundSolver
 
         return BranchAndBoundSolver().optimize(
-            formula, time_limit=time_limit, should_stop=should_stop
+            formula, time_limit=time_limit, should_stop=should_stop,
+            upper_bound=upper, lower_bound=lower,
         )
 
     def decide(self, formula, time_limit, should_stop=None) -> SolveResult:

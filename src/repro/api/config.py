@@ -88,9 +88,9 @@ class SolveConfig:
         if self.strategy is not None:
             _check_choice(self.strategy, SEARCH_STRATEGIES, "search strategy")
         # Imported lazily: the backend registry imports this module.
-        from .backends import check_backend_name, resolve_backend_name
+        from .backends import resolve_backend_name
 
-        check_backend_name(self.backend)
+        resolve_backend_name(self.backend)
         racers = tuple(self.racers)
         object.__setattr__(self, "racers", racers)
         for spec in racers:

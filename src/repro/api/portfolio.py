@@ -9,7 +9,11 @@ named in ``SolveConfig.racers`` (``"backend"`` or
 ``"backend:strategy"`` specs) attacks the *same* problem in its own
 worker process, and the first conclusive answer (optimum proved, or
 infeasibility proved) cancels the rest through the shared stop event,
-the only state racers share with the parent.  Every racer runs its
+the only state racers share with the parent.  The run's deadline sets
+the stop event too.  Either way the survivors get a 1 s grace to report
+their best-so-far, which the race still collects; those running after it
+are stopped and counted as cancelled, so a race ends by its deadline
+plus the grace.  Every racer runs its
 backend in the frame a direct run uses
 (:func:`~repro.api.pipeline.run_framed`); a racer whose coloring fails
 the frame's check ends with an error, and the race goes on without it.
@@ -160,7 +164,7 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
         for index in range(len(specs)):
             launch(index)
     winner_index: Optional[int] = None
-    grace = Deadline.after(None)
+    grace: Optional[Deadline] = None  # starts once, when decided or out of time
     cancelled_count = 0
     while flights:
         if ctx.cancelled():
@@ -180,8 +184,6 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
                 results[index] = value
                 if conclusive(value, problem.kind):
                     winner_index = index
-                    stop_event.set()
-                    grace = Deadline.after(1.0)
             elif kind == "died":
                 registry.inc("race_racer_deaths_total")
                 if retries[index] < _RACER_RETRIES:
@@ -197,9 +199,13 @@ def _race(problem: Problem, config: PipelineConfig, ctx: RunContext) -> Result:
             else:
                 registry.inc("race_racer_errors_total")
                 ctx.emit("race", f"racer {specs[index]} failed ({value})")
-        if grace.expired():
-            # Survivors still running a second after the race was
-            # decided are cancelled outright.
+        if grace is None and (winner_index is not None or deadline.expired()):
+            # Told to stop, the survivors get a second to report their
+            # best-so-far, which is still collected.
+            stop_event.set()
+            grace = Deadline.after(1.0)
+        if grace is not None and grace.expired():
+            # Survivors still running a second later are cancelled outright.
             for worker in flights.values():
                 worker.stop()
             cancelled_count += len(flights)

@@ -1,6 +1,5 @@
 """Formula core: literals, clauses, PB constraints, formulas and I/O."""
 
-from .clause import Clause
 from .cnf_encodings import encode_at_most_one_pairwise
 from .formula import Formula, FormulaStats
 from .io_opb import (
@@ -30,7 +29,6 @@ from .pbconstraint import (
 from .variables import VariablePool
 
 __all__ = [
-    "Clause",
     "Formula",
     "FormulaStats",
     "LinearGE",

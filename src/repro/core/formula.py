@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .clause import Clause
-from .literals import var_of
+from .literals import check_literal, var_of
 from .pbconstraint import PBConstraint, at_least_k, at_most_k, exactly_one
 from .variables import VariablePool
 
@@ -36,11 +35,15 @@ class FormulaStats:
 
 
 class Formula:
-    """A 0-1 ILP instance: CNF clauses + PB constraints + linear objective."""
+    """A 0-1 ILP instance: CNF clauses + PB constraints + linear objective.
+
+    ``clauses`` holds each clause as the tuple :meth:`add_clause`
+    returns; outside ``sat/`` that call is the only way in (rule RPR001).
+    """
 
     def __init__(self, num_vars: int = 0):
         self.pool = VariablePool(start=num_vars)
-        self.clauses: List[Clause] = []
+        self.clauses: List[Tuple[int, ...]] = []
         self.pb_constraints: List[PBConstraint] = []
         self.objective: Optional[Tuple[Tuple[int, int], ...]] = None
         self.objective_sense: str = "min"
@@ -63,18 +66,29 @@ class Formula:
             self.pool.fresh()
 
     # ---------------------------------------------------------- constraints
-    def add_clause(self, literals: Iterable[int]) -> Clause:
-        """Append a CNF clause; returns the canonicalized clause.
+    def add_clause(self, literals: Iterable[int]) -> Tuple[int, ...]:
+        """Append a CNF clause; returns it in canonical form.
 
-        :class:`Clause` canonicalizes at construction (literals sorted
-        by variable, duplicates removed), so every downstream consumer —
-        CDCL watches, subsumption, signatures — sees canonical clauses.
-        Tautologies are legal input (they are satisfiable).
+        The canonical form is a tuple of distinct literals sorted by
+        variable, ``x`` before ``-x`` in a tautology, so every consumer
+        (CDCL watches, subsumption, symmetry graphs, the writers) reads
+        the same literals for the same clause.  A literal that is not a
+        nonzero ``int`` raises ``ValueError`` naming it; the types are
+        checked before duplicates collapse (``{1, True}`` is ``{1}``).
+        The empty clause is refused.  Tautologies are legal input (they
+        are satisfiable).
         """
-        clause = literals if isinstance(literals, Clause) else Clause(literals)
-        if not clause.literals:
+        lits = tuple(literals)
+        if not {int}.issuperset(map(type, lits)) or 0 in lits:
+            lits = tuple(map(check_literal, lits))
+        if not lits:
             raise ValueError("refusing to add the empty clause; formula would be trivially UNSAT")
-        self.ensure_var(abs(clause.literals[-1]))
+        # Descending first puts x before -x; the stable sort by variable
+        # keeps that order.
+        unique = sorted(set(lits), reverse=True)
+        unique.sort(key=abs)
+        clause = tuple(unique)
+        self.ensure_var(abs(clause[-1]))
         self.clauses.append(clause)
         return clause
 
@@ -131,9 +145,10 @@ class Formula:
 
     def evaluate(self, assignment: Dict[int, bool]) -> bool:
         """True when the total assignment satisfies every constraint."""
-        return all(c.evaluate(assignment) for c in self.clauses) and all(
-            p.evaluate(assignment) for p in self.pb_constraints
-        )
+        return all(
+            any((lit > 0) == assignment[var_of(lit)] for lit in clause)
+            for clause in self.clauses
+        ) and all(p.evaluate(assignment) for p in self.pb_constraints)
 
     def objective_value(self, assignment: Dict[int, bool]) -> int:
         """Objective value under a total assignment (0 if no objective)."""

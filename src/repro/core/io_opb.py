@@ -38,7 +38,7 @@ def write_dimacs_cnf(formula: Formula, target: PathOrFile) -> None:
     try:
         handle.write(f"p cnf {formula.num_vars} {len(formula.clauses)}\n")
         for clause in formula.clauses:
-            handle.write(" ".join(str(l) for l in clause.literals) + " 0\n")
+            handle.write(" ".join(str(l) for l in clause) + " 0\n")
     finally:
         if owned:
             handle.close()
@@ -102,7 +102,7 @@ def write_opb(formula: Formula, target: PathOrFile) -> None:
             terms = " ".join(_opb_term(c, l) for c, l in pb.terms)
             handle.write(f"{terms} {pb.relation} {pb.bound} ;\n")
         for clause in formula.clauses:
-            terms = " ".join(_opb_term(1, l) for l in clause.literals)
+            terms = " ".join(_opb_term(1, l) for l in clause)
             handle.write(f"{terms} >= 1 ;\n")
     finally:
         if owned:

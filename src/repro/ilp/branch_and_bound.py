@@ -35,22 +35,10 @@ INT_TOL = 1e-6
 
 
 class BranchAndBoundSolver:
-    """Depth-first LP-based branch and bound over 0-1 variables.
+    """Depth-first LP-based branch and bound over 0-1 variables,
+    branching on the most fractional variable."""
 
-    Parameters mirror a generic MIP solver: ``branch_rule`` is
-    ``"most_fractional"`` (default) or ``"first"``; ``node_limit`` and
-    time limits bound the search.
-    """
-
-    def __init__(
-        self,
-        branch_rule: str = "most_fractional",
-        node_limit: Optional[int] = None,
-    ):
-        if branch_rule not in ("most_fractional", "first"):
-            raise ValueError(f"unknown branch rule {branch_rule!r}")
-        self.branch_rule = branch_rule
-        self.node_limit = node_limit
+    def __init__(self) -> None:
         self.nodes_explored = 0
 
     # ----------------------------------------------------------- internals
@@ -77,10 +65,8 @@ class BranchAndBoundSolver:
         candidates = np.where(frac > INT_TOL)[0]
         if len(candidates) == 0:
             return -1
-        if self.branch_rule == "most_fractional":
-            scores = np.abs(x[candidates] - 0.5)
-            return int(candidates[np.argmin(scores)])
-        return int(candidates[0])
+        scores = np.abs(x[candidates] - 0.5)
+        return int(candidates[np.argmin(scores)])
 
     # --------------------------------------------------------------- solve
     def optimize(
@@ -88,12 +74,21 @@ class BranchAndBoundSolver:
         formula: Formula,
         time_limit: Optional[float] = None,
         should_stop: Optional[Callable[[], bool]] = None,
+        upper_bound: Optional[int] = None,
+        lower_bound: Optional[int] = None,
     ) -> OptimizeResult:
         """Minimize/maximize the formula objective; prove optimality.
 
         ``should_stop`` is polled once per node, like the CDCL engine's
         cancellation hook: when it returns True the incumbent (if any)
         is returned as SAT, otherwise UNKNOWN.
+
+        The bounds apply to a minimized objective.  ``upper_bound`` is the
+        value of a model the formula is known to have (the 0-1 ILP flow
+        passes DSATUR's color count): a node whose bound exceeds it is
+        pruned, incumbent or not, so the search still reaches a model at
+        or below it.  ``lower_bound`` is a proved bound (the clique
+        bound): an incumbent that reaches it is OPTIMAL at once.
         """
         if formula.objective is None:
             raise ValueError("formula has no objective; use decide()")
@@ -102,6 +97,7 @@ class BranchAndBoundSolver:
         stats = SolverStats()
         model = formula_to_ilp(formula)
         n = model.num_vars
+        offset = model.objective_offset  # the objective's value is c.x + offset
         best_value: Optional[float] = None
         best_x: Optional[np.ndarray] = None
         self.nodes_explored = 0
@@ -110,9 +106,6 @@ class BranchAndBoundSolver:
         timed_out = False
         while stack:
             if deadline.expired():
-                timed_out = True
-                break
-            if self.node_limit is not None and self.nodes_explored >= self.node_limit:
                 timed_out = True
                 break
             if should_stop is not None and should_stop():
@@ -130,7 +123,8 @@ class BranchAndBoundSolver:
             # Bound pruning: objective coefficients are integral, so any
             # integral solution under this node has value >= ceil(lp).
             node_bound = int(np.ceil(lp_value - 1e-9))
-            if best_value is not None and node_bound >= best_value:
+            if (best_value is not None and node_bound >= best_value
+                    or upper_bound is not None and node_bound + offset > upper_bound):
                 continue
             fixed = lower >= upper  # variables pinned by branching
             frac = np.abs(x - np.round(x))
@@ -140,6 +134,8 @@ class BranchAndBoundSolver:
                 if best_value is None or ivalue < best_value:
                     best_value = ivalue
                     best_x = np.round(x)
+                    if lower_bound is not None and ivalue + offset <= lower_bound:
+                        break
                 continue
             var = self._pick_branch_var(x, fixed)
             if var < 0:
@@ -180,12 +176,3 @@ class BranchAndBoundSolver:
             return SolveResult(SAT, model=result.best_model, stats=result.stats)
         return SolveResult(result.status, stats=result.stats)
 
-
-def solve_ilp(
-    formula: Formula,
-    time_limit: Optional[float] = None,
-    node_limit: Optional[int] = None,
-) -> OptimizeResult:
-    """One-shot generic-ILP optimization (CPLEX-profile solver)."""
-    solver = BranchAndBoundSolver(node_limit=node_limit)
-    return solver.optimize(formula, time_limit=time_limit)

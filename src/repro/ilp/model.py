@@ -61,7 +61,7 @@ def formula_to_ilp(formula: Formula) -> ILPModel:
 
     for clause in formula.clauses:
         # l1 + ... + lk >= 1  ==  -l1 - ... - lk <= -1
-        add_le([(-1, l) for l in clause.literals], -1.0)
+        add_le([(-1, l) for l in clause], -1.0)
     for pb in formula.pb_constraints:
         if pb.relation in ("<=", "="):
             add_le(list(pb.terms), float(pb.bound))

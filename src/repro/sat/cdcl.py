@@ -567,7 +567,6 @@ class CDCLSolver:
         self,
         assumptions: Sequence[int] = (),
         time_limit: Optional[float] = None,
-        conflict_limit: Optional[int] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> SolveResult:
         """Decide satisfiability under optional assumption literals.
@@ -578,8 +577,8 @@ class CDCLSolver:
         ``failed_assumptions`` — the subset of assumptions in the final
         conflict (empty when the formula is UNSAT on its own).
 
-        ``time_limit`` (seconds) and ``conflict_limit`` bound the search;
-        on exhaustion the result status is :data:`UNKNOWN`.
+        ``time_limit`` (seconds) bounds the search; on exhaustion the
+        result status is :data:`UNKNOWN`.
         ``should_stop`` is a zero-argument predicate polled every few
         dozen conflicts (and every ~1k decisions): when it turns true
         the call abandons the query and returns :data:`UNKNOWN`, which
@@ -622,8 +621,6 @@ class CDCLSolver:
                     tracer.conflict(self.tracer_id, bt, lbd,
                                     self.stats.propagations - props_mark)
                     props_mark = self.stats.propagations
-                if conflict_limit is not None and conflicts_here >= conflict_limit:
-                    return self._finish(UNKNOWN, start, base, run)
                 if should_stop is not None and (conflicts_here & 63) == 0:
                     if should_stop():
                         return self._finish(UNKNOWN, start, base, run)
@@ -714,10 +711,9 @@ def _load_clauses(solver: CDCLSolver, formula: Formula) -> bool:
     if solver.trail_lim:
         raise RuntimeError("add_formula is only legal at decision level 0")
     clauses = formula.clauses
-    solver._ensure_var(max([formula.num_vars] + [abs(c.literals[-1]) for c in clauses]))
+    solver._ensure_var(max([formula.num_vars] + [abs(c[-1]) for c in clauses]))
     values, watches, store = solver.values, solver.watches, solver.clauses
-    for clause in clauses:
-        lits = clause.literals
+    for lits in clauses:
         if len(lits) > 1:
             prev = 0
             for lit in lits:
@@ -741,12 +737,9 @@ def solve_formula(
     formula: Formula,
     assumptions: Sequence[int] = (),
     time_limit: Optional[float] = None,
-    conflict_limit: Optional[int] = None,
 ) -> SolveResult:
     """One-shot satisfiability check of a CNF-only formula."""
     solver = CDCLSolver(num_vars=formula.num_vars)
     if not solver.add_formula(formula):
         return SolveResult(UNSAT)
-    return solver.solve(
-        assumptions=assumptions, time_limit=time_limit, conflict_limit=conflict_limit
-    )
+    return solver.solve(assumptions=assumptions, time_limit=time_limit)

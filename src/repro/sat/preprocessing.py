@@ -7,8 +7,9 @@ formula.  Implemented here:
 
 * canonical intake: tautologies and duplicate clauses are dropped
   before any other rule runs (a tautology is never a valid subsumer —
-  resolving on it returns the other clause unchanged); a
-  :class:`~repro.core.clause.Clause` is already sorted, so intake
+  resolving on it returns the other clause unchanged); a formula's
+  clauses are already canonical tuples (sorted by variable, no repeated
+  literal: :meth:`~repro.core.formula.Formula.add_clause`), so intake
   re-sorts nothing;
 * unit propagation to fixpoint (with the implied assignment returned),
   in waves over a literal -> clause index, touching only the clauses
@@ -41,8 +42,9 @@ nothing, which is the exact fixpoint.
 
 Both take a ``deadline``: once it expires the running subsumption pass
 keeps the clauses it has not visited and no further round runs, so the
-output stays sound.  Both reuse the input's :class:`Clause` objects for
-every clause they leave unchanged.
+output stays sound.  Every rule keeps a clause canonical (it only drops
+literals, or sorts a resolvent), so both hand their clause tuples to the
+output formula as they are.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from dataclasses import dataclass, field
 from operator import neg
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.clause import Clause
 from ..core.formula import Formula
 from ..core.literals import var_of
 from ..core.pbconstraint import PBConstraint
@@ -122,43 +123,35 @@ class PreprocessResult:
 
 
 def _canonical_intake(
-    clauses: Iterable[Clause],
-) -> Tuple[List[Tuple[int, ...]], Dict[Tuple[int, ...], Clause], int, int]:
+    clauses: Iterable[Tuple[int, ...]],
+) -> Tuple[List[Tuple[int, ...]], int, int]:
     """Drop tautologies and duplicate clauses.
 
-    Returns ``(clauses, origin, #taut, #dup)``: the literal tuples in
-    input order and the map from each tuple to the input
-    :class:`Clause` it came from, so the output can reuse every clause
-    the rules leave unchanged.  A :class:`Clause` is already sorted and
-    free of repeated literals, so nothing is re-sorted here.
+    Returns ``(clauses, #taut, #dup)``, the kept clauses in input
+    order.  ``Formula.add_clause`` already sorted each clause and
+    removed its repeated literals, so nothing is re-sorted here.
     """
     kept: List[Tuple[int, ...]] = []
-    origin: Dict[Tuple[int, ...], Clause] = {}
+    seen: Set[Tuple[int, ...]] = set()
     tautologies = 0
     duplicates = 0
     for clause in clauses:
-        literals = clause.literals
-        if clause.is_tautology:
+        if len(set(map(abs, clause))) < len(clause):
             tautologies += 1
-        elif literals in origin:
+        elif clause in seen:
             duplicates += 1
         else:
-            origin[literals] = clause
-            kept.append(literals)
-    return kept, origin, tautologies, duplicates
+            seen.add(clause)
+            kept.append(clause)
+    return kept, tautologies, duplicates
 
 
-def _output_formula(
-    num_vars: int,
-    clauses: Iterable[Tuple[int, ...]],
-    origin: Dict[Tuple[int, ...], Clause],
-) -> Formula:
-    """The formula holding ``clauses``, reusing each input clause left
-    unchanged; only a shortened or derived clause is built anew."""
+def _output_formula(num_vars: int, clauses: List[Tuple[int, ...]]) -> Formula:
+    """The formula holding ``clauses``, taken as they are: every rule
+    keeps a clause canonical (it only drops literals, or sorts a
+    resolvent)."""
     out = Formula(num_vars=num_vars)
-    for literals in clauses:
-        clause = origin.get(literals)
-        out.add_clause(clause if clause is not None else Clause(literals))
+    out.clauses = clauses
     return out
 
 
@@ -497,7 +490,7 @@ def preprocess(
         raise ValueError("preprocess handles CNF-only formulas")
     frozen_set = frozenset(frozen)
     result = PreprocessResult(formula=None, num_vars=formula.num_vars)
-    clauses, origin, tautologies, duplicates = _canonical_intake(formula.clauses)
+    clauses, tautologies, duplicates = _canonical_intake(formula.clauses)
     result.tautologies_removed = tautologies
     result.duplicates_removed = duplicates
     forced: Dict[int, bool] = {}
@@ -528,7 +521,7 @@ def preprocess(
         if not (pure or subsumed or strengthened or removed):
             break
     units = [(var if forced[var] else -var,) for var in sorted(frozen_set) if var in forced]
-    result.formula = _output_formula(formula.num_vars, units + clauses, origin)
+    result.formula = _output_formula(formula.num_vars, units + clauses)
     result.forced = forced
     return result
 
@@ -633,7 +626,7 @@ def simplify_formula(
     database (or a PB constraint under the forced assignment) is UNSAT.
     """
     stats = SimplifyStats(clauses_before=len(formula.clauses))
-    clauses, origin, tautologies, duplicates = _canonical_intake(formula.clauses)
+    clauses, tautologies, duplicates = _canonical_intake(formula.clauses)
     stats.tautologies_removed = tautologies
     stats.duplicates_removed = duplicates
     forced: Dict[int, bool] = {}
@@ -656,7 +649,7 @@ def simplify_formula(
     if pb_constraints is None:
         return None, stats
     units = [(var if forced[var] else -var,) for var in sorted(forced)]
-    out = _output_formula(formula.num_vars, units + clauses, origin)
+    out = _output_formula(formula.num_vars, units + clauses)
     out.pb_constraints = pb_constraints
     out.objective = formula.objective
     out.objective_sense = formula.objective_sense

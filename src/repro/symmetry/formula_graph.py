@@ -71,8 +71,7 @@ def build_formula_graph(formula: Formula) -> FormulaGraph:
         graph.add_edge(lit_index(var), var_vertex(var))
         graph.add_edge(lit_index(-var), var_vertex(var))
 
-    for clause in formula.clauses:
-        lits = clause.literals
+    for lits in formula.clauses:
         if len(lits) == 1:
             # Unit clauses pin their literal: give it a unique-ish color
             # by hanging a clause vertex off it (keeps construction

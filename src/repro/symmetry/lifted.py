@@ -81,7 +81,7 @@ class FormulaIndex:
 
     def __init__(self, formula: Formula) -> None:
         self.num_vars = formula.num_vars
-        self.clauses: List[Tuple[int, ...]] = [c.literals for c in formula.clauses]
+        self.clauses: List[Tuple[int, ...]] = formula.clauses
         self.clause_set: FrozenSet[FrozenSet[int]] = frozenset(
             frozenset(lits) for lits in self.clauses)
         self.pbs = list(formula.pb_constraints)

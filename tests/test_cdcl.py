@@ -68,13 +68,6 @@ def test_incremental_reuse():
     assert solver.solve().is_unsat
 
 
-def test_conflict_limit_returns_unknown():
-    # Pigeonhole 6->5 cannot be refuted in 2 conflicts.
-    f = _php(6, 5)
-    result = solve_formula(f, conflict_limit=2)
-    assert result.is_unknown
-
-
 def _php(pigeons, holes):
     f = Formula()
     x = {(p, h): f.new_var() for p in range(pigeons) for h in range(holes)}

@@ -100,7 +100,7 @@ def test_pb_vs_ilp_on_encoded_formula():
     graph = mycielski_graph(3)
     formula = encode_coloring(graph, 4).formula
     pb = solve_optimize(formula.copy(), preset="pbs2")
-    from repro.ilp import solve_ilp
+    from repro.ilp import BranchAndBoundSolver
 
-    ilp = solve_ilp(formula.copy())
+    ilp = BranchAndBoundSolver().optimize(formula.copy())
     assert pb.best_value == ilp.best_value == 4

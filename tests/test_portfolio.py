@@ -12,6 +12,9 @@ descents, and the settle step that joins two racers' partial answers
 into one proof.
 """
 
+import time
+
+import batch_plugins  # noqa: F401  (registers the "sleepy" and "shrug" racers)
 import pytest
 
 import repro.api.portfolio as portfolio
@@ -27,6 +30,7 @@ from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import gnp_graph, mycielski_graph, queens_graph
 from repro.graphs.graph import Graph
+from repro.obs import scoped_registry
 from repro.resilience import reset_clock, set_clock
 
 RACERS = ("cdcl-incremental", "pb-pueblo", "exact-dsatur")
@@ -164,6 +168,22 @@ def test_a_relaunched_racer_gets_only_what_is_left_of_the_run(monkeypatch):
     assert [limit for _, limit, _ in launches[:2]] == [2.0, 2.0]
     _, time_limit, kill_limit = launches[2]
     assert time_limit <= 1.0 and kill_limit <= 1.0
+
+
+def test_a_race_ends_a_second_after_its_deadline():
+    """``sleepy`` ignores its deadline; ``shrug`` answers UNKNOWN at once.
+    Once the run's deadline passes, the race stops ``sleepy`` after the
+    1 s grace and counts it as cancelled, instead of waiting for the
+    worker's kill limit (4.5 s on a 3 s race)."""
+    start = time.monotonic()
+    with scoped_registry() as registry:
+        result = race(ChromaticProblem(mycielski_graph(3)), time_limit=3,
+                      racers=("sleepy", "shrug"))
+    elapsed = time.monotonic() - start
+    counters = registry.snapshot().get("counters", {})
+    assert race_stage(result).details["cancelled"] == 1
+    assert counters.get("race_racer_kills_total", 0) == 0
+    assert elapsed < 4.4
 
 
 C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])

@@ -11,6 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.coloring.encoding import encode_coloring
+from repro.coloring.sat_pipeline import (
+    CNF_SBP_KINDS,
+    encode_k_coloring_cnf,
+    encode_k_coloring_incremental,
+)
 from repro.core.formula import Formula
 from repro.experiments.instances import get_instance
 from repro.graphs.graph import Graph
@@ -24,6 +29,8 @@ from repro.sat.preprocessing import (
     subsume_clauses,
 )
 from repro.sbp.instance_independent import SBP_KINDS, apply_sbp
+from repro.sbp.lex_leader import add_symmetry_breaking_predicates
+from repro.symmetry.detect import detect_symmetries
 
 
 def test_unit_propagation_chain():
@@ -240,7 +247,7 @@ def test_simplify_formula_keeps_objective():
     assert out.objective == f.objective
     assert stats.units_propagated >= 2
     # Units derived by propagation stay visible as unit clauses.
-    unit_lits = {c.literals[0] for c in out.clauses if c.is_unit}
+    unit_lits = {c[0] for c in out.clauses if len(c) == 1}
     assert {1, 2} <= unit_lits
 
 
@@ -258,7 +265,7 @@ def test_simplify_substitutes_forced_into_pb():
     assert pb.terms == ((1, 3), (1, 4))
     assert pb.relation == ">=" and pb.bound == 1  # 3 - coef(1) = 1
     # Units stay visible, so the conjunction is still equivalent.
-    unit_lits = {c.literals[0] for c in out.clauses if c.is_unit}
+    unit_lits = {c[0] for c in out.clauses if len(c) == 1}
     assert {1, -2} <= unit_lits
 
 
@@ -312,7 +319,7 @@ def test_simplify_formula_stops_at_an_expired_deadline():
     cut, cut_stats = simplify_formula(f, deadline=Deadline.after(0))
     assert cut_stats.subsumed == cut_stats.strengthened == 0
     # A cut pass keeps every clause it did not visit.
-    assert sorted(c.literals for c in cut.clauses) == sorted(c.literals for c in f.clauses)
+    assert sorted(cut.clauses) == sorted(f.clauses)
     assert _same_models(out, f, 4) and _same_models(cut, f, 4)
 
 
@@ -348,7 +355,7 @@ def test_simplify_formula_output_is_pinned(name, k, kind, clauses_after, digest)
     out, stats = simplify_formula(encoding.formula)
     assert stats.clauses_after == clauses_after
     assert _digest((
-        [c.literals for c in out.clauses],
+        out.clauses,
         [(p.terms, p.relation, p.bound) for p in out.pb_constraints],
         asdict(stats),
     )) == digest
@@ -383,7 +390,7 @@ def test_simplify_formula_output_is_a_fixpoint(data):
     out, _ = simplify_formula(f)
     if out is None:
         return
-    sets = [frozenset(c.literals) for c in out.clauses]
+    sets = [frozenset(c) for c in out.clauses]
     for i, c in enumerate(sets):
         for j, d in enumerate(sets):
             if i == j:
@@ -503,7 +510,7 @@ def test_subsume_clauses_matches_the_reference_on_colorings(data):
             graph.add_edge(u, v)
     encoding = encode_coloring(graph, data.draw(st.integers(min_value=2, max_value=4)))
     formula = apply_sbp(encoding, data.draw(st.sampled_from(SBP_KINDS))).formula
-    clauses, _, _, _ = _canonical_intake(formula.clauses)
+    clauses, _, _ = _canonical_intake(formula.clauses)
     clauses, _ = _propagate_units(clauses, {})
     if clauses is None:
         return
@@ -512,6 +519,42 @@ def test_subsume_clauses_matches_the_reference_on_colorings(data):
     clauses = clauses + data.draw(st.lists(
         st.lists(lit, min_size=1, max_size=4).map(tuple), max_size=2))
     assert subsume_clauses(clauses) == _reference_subsume(clauses)
+
+
+def _is_canonical(clause):
+    """A non-empty tuple of nonzero ints sorted by variable, with no
+    repeated literal (``x`` before ``-x`` in a tautology)."""
+    return (type(clause) is tuple and len(clause) > 0
+            and all(type(lit) is int and lit != 0 for lit in clause)
+            and all(abs(a) < abs(b) or a == -b > 0 for a, b in zip(clause, clause[1:])))
+
+
+@settings(max_examples=fuzz_examples(60), deadline=None)
+@given(st.data())
+def test_every_producer_hands_on_canonical_clauses(data):
+    # Nothing checks a clause's form on its way into a solver: the
+    # encoders, the SBPs and both simplifiers must each keep it canonical.
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    graph = Graph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if data.draw(st.booleans()):
+            graph.add_edge(u, v)
+    k = data.draw(st.integers(min_value=2, max_value=4))
+    formulas = []
+    for kind in SBP_KINDS:
+        encoded = apply_sbp(encode_coloring(graph, k), kind).formula
+        formulas += [encoded, simplify_formula(encoded)[0]]
+    for kind in CNF_SBP_KINDS:
+        cnf, _ = encode_k_coloring_cnf(graph, k, kind)
+        incremental, _, activators = encode_k_coloring_incremental(graph, k, kind)
+        # Frozen activators, as IncrementalKSearch preprocesses them.
+        formulas += [cnf, preprocess(cnf).formula, incremental,
+                     preprocess(incremental, frozen=activators.values()).formula]
+    lex = encode_coloring(graph, k).formula
+    add_symmetry_breaking_predicates(lex, detect_symmetries(lex, compute_order=False).generators)
+    formulas.append(lex)
+    clauses = [c for f in formulas if f is not None for c in f.clauses]
+    assert [c for c in clauses if not _is_canonical(c)] == []
 
 
 @settings(max_examples=fuzz_examples(200), deadline=None)

@@ -45,7 +45,7 @@ def _encoding_digest(graph):
     digest = hashlib.sha256()
 
     def add(name, k, sbp, formula, *maps):
-        clauses = [c.literals for c in formula.clauses]
+        clauses = formula.clauses
         maps = [sorted(m.items()) if isinstance(m, dict) else m for m in maps]
         digest.update(repr((name, k, sbp, formula.num_vars, clauses, *maps)).encode())
 

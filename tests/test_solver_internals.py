@@ -350,7 +350,7 @@ def test_preprocess_reemits_frozen_units():
     f.add_clause([2, 3])
     pre = preprocess(f, frozen=[2])
     assert pre.forced[2] is True
-    assert (2,) in {c.literals for c in pre.formula.clauses}
+    assert (2,) in pre.formula.clauses
     solver = CDCLSolver(num_vars=pre.formula.num_vars)
     assert solver.add_formula(pre.formula)
     refuted = solver.solve(assumptions=[-2])
@@ -450,7 +450,7 @@ def test_add_formula_loads_like_one_clause_at_a_time(solver_class, case):
     bulk = solver_class()
     loaded = bulk.add_formula(formula)
     one = solver_class(num_vars=formula.num_vars)
-    expected = all(one.add_clause(c.literals) for c in formula.clauses) and all(
+    expected = all(one.add_clause(c) for c in formula.clauses) and all(
         one.add_linear_ge(geq.terms, geq.degree)
         for pb in formula.pb_constraints for geq in pb.to_geq())
     assert loaded == expected and bulk._unsat == one._unsat
