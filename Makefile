@@ -12,9 +12,11 @@
 # properties (disjoint unions across backends, the incremental and
 # reduce harnesses, lifted vs formula-graph symmetry detection, the
 # preprocessing properties: model preservation and the simplify
-# fixpoint, the 0-1 ILP bound search against brute force, and the
-# Session's decisions against the exact chromatic number) under
-# HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
+# fixpoint, the 0-1 ILP bound search against brute force, the
+# Session's decisions against the exact chromatic number, and the
+# engine's brute-force oracles: CDCL and PB answers, answers under
+# assumptions while the solver grows, and bulk vs one-clause loading)
+# under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
 # chaos suite (fault injection seeded by CHAOS_SEED, fresh seeds in
 # nightly CI);
 # `make coverage` runs the tier-1 suite under pytest-cov
@@ -58,7 +60,9 @@ fuzz-smoke:
 		$(PYTHON) -m pytest -q tests/test_component_pool.py \
 		tests/test_incremental.py tests/test_reduce.py \
 		tests/test_lifted_symmetry.py tests/test_preprocessing.py \
-		tests/test_session.py tests/test_optimizer.py
+		tests/test_session.py tests/test_optimizer.py \
+		tests/test_cdcl.py tests/test_pb_engine.py \
+		tests/test_solver_internals.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.formula import Formula
 from ..core.pbconstraint import LinearGE, normalize_terms
 from ..sat.cdcl import CDCLSolver, _load_clauses
-from ..sat.result import SolveResult, UNSAT
+from ..sat.result import SolveResult
 
 
 class PBData:
@@ -128,7 +128,24 @@ class PBSolver(CDCLSolver):
         return True
 
     # --------------------------------------------------------- propagation
-    def _propagate_extra(self) -> Optional[PBData]:
+    def _propagate(self):
+        """Propagate to fixpoint; returns a conflicting constraint or None.
+
+        Alternates clause (watched-literal) propagation with slack
+        propagation until neither produces new assignments.
+        """
+        while True:
+            conflict = super()._propagate()
+            if conflict is not None:
+                return conflict
+            conflict = self._propagate_pb()
+            if conflict is not None:
+                self.qhead = len(self.trail)
+                return conflict
+            if self.qhead >= len(self.trail):
+                return None
+
+    def _propagate_pb(self) -> Optional[PBData]:
         trail = self.trail
         occ = self._pb_occ
         values = self.values
@@ -152,8 +169,7 @@ class PBSolver(CDCLSolver):
                     for tcoef, tlit in constraint.terms:
                         if tcoef <= slack:
                             break
-                        tval = values[tlit] if tlit > 0 else -values[-tlit]
-                        if tval == 0:
+                        if values[tlit] == 0:
                             self._enqueue(tlit, constraint)
             if conflict is not None:
                 return conflict
@@ -202,10 +218,11 @@ class PBSolver(CDCLSolver):
         if need <= 0:
             return [lit] if lit else []
         false_terms: List[Tuple[int, int, int]] = []
+        values = self.values
         for coef, term in constraint.terms:
             if term == lit:
                 continue
-            if self.value_of(term) is False:
+            if values[term] < 0:
                 pos = self.trail_pos[abs(term)]
                 if horizon is None or pos < horizon:
                     false_terms.append((coef, self.level[abs(term)], term))
@@ -229,7 +246,10 @@ class PBSolver(CDCLSolver):
 
     # --------------------------------------------------------------- solve
     def solve(self, assumptions: Sequence[int] = (), **kwargs) -> SolveResult:
-        """Decide satisfiability of the loaded clauses + PB constraints."""
-        if self._unsat:
-            return SolveResult(UNSAT, failed_assumptions=[])
+        """Decide satisfiability of the loaded clauses + PB constraints.
+
+        The search is :meth:`CDCLSolver.solve`'s; the PB engine names it
+        here so that perfbench's per-layer tracer (which wraps each
+        class's own ``solve``) tells PB searches apart.
+        """
         return super().solve(assumptions=assumptions, **kwargs)

@@ -19,12 +19,20 @@ queries.
 
 Hot-path design (measured on the multi-K coloring descents):
 
-* watch lists live in a flat list indexed by literal
-  (``2*var`` / ``2*var + 1``), not a dict — no hashing on the hottest
-  loop in the solver;
+* literal values and watch lists live in flat lists indexed by the
+  literal itself: ``values[lit]`` and ``watches[lit]`` cover every
+  ``lit`` in ``-cap..cap`` through Python's negative indexing (slot
+  ``len - v`` holds ``-v``), so no read branches on the sign and no
+  index is computed; ``_ensure_var`` doubles ``cap`` and re-lays both
+  lists out in place, so references taken earlier stay valid;
 * each watcher is a ``(clause, blocker)`` pair; a true blocker literal
   satisfies the clause without touching it (MiniSat's cached-literal
   optimization);
+* the blocker of a binary clause is its other literal, so a binary
+  watcher whose blocker is not true is kept as it is and the blocker
+  enqueued, without reordering the clause: a binary reason holds one
+  literal besides the one it implied, so its order is never read (a
+  conflicting binary is still normalized, false literal second);
 * clause deletion is lazy: deleted clauses are only marked, watchers
   drain them as they are visited, and the watch lists are compacted in
   one sweep when enough dead watchers accumulate;
@@ -36,12 +44,18 @@ Hot-path design (measured on the multi-K coloring descents):
   the unassigned variables that left the heap (decisions, and variables
   popped while assigned) — the rest never left it;
 * propagation enqueues implied literals inline and reads the decision
-  level once per call;
+  level once per call; the plain solver propagates clauses only, and a
+  subclass with propagation of its own (the PB engine's slack
+  counters) overrides ``_propagate`` to alternate the two;
 * conflict analysis marks variables in one solver-owned ``_seen`` array
   and clears exactly the marks it set, so no conflict allocates an
-  array over all variables;
-* the popped trail slice is built on backtrack only for a subclass that
-  unwinds state of its own (the PB engine's slack counters).
+  array over all variables; it hands VSIDS the conflict's variables in
+  one batch bump, in the order it met them, and reads reasons straight
+  from the reason array unless the class overrides
+  ``_reason_literals`` (the PB engine's explained constraints);
+* backtracking walks the popped trail slice once (unassign, save the
+  phase, re-queue), and a subclass that unwinds state of its own (the
+  PB engine's slack counters) is handed that slice.
 """
 
 from __future__ import annotations
@@ -50,15 +64,11 @@ import time
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..core.formula import Formula
+from ..core.literals import check_literal
 from ..obs.metrics import get_registry
 from .luby import luby_sequence
 from .result import SAT, UNKNOWN, UNSAT, SolveResult, SolverStats
 from .vsids import VSIDS
-
-
-def _widx(lit: int) -> int:
-    """Index of a literal in the flat watch table (2v / 2v+1)."""
-    return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
 
 
 class WClause(list):
@@ -110,7 +120,10 @@ class CDCLSolver:
         max_learned_growth: float = 1.1,
     ):
         self.num_vars = 0
-        self.values: List[int] = [0]  # 1 true, -1 false, 0 unassigned; index = var
+        # Literal-indexed: values[lit] is 1 true, -1 false, 0 unassigned
+        # for every lit in -cap..-1 and 1..cap, cap = len(values) // 2
+        # (slot 0 is unused).
+        self.values: List[int] = [0]
         self.level: List[int] = [0]
         self.trail_pos: List[int] = [0]
         self.reason: List[Optional[WClause]] = [None]
@@ -119,17 +132,21 @@ class CDCLSolver:
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
-        # Flat watch table: watches[_widx(lit)] holds (clause, blocker)
-        # pairs for clauses in which ``-lit`` is a watched literal.
-        self.watches: List[list] = [[], []]
+        # Literal-indexed like ``values``: watches[lit] holds (clause,
+        # blocker) pairs for clauses in which ``-lit`` is watched.
+        self.watches: List[list] = [[]]
         self.clauses: List[WClause] = []
         self.learned: List[WClause] = []
         self.vsids = VSIDS(0, decay=decay)
         # Conflict-analysis marks, all False between _analyze calls.
         self._seen: List[bool] = [False]
         # Only a subclass that unwinds state of its own (the PB engine's
-        # slack counters) needs the popped trail slice on backtrack.
+        # slack counters) is handed the popped trail slice on backtrack.
         self._unwinds = type(self)._on_backtrack is not CDCLSolver._on_backtrack
+        # Clause reasons are their own literal lists unless a subclass
+        # explains reasons of its own (the PB engine's constraints).
+        self._plain_reasons = (
+            type(self)._reason_literals is CDCLSolver._reason_literals)
         self.restart_base = restart_base
         self.max_learned = max_learned_start
         self.max_learned_growth = max_learned_growth
@@ -146,21 +163,28 @@ class CDCLSolver:
     def _ensure_var(self, var: int) -> None:
         if var <= self.num_vars:
             return
+        values, watches = self.values, self.watches
+        old = len(values) // 2
+        if var > old:
+            # Double the capacity and re-lay the literal-indexed lists
+            # out in place: the negative literals move to the new tail.
+            grow = 2 * (max(var, 2 * old) - old)
+            values[old + 1:old + 1] = [0] * grow
+            watches[old + 1:old + 1] = [[] for _ in range(grow)]
         while self.num_vars < var:
             self.num_vars += 1
-            self.values.append(0)
             self.level.append(0)
             self.trail_pos.append(0)
             self.reason.append(None)
             self.saved_phase.append(self._phase_default)
             self._seen.append(False)
-            self.watches.append([])
-            self.watches.append([])
         self.vsids.grow(self.num_vars)
 
     def value_of(self, lit: int):
-        """Current value of a literal: True / False / None."""
-        v = self.values[lit] if lit > 0 else -self.values[-lit]
+        """Current value of a literal over ``1..num_vars``: True / False / None."""
+        if not 0 < abs(lit) <= self.num_vars:
+            raise ValueError(f"no variable {abs(lit)} in this solver")
+        v = self.values[lit]
         if v == 0:
             return None
         return v > 0
@@ -174,23 +198,22 @@ class CDCLSolver:
         """Add a clause; returns False if it makes the formula UNSAT at level 0.
 
         Must be called at decision level 0 (fresh solver or between
-        ``solve`` calls, which always return at level 0).
+        ``solve`` calls, which always return at level 0).  A literal
+        that is not a nonzero ``int`` raises ``ValueError``.
         """
         if self.trail_lim:
             raise RuntimeError("add_clause is only legal at decision level 0")
         lits: List[int] = []
         seen = set()
-        values = self.values  # grown in place by _ensure_var
+        values = self.values  # re-laid out in place by _ensure_var
         for lit in literals:
-            if lit == 0:
-                raise ValueError("0 is not a literal")
-            self._ensure_var(abs(lit))
+            self._ensure_var(abs(check_literal(lit)))
             if -lit in seen:
                 return True  # tautology; vacuously added
             if lit in seen:
                 continue
             seen.add(lit)
-            value = values[lit] if lit > 0 else -values[-lit]
+            value = values[lit]
             if value > 0:
                 return True  # already satisfied at level 0
             if value < 0:
@@ -204,8 +227,8 @@ class CDCLSolver:
             return self._propagate() is None or self._mark_unsat()
         clause = WClause(lits)
         self.clauses.append(clause)
-        self.watches[_widx(-clause[0])].append((clause, clause[1]))
-        self.watches[_widx(-clause[1])].append((clause, clause[0]))
+        self.watches[-clause[0]].append((clause, clause[1]))
+        self.watches[-clause[1]].append((clause, clause[0]))
         return True
 
     def _mark_unsat(self) -> bool:
@@ -220,36 +243,22 @@ class CDCLSolver:
 
     # --------------------------------------------------------- propagation
     def _enqueue(self, lit: int, reason) -> None:
+        values = self.values
+        values[lit] = 1
+        values[-lit] = -1
         var = abs(lit)
-        self.values[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.trail_pos[var] = len(self.trail)
         self.reason[var] = reason
         self.trail.append(lit)
 
     def _propagate(self):
-        """Propagate to fixpoint; returns a conflicting constraint or None.
-
-        Alternates clause (watched-literal) propagation with the
-        ``_propagate_extra`` hook until neither produces new assignments.
-        """
-        while True:
-            conflict = self._propagate_clauses()
-            if conflict is not None:
-                return conflict
-            conflict = self._propagate_extra()
-            if conflict is not None:
-                self.qhead = len(self.trail)
-                return conflict
-            if self.qhead >= len(self.trail):
-                return None
-
-    def _propagate_clauses(self) -> Optional[WClause]:
         """Unit propagation over clauses; returns a conflict or None.
 
         Implied literals are enqueued inline (the body of ``_enqueue``);
         the decision level cannot change while propagating, so it is
-        read once per call.
+        read once per call.  A subclass with constraints of its own (the
+        PB engine) alternates this with its own propagation.
         """
         values = self.values
         watches = self.watches
@@ -263,14 +272,12 @@ class CDCLSolver:
             lit = trail[qhead]
             qhead += 1
             false_lit = -lit
-            watchlist = watches[(lit << 1) if lit > 0 else ((-lit) << 1) | 1]
-            i = j = 0
-            n = len(watchlist)
-            while i < n:
-                watcher = watchlist[i]
-                i += 1
+            watchlist = watches[lit]
+            j = 0
+            unvisited = iter(watchlist)
+            for watcher in unvisited:
                 blocker = watcher[1]
-                bval = values[blocker] if blocker > 0 else -values[-blocker]
+                bval = values[blocker]
                 if bval > 0:
                     # Blocker satisfies the clause: keep the watcher
                     # without touching the clause at all.
@@ -280,62 +287,65 @@ class CDCLSolver:
                 clause = watcher[0]
                 if clause.deleted:
                     continue  # lazily drain deleted clauses
-                # Normalize: the false literal sits at position 1.
-                if clause[0] == false_lit:
-                    clause[0] = clause[1]
-                    clause[1] = false_lit
-                first = clause[0]
-                if first != blocker:
-                    fval = values[first] if first > 0 else -values[-first]
-                    if fval > 0:
-                        watchlist[j] = (clause, first)
-                        j += 1
-                        continue
-                else:
-                    fval = bval
-                # Look for a non-false replacement watch.
-                moved = False
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    oval = values[other] if other > 0 else -values[-other]
-                    if oval >= 0:
-                        clause[1] = other
-                        clause[k] = false_lit
-                        oidx = ((other << 1) | 1) if other > 0 else ((-other) << 1)
-                        watches[oidx].append((clause, first))
-                        moved = True
+                if len(clause) == 2:
+                    # The blocker is the other literal: keep the watcher
+                    # and imply the blocker, unless it is false too.
+                    watchlist[j] = watcher
+                    j += 1
+                    if bval < 0:
+                        if clause[0] == false_lit:
+                            clause[0] = blocker
+                            clause[1] = false_lit
                         break
-                if moved:
-                    continue
-                watchlist[j] = (clause, first)
-                j += 1
-                if fval < 0:
-                    # Conflict: keep the remaining watchers and report.
-                    while i < n:
-                        watchlist[j] = watchlist[i]
-                        j += 1
-                        i += 1
-                    del watchlist[j:]
-                    self.stats.propagations += qhead - start
-                    self.qhead = len(trail)
-                    return clause
-                if first > 0:
-                    var = first
-                    values[var] = 1
+                    first = blocker
                 else:
-                    var = -first
-                    values[var] = -1
+                    # Normalize: the false literal sits at position 1.
+                    if clause[0] == false_lit:
+                        clause[0] = clause[1]
+                        clause[1] = false_lit
+                    first = clause[0]
+                    if first != blocker:
+                        fval = values[first]
+                        if fval > 0:
+                            watchlist[j] = (clause, first)
+                            j += 1
+                            continue
+                    else:
+                        fval = bval
+                    # Look for a non-false replacement watch.
+                    moved = False
+                    for k in range(2, len(clause)):
+                        other = clause[k]
+                        if values[other] >= 0:
+                            clause[1] = other
+                            clause[k] = false_lit
+                            watches[-other].append((clause, first))
+                            moved = True
+                            break
+                    if moved:
+                        continue
+                    watchlist[j] = (clause, first)
+                    j += 1
+                    if fval < 0:
+                        break
+                values[first] = 1
+                values[-first] = -1
+                var = first if first > 0 else -first
                 level[var] = current
                 trail_pos[var] = len(trail)
                 reasons[var] = clause
                 trail.append(first)
-            del watchlist[j:]
+            else:
+                # No conflict: drop the slots of the watchers that left.
+                del watchlist[j:]
+                continue
+            # Conflict: keep the watchers not visited yet and report.
+            watchlist[j:] = list(unvisited)
+            self.stats.propagations += qhead - start
+            self.qhead = len(trail)
+            return clause
         self.stats.propagations += qhead - start
         self.qhead = qhead
-        return None
-
-    def _propagate_extra(self):
-        """Hook for subclasses (PB propagation); None means no conflict."""
         return None
 
     # ----------------------------------------------------------- analysis
@@ -349,14 +359,16 @@ class CDCLSolver:
         UIP, the tail and the minimization extras) before returning.
         """
         learnt: List[int] = []
+        bumped: List[int] = []
         seen = self._seen
         level = self.level
         trail = self.trail
-        bump = self.vsids.bump
+        reasons = self.reason
+        plain = self._plain_reasons
         reason_of = self._reason_literals
         counter = 0
         p = 0
-        reason_lits: Sequence[int] = reason_of(conflict, 0)
+        reason_lits: Sequence[int] = conflict if plain else reason_of(conflict, 0)
         index = len(trail) - 1
         current = len(self.trail_lim)
         while True:
@@ -366,7 +378,7 @@ class CDCLSolver:
                 v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    bump(v)
+                    bumped.append(v)
                     if level[v] >= current:
                         counter += 1
                     else:
@@ -378,24 +390,27 @@ class CDCLSolver:
             counter -= 1
             if counter == 0:
                 break
-            seen[abs(p)] = False
-            reason_lits = reason_of(self.reason[abs(p)], p)
+            v = abs(p)
+            seen[v] = False
+            reason_lits = reasons[v] if plain else reason_of(reasons[v], p)
+        self.vsids.bump_all(bumped)
         tail = self._minimize(learnt, seen)
         # Clear every mark: the UIP, the tail before minimization, and
         # the extras minimization marked (only ``tail`` holds those).
         seen[abs(p)] = False
         for q in learnt:
             seen[abs(q)] = False
-        # Backtrack level: highest level among the tail literals.
+        # Backtrack level: highest level among the tail literals; the
+        # LBD counts the distinct levels of the whole clause.
         bt = 0
+        levels = {current}
         for q in tail:
             v = abs(q)
             seen[v] = False
             lvl = level[v]
+            levels.add(lvl)
             if lvl > bt:
                 bt = lvl
-        levels = {level[abs(q)] for q in tail}
-        levels.add(current)
         return [-p] + tail, bt, len(levels)
 
     def _analyze_final(self, failed: int, assumptions: Sequence[int]) -> List[int]:
@@ -450,15 +465,18 @@ class CDCLSolver:
         """
         out = []
         extra = []
+        reasons = self.reason
+        level = self.level
+        plain = self._plain_reasons
         for q in learnt:
-            reason = self.reason[abs(q)]
+            reason = reasons[abs(q)]
             if reason is None:
                 out.append(q)
                 continue
             blocker = 0
             redundant = True
-            for r in self._reason_literals(reason, -q):
-                if r == -q or seen[abs(r)] or self.level[abs(r)] == 0:
+            for r in (reason if plain else self._reason_literals(reason, -q)):
+                if r == -q or seen[abs(r)] or level[abs(r)] == 0:
                     continue
                 if blocker == 0:
                     blocker = r
@@ -485,19 +503,19 @@ class CDCLSolver:
         # Most unassigned variables never left the heap (only decisions
         # and variables popped as assigned did): re-insert the rest.
         queued = vsids._pos
-        for k in range(bound, len(trail)):
-            lit = trail[k]
+        popped = trail[bound:]
+        for lit in popped:
+            values[lit] = 0
+            values[-lit] = 0
             if lit > 0:
                 var = lit
                 saved_phase[var] = True
             else:
                 var = -lit
                 saved_phase[var] = False
-            values[var] = 0
             reasons[var] = None
             if queued[var] < 0:
                 vsids.push(var)
-        popped = trail[bound:] if self._unwinds else []
         del trail[bound:]
         del trail_lim[target_level:]
         self.qhead = len(trail)
@@ -515,8 +533,8 @@ class CDCLSolver:
             return None
         clause = WClause(lits, learnt=True, lbd=lbd)
         self.learned.append(clause)
-        self.watches[_widx(-clause[0])].append((clause, clause[1]))
-        self.watches[_widx(-clause[1])].append((clause, clause[0]))
+        self.watches[-clause[0]].append((clause, clause[1]))
+        self.watches[-clause[1]].append((clause, clause[0]))
         self._enqueue(clause[0], clause)
         return clause
 
@@ -584,13 +602,14 @@ class CDCLSolver:
         the call abandons the query and returns :data:`UNKNOWN`, which
         is what makes one monster UNSAT query interruptible without
         killing the solver — learned clauses survive for the next call.
+        An assumption that is not a nonzero ``int`` raises ``ValueError``.
         """
+        for lit in assumptions:
+            self._ensure_var(abs(check_literal(lit)))
         start = time.monotonic()
         run = SolverStats()
         if self._unsat:
             return SolveResult(UNSAT, stats=run, failed_assumptions=[])
-        for lit in assumptions:
-            self._ensure_var(abs(lit))
         assume_level = len(assumptions)
         restarts = luby_sequence(self.restart_base)
         budget = next(restarts)
@@ -642,14 +661,14 @@ class CDCLSolver:
             # No conflict: re-establish assumptions, then decide.
             if len(trail_lim) < assume_level:
                 lit = assumptions[len(trail_lim)]
-                value = self.value_of(lit)
-                if value is False:
+                value = self.values[lit]
+                if value < 0:
                     core = self._analyze_final(lit, assumptions)
                     result = self._finish(UNSAT, start, base, run)
                     result.failed_assumptions = core
                     return result
                 trail_lim.append(len(self.trail))
-                if value is None:
+                if not value:
                     self._enqueue(lit, None)
                 continue
             var = self.vsids.pop_unassigned(is_assigned)
@@ -725,8 +744,8 @@ def _load_clauses(solver: CDCLSolver, formula: Formula) -> bool:
                 wclause = WClause(lits)
                 store.append(wclause)
                 first, second = lits[0], lits[1]
-                watches[(first << 1) | 1 if first > 0 else (-first) << 1].append((wclause, second))
-                watches[(second << 1) | 1 if second > 0 else (-second) << 1].append((wclause, first))
+                watches[-first].append((wclause, second))
+                watches[-second].append((wclause, first))
                 continue
         if not solver.add_clause(lits):
             return False

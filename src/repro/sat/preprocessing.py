@@ -318,7 +318,19 @@ def subsume_clauses(
     ``deadline`` expires the pass stops early; every clause it has not
     yet visited is kept as it is, which is still sound.
     """
-    work = sorted({c for c in clauses if set(c).isdisjoint(map(neg, c))})
+    return _subsume([c for c in clauses if set(c).isdisjoint(map(neg, c))], deadline)
+
+
+def _subsume(
+    clauses: List[Tuple[int, ...]], deadline: Optional[Deadline]
+) -> Tuple[List[Tuple[int, ...]], int, int]:
+    """:func:`subsume_clauses` over clauses known to hold no tautology.
+
+    ``simplify_formula`` and ``preprocess`` call it directly: their
+    clauses passed :func:`_canonical_intake`, and every later rule only
+    drops literals or skips tautological resolvents.
+    """
+    work = sorted(set(clauses))
     work.sort(key=len)  # stable: ordered by (len, literals)
     acting = _acting_clauses(work)
     if not acting:
@@ -502,7 +514,7 @@ def preprocess(
         clauses = clauses_or_none
         clauses, pure = _eliminate_pure(clauses, forced, frozen_set)
         result.pure_eliminated += pure
-        clauses, subsumed, strengthened = subsume_clauses(clauses, deadline)
+        clauses, subsumed, strengthened = _subsume(clauses, deadline)
         result.subsumed += subsumed
         result.strengthened += strengthened
         if () in clauses:
@@ -636,7 +648,7 @@ def simplify_formula(
         if clauses_or_none is None:
             return None, stats
         clauses = clauses_or_none
-        clauses, subsumed, strengthened = subsume_clauses(clauses, deadline)
+        clauses, subsumed, strengthened = _subsume(clauses, deadline)
         stats.subsumed += subsumed
         stats.strengthened += strengthened
         if () in clauses:

@@ -13,9 +13,12 @@ Selection uses a MiniSat-style indexed binary heap ordered by activity
 descending, ties broken by the lower variable index.  Each variable
 sits in the heap at most once and the heap records its position, so a
 bump sifts the variable up in place and a push of a queued variable is
-a no-op.  Assigned variables are dropped lazily: ``pop_unassigned``
-discards them as they surface, and the solver pushes every variable it
-unassigns on backtrack, so every unassigned variable is always queued.
+a no-op.  There is one bump path: the solver hands ``bump_all`` one
+conflict's variables in the order its analysis met them, and
+``bump(v)`` is ``bump_all((v,))``.  Assigned variables are dropped
+lazily: ``pop_unassigned`` discards them as they surface, and the
+solver pushes every variable it unassigns on backtrack, so every
+unassigned variable is always queued.
 A rescale multiplies the activities in place and then re-heapifies:
 scaling underflows the smallest activities, so two variables that were
 strictly ordered can tie and the tie-break may reorder them.
@@ -23,7 +26,7 @@ strictly ordered can tie and the tie-break may reorder them.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Iterable, List
 
 
 class VSIDS:
@@ -65,15 +68,27 @@ class VSIDS:
 
     def bump(self, var: int) -> None:
         """Increase ``var``'s activity; a queued variable moves up in place."""
-        activity = self.activity
-        act = activity[var] + self._inc
-        if act > self.RESCALE_LIMIT:
-            self._rescale()
-            act = activity[var] + self._inc
-        activity[var] = act
-        i = self._pos[var]
-        if i > 0:
-            self._sift_up(i)
+        self.bump_all((var,))
+
+    def bump_all(self, variables: Iterable[int]) -> None:
+        """Bump each of ``variables`` in order, as ``bump`` would one by one.
+
+        The solver hands over one conflict's variables in a single call.
+        """
+        activity = self.activity  # rescaled in place
+        pos = self._pos
+        limit = self.RESCALE_LIMIT
+        inc = self._inc
+        for var in variables:
+            act = activity[var] + inc
+            if act > limit:
+                self._rescale()
+                inc = self._inc
+                act = activity[var] + inc
+            activity[var] = act
+            i = pos[var]
+            if i > 0:
+                self._sift_up(i)
 
     def _rescale(self) -> None:
         scale = 1.0 / self.RESCALE_LIMIT

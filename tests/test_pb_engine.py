@@ -1,5 +1,6 @@
 """PB engine tests: propagation, backtracking, and fuzz vs brute force."""
 
+from fuzz_budget import fuzz_examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,7 +127,7 @@ def random_pb_formula(draw):
     return f
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=fuzz_examples(120), deadline=None)
 @given(random_pb_formula())
 def test_pb_engine_matches_brute_force(formula):
     expected = brute_force_solve(formula)
