@@ -15,8 +15,10 @@
 # fixpoint, the 0-1 ILP bound search against brute force, the
 # Session's decisions against the exact chromatic number, and the
 # engine's brute-force oracles: CDCL and PB answers, answers under
-# assumptions while the solver grows, and bulk vs one-clause loading)
-# under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
+# assumptions while the solver grows, and bulk vs one-clause loading;
+# and the encoder and SBP properties: every SBP kind keeps the optimum
+# on random graphs, encoding models decode to proper colorings, and a
+# lex-leader SBP keeps satisfiability) under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
 # chaos suite (fault injection seeded by CHAOS_SEED, fresh seeds in
 # nightly CI);
 # `make coverage` runs the tier-1 suite under pytest-cov
@@ -62,7 +64,8 @@ fuzz-smoke:
 		tests/test_lifted_symmetry.py tests/test_preprocessing.py \
 		tests/test_session.py tests/test_optimizer.py \
 		tests/test_cdcl.py tests/test_pb_engine.py \
-		tests/test_solver_internals.py
+		tests/test_solver_internals.py tests/test_instance_independent.py \
+		tests/test_encoding.py tests/test_lex_leader.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

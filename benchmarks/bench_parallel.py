@@ -21,7 +21,6 @@ baseline.
 import time
 
 from repro.api import ChromaticProblem, Pipeline
-from repro.coloring.verify import is_proper
 from repro.graphs.generators import gnp_graph
 from repro.graphs.graph import disjoint_union
 
@@ -47,7 +46,7 @@ def test_whole_kernel_descent_on_three_gnp_components(bench_json):
     components = result.stage("reduce").details["components"]
     assert components == len(_SEEDS)
     assert result.solvers_created == 1
-    assert is_proper(graph, result.coloring)
+    assert graph.is_proper_coloring(result.coloring)
     bench_json.add(
         "union-3xgnp42-descent",
         chromatic_number=result.chromatic_number,
@@ -70,7 +69,7 @@ def test_portfolio_race_first_conclusive_wins(bench_json):
     wall = time.perf_counter() - t0
     assert result.status == "OPTIMAL"
     assert result.chromatic_number == 7
-    assert is_proper(graph, result.coloring)
+    assert graph.is_proper_coloring(result.coloring)
     stage = next(s for s in result.stages if s.name == "race")
     assert stage.details["winner"] is not None
     # First-conclusive-cancels-the-rest: the race never runs anywhere

@@ -11,7 +11,6 @@ per-query loop, on multi-K queens/mycielski descents.  Results land in
 
 from repro.api import ChromaticProblem, Pipeline
 from repro.coloring.encoding import encode_coloring
-from repro.coloring.verify import is_proper
 from repro.core.formula import Formula
 from repro.experiments.instances import get_instance
 from repro.experiments.runner import run_descent
@@ -303,7 +302,7 @@ def test_budgeted_descent_degrades_verifiably(bench_json):
         .run(ChromaticProblem(graph))
     )
     assert result.status == "FEASIBLE" and result.degraded
-    assert result.coloring is not None and is_proper(graph, result.coloring)
+    assert result.coloring is not None and graph.is_proper_coloring(result.coloring)
     assert result.num_colors == result.upper_bound == 5
     bench_json.add(
         "descent-budgeted-myciel4",

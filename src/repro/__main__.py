@@ -32,7 +32,9 @@ worker pool (:mod:`repro.batch`) and streams one JSONL record per task
 in manifest order, plus an aggregate summary.
 
 A missing input file exits with status 2 and one ``error:`` line
-naming the path.
+naming the path; so does a malformed one (a bad DIMACS line, a
+manifest task with an unknown field), the line giving the reader's
+message after the path.
 
 ``--trace FILE`` records a binary solver event trace
 (``docs/TRACE_FORMAT.md``; render with ``python -m repro.obs report``)
@@ -79,9 +81,21 @@ def positive_float(text: str) -> float:
     return value
 
 
+class _InputError(Exception):
+    """A malformed input file, reported as one ``error:`` line naming it."""
+
+
+def _read_input(read, path: str, *args, **kwargs):
+    """``read(path, ...)``, with a ``ValueError`` it raises as an
+    :class:`_InputError` that names ``path``."""
+    try:
+        return read(path, *args, **kwargs)
+    except ValueError as exc:
+        raise _InputError(f"{path}: {exc}") from None
+
+
 def _load(path: str):
-    graph = read_dimacs_graph(path, name=path)
-    return graph
+    return _read_input(read_dimacs_graph, path, name=path)
 
 
 def cmd_stats(args) -> int:
@@ -242,7 +256,7 @@ def cmd_batch(args) -> int:
     from .resilience import read_wal
 
     load_plugins(args.plugin)
-    manifest = load_manifest(args.manifest)
+    manifest = _read_input(load_manifest, args.manifest)
     if not manifest.tasks:
         print(f"manifest {args.manifest} contains no tasks", file=sys.stderr)
         return 2
@@ -437,6 +451,9 @@ def main(argv=None) -> int:
         # A missing input (graph, manifest, --resume log) is a usage
         # error: one line naming the path, not a traceback.
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -78,6 +78,8 @@ def render_human(
 def render_json(
     reports: Sequence[ReportLike], rules: Sequence[RuleLike]
 ) -> str:
+    """The machine-readable report: the rules run, the file count, and
+    the findings and suppressed findings in sort order, as JSON."""
     findings = _sorted_findings(reports)
     suppressed: List[Finding] = []
     for report in reports:

@@ -157,4 +157,5 @@ def run(
 
 
 def has_findings(reports: Sequence[FileResult]) -> bool:
+    """True when any checked file has an unsuppressed finding."""
     return any(report.findings for report in reports)

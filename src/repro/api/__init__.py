@@ -58,7 +58,7 @@ from .config import (
     SolveConfig,
     SymmetryConfig,
 )
-from .pipeline import Pipeline, solve_problem
+from .pipeline import Pipeline
 from .problems import (
     BudgetedOptimize,
     ChromaticProblem,
@@ -111,5 +111,4 @@ __all__ = [
     "register_backend",
     "resolve_backend_name",
     "solve_many",
-    "solve_problem",
 ]

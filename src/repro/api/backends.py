@@ -47,7 +47,6 @@ from ..sat.result import (
     OPTIMAL,
     SAT,
     SolveResult,
-    SolverStats,
     UNKNOWN,
     UNSAT,
 )
@@ -282,18 +281,14 @@ class CdclBackend(Backend):
 
         def solve(graph: Graph) -> Result:
             ctx.emit("solve", f"deciding {k}-colorability", k=k)
-            stats = SolverStats()
-            solvers: List[object] = []
             t0 = time.monotonic()
-            status, coloring = sat_k_colorable(
+            status, coloring, stats, solvers = sat_k_colorable(
                 graph,
                 k,
                 time_limit=ctx.deadline.remaining(),
                 sbp_kind=config.symmetry.sbp_kind,
                 preprocess=config.simplify.enabled,
-                stats=stats,
                 should_stop=ctx.cancelled if ctx.cancel else None,
-                on_solver=solvers.append,
             )
             return Result(
                 status=status,
@@ -301,7 +296,7 @@ class CdclBackend(Backend):
                 coloring=coloring,
                 stages=[StageStat("solve", time.monotonic() - t0, {"status": status})],
                 stats=stats,
-                solvers_created=len(solvers),
+                solvers_created=solvers,
                 cancelled=status == UNKNOWN and ctx.cancelled(),
             )
 
@@ -332,7 +327,6 @@ class CdclBackend(Backend):
             time_limit=ctx.deadline.remaining(),
             sbp_kind=config.symmetry.sbp_kind,
             preprocess=config.simplify.enabled,
-            reduce=config.reduce.enabled,
             incremental=self.incremental,
             should_stop=ctx.cancelled if ctx.cancel else None,
             kernel=kernel,
@@ -341,7 +335,7 @@ class CdclBackend(Backend):
         )
         stages.append(StageStat(
             "solve", time.monotonic() - t0,
-            {"strategy": strategy, "sat_calls": sat_result.sat_calls},
+            {"strategy": strategy, "sat_calls": len(sat_result.k_queries)},
         ))
         if kernel is not None and sat_result.coloring is not None:
             stages[0].details["components_solved"] = len(kernel.components)

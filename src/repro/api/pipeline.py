@@ -156,11 +156,6 @@ class Pipeline:
         return result
 
 
-def solve_problem(problem: Problem, config: Optional[PipelineConfig] = None, **run_kwargs) -> Result:
-    """One-call convenience: ``Pipeline(config).run(problem)``."""
-    return Pipeline(config).run(problem, **run_kwargs)
-
-
 # --------------------------------------------------------------------------
 # The frame every answer is finished in.
 # --------------------------------------------------------------------------

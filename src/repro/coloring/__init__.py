@@ -6,7 +6,6 @@ from .encoding import (
     decode_coloring,
     encode_coloring,
     normalize_coloring,
-    used_colors,
 )
 from .encoding import add_color_activation_literals
 from .exact_dsatur import ExactColoringResult, exact_chromatic_number
@@ -39,7 +38,7 @@ from .sat_pipeline import (
     encode_k_coloring_incremental,
     sat_k_colorable,
 )
-from .verify import check_proper, color_class_sizes, is_proper
+from .verify import check_proper
 
 __all__ = [
     "ColoringEncoding",
@@ -68,12 +67,9 @@ __all__ = [
     "solve_necsp",
     "add_color_activation_literals",
     "check_proper",
-    "color_class_sizes",
     "decode_coloring",
     "encode_coloring",
     "encode_k_coloring_incremental",
     "exact_chromatic_number",
-    "is_proper",
     "normalize_coloring",
-    "used_colors",
 ]

@@ -66,9 +66,9 @@ def encode_coloring(graph: Graph, num_colors: int) -> ColoringEncoding:
 
     for v in range(n):
         for k in colors:
-            encoding.x_var[(v, k)] = formula.new_var(("x", v, k))
+            encoding.x_var[(v, k)] = formula.new_var()
     for k in colors:
-        encoding.y_var[k] = formula.new_var(("y", k))
+        encoding.y_var[k] = formula.new_var()
     # xs[v][k - 1] is x(v, k).
     xs = [[encoding.x_var[(v, k)] for k in colors] for v in range(n)]
     add_clause = formula.add_clause
@@ -112,7 +112,7 @@ def add_color_activation_literals(
     """
     activators: Dict[int, int] = {}
     for c in range(1, num_colors + 1):
-        activators[c] = formula.new_var(("act", c))
+        activators[c] = formula.new_var()
     for c in range(1, num_colors + 1):
         a_c = activators[c]
         for v in range(num_vertices):
@@ -169,11 +169,6 @@ def decode_coloring(
     return decode_indicators(
         encoding.x_var, encoding.graph.num_vertices, encoding.num_colors, model
     )
-
-
-def used_colors(coloring: Dict[int, int]) -> int:
-    """Number of distinct colors in a coloring."""
-    return len(set(coloring.values()))
 
 
 def normalize_coloring(coloring: Dict[int, int]) -> Dict[int, int]:

@@ -72,7 +72,7 @@ def build_mt_formula(
     formula = Formula()
     var_of_column: Dict[int, FrozenSet[int]] = {}
     for column in columns:
-        var = formula.new_var(("z", tuple(sorted(column))))
+        var = formula.new_var()
         var_of_column[var] = column
     for v in graph.vertices():
         covering = [var for var, col in var_of_column.items() if v in col]

@@ -47,12 +47,12 @@ On top of them:
   ``cdcl-incremental`` backend) answers every query on one persistent
   solver; ``incremental=False`` (``cdcl-scratch``) builds one fresh
   SAT instance per query, the differential reference.
-  Kernelization and preprocessing are on by default: either oracle
-  queries the one kernel :func:`repro.coloring.reduce.kernelize` built
-  at the clique bound, and the persistent solver's encoding goes
-  through the full preprocessor with the activation variables the
-  assumptions refer to frozen, so it cannot eliminate them — the one
-  preprocessing mode :class:`IncrementalKSearch` has.
+  Given the kernel :func:`repro.coloring.reduce.kernelize` built at
+  the clique bound (the reduce stage's), either oracle queries that
+  kernel.  Preprocessing is on by default: the persistent solver's
+  encoding goes through the full preprocessor with the activation
+  variables the assumptions refer to frozen, so it cannot eliminate
+  them — the one preprocessing mode :class:`IncrementalKSearch` has.
 
 Every SAT model is decoded by
 :func:`repro.coloring.encoding.decode_indicators`, the helper behind
@@ -72,7 +72,6 @@ from ..graphs.graph import Graph
 from ..obs.hooks import active_tracer
 from ..obs.metrics import get_registry
 from ..resilience import Deadline
-from ..sat.cdcl import CDCLSolver
 from ..sat.factory import new_solver
 from ..sat.preprocessing import preprocess as preprocess_cnf
 from ..sat.result import SAT, UNKNOWN, UNSAT, SolverStats
@@ -82,7 +81,7 @@ from .encoding import (
     decode_indicators,
     selective_coloring_pins,
 )
-from .reduce import Kernel, kernelize, lift
+from .reduce import Kernel, lift
 
 #: The SBP constructions a clause-only encoding can express (CA needs
 #: PB constraints; LI needs the optimization encoding).
@@ -116,8 +115,8 @@ def _lay_out(
     x: XVars = {}
     for v in range(n):
         for c in colors:
-            x[(v, c)] = formula.new_var(("x", v, c))
-    ext = formula.new_var(("ext", k)) if growable else None
+            x[(v, c)] = formula.new_var()
+    ext = formula.new_var() if growable else None
     tail = [] if ext is None else [ext]
     for v in range(n):
         lits = [x[(v, c)] for c in colors]
@@ -128,7 +127,7 @@ def _lay_out(
             formula.add_clause([-x[(a, c)], -x[(b, c)]])
     if sbp_kind in ("nu", "nu+sc"):
         # Usage variables y_c <- any x[v][c]; chain y_{c+1} -> y_c.
-        y = {c: formula.new_var(("y", c)) for c in colors}
+        y = {c: formula.new_var() for c in colors}
         for c in colors:
             for v in range(n):
                 formula.add_clause([-x[(v, c)], y[c]])
@@ -350,54 +349,53 @@ def sat_k_colorable(
     time_limit: Optional[float] = None,
     sbp_kind: str = "none",
     preprocess: bool = True,
-    stats: Optional[SolverStats] = None,
     should_stop=None,
-    on_solver: Optional[Callable[[CDCLSolver], None]] = None,
-) -> Tuple[str, Optional[Dict[int, int]]]:
+) -> Tuple[str, Optional[Dict[int, int]], SolverStats, int]:
     """Decide K-colorability with the CNF CDCL solver.
 
-    Returns ``(status, coloring)``; the coloring (vertex -> color) is
-    present when status is SAT.  ``preprocess`` runs the full CNF
-    preprocessor on the encoding and reconstructs the model afterwards
-    (``decode`` always sees a total assignment).  The graph is solved as
-    given: kernelization is the reduce stage's job
-    (:func:`repro.coloring.reduce.kernelize`).  ``stats``, when given,
-    has the solver statistics merged into it, and ``on_solver`` is
-    called with the solver when one is built (none is when preprocessing
-    settles the formula).  ``should_stop`` is polled *inside* the solver
-    (every few dozen conflicts): when it turns true the query gives up
-    with UNKNOWN.  ``time_limit`` bounds the whole call: the deadline is
-    fixed on entry, so encoding and preprocessing spend from the same
-    budget as search.
+    Returns ``(status, coloring, stats, solvers)``: the coloring (vertex
+    -> color) is present when status is SAT, ``stats`` holds the
+    solver's statistics and ``solvers`` counts the solvers built (0 when
+    preprocessing settles the formula, else 1).  ``preprocess`` runs the
+    full CNF preprocessor on the encoding and reconstructs the model
+    afterwards (``decode`` always sees a total assignment).  The graph
+    is solved as given: kernelization is the reduce stage's job
+    (:func:`repro.coloring.reduce.kernelize`).  ``should_stop`` is
+    polled *inside* the solver (every few dozen conflicts): when it
+    turns true the query gives up with UNKNOWN.  ``time_limit`` bounds
+    the whole call: the deadline is fixed on entry, so encoding and
+    preprocessing spend from the same budget as search.
     """
+    stats = SolverStats()
     if k <= 0:
-        return (UNSAT if graph.num_vertices else SAT), ({} if not graph.num_vertices else None)
+        if graph.num_vertices:
+            return UNSAT, None, stats, 0
+        return SAT, {}, stats, 0
     deadline = Deadline.after(time_limit)
     formula, x = encode_k_coloring_cnf(graph, k, sbp_kind)
     pre = None
     if preprocess and not deadline.expired():
         pre = preprocess_cnf(formula, deadline=deadline)
         if pre.is_unsat:
-            return UNSAT, None
+            return UNSAT, None, stats, 0
         formula = pre.formula
     if deadline.expired():
-        return UNKNOWN, None
+        return UNKNOWN, None, stats, 0
     model: Dict[int, bool] = {}
+    solvers = 0
     if formula.clauses:  # else preprocessing solved it
         solver = new_solver(num_vars=formula.num_vars)
-        if on_solver is not None:
-            on_solver(solver)
+        solvers = 1
         if not solver.add_formula(formula):
-            return UNSAT, None
+            return UNSAT, None, stats, solvers
         result = solver.solve(time_limit=deadline.remaining(), should_stop=should_stop)
-        if stats is not None:
-            stats.merge(result.stats)
+        stats.merge(result.stats)
         if not result.is_sat:
-            return result.status, None
+            return result.status, None, stats, solvers
         model = result.model
     if pre is not None:
         model = pre.extend_model(model)
-    return SAT, decode_indicators(x, graph.num_vertices, k, model)
+    return SAT, decode_indicators(x, graph.num_vertices, k, model), stats, solvers
 
 
 @dataclass
@@ -409,7 +407,6 @@ class SatPipelineResult:
     status: str
     chromatic_number: Optional[int]
     coloring: Optional[Dict[int, int]]
-    sat_calls: int
     # Aggregated solver statistics over every K query of the search.
     stats: SolverStats = field(default_factory=SolverStats)
     # The (k, status) trace of the descent, in query order.
@@ -419,7 +416,6 @@ class SatPipelineResult:
     # preprocessing did not settle.  The bench-smoke guard asserts on
     # this to catch silent fallbacks.
     solvers_created: int = 0
-    incremental: bool = False
     # The proved lower bound on the chromatic number when the descent
     # stopped (the clique bound when nothing was refuted).
     lower_bound: Optional[int] = None
@@ -431,7 +427,6 @@ def chromatic_number_sat(
     time_limit: Optional[float] = None,
     sbp_kind: str = "none",
     preprocess: bool = True,
-    reduce: bool = True,
     incremental: bool = True,
     should_stop=None,
     kernel: Optional[Kernel] = None,
@@ -446,10 +441,10 @@ def chromatic_number_sat(
     the clique bound and DSATUR, its suggestion otherwise).  This
     function supplies the K-query oracle.
 
-    With ``reduce`` the graph is kernelized once at the clique bound
-    (:func:`repro.coloring.reduce.kernelize`; a caller that already
-    holds that :class:`~repro.coloring.reduce.Kernel` passes it as
-    ``kernel``), and every K query is asked of the kernel graph.
+    With a ``kernel`` (the :class:`~repro.coloring.reduce.Kernel`
+    :func:`repro.coloring.reduce.kernelize` built of ``graph`` at its
+    clique bound) every K query is asked of the kernel graph; without
+    one the graph is solved as given.
     Components are not split here: one solver serves the whole kernel.
     A union's chromatic number is that of its hardest component, so the
     descent needs one refutation at chi - 1, found in that component,
@@ -466,9 +461,10 @@ def chromatic_number_sat(
     activation literals frozen), and every K query reuses the learned
     clauses of the previous ones.  Every query is an assumption query,
     so the failed-assumption core of an UNSAT answer skips K values it
-    proves dead, and a reduce-off descent asks the same queries of the
-    same solver as a :class:`~repro.api.Session`'s.  The solver is built
-    at the first query, so bounds that already meet create none.  With
+    proves dead, and a descent without a kernel asks the same queries
+    of the same solver as a :class:`~repro.api.Session`'s.  The solver
+    is built at the first query, so bounds that already meet create
+    none.  With
     ``incremental=False`` each query pays for a fresh encoding,
     preprocessing and solver (the historical behaviour, kept as the
     differential reference).
@@ -476,7 +472,7 @@ def chromatic_number_sat(
     ``max_colors`` caps the answer: a cap below the chromatic number
     gives ``UNSAT``, and a search stopped before it settled the cap gives
     ``UNKNOWN``.  ``lower_bound`` is the bound the descent proved.
-    ``time_limit`` bounds the whole call, kernelization and encoding
+    ``time_limit`` bounds the whole call, encoding and preprocessing
     included.  ``should_stop`` (a zero-argument predicate) is polled
     before each K query *and inside each query* (every few dozen
     conflicts); when it turns true the search stops and the best-so-far
@@ -486,9 +482,7 @@ def chromatic_number_sat(
     """
     deadline = Deadline.after(time_limit)
     if graph.num_vertices == 0:
-        return SatPipelineResult("OPTIMAL", 0, {}, 0)
-    if reduce and kernel is None:
-        kernel = kernelize(graph)
+        return SatPipelineResult("OPTIMAL", 0, {})
     lb = kernel.clique_bound if kernel is not None else clique_lower_bound(graph)
     work = kernel.graph if kernel is not None else graph
     heuristic, _ = dsatur(work)
@@ -512,13 +506,12 @@ def chromatic_number_sat(
 
     def scratch(k: int, deadline: Deadline) -> Answer:
         nonlocal scratch_solvers
-        built: List[CDCLSolver] = []
-        status, coloring = sat_k_colorable(
+        status, coloring, stats, built = sat_k_colorable(
             work, k, time_limit=deadline.remaining(), sbp_kind=sbp_kind,
-            preprocess=preprocess, stats=run_stats, should_stop=should_stop,
-            on_solver=built.append,
+            preprocess=preprocess, should_stop=should_stop,
         )
-        scratch_solvers += len(built)
+        run_stats.merge(stats)
+        scratch_solvers += built
         return status, coloring, []
 
     outcome = descend(
@@ -534,10 +527,9 @@ def chromatic_number_sat(
     return SatPipelineResult(
         outcome.status,
         len(set(coloring.values())) if coloring is not None else None,
-        coloring, len(outcome.queries),
+        coloring,
         stats=run_stats, k_queries=outcome.queries,
         solvers_created=int(search is not None) + scratch_solvers,
-        incremental=incremental,
         # A kernel that colors below the clique bound it was peeled at
         # meets its bounds at its own color count; the clique bound
         # still holds for ``graph``.

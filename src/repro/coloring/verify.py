@@ -15,20 +15,3 @@ def check_proper(graph: Graph, coloring: Dict[int, int]) -> None:
     for u, v in graph.edges():
         if coloring[u] == coloring[v]:
             raise ValueError(f"edge ({u}, {v}) is monochromatic (color {coloring[u]})")
-
-
-def is_proper(graph: Graph, coloring: Dict[int, int]) -> bool:
-    """Boolean form of :func:`check_proper`."""
-    try:
-        check_proper(graph, coloring)
-    except ValueError:
-        return False
-    return True
-
-
-def color_class_sizes(coloring: Dict[int, int]) -> Dict[int, int]:
-    """Map each color to the size of its class."""
-    sizes: Dict[int, int] = {}
-    for color in coloring.values():
-        sizes[color] = sizes.get(color, 0) + 1
-    return sizes

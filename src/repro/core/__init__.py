@@ -12,10 +12,7 @@ from .io_opb import (
 from .literals import (
     check_literal,
     index_lit,
-    is_positive,
     lit_index,
-    max_var,
-    neg,
     var_of,
 )
 from .pbconstraint import (
@@ -26,14 +23,12 @@ from .pbconstraint import (
     exactly_one,
     normalize_terms,
 )
-from .variables import VariablePool
 
 __all__ = [
     "Formula",
     "FormulaStats",
     "LinearGE",
     "PBConstraint",
-    "VariablePool",
     "at_least_k",
     "at_most_k",
     "check_literal",
@@ -41,10 +36,7 @@ __all__ = [
     "exactly_one",
     "formula_to_string",
     "index_lit",
-    "is_positive",
     "lit_index",
-    "max_var",
-    "neg",
     "normalize_terms",
     "read_dimacs_cnf",
     "read_opb",

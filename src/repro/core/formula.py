@@ -11,11 +11,10 @@ plus a linear objective to minimize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .literals import check_literal, var_of
 from .pbconstraint import PBConstraint, at_least_k, at_most_k, exactly_one
-from .variables import VariablePool
 
 
 @dataclass(frozen=True)
@@ -42,28 +41,25 @@ class Formula:
     """
 
     def __init__(self, num_vars: int = 0):
-        self.pool = VariablePool(start=num_vars)
+        if num_vars < 0:
+            raise ValueError("a formula cannot start below 0 variables")
+        #: Number of variables; ids run 1..num_vars.
+        self.num_vars = num_vars
         self.clauses: List[Tuple[int, ...]] = []
         self.pb_constraints: List[PBConstraint] = []
         self.objective: Optional[Tuple[Tuple[int, int], ...]] = None
         self.objective_sense: str = "min"
 
     # ---------------------------------------------------------------- vars
-    @property
-    def num_vars(self) -> int:
-        """Number of variables (ids run 1..num_vars)."""
-        return self.pool.num_vars
-
-    def new_var(self, *key: Hashable) -> int:
-        """Allocate a fresh variable, optionally registered under a name."""
-        if key:
-            return self.pool.new(*key)
-        return self.pool.fresh()
+    def new_var(self) -> int:
+        """Allocate the next variable id (``num_vars + 1``) and return it."""
+        self.num_vars += 1
+        return self.num_vars
 
     def ensure_var(self, var: int) -> None:
         """Grow the variable range so that ``var`` is legal."""
-        while self.pool.num_vars < var:
-            self.pool.fresh()
+        if var > self.num_vars:
+            self.num_vars = var
 
     # ---------------------------------------------------------- constraints
     def add_clause(self, literals: Iterable[int]) -> Tuple[int, ...]:
@@ -131,12 +127,7 @@ class Formula:
         self._grow_to([var_of(l) for _, l in self.objective])
 
     def _grow_to(self, variables: Iterable[int]) -> None:
-        top = 0
-        for v in variables:
-            if v > top:
-                top = v
-        if top > self.pool.num_vars:
-            self.ensure_var(top)
+        self.ensure_var(max(variables, default=0))
 
     # ------------------------------------------------------------ queries
     def stats(self) -> FormulaStats:

@@ -9,22 +9,10 @@ index internally via :func:`lit_index`.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 def var_of(lit: int) -> int:
     """Return the variable underlying ``lit``."""
     return lit if lit > 0 else -lit
-
-
-def neg(lit: int) -> int:
-    """Return the complement of ``lit``."""
-    return -lit
-
-
-def is_positive(lit: int) -> bool:
-    """True when ``lit`` is a positive (non-negated) literal."""
-    return lit > 0
 
 
 def lit_index(lit: int) -> int:
@@ -41,16 +29,6 @@ def index_lit(index: int) -> int:
     """Inverse of :func:`lit_index`."""
     var = index // 2 + 1
     return var if index % 2 == 0 else -var
-
-
-def max_var(lits: Iterable[int]) -> int:
-    """Largest variable mentioned in ``lits`` (0 for an empty iterable)."""
-    best = 0
-    for lit in lits:
-        v = var_of(lit)
-        if v > best:
-            best = v
-    return best
 
 
 def check_literal(lit: int) -> int:

@@ -76,19 +76,6 @@ class LinearGE:
         """The literals of the constraint, in term order."""
         return [l for _, l in self.terms]
 
-    def slack(self, value_of) -> int:
-        """Slack under a partial assignment.
-
-        ``value_of(lit)`` must return True/False/None.  The slack is the
-        maximum achievable left-hand side minus the degree; negative
-        slack means the constraint is already falsified.
-        """
-        achievable = 0
-        for coef, lit in self.terms:
-            if value_of(lit) is not False:
-                achievable += coef
-        return achievable - self.degree
-
     def evaluate(self, assignment: Dict[int, bool]) -> bool:
         """Evaluate under a total assignment mapping var -> bool."""
         total = 0

@@ -12,7 +12,7 @@ from .instances import (
     get_instance,
     get_scale,
 )
-from .report import list_reports, load_report, save_report
+from .report import save_report
 from .runner import CellResult, RunRecord, format_seconds, run_grid
 from .tables import (
     SBP_ROWS,
@@ -48,8 +48,6 @@ __all__ = [
     "format_seconds",
     "get_instance",
     "get_scale",
-    "list_reports",
-    "load_report",
     "render_figure1",
     "save_report",
     "render_solver_table",

@@ -12,9 +12,11 @@ optimal (3-color) assignments:
 * LI       — exactly one assignment per partition -> 2;
 * SC       — pins V3 and one neighbor, leaving few choices.
 
-``figure1_counts`` enumerates every coloring, extends it with the
-auxiliary variables (which the encodings define functionally), and
-counts the assignments each construction admits.
+``figure1_counts`` enumerates every proper coloring and asks the engine
+which of them each construction admits: the formula is loaded into one
+PB solver, and a coloring counts when its x/y literals, passed as
+assumptions, come back SAT (the LI construction's auxiliary variables
+are functions of the x variables, so the solver finds their values).
 """
 
 from __future__ import annotations
@@ -25,41 +27,13 @@ from typing import Dict, List
 
 from ..coloring.encoding import ColoringEncoding, encode_coloring
 from ..graphs.graph import Graph
+from ..pb.presets import get_preset
 from ..sbp.instance_independent import SBP_KINDS, apply_sbp
 
 
 def figure1_graph() -> Graph:
     """The graph of Figure 1(a): triangle V1 V2 V3 plus V4 - V3."""
     return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], name="figure1")
-
-
-def _extend_model(
-    encoding: ColoringEncoding, coloring: Dict[int, int]
-) -> Dict[int, bool]:
-    """Total assignment for a coloring: x/y plus functionally-determined
-    auxiliary variables (the LI construction's P and V)."""
-    formula = encoding.formula
-    model = {var: False for var in range(1, formula.num_vars + 1)}
-    n = encoding.graph.num_vertices
-    used = set(coloring.values())
-    for v, k in coloring.items():
-        model[encoding.x(v, k)] = True
-    for k in range(1, encoding.num_colors + 1):
-        model[encoding.y(k)] = k in used
-    pool = formula.pool
-    for k in range(1, encoding.num_colors + 1):
-        seen = False
-        lowest_done = False
-        for v in range(n):
-            seen = seen or coloring[v] == k
-            if ("li_p", v, k) in pool:
-                model[pool.lookup("li_p", v, k)] = seen
-            if ("li_v", v, k) in pool:
-                is_lowest = coloring[v] == k and not lowest_done
-                if is_lowest:
-                    lowest_done = True
-                model[pool.lookup("li_v", v, k)] = is_lowest
-    return model
 
 
 @dataclass
@@ -84,16 +58,27 @@ def figure1_counts(num_colors: int = 4) -> List[Figure1Row]:
     optimal = min(len(set(c.values())) for c in colorings)
     for kind in SBP_KINDS:
         encoding = apply_sbp(base, kind)
+        solver = get_preset("pbs2").make_solver()
+        loaded = solver.add_formula(encoding.formula)
         allowed = 0
         allowed_optimal = 0
         for coloring in colorings:
-            model = _extend_model(encoding, coloring)
-            if encoding.formula.evaluate(model):
+            if loaded and solver.solve(assumptions=_literals(encoding, coloring)).is_sat:
                 allowed += 1
                 if len(set(coloring.values())) == optimal:
                     allowed_optimal += 1
         rows.append(Figure1Row(kind, allowed_optimal, allowed))
     return rows
+
+
+def _literals(encoding: ColoringEncoding, coloring: Dict[int, int]) -> List[int]:
+    """The x and y literals that fix ``coloring`` in ``encoding``."""
+    used = set(coloring.values())
+    colors = range(1, encoding.num_colors + 1)
+    lits = [encoding.x(v, k) if coloring[v] == k else -encoding.x(v, k)
+            for v in coloring for k in colors]
+    lits += [encoding.y(k) if k in used else -encoding.y(k) for k in colors]
+    return lits
 
 
 def render_figure1(rows: List[Figure1Row]) -> str:

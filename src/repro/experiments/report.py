@@ -3,8 +3,7 @@
 Table drivers return dataclasses; this module serializes them so runs
 can be archived, diffed across machines, and pasted into
 EXPERIMENTS.md.  ``save_report`` writes ``<name>.json`` (machine
-readable) and ``<name>.md`` (the rendered table); ``load_report``
-restores the JSON side.
+readable) and ``<name>.md`` (the rendered table).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import dataclasses
 import json
 import os
 from datetime import date
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 
 def _to_jsonable(value: Any) -> Any:
@@ -59,24 +58,3 @@ def save_report(
         handle.write(rendered.rstrip("\n"))
         handle.write("\n```\n")
     return json_path
-
-
-def load_report(json_path: str) -> Dict[str, Any]:
-    """Load a saved report's JSON payload."""
-    with open(json_path) as handle:
-        payload = json.load(handle)
-    for key in ("experiment", "rows"):
-        if key not in payload:
-            raise ValueError(f"not a report file (missing {key!r}): {json_path}")
-    return payload
-
-
-def list_reports(directory: str) -> List[str]:
-    """JSON report paths under ``directory``, sorted."""
-    if not os.path.isdir(directory):
-        return []
-    return sorted(
-        os.path.join(directory, f)
-        for f in os.listdir(directory)
-        if f.endswith(".json")
-    )

@@ -105,24 +105,16 @@ def run_descent(
     strategy: str = "linear",
     incremental: bool = True,
     time_limit: Optional[float] = None,
-    sbp_kind: str = "none",
-    preprocess: bool = True,
-    reduce: bool = True,
 ) -> DescentRecord:
     """Run one chromatic-number descent and record it for the perf logs.
 
-    Routes through :mod:`repro.api`: the ``cdcl-incremental`` backend
-    drives the descent on one persistent solver over the whole kernel,
-    while ``cdcl-scratch`` re-encodes per K query.
+    Routes through :mod:`repro.api` with the default stages (reduce and
+    simplify on, no SBPs): the ``cdcl-incremental`` backend drives the
+    descent on one persistent solver over the whole kernel, while
+    ``cdcl-scratch`` re-encodes per K query.
     """
     backend = "cdcl-incremental" if incremental else "cdcl-scratch"
-    pipeline = (
-        Pipeline()
-        .reduce(reduce)
-        .symmetry(sbp_kind=sbp_kind)
-        .simplify(preprocess)
-        .solve(backend=backend, strategy=strategy, time_limit=time_limit)
-    )
+    pipeline = Pipeline().solve(backend=backend, strategy=strategy, time_limit=time_limit)
     result: Result = pipeline.run(ChromaticProblem(graph))
     return DescentRecord(
         instance=name,

@@ -1,13 +1,6 @@
 """Graphs: ADT, DIMACS I/O, benchmark generators, cliques, heuristics."""
 
-from .analysis import (
-    chromatic_bounds,
-    connected_components,
-    count_triangles,
-    degeneracy_bound,
-    degeneracy_ordering,
-    is_bipartite,
-)
+from .analysis import connected_components, is_bipartite
 from .cliques import clique_lower_bound, greedy_clique, is_clique, max_clique
 from .coloring_heuristics import dsatur, greedy_coloring, welsh_powell
 from .dimacs import read_dimacs_graph, write_dimacs_graph
@@ -27,12 +20,8 @@ from .graph import Graph, disjoint_union
 __all__ = [
     "Graph",
     "book_graph",
-    "chromatic_bounds",
     "clique_lower_bound",
     "connected_components",
-    "count_triangles",
-    "degeneracy_bound",
-    "degeneracy_ordering",
     "disjoint_union",
     "is_bipartite",
     "dsatur",

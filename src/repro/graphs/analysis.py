@@ -1,14 +1,10 @@
-"""Structural graph analysis: bounds and decompositions for coloring.
+"""Structural graph analysis: decompositions for coloring.
 
-Everything here feeds the exact pipelines with cheap information:
-
-* degeneracy (and its ordering) — gives the chromatic bound
-  chi <= degeneracy + 1, usually far tighter than max-degree + 1;
-* connected components — color components independently;
-* bipartiteness — chi = 2 detection (DSATUR is exact there anyway,
-  but the check is O(n + m));
-* triangle counting — quick density signal used when sanity-checking
-  generated benchmark families (Mycielski graphs are triangle-free).
+* connected components — the kernel's components
+  (:func:`repro.coloring.reduce.kernelize`), which the pipeline solves
+  one by one;
+* bipartiteness — a BFS 2-coloring, kept as the reference oracle the
+  tests check two-colorable instances against.
 """
 
 from __future__ import annotations
@@ -17,46 +13,6 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from .graph import Graph
-
-
-def degeneracy_ordering(graph: Graph) -> Tuple[List[int], int]:
-    """Matula–Beck smallest-last ordering.
-
-    Returns ``(order, degeneracy)``; coloring greedily in the returned
-    order uses at most ``degeneracy + 1`` colors.
-    """
-    import heapq
-
-    n = graph.num_vertices
-    if n == 0:
-        return [], 0
-    degree = [graph.degree(v) for v in range(n)]
-    heap = [(degree[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    order: List[int] = []
-    degeneracy = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degree[v]:
-            continue  # stale entry
-        degeneracy = max(degeneracy, d)
-        removed[v] = True
-        order.append(v)
-        for w in graph.neighbors(v):
-            if not removed[w]:
-                degree[w] -= 1
-                heapq.heappush(heap, (degree[w], w))
-    order.reverse()  # smallest-last: color in reverse removal order
-    return order, degeneracy
-
-
-def degeneracy_bound(graph: Graph) -> int:
-    """Upper bound chi <= degeneracy + 1 (0 for the empty graph)."""
-    if graph.num_vertices == 0:
-        return 0
-    _, d = degeneracy_ordering(graph)
-    return d + 1
 
 
 def connected_components(graph: Graph) -> List[List[int]]:
@@ -99,34 +55,3 @@ def is_bipartite(graph: Graph) -> Tuple[bool, Optional[Dict[int, int]]]:
                 elif side[w] == side[v]:
                     return False, None
     return True, side
-
-
-def count_triangles(graph: Graph) -> int:
-    """Number of triangles (each counted once)."""
-    count = 0
-    for u, v in graph.edges():
-        count += len(graph.neighbors(u) & graph.neighbors(v))
-    return count // 3
-
-
-def chromatic_bounds(graph: Graph) -> Tuple[int, int]:
-    """Cheap ``(lower, upper)`` chromatic bounds.
-
-    Lower: greedy clique; 2 if any edge; bipartite detection refines.
-    Upper: min(DSATUR, degeneracy + 1).
-    """
-    from .cliques import clique_lower_bound
-    from .coloring_heuristics import dsatur
-
-    n = graph.num_vertices
-    if n == 0:
-        return 0, 0
-    if graph.num_edges == 0:
-        return 1, 1
-    bipartite, _ = is_bipartite(graph)
-    if bipartite:
-        return 2, 2
-    lower = max(3, clique_lower_bound(graph))
-    _, dsatur_ub = dsatur(graph)
-    upper = min(dsatur_ub, degeneracy_bound(graph))
-    return lower, max(lower, upper)

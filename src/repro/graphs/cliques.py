@@ -13,6 +13,9 @@ from typing import List, Optional, Sequence
 
 from .graph import Graph
 
+#: How many of the highest-degree vertices seed a greedy clique.
+_CLIQUE_STARTS = 8
+
 
 def greedy_clique(graph: Graph, start: Optional[int] = None) -> List[int]:
     """Grow a clique greedily from the highest-degree vertex.
@@ -34,11 +37,11 @@ def greedy_clique(graph: Graph, start: Optional[int] = None) -> List[int]:
     return clique
 
 
-def clique_lower_bound(graph: Graph, tries: int = 8) -> int:
-    """Best greedy clique size over several high-degree starts."""
+def clique_lower_bound(graph: Graph) -> int:
+    """Best greedy clique size over the highest-degree starts."""
     if graph.num_vertices == 0:
         return 0
-    starts = sorted(graph.vertices(), key=graph.degree, reverse=True)[:tries]
+    starts = sorted(graph.vertices(), key=graph.degree, reverse=True)[:_CLIQUE_STARTS]
     return max(len(greedy_clique(graph, s)) for s in starts)
 
 

@@ -13,7 +13,7 @@ the published benchmark files do.
 
 from __future__ import annotations
 
-from typing import TextIO, Union
+from typing import List, Optional, TextIO, Union
 
 from .graph import Graph
 
@@ -26,28 +26,52 @@ def _open_for(target: PathOrFile, mode: str):
     return target, False
 
 
+def _ints(parts: List[str]) -> Optional[List[int]]:
+    """``parts`` as ints, or ``None`` if one is not an integer."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        return None
+
+
+def _bad(number: int, what: str, line: str) -> ValueError:
+    return ValueError(f"line {number}: {what}: {line!r}")
+
+
 def read_dimacs_graph(source: PathOrFile, name: str = "") -> Graph:
-    """Parse a DIMACS ``.col`` file into a :class:`Graph`."""
+    """Parse a DIMACS ``.col`` file into a :class:`Graph`.
+
+    A malformed problem or edge line, an edge line before the problem
+    line, or an endpoint outside ``1..n`` raises ``ValueError`` naming
+    the line.
+    """
     handle, owned = _open_for(source, "r")
     try:
         graph: Graph = Graph(0, name=name)
         declared = None
-        for raw in handle:
+        for number, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
             parts = line.split()
             if parts[0] == "p":
-                if len(parts) < 3 or parts[1] not in ("edge", "edges", "col"):
-                    raise ValueError(f"malformed DIMACS problem line: {line!r}")
-                declared = int(parts[2])
+                counts = _ints(parts[2:3])
+                if (len(parts) < 3 or parts[1] not in ("edge", "edges", "col")
+                        or not counts or counts[0] < 0):
+                    raise _bad(number, "malformed problem line", line)
+                declared = counts[0]
                 graph = Graph(declared, name=name)
             elif parts[0] == "e":
                 if declared is None:
-                    raise ValueError("edge line before problem line")
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                    raise _bad(number, "edge line before the problem line", line)
+                ends = _ints(parts[1:3])
+                if ends is None or len(ends) < 2:
+                    raise _bad(number, "malformed edge line", line)
+                u, v = ends
+                if not (1 <= u <= declared and 1 <= v <= declared):
+                    raise _bad(number, f"edge endpoint outside 1..{declared}", line)
                 if u != v:  # some benchmark files contain stray loops
-                    graph.add_edge(u, v)
+                    graph.add_edge(u - 1, v - 1)
         if declared is None:
             raise ValueError("no problem line found")
         return graph

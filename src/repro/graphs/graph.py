@@ -104,16 +104,6 @@ class Graph:
         dup._num_edges = self._num_edges
         return dup
 
-    def complement(self) -> "Graph":
-        """The complement graph (same vertices, inverted adjacency)."""
-        n = self.num_vertices
-        comp = Graph(n, name=f"{self.name}-complement" if self.name else "")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if v not in self._adj[u]:
-                    comp.add_edge(u, v)
-        return comp
-
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is ``vertices[i]``."""
         index = {v: i for i, v in enumerate(vertices)}

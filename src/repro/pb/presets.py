@@ -39,7 +39,6 @@ class SolverPreset:
     name: str
     decay: float = 0.95
     restart_base: int = 100
-    phase_default: bool = False
     max_learned_start: int = 4000
     optimization_strategy: str = "linear"
     description: str = ""
@@ -55,7 +54,6 @@ class SolverPreset:
             num_vars=num_vars,
             decay=self.decay,
             restart_base=self.restart_base,
-            phase_default=self.phase_default,
             max_learned_start=self.max_learned_start,
         ))
 

@@ -70,6 +70,9 @@ from .luby import luby_sequence
 from .result import SAT, UNKNOWN, UNSAT, SolveResult, SolverStats
 from .vsids import VSIDS
 
+#: Each learned-clause database reduction raises the cap by this factor.
+_LEARNED_GROWTH = 1.1
+
 
 class WClause(list):
     """A solver-internal clause: a literal list plus learning metadata.
@@ -115,9 +118,7 @@ class CDCLSolver:
         num_vars: int = 0,
         decay: float = 0.95,
         restart_base: int = 100,
-        phase_default: bool = False,
         max_learned_start: int = 4000,
-        max_learned_growth: float = 1.1,
     ):
         self.num_vars = 0
         # Literal-indexed: values[lit] is 1 true, -1 false, 0 unassigned
@@ -127,8 +128,7 @@ class CDCLSolver:
         self.level: List[int] = [0]
         self.trail_pos: List[int] = [0]
         self.reason: List[Optional[WClause]] = [None]
-        self.saved_phase: List[bool] = [phase_default]
-        self._phase_default = phase_default
+        self.saved_phase: List[bool] = [False]
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
@@ -149,7 +149,6 @@ class CDCLSolver:
             type(self)._reason_literals is CDCLSolver._reason_literals)
         self.restart_base = restart_base
         self.max_learned = max_learned_start
-        self.max_learned_growth = max_learned_growth
         self.stats = SolverStats()
         self._unsat = False  # formula proved UNSAT at level 0
         self._dead_watchers = 0  # lazy-deletion debt; compacted in one sweep
@@ -176,7 +175,7 @@ class CDCLSolver:
             self.level.append(0)
             self.trail_pos.append(0)
             self.reason.append(None)
-            self.saved_phase.append(self._phase_default)
+            self.saved_phase.append(False)
             self._seen.append(False)
         self.vsids.grow(self.num_vars)
 
@@ -568,7 +567,7 @@ class CDCLSolver:
         if self.tracer is not None:
             self.tracer.db_reduce(
                 self.tracer_id, len(candidates) - cut, len(self.learned))
-        self.max_learned = int(self.max_learned * self.max_learned_growth)
+        self.max_learned = int(self.max_learned * _LEARNED_GROWTH)
         live = 2 * (len(self.clauses) + len(self.learned)) + 2
         if self._dead_watchers * 2 >= live:
             self._compact_watches()

@@ -71,8 +71,8 @@ def add_lowest_index_ordering(encoding: ColoringEncoding) -> int:
     v_var = {}
     for k in range(1, K + 1):
         for v in range(n):
-            p_var[(v, k)] = formula.new_var(("li_p", v, k))
-            v_var[(v, k)] = formula.new_var(("li_v", v, k))
+            p_var[(v, k)] = formula.new_var()
+            v_var[(v, k)] = formula.new_var()
     for k in range(1, K + 1):
         for v in range(n):
             x_vk = encoding.x(v, k)

@@ -3,12 +3,7 @@ formula graphs, Aut(G) × S_K lifted onto coloring formulas, and the
 detection pipeline (Saucy + GAP stand-ins)."""
 
 from .automorphism import AutomorphismFinder, AutomorphismResult, find_automorphisms
-from .canonical import (
-    are_isomorphic,
-    canonical_form,
-    canonical_labeling,
-    isomorphism_mapping,
-)
+from .canonical import canonical_form, canonical_labeling
 from .detect import SymmetryReport, detect_symmetries
 from .formula_graph import (
     FormulaGraph,
@@ -16,7 +11,7 @@ from .formula_graph import (
     formula_perm_is_consistent,
     graph_perm_to_formula_perm,
 )
-from .group import PermutationGroup, orbit_of, orbit_partition, orbits
+from .group import PermutationGroup, orbit_of, orbits
 from .permutation import Permutation
 from .refinement import OrderedPartition, individualize, is_equitable, refine
 
@@ -28,11 +23,9 @@ __all__ = [
     "Permutation",
     "PermutationGroup",
     "SymmetryReport",
-    "are_isomorphic",
     "build_formula_graph",
     "canonical_form",
     "canonical_labeling",
-    "isomorphism_mapping",
     "detect_symmetries",
     "find_automorphisms",
     "formula_perm_is_consistent",
@@ -40,7 +33,6 @@ __all__ = [
     "individualize",
     "is_equitable",
     "orbit_of",
-    "orbit_partition",
     "orbits",
     "refine",
 ]

@@ -1,11 +1,10 @@
-"""Canonical labeling and isomorphism testing.
+"""Canonical labeling of graphs.
 
 The individualization-refinement search in :mod:`.automorphism` visits
 labeled leaves; picking the *minimum* certificate over all leaves gives
 a canonical form — the other half of what Nauty computes.  Two graphs
-are isomorphic iff their canonical certificates are equal, which gives
-an isomorphism test used by the test suite to validate generators and
-by the benchmark registry to check determinism.
+are isomorphic iff their canonical certificates are equal; the test
+suite uses that to check relabeling invariance and determinism.
 
 This is exponential in the worst case (as is Nauty's); the graphs the
 reproduction feeds it are small or highly refined.
@@ -16,7 +15,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
-from .permutation import Permutation
 from .refinement import OrderedPartition, individualize, refine
 
 
@@ -83,41 +81,3 @@ def canonical_form(
 ) -> Tuple[Tuple[int, int], ...]:
     """The canonical edge-set certificate of a (colored) graph."""
     return _certificate(graph, canonical_labeling(graph, colors, node_limit))
-
-
-def are_isomorphic(
-    a: Graph,
-    b: Graph,
-    colors_a: Optional[Sequence[int]] = None,
-    colors_b: Optional[Sequence[int]] = None,
-) -> bool:
-    """Isomorphism test via canonical forms (color-preserving)."""
-    if a.num_vertices != b.num_vertices or a.num_edges != b.num_edges:
-        return False
-    ca = sorted(colors_a) if colors_a is not None else None
-    cb = sorted(colors_b) if colors_b is not None else None
-    if (ca is None) != (cb is None) or (ca is not None and ca != cb):
-        return False
-    return canonical_form(a, colors_a) == canonical_form(b, colors_b)
-
-
-def isomorphism_mapping(a: Graph, b: Graph) -> Optional[Permutation]:
-    """An explicit isomorphism a -> b, or None.
-
-    ``mapping(v)`` gives the b-vertex corresponding to a-vertex v.
-    """
-    if a.num_vertices != b.num_vertices or a.num_edges != b.num_edges:
-        return None
-    lab_a = canonical_labeling(a)
-    lab_b = canonical_labeling(b)
-    if _certificate(a, lab_a) != _certificate(b, lab_b):
-        return None
-    image = [0] * a.num_vertices
-    for pos in range(a.num_vertices):
-        image[lab_a[pos]] = lab_b[pos]
-    perm = Permutation(image)
-    # Verify (refinement invariance should guarantee it; check anyway).
-    for u, v in a.edges():
-        if not b.has_edge(perm(u), perm(v)):
-            return None
-    return perm

@@ -50,16 +50,6 @@ def orbits(generators: Sequence[Permutation], degree: int) -> List[List[int]]:
     return out
 
 
-def orbit_partition(generators: Sequence[Permutation], degree: int) -> List[int]:
-    """Map each point to the minimum element of its orbit."""
-    rep = list(range(degree))
-    for orbit in orbits(generators, degree):
-        head = orbit[0]
-        for p in orbit:
-            rep[p] = head
-    return rep
-
-
 class PermutationGroup:
     """The group generated by a set of permutations (BSGS via Schreier–Sims).
 
@@ -212,11 +202,6 @@ class PermutationGroup:
 
     def num_generators(self) -> int:
         return len(self.generators)
-
-    def base(self) -> List[int]:
-        """The base (sequence of stabilized points) of the BSGS."""
-        self._build()
-        return list(self._base or [])
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, generators={len(self.generators)})"

@@ -1,50 +1,12 @@
-"""Graph analysis tests: degeneracy, components, bipartiteness, bounds."""
+"""Graph analysis tests: components, bipartiteness, chromatic bounds."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.analysis import (
-    chromatic_bounds,
-    connected_components,
-    count_triangles,
-    degeneracy_bound,
-    degeneracy_ordering,
-    is_bipartite,
-)
-from repro.graphs.coloring_heuristics import greedy_coloring
-from repro.graphs.generators import mycielski_graph, queens_graph
+from repro.graphs.analysis import connected_components, is_bipartite
+from repro.graphs.cliques import clique_lower_bound
+from repro.graphs.coloring_heuristics import dsatur
 from repro.graphs.graph import Graph
-
-
-def test_degeneracy_known_values():
-    # Trees have degeneracy 1; cycles 2; K_n has n-1.
-    path = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
-    assert degeneracy_ordering(path)[1] == 1
-    cycle = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert degeneracy_ordering(cycle)[1] == 2
-    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert degeneracy_ordering(k4)[1] == 3
-    assert degeneracy_ordering(Graph(0)) == ([], 0)
-
-
-def test_degeneracy_ordering_is_permutation():
-    g = queens_graph(4, 4)
-    order, _ = degeneracy_ordering(g)
-    assert sorted(order) == list(range(16))
-
-
-def test_greedy_on_degeneracy_order_respects_bound():
-    for g in (queens_graph(4, 4), mycielski_graph(4)):
-        order, d = degeneracy_ordering(g)
-        _, colors = greedy_coloring(g, order)
-        assert colors <= d + 1
-
-
-def test_degeneracy_bound_vs_max_degree():
-    # Star graph: max degree n-1 but degeneracy 1.
-    star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    assert degeneracy_bound(star) == 2
-    assert star.max_degree() == 5
 
 
 def test_connected_components():
@@ -63,36 +25,19 @@ def test_is_bipartite():
     assert is_bipartite(Graph(3))[0]  # edgeless graphs are bipartite
 
 
-def test_count_triangles():
-    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert count_triangles(k4) == 4
-    assert count_triangles(mycielski_graph(4)) == 0  # triangle-free
-    assert count_triangles(Graph(3)) == 0
-
-
-def test_chromatic_bounds_cases():
-    assert chromatic_bounds(Graph(0)) == (0, 0)
-    assert chromatic_bounds(Graph(4)) == (1, 1)
-    even_cycle = Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
-    assert chromatic_bounds(even_cycle) == (2, 2)
-    lo, hi = chromatic_bounds(queens_graph(5, 5))
-    assert lo <= 5 <= hi
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=9), st.data())
 def test_bounds_bracket_truth_on_random_graphs(n, data):
+    # The two bounds every flow starts from: the greedy clique below chi
+    # and the DSATUR coloring above it.
     g = Graph(n)
     for u in range(n):
         for v in range(u + 1, n):
             if data.draw(st.booleans()):
                 g.add_edge(u, v)
-    lo, hi = chromatic_bounds(g)
-    assert lo <= hi
     from repro.coloring.exact_dsatur import exact_chromatic_number
 
     chi = exact_chromatic_number(g).chromatic_number
-    assert lo <= chi <= hi
-    order, d = degeneracy_ordering(g)
-    _, greedy_colors = greedy_coloring(g, order)
-    assert greedy_colors <= d + 1
+    coloring, upper = dsatur(g)
+    assert clique_lower_bound(g) <= chi <= upper
+    assert len(set(coloring.values())) == upper

@@ -35,13 +35,11 @@ from repro.api import (
     available_backends,
     get_backend,
     register_backend,
-    solve_problem,
 )
 from repro.api import pipeline as pipeline_module
 from repro.api.backends import _REGISTRY, PBPresetBackend
 from repro.coloring.encoding import encode_coloring
 from repro.coloring.reduce import kernelize
-from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import book_graph, mycielski_graph, queens_graph
 from repro.graphs.graph import Graph, disjoint_union
@@ -227,7 +225,7 @@ def test_a_cplex_bb_decision_stops_at_its_first_coloring(graph, k, status):
               .run(DecisionProblem(graph, k)))
     assert result.status == status
     if status == "SAT":
-        assert is_proper(graph, result.coloring)
+        assert graph.is_proper_coloring(result.coloring)
         assert result.stats.decisions <= 100
 
 
@@ -407,7 +405,7 @@ def test_detection_cache_never_serves_a_relabeled_copy():
     for g in (graph, relabeled, graph):
         result = pipeline.run(BudgetedOptimize(g, 6), detection_cache=cache)
         assert result.status == "OPTIMAL" and result.num_colors == 5
-        assert is_proper(g, result.coloring)
+        assert g.is_proper_coloring(result.coloring)
     # One entry per labeling: the repeat of the first one was a hit.
     assert len(cache) == 2
 
@@ -444,7 +442,7 @@ def test_an_engine_that_finds_no_coloring_leaves_the_dsatur_one(
     result = (Pipeline().reduce(reduce).solve(backend="pb-pbs2", time_limit=60)
               .run(problem))
     assert result.status == "FEASIBLE" and result.degraded
-    assert is_proper(problem.graph, result.coloring)
+    assert problem.graph.is_proper_coloring(result.coloring)
     assert (result.lower_bound, result.upper_bound, result.num_colors) == (2, 5, 5)
 
 
@@ -480,8 +478,3 @@ def test_the_solve_stage_times_the_bounds_that_seed_it(monkeypatch):
               .run(BudgetedOptimize(queens_graph(5, 5), 6)))
     assert result.status == "OPTIMAL"
     assert result.stage("solve").seconds >= 0.25
-
-
-def test_solve_problem_convenience():
-    result = solve_problem(BudgetedOptimize(TRIANGLE_PLUS, 4))
-    assert result.status == "OPTIMAL" and result.num_colors == 3

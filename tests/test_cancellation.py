@@ -28,7 +28,6 @@ from repro.api import (
     Pipeline,
     Session,
 )
-from repro.coloring.verify import is_proper
 from repro.core.formula import Formula
 from repro.experiments.instances import get_instance
 from repro.graphs.graph import Graph
@@ -130,7 +129,7 @@ def test_an_exact_dsatur_coloring_settles_a_decision_despite_a_cancel():
               .solve(backend="exact-dsatur")
               .run(DecisionProblem(graph, 8), cancel=FlipAfter(2)))
     assert result.status == "SAT" and not result.cancelled
-    assert is_proper(graph, result.coloring)
+    assert graph.is_proper_coloring(result.coloring)
     assert len(set(result.coloring.values())) <= 8
 
 
@@ -248,7 +247,7 @@ def test_detection_holds_the_time_limit(n):
     assert elapsed <= 2.4, f"myciel{n} took {elapsed:.2f}s on a 2s limit"
     assert result.detection.complete is False
     if result.coloring is not None:
-        assert is_proper(graph, result.coloring)
+        assert graph.is_proper_coloring(result.coloring)
 
 
 def test_simplify_holds_the_time_limit():
@@ -303,7 +302,7 @@ def test_exact_dsatur_honours_the_run_cancel():
     assert time.monotonic() - start < 1.0
     assert result.cancelled
     assert result.status == "FEASIBLE"
-    assert is_proper(graph, result.coloring)
+    assert graph.is_proper_coloring(result.coloring)
 
 
 def _pigeonhole(pigeons, holes):

@@ -133,6 +133,37 @@ def test_missing_input_file_exits_2_naming_the_path(capsys, tmp_path, command):
     assert captured.out == ""
 
 
+MALFORMED_GRAPHS = {
+    "short-edge": ("p edge 4 2\ne 1\n", "line 2: malformed edge line: 'e 1'"),
+    "endpoint-zero": ("p edge 4 2\ne 0 2\n", "line 2: edge endpoint outside 1..4: 'e 0 2'"),
+    "endpoint-high": ("p edge 4 2\ne 5 1\n", "line 2: edge endpoint outside 1..4: 'e 5 1'"),
+    "non-integer": ("p edge 4 2\ne a b\n", "line 2: malformed edge line: 'e a b'"),
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "color", "chromatic", "detect"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_exits_2_naming_the_line(capsys, tmp_path, command, case):
+    text, message = MALFORMED_GRAPHS[case]
+    path = tmp_path / "bad.col"
+    path.write_text(text)
+    assert repro_main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {path}: {message}"]
+    assert captured.out == ""
+
+
+def test_manifest_with_unknown_task_field_exits_2(capsys, tmp_path, col_file):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"graph": col_file, "bogus": 1}]))
+    assert repro_main(["batch", str(manifest), "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {manifest}: unknown task fields ['bogus']")
+    assert captured.out == ""
+
+
 def test_missing_resume_log_exits_2_naming_the_path(capsys, tmp_path, col_file):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([{"graph": col_file}]))

@@ -23,7 +23,6 @@ seeds nightly — see ``tests/conftest.py``.
 from hypothesis import example, given, strategies as st
 
 from repro.api import ChromaticProblem, Pipeline
-from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import (
     book_graph,
@@ -97,7 +96,7 @@ def test_pool_agrees_with_single_solver_scratch_and_dsatur(graph):
     assert len({r.chromatic_number for r in results}) == 1
     for result in results:
         assert result.coloring is not None
-        assert is_proper(graph, result.coloring)
+        assert graph.is_proper_coloring(result.coloring)
         assert len(set(result.coloring.values())) == result.chromatic_number
 
 
@@ -164,7 +163,7 @@ def test_pool_cancel_returns_best_so_far():
     assert result.cancelled
     assert result.status in ("FEASIBLE", "UNKNOWN")
     assert result.coloring is not None  # the heuristic incumbent survives
-    assert is_proper(graph, result.coloring)
+    assert graph.is_proper_coloring(result.coloring)
 
 
 def test_pool_rejects_growth_unsafe_sbp():
@@ -187,4 +186,4 @@ def test_exact_dsatur_splits_a_disjoint_union():
     result = chromatic(DSATUR_PRODUCT_UNION, "exact-dsatur", time_limit=2)
     assert result.status == "OPTIMAL" and result.chromatic_number == 5
     assert result.stages[0].name == "reduce"
-    assert is_proper(DSATUR_PRODUCT_UNION, result.coloring)
+    assert DSATUR_PRODUCT_UNION.is_proper_coloring(result.coloring)

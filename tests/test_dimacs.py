@@ -38,6 +38,25 @@ def test_reader_rejects_bad_problem_line():
         read_dimacs_graph(io.StringIO("p graph\n"))
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p edge 4 2\ne 1\n", "line 2: malformed edge line: 'e 1'"),
+        ("p edge 4 2\ne 0 2\n", "line 2: edge endpoint outside 1..4: 'e 0 2'"),
+        ("p edge 4 2\ne 5 1\n", "line 2: edge endpoint outside 1..4: 'e 5 1'"),
+        ("c x\np edge 4 2\ne a b\n", "line 3: malformed edge line: 'e a b'"),
+        ("p edge four 2\n", "line 1: malformed problem line: 'p edge four 2'"),
+        ("e 1 2\np edge 2 1\n", "line 1: edge line before the problem line: 'e 1 2'"),
+    ],
+    ids=["short-edge", "endpoint-zero", "endpoint-high", "non-integer",
+         "non-integer-count", "edge-first"],
+)
+def test_reader_names_the_malformed_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        read_dimacs_graph(io.StringIO(text))
+    assert str(exc.value) == message
+
+
 def test_writer_emits_header_and_name(tmp_path):
     g = Graph.from_edges(2, [(0, 1)], name="tiny")
     path = str(tmp_path / "tiny.col")

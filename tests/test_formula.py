@@ -8,7 +8,7 @@ from repro.core.formula import Formula, FormulaStats
 def test_new_var_and_growth():
     f = Formula()
     v1 = f.new_var()
-    v2 = f.new_var("named")
+    v2 = f.new_var()
     assert (v1, v2) == (1, 2)
     assert f.num_vars == 2
     f.add_clause([10])

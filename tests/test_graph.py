@@ -65,14 +65,6 @@ def test_copy_independent():
     assert h.num_vertices == 4
 
 
-def test_complement():
-    g = Graph.from_edges(4, [(0, 1)])
-    comp = g.complement()
-    assert comp.num_edges == 5
-    assert not comp.has_edge(0, 1)
-    assert comp.has_edge(2, 3)
-
-
 def test_subgraph():
     g = triangle()
     g.add_vertex()

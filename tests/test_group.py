@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.symmetry.group import PermutationGroup, orbit_of, orbit_partition, orbits
+from repro.symmetry.group import PermutationGroup, orbit_of, orbits
 from repro.symmetry.permutation import Permutation
 
 
@@ -71,7 +71,6 @@ def test_orbits():
     gens = [Permutation.from_cycles(5, [(0, 1)]), Permutation.from_cycles(5, [(2, 3)])]
     assert orbits(gens, 5) == [[0, 1], [2, 3], [4]]
     assert orbit_of(0, gens) == {0, 1}
-    assert orbit_partition(gens, 5) == [0, 0, 2, 2, 4]
 
 
 def test_large_degree_small_group():

@@ -28,7 +28,6 @@ from repro.coloring.sat_pipeline import (
     chromatic_number_sat,
     encode_k_coloring_incremental,
 )
-from repro.coloring.verify import is_proper
 from repro.graphs.generators import (
     book_graph,
     crown_graph,
@@ -186,7 +185,7 @@ def test_incremental_search_descent_and_core():
     g = mycielski_graph(3)  # chi = 4, triangle-free
     search = IncrementalKSearch(g, 5)
     status, coloring, _ = search.solve_k(4)
-    assert status == SAT and is_proper(g, coloring)
+    assert status == SAT and g.is_proper_coloring(coloring)
     assert len(set(coloring.values())) <= 4
     status, coloring, failed = search.solve_k(3)
     assert status == UNSAT and coloring is None
@@ -217,7 +216,7 @@ def test_solve_k_rejects_k_above_bound():
     # no colors to switch off (myciel3 is 4-chromatic).
     status, coloring, _ = search.solve_k(4)
     assert status == SAT
-    assert is_proper(mycielski_graph(3), coloring)
+    assert mycielski_graph(3).is_proper_coloring(coloring)
 
 
 # -------------------------------------------------------------- pipeline layer
@@ -251,11 +250,10 @@ def test_incremental_matches_scratch_over_families(name, build, strategy):
     assert incremental.status == "OPTIMAL"
     assert scratch.status == "OPTIMAL"
     assert incremental.chromatic_number == scratch.chromatic_number
-    assert is_proper(graph, incremental.coloring)
-    assert is_proper(graph, scratch.coloring)
+    assert graph.is_proper_coloring(incremental.coloring)
+    assert graph.is_proper_coloring(scratch.coloring)
     assert len(set(incremental.coloring.values())) == incremental.chromatic_number
     assert incremental.solvers_created <= 1
-    assert incremental.incremental and not scratch.incremental
 
 
 @given(
@@ -295,8 +293,8 @@ def test_incremental_matches_scratch_random_graphs(n, p, seed, strategy, cap_off
     assert incremental.chromatic_number == scratch.chromatic_number
     assert incremental.chromatic_number == chi
     if graph.num_vertices:
-        assert is_proper(graph, incremental.coloring)
-        assert is_proper(graph, scratch.coloring)
+        assert graph.is_proper_coloring(incremental.coloring)
+        assert graph.is_proper_coloring(scratch.coloring)
         assert len(set(scratch.coloring.values())) == chi
 
 
@@ -307,7 +305,7 @@ def test_incremental_descent_with_cnf_sbps(sbp):
         g, strategy="linear", sbp_kind=sbp, incremental=True, time_limit=60
     )
     assert result.status == "OPTIMAL" and result.chromatic_number == 5
-    assert is_proper(g, result.coloring)
+    assert g.is_proper_coloring(result.coloring)
 
 
 def test_incremental_binary_uses_core_to_skip(monkeypatch):

@@ -6,13 +6,17 @@ strength hierarchy (LI breaks all color symmetry, NU only null-color
 symmetry, SC a few assignments).
 """
 
+import hashlib
 import itertools
 
 import pytest
+from fuzz_budget import fuzz_examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring.encoding import encode_coloring
+from repro.coloring.mehrotra_trick import build_mt_formula, maximal_independent_sets
+from repro.experiments.instances import get_instance
 from repro.graphs.graph import Graph
 from repro.pb.presets import solve_optimize
 from repro.sbp.instance_independent import (
@@ -116,7 +120,7 @@ def test_unsat_preserved(kind):
     assert status == "UNSAT"
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=fuzz_examples(25), deadline=None)
 @given(st.integers(min_value=2, max_value=5), st.data())
 def test_all_kinds_preserve_optimum_on_random_graphs(n, data):
     edges = [
@@ -151,3 +155,57 @@ def test_nu_leaves_nonnull_color_symmetry():
     enc = apply_sbp(encode_coloring(TRIANGLE_PLUS, 4), "nu")
     report = detect_symmetries(enc.formula)
     assert report.order > 1
+
+
+# sha256 prefix of every 0-1 ILP encoding of a registry graph for K 1-9
+# under each SBP kind: apply_sbp(encode_coloring(G, K), kind).  Each
+# entry digests num_vars, the clauses in order, the PB constraints, the
+# objective and the x/y variable maps.  Same graphs and K values as
+# tests/test_sat_pipeline.py's ENCODING_PINS.
+ILP_ENCODING_PINS = {
+    "myciel3": "e9d4ce40c11fbea8",
+    "myciel4": "dd96d3af7cdb166e",
+    "myciel5": "d880af0db0aa04b5",
+    "queen5_5": "580ce14386f9cc2c",
+    "queen6_6": "99cf9602ed62598d",
+    "huck": "8d6a9ece0b08637d",
+    "jean": "cc5303fef1ac7a4a",
+}
+# The same digest of the Mehrotra-Trick covering formula of myciel4
+# over all of its maximal independent sets.
+MT_FORMULA_PIN = "3e16d6fc5c873864"
+
+
+def _formula_key(formula):
+    pbs = [(p.terms, p.relation, p.bound) for p in formula.pb_constraints]
+    return (formula.num_vars, formula.clauses, pbs,
+            formula.objective, formula.objective_sense)
+
+
+def _ilp_encoding_digest(graph):
+    digest = hashlib.sha256()
+    for k in range(1, 10):
+        base = encode_coloring(graph, k)
+        for kind in SBP_KINDS:
+            enc = apply_sbp(base, kind)
+            digest.update(repr((k, kind, _formula_key(enc.formula),
+                                sorted(enc.x_var.items()),
+                                sorted(enc.y_var.items()))).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(ILP_ENCODING_PINS))
+def test_ilp_encodings_are_pinned(name):
+    """Every 0-1 ILP K-coloring formula, with each SBP construction,
+    stays byte-identical: a change to the encoder or to the variable
+    allocation must not change a formula."""
+    graph = get_instance(name).graph()
+    assert _ilp_encoding_digest(graph) == ILP_ENCODING_PINS[name]
+
+
+def test_mt_formula_is_pinned():
+    graph = get_instance("myciel4").graph()
+    formula, var_of_column = build_mt_formula(graph, maximal_independent_sets(graph))
+    columns = sorted((var, sorted(col)) for var, col in var_of_column.items())
+    key = repr((_formula_key(formula), columns)).encode()
+    assert hashlib.sha256(key).hexdigest()[:16] == MT_FORMULA_PIN

@@ -1,5 +1,6 @@
 """Lex-leader SBP tests: soundness (models preserved per orbit) and size."""
 
+from fuzz_budget import fuzz_examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,7 +101,7 @@ def test_degree_check():
         pass
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=fuzz_examples(30), deadline=None)
 @given(st.integers(min_value=2, max_value=5), st.data())
 def test_sbp_soundness_on_random_symmetric_formulas(n, data):
     """For formulas symmetric under a var swap, adding the swap's SBP

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from repro.core.literals import (
     check_literal,
     index_lit,
-    is_positive,
     lit_index,
-    max_var,
-    neg,
     var_of,
 )
 
@@ -20,16 +17,6 @@ literals = st.integers(min_value=-500, max_value=500).filter(lambda x: x != 0)
 def test_var_of():
     assert var_of(3) == 3
     assert var_of(-3) == 3
-
-
-def test_neg():
-    assert neg(4) == -4
-    assert neg(-4) == 4
-
-
-def test_is_positive():
-    assert is_positive(1)
-    assert not is_positive(-1)
 
 
 def test_lit_index_layout():
@@ -48,11 +35,6 @@ def test_index_roundtrip(lit):
 def test_index_pairs_variables(lit):
     # A literal and its complement occupy adjacent indices (xor 1).
     assert lit_index(lit) ^ 1 == lit_index(-lit)
-
-
-def test_max_var():
-    assert max_var([]) == 0
-    assert max_var([1, -5, 3]) == 5
 
 
 def test_check_literal_rejects_zero():

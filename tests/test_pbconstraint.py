@@ -93,12 +93,6 @@ def test_helpers():
     assert at_least_k([1, 2], 1).relation == ">="
 
 
-def test_slack():
-    c = LinearGE([(2, 1), (1, 2)], 2)
-    assert c.slack(lambda l: None) == 1
-    assert c.slack(lambda l: False if l == 1 else None) == -1
-
-
 def test_variables_sorted():
     pb = PBConstraint([(1, 4), (2, -2)], ">=", 1)
     assert pb.variables() == (2, 4)

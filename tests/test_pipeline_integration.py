@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import BudgetedOptimize, ChromaticProblem, DecisionProblem, Pipeline
+from repro.coloring.reduce import kernelize
 from repro.coloring.sat_pipeline import chromatic_number_sat, sat_k_colorable
 from repro.graphs.generators import (
     book_graph,
@@ -92,7 +93,8 @@ def test_reduced_components_colored_independently():
 def test_sat_pipeline_stage_combinations(preprocess, reduce):
     g = mycielski_graph(3)
     result = chromatic_number_sat(
-        g, preprocess=preprocess, reduce=reduce, time_limit=60
+        g, preprocess=preprocess, kernel=kernelize(g) if reduce else None,
+        time_limit=60,
     )
     assert result.status == "OPTIMAL"
     assert result.chromatic_number == 4
@@ -108,7 +110,7 @@ def test_sat_decision_agrees_across_pipeline(n, k, data):
         for v in range(u + 1, n):
             if data.draw(st.booleans()):
                 g.add_edge(u, v)
-    baseline, _ = sat_k_colorable(g, k, preprocess=False)
+    baseline = sat_k_colorable(g, k, preprocess=False)[0]
     for preprocess, reduce in ((True, False), (True, True)):
         result = (Pipeline().reduce(reduce).simplify(preprocess)
                   .solve(backend="cdcl-incremental")

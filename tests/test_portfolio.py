@@ -26,7 +26,6 @@ from repro.api import (
     Result,
 )
 from repro.api.backends import _REGISTRY
-from repro.coloring.verify import is_proper
 from repro.experiments.instances import get_instance
 from repro.graphs.generators import gnp_graph, mycielski_graph, queens_graph
 from repro.graphs.graph import Graph
@@ -77,7 +76,7 @@ def test_portfolio_matches_reference_chromatic(graph):
     assert raced.status == "OPTIMAL"
     assert raced.chromatic_number == ref.chromatic_number
     assert raced.coloring is not None
-    assert is_proper(graph, raced.coloring)
+    assert graph.is_proper_coloring(raced.coloring)
     assert len(set(raced.coloring.values())) == raced.chromatic_number
 
 
@@ -101,7 +100,7 @@ def test_portfolio_decision_queries(k, expected):
     assert raced.status == expected
     if expected == "SAT":
         assert raced.coloring is not None
-        assert is_proper(graph, raced.coloring)
+        assert graph.is_proper_coloring(raced.coloring)
         assert len(set(raced.coloring.values())) <= k
 
 
@@ -118,7 +117,7 @@ def test_portfolio_two_cdcl_descents_match_reference():
     ref = reference(ChromaticProblem(graph))
     assert raced.status == "OPTIMAL"
     assert raced.chromatic_number == ref.chromatic_number == 5
-    assert is_proper(graph, raced.coloring)
+    assert graph.is_proper_coloring(raced.coloring)
 
 
 def test_portfolio_cancellation_returns_cancelled_result():
@@ -226,7 +225,7 @@ def test_the_race_joins_a_coloring_and_a_refutation_into_an_optimum(
     assert result.status == "OPTIMAL" and result.chromatic_number == 3
     assert result.lower_bound == result.upper_bound == 3
     assert not result.degraded
-    assert is_proper(C5, result.coloring)
+    assert C5.is_proper_coloring(result.coloring)
 
 
 def test_portfolio_rejects_degenerate_lineups():

@@ -21,6 +21,10 @@ PACKAGES = [
     "repro.coloring",
     "repro.api",
     "repro.experiments",
+    "repro.obs",
+    "repro.resilience",
+    "repro.batch",
+    "repro.analysis",
 ]
 
 

@@ -55,7 +55,7 @@ def test_peel_nothing_when_k_small():
 def test_extension_is_proper():
     g = queens_graph(4, 4)
     kernel = peel_low_degree(g, 6)
-    status, sub_coloring = sat_k_colorable(kernel.graph, 6)
+    status, sub_coloring, _, _ = sat_k_colorable(kernel.graph, 6)
     assert status == "SAT"
     coloring = extend_coloring(kernel, sub_coloring)
     assert g.is_proper_coloring(coloring)
@@ -138,12 +138,12 @@ def test_reduction_equivalent_to_direct(n, k, data):
         for v in range(u + 1, n):
             if v < clique or data.draw(st.booleans()):
                 g.add_edge(u, v)
-    direct_status, _ = sat_k_colorable(g, k)
+    direct_status = sat_k_colorable(g, k)[0]
     kernel = kernelize(g, k, decision=True)
     if kernel.infeasible:
         assert direct_status == "UNSAT"
     else:
-        answers = [sat_k_colorable(kernel.graph.subgraph(c), k)
+        answers = [sat_k_colorable(kernel.graph.subgraph(c), k)[:2]
                    for c in kernel.components]
         if all(status == "SAT" for status, _ in answers):
             assert direct_status == "SAT"

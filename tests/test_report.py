@@ -2,17 +2,20 @@
 
 import json
 
-import pytest
-
 from repro.experiments.instances import ScalePreset
-from repro.experiments.report import list_reports, load_report, save_report
+from repro.experiments.report import save_report
 from repro.experiments.tables import render_table1, table1
+
+
+def _load(path):
+    with open(path) as handle:
+        return json.load(handle)
 
 
 def test_save_and_load_roundtrip(tmp_path):
     rows = [{"a": 1}, {"a": 2}]
     path = save_report(str(tmp_path), "demo", rows, "a table", {"scale": "test"})
-    payload = load_report(path)
+    payload = _load(path)
     assert payload["experiment"] == "demo"
     assert payload["rows"] == rows
     assert payload["metadata"]["scale"] == "test"
@@ -28,25 +31,9 @@ def test_dataclass_serialization(tmp_path):
     )
     rows = table1(scale, per_instance_budget=5.0)
     path = save_report(str(tmp_path), "table1", rows, render_table1(rows, 4))
-    payload = load_report(path)
+    payload = _load(path)
     assert payload["rows"][0]["name"] == "myciel3"
     assert payload["rows"][0]["measured_chi"] == 4
-
-
-def test_list_reports(tmp_path):
-    assert list_reports(str(tmp_path / "missing")) == []
-    save_report(str(tmp_path), "one", [], "x")
-    save_report(str(tmp_path), "two", [], "y")
-    reports = list_reports(str(tmp_path))
-    assert len(reports) == 2
-    assert all(p.endswith(".json") for p in reports)
-
-
-def test_load_rejects_non_report(tmp_path):
-    bogus = tmp_path / "x.json"
-    bogus.write_text(json.dumps({"hello": 1}))
-    with pytest.raises(ValueError):
-        load_report(str(bogus))
 
 
 def test_non_jsonable_values_reprd(tmp_path):
@@ -55,5 +42,5 @@ def test_non_jsonable_values_reprd(tmp_path):
             return "<weird>"
 
     path = save_report(str(tmp_path), "w", {"obj": Weird()}, "t")
-    payload = load_report(path)
+    payload = _load(path)
     assert payload["rows"]["obj"] == "<weird>"

@@ -43,7 +43,6 @@ from repro.api import (
     Session,
 )
 from repro.batch import solve_many
-from repro.coloring.verify import is_proper
 from repro.graphs.generators import mycielski_graph, queens_graph
 from repro.graphs.graph import disjoint_union
 from repro.obs import active_tracer, tracing
@@ -193,7 +192,7 @@ def _assert_degraded_but_verified(result, graph):
     assert result.degraded
     assert result.feasible and not result.solved
     assert result.coloring is not None
-    assert is_proper(graph, result.coloring)
+    assert graph.is_proper_coloring(result.coloring)
     assert result.upper_bound == result.num_colors
     assert result.lower_bound is not None
     assert result.lower_bound <= result.num_colors
@@ -491,7 +490,7 @@ def test_fault_raise_in_stage_promotes_to_fallback():
     assert record["status"] == "OPTIMAL" and record["num_colors"] == 4
     assert record["backend"] == "exact-dsatur"
     coloring = {int(v): c for v, c in record["coloring"].items()}
-    assert is_proper(mycielski_graph(3), coloring)
+    assert mycielski_graph(3).is_proper_coloring(coloring)
 
 
 def test_fault_sleep_in_query_times_out_with_verified_bound():
@@ -507,7 +506,7 @@ def test_fault_sleep_in_query_times_out_with_verified_bound():
     assert record["status"] == "FEASIBLE" and record["degraded"] is True
     assert record["num_colors"] >= 5
     coloring = {int(v): c for v, c in record["coloring"].items()}
-    assert is_proper(mycielski_graph(4), coloring)
+    assert mycielski_graph(4).is_proper_coloring(coloring)
 
 
 def test_fault_clock_skew_degrades_instead_of_lying():
@@ -522,7 +521,7 @@ def test_fault_clock_skew_degrades_instead_of_lying():
     assert record["outcome"] == "timeout"
     assert record["status"] == "FEASIBLE" and record["degraded"] is True
     coloring = {int(v): c for v, c in record["coloring"].items()}
-    assert is_proper(mycielski_graph(4), coloring)
+    assert mycielski_graph(4).is_proper_coloring(coloring)
 
 
 def test_fault_worker_kill_retries_then_falls_back():
@@ -539,7 +538,7 @@ def test_fault_worker_kill_retries_then_falls_back():
     assert record["status"] == "OPTIMAL" and record["num_colors"] == 4
     assert record["backend"] == "exact-dsatur"
     coloring = {int(v): c for v, c in record["coloring"].items()}
-    assert is_proper(mycielski_graph(3), coloring)
+    assert mycielski_graph(3).is_proper_coloring(coloring)
 
 
 def test_fault_racer_kill_mid_race_still_answers():
@@ -556,7 +555,7 @@ def test_fault_racer_kill_mid_race_still_answers():
     )
     assert result.status == "OPTIMAL"
     assert result.chromatic_number == 5
-    assert is_proper(graph, result.coloring)
+    assert graph.is_proper_coloring(result.coloring)
     stage = next(s for s in result.stages if s.name == "race")
     assert stage.details["winner"] in ("pb-pueblo", "exact-dsatur")
 
@@ -676,7 +675,7 @@ def _assert_chaos_invariants(report, tasks):
             assert record["num_colors"] >= chi
         if record.get("coloring"):
             coloring = {int(v): c for v, c in record["coloring"].items()}
-            assert is_proper(_GRAPHS[name], coloring)
+            assert _GRAPHS[name].is_proper_coloring(coloring)
             assert len(set(coloring.values())) == record["num_colors"]
     summary = report.summary
     assert sum(summary["outcomes"].values()) == len(tasks)
@@ -705,7 +704,7 @@ def test_chaos_smoke_seeded_scenario():
             )
             assert result.status == "OPTIMAL"
             assert result.chromatic_number == _EXPECTED_CHI[name]
-            assert is_proper(graph, result.coloring)
+            assert graph.is_proper_coloring(result.coloring)
         return
     if kills:
         # Worker kills need real worker processes; the plan reaches

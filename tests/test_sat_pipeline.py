@@ -68,17 +68,20 @@ def test_cnf_encodings_are_pinned(name):
 
 
 def test_k_colorable_decision():
-    status, coloring = sat_k_colorable(K4, 4)
+    status, coloring, _, _ = sat_k_colorable(K4, 4)
     assert status == "SAT"
     assert K4.is_proper_coloring(coloring)
-    status, coloring = sat_k_colorable(K4, 3)
+    status, coloring, _, _ = sat_k_colorable(K4, 3)
     assert status == "UNSAT" and coloring is None
+    # Without preprocessing one solver answers, and reports its search.
+    status, _, stats, solvers = sat_k_colorable(K4, 4, preprocess=False)
+    assert status == "SAT" and solvers == 1 and stats.decisions > 0
 
 
 def test_zero_colors():
-    status, _ = sat_k_colorable(K4, 0)
-    assert status == "UNSAT"
-    status, coloring = sat_k_colorable(Graph(0), 0)
+    status, _, _, solvers = sat_k_colorable(K4, 0)
+    assert status == "UNSAT" and solvers == 0
+    status, coloring, _, _ = sat_k_colorable(Graph(0), 0)
     assert status == "SAT" and coloring == {}
 
 
@@ -126,4 +129,4 @@ def test_sat_pipeline_agrees_with_ilp_pipeline():
 
 def test_sat_calls_counted():
     result = chromatic_number_sat(mycielski_graph(3), time_limit=60)
-    assert result.sat_calls >= 1
+    assert len(result.k_queries) >= 1

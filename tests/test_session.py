@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.api import ChromaticProblem, Pipeline, PipelineConfig, Session, SymmetryConfig
 from repro.coloring.exact_dsatur import exact_chromatic_number
 from repro.coloring.sat_pipeline import CNF_SBP_KINDS, IncrementalKSearch
-from repro.coloring.verify import is_proper
 from repro.graphs.cliques import clique_lower_bound
 from repro.graphs.coloring_heuristics import dsatur
 from repro.graphs.generators import (
@@ -65,7 +64,7 @@ def test_one_persistent_solver_across_down_and_up_queries():
     assert session.solvers_created == 1
     assert session._search is search and search.solver is solver
     assert up.solvers_created == 1
-    assert is_proper(graph, up.coloring)
+    assert graph.is_proper_coloring(up.coloring)
     assert len(set(up.coloring.values())) <= bound + 2
     assert session.queries == [(4, UNSAT), (5, SAT), (7, SAT), (4, UNSAT)]
 
@@ -145,7 +144,7 @@ def test_session_agrees_with_scratch(name, build):
     result = session.chromatic(strategy="linear", time_limit=120)
     assert result.status == "OPTIMAL", name
     assert result.chromatic_number == chi, name
-    assert is_proper(graph, result.coloring), name
+    assert graph.is_proper_coloring(result.coloring), name
     # Decisions bracket the chromatic number on the same solver.
     assert session.decide(chi).status == SAT, name
     if chi > 1:
@@ -273,7 +272,7 @@ def test_session_decisions_match_the_chromatic_number_on_random_graphs(
         result = session.decide(k)
         assert result.status == (SAT if k >= chi else UNSAT), (k, chi)
         if result.status == SAT:
-            assert is_proper(graph, result.coloring)
+            assert graph.is_proper_coloring(result.coloring)
             assert len(set(result.coloring.values())) <= k
     assert session.solvers_created <= 1
     target(float(session.solvers_created))

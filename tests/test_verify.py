@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coloring.verify import check_proper, color_class_sizes, is_proper
+from repro.coloring.verify import check_proper
 from repro.graphs.graph import Graph
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -20,13 +20,3 @@ def test_check_proper_rejects_monochromatic_edge():
 def test_check_proper_rejects_uncolored():
     with pytest.raises(ValueError, match="uncolored"):
         check_proper(TRIANGLE, {0: 1, 1: 2})
-
-
-def test_is_proper():
-    assert is_proper(TRIANGLE, {0: 1, 1: 2, 2: 3})
-    assert not is_proper(TRIANGLE, {0: 1, 1: 1, 2: 2})
-
-
-def test_color_class_sizes():
-    assert color_class_sizes({0: 1, 1: 2, 2: 1}) == {1: 2, 2: 1}
-    assert color_class_sizes({}) == {}
