@@ -18,7 +18,10 @@
 # assumptions while the solver grows, and bulk vs one-clause loading;
 # and the encoder and SBP properties: every SBP kind keeps the optimum
 # on random graphs, encoding models decode to proper colorings, and a
-# lex-leader SBP keeps satisfiability) under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
+# lex-leader SBP keeps satisfiability; and the bulk clause intake:
+# `Formula.add_clauses` leaves what a loop of `add_clause` leaves, and
+# a batch with a bad clause raises its error and appends nothing)
+# under HYPOTHESIS_PROFILE; `make chaos-smoke` runs the resilience
 # chaos suite (fault injection seeded by CHAOS_SEED, fresh seeds in
 # nightly CI);
 # `make coverage` runs the tier-1 suite under pytest-cov
@@ -65,7 +68,8 @@ fuzz-smoke:
 		tests/test_session.py tests/test_optimizer.py \
 		tests/test_cdcl.py tests/test_pb_engine.py \
 		tests/test_solver_internals.py tests/test_instance_independent.py \
-		tests/test_encoding.py tests/test_lex_leader.py
+		tests/test_encoding.py tests/test_lex_leader.py \
+		tests/test_formula.py
 
 chaos-smoke:
 	$(PYTHONPATH_PREFIX) CHAOS_SEED=$(CHAOS_SEED) \

@@ -3,8 +3,9 @@ standing ROADMAP invariant (see ``docs/invariants.md`` for the full
 motivation of every rule).
 
 =======  ==================================================================
-RPR001   clause intake must go through ``Formula.add_clause`` (PR 1's
-         tautology-screening soundness fix, frozen as a lint rule)
+RPR001   clause intake must go through ``Formula.add_clause`` or
+         ``add_clauses`` (the tautology-screening soundness fix, frozen
+         as a lint rule)
 RPR002   unbounded solve loops must poll ``should_stop``/cancel (PR 5's
          in-query cancellation gap, frozen as a lint rule)
 RPR003   solver-decision code must not iterate raw sets / ``dict.keys()``
@@ -78,21 +79,22 @@ def _describe(node: ast.AST) -> str:
 
 @register_rule
 class ClauseIntakeRule(Rule):
-    """Raw mutation of a ``.clauses`` list bypasses ``add_clause``, where
-    a clause becomes canonical (checked literals, sorted by variable, no
-    literal repeated); every reader takes a formula's clauses as they
-    are."""
+    """Raw mutation of a ``.clauses`` list bypasses ``add_clause`` and
+    ``add_clauses``, where a clause becomes canonical (checked literals,
+    sorted by variable, no literal repeated); every reader takes a
+    formula's clauses as they are."""
 
     rule_id = "RPR001"
-    title = "clause intake must go through Formula.add_clause"
+    title = "clause intake must go through Formula.add_clause or add_clauses"
     rationale = (
-        "Formula.add_clause is where a clause becomes canonical; readers "
-        "take the clause tuples as they are"
+        "Formula.add_clause or add_clauses is where a clause becomes "
+        "canonical; readers take the clause tuples as they are"
     )
 
     def applies_to(self, rel: str) -> bool:
         # The solver layer and the Formula class itself own the clause
-        # list; everyone else is an encoder and must use add_clause.
+        # list; everyone else is an encoder and must use add_clause or
+        # add_clauses.
         return not rel.startswith("sat/") and rel != "core/formula.py"
 
     def check(self, source: SourceFile, resolver: ScopeResolver) -> Iterator[Finding]:
@@ -112,7 +114,7 @@ class ClauseIntakeRule(Rule):
                         f"`{_describe(func.value)}.{func.attr}(...)` bypasses "
                         "add_clause intake (literal checks and "
                         "canonicalization); route the clause through "
-                        "Formula.add_clause",
+                        "Formula.add_clause or add_clauses",
                     )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
@@ -132,7 +134,8 @@ class ClauseIntakeRule(Rule):
                             node,
                             f"assignment to `{_describe(stored)}` replaces the "
                             "clause list wholesale; build a fresh Formula via "
-                            "add_clause so every clause is canonical",
+                            "add_clause or add_clauses so every clause is "
+                            "canonical",
                         )
 
 

@@ -38,6 +38,7 @@ from ..coloring.encoding import (
 )
 from ..coloring.reduce import Kernel, kernelize, lift
 from ..coloring.verify import check_proper
+from ..core.collector import collector_paused
 from ..graphs.cliques import clique_lower_bound
 from ..graphs.coloring_heuristics import dsatur
 from ..graphs.graph import Graph
@@ -411,7 +412,9 @@ def _run_formula_stages(
 
     An optimization's solve starts from the DSATUR and clique bounds,
     and answers with the DSATUR coloring (unproved) when it fits the
-    budget and the engine ends with no coloring of its own.
+    budget and the engine ends with no coloring of its own.  The
+    encode, sbp and simplify stages run with the cyclic collector
+    paused (:mod:`repro.core.collector`); detect and solve keep it on.
     """
     stages: List[StageStat] = []
     sym = config.symmetry
@@ -423,7 +426,8 @@ def _run_formula_stages(
 
     t0 = time.monotonic()
     ctx.emit("encode", f"encoding {budget}-coloring as 0-1 ILP")
-    encoding = encode_coloring(graph, budget)
+    with collector_paused():
+        encoding = encode_coloring(graph, budget)
     formula = encoding.formula
     fstats = formula.stats()
     stages.append(
@@ -450,14 +454,16 @@ def _run_formula_stages(
                 ctx.emit("sbp", f"appending {sym.sbp_kind} SBPs")
                 from ..sbp.instance_independent import apply_sbp
 
-                formula = apply_sbp(encoding, sym.sbp_kind).formula
+                with collector_paused():
+                    formula = apply_sbp(encoding, sym.sbp_kind).formula
                 stages.append(
                     StageStat("sbp", time.monotonic() - t0, {"kind": sym.sbp_kind})
                 )
         elif stage_name == "simplify":
             if config.simplify.enabled:
                 ctx.emit("simplify", "simplifying the clause database")
-                simplified, sstats = simplify_formula(formula, deadline=prep_deadline)
+                with collector_paused():
+                    simplified, sstats = simplify_formula(formula, deadline=prep_deadline)
                 simplified_ran = True
                 stages.append(
                     StageStat("simplify", time.monotonic() - t0, asdict(sstats))

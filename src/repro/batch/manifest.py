@@ -420,9 +420,17 @@ def load_manifest(path: str) -> Manifest:
     """
     with open(path) as fh:
         if path.endswith(".jsonl"):
-            entries = [
-                json.loads(line) for line in fh if line.strip()
-            ]
+            entries = []
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    entries.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    # Each line is its own document: name the file's line.
+                    raise ValueError(
+                        f"line {number}: {exc.msg} (column {exc.colno})"
+                    ) from None
         else:
             payload = json.load(fh)
             if isinstance(payload, list):

@@ -71,21 +71,22 @@ def encode_coloring(graph: Graph, num_colors: int) -> ColoringEncoding:
         encoding.y_var[k] = formula.new_var()
     # xs[v][k - 1] is x(v, k).
     xs = [[encoding.x_var[(v, k)] for k in colors] for v in range(n)]
-    add_clause = formula.add_clause
 
     # Each vertex gets exactly one color (one PB constraint per vertex).
     for v in range(n):
         formula.add_exactly_one(xs[v])
     # Adjacent vertices differ (K binary clauses per edge).
-    for a, b in graph.edges():
-        for xa, xb in zip(xs[a], xs[b]):
-            add_clause([-xa, -xb])
+    formula.add_clauses(
+        (-xa, -xb) for a, b in graph.edges() for xa, xb in zip(xs[a], xs[b])
+    )
     # y_k <-> OR_v x[v][k]: n*K clauses for <-, K long clauses for ->.
+    usage: List[Tuple[int, ...]] = []
     for k in colors:
         yk = encoding.y(k)
-        for v in range(n):
-            add_clause([-xs[v][k - 1], yk])
-        add_clause([-yk] + [xs[v][k - 1] for v in range(n)])
+        column = [row[k - 1] for row in xs]
+        usage.extend((-x, yk) for x in column)
+        usage.append((-yk, *column))
+    formula.add_clauses(usage)
     formula.set_objective([(1, encoding.y(k)) for k in colors], sense="min")
     return encoding
 
@@ -113,10 +114,11 @@ def add_color_activation_literals(
     activators: Dict[int, int] = {}
     for c in range(1, num_colors + 1):
         activators[c] = formula.new_var()
-    for c in range(1, num_colors + 1):
-        a_c = activators[c]
-        for v in range(num_vertices):
-            formula.add_clause([-x_var[(v, c)], a_c])
+    formula.add_clauses(
+        (-x_var[(v, c)], a_c)
+        for c, a_c in activators.items()
+        for v in range(num_vertices)
+    )
     return activators
 
 

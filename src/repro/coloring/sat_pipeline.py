@@ -122,21 +122,24 @@ def _lay_out(
         lits = [x[(v, c)] for c in colors]
         formula.add_clause(lits + tail)
         encode_at_most_one_pairwise(formula, lits)
-    for a, b in graph.edges():
-        for c in colors:
-            formula.add_clause([-x[(a, c)], -x[(b, c)]])
+    formula.add_clauses(
+        (-x[(a, c)], -x[(b, c)]) for a, b in graph.edges() for c in colors
+    )
     if sbp_kind in ("nu", "nu+sc"):
         # Usage variables y_c <- any x[v][c]; chain y_{c+1} -> y_c.
         y = {c: formula.new_var() for c in colors}
+        usage: List[Tuple[int, ...]] = []
         for c in colors:
-            for v in range(n):
-                formula.add_clause([-x[(v, c)], y[c]])
-            formula.add_clause([-y[c]] + [x[(v, c)] for v in range(n)])
-        for c in range(1, k):
-            formula.add_clause([-y[c + 1], y[c]])
+            column = [x[(v, c)] for v in range(n)]
+            usage.extend((-xv, y[c]) for xv in column)
+            usage.append((-y[c], *column))
+        usage.extend((-y[c + 1], y[c]) for c in range(1, k))
+        formula.add_clauses(usage)
     if sbp_kind in ("sc", "nu+sc"):
-        for vertex, color in selective_coloring_pins(graph, k):
-            formula.add_clause([x[(vertex, color)]])
+        formula.add_clauses(
+            (x[(vertex, color)],)
+            for vertex, color in selective_coloring_pins(graph, k)
+        )
     return formula, x, ext
 
 

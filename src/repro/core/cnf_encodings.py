@@ -18,9 +18,6 @@ from .formula import Formula
 
 def encode_at_most_one_pairwise(formula: Formula, lits: Sequence[int]) -> int:
     """At-most-one via pairwise conflicts; returns #clauses added."""
-    added = 0
-    for i, a in enumerate(lits):
-        for b in lits[i + 1 :]:
-            formula.add_clause([-a, -b])
-            added += 1
-    return added
+    pairs = [(-a, -b) for i, a in enumerate(lits) for b in lits[i + 1 :]]
+    formula.add_clauses(pairs)
+    return len(pairs)

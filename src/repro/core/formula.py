@@ -11,10 +11,29 @@ plus a linear objective to minimize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .literals import check_literal, var_of
 from .pbconstraint import PBConstraint, at_least_k, at_most_k, exactly_one
+
+
+def _checked(lits: Tuple[int, ...]) -> Tuple[int, ...]:
+    """``lits`` if it is a nonempty tuple of literals; ``ValueError`` otherwise."""
+    if not {int}.issuperset(map(type, lits)) or 0 in lits:
+        lits = tuple(map(check_literal, lits))
+    if not lits:
+        raise ValueError("refusing to add the empty clause; formula would be trivially UNSAT")
+    return lits
+
+
+def _canonical(lits: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The canonical clause of checked literals: distinct, sorted by variable."""
+    # Descending first puts x before -x; the stable sort by variable
+    # keeps that order.
+    unique = sorted(set(lits), reverse=True)
+    unique.sort(key=abs)
+    return tuple(unique)
 
 
 @dataclass(frozen=True)
@@ -74,19 +93,43 @@ class Formula:
         The empty clause is refused.  Tautologies are legal input (they
         are satisfiable).
         """
-        lits = tuple(literals)
-        if not {int}.issuperset(map(type, lits)) or 0 in lits:
-            lits = tuple(map(check_literal, lits))
-        if not lits:
-            raise ValueError("refusing to add the empty clause; formula would be trivially UNSAT")
-        # Descending first puts x before -x; the stable sort by variable
-        # keeps that order.
-        unique = sorted(set(lits), reverse=True)
-        unique.sort(key=abs)
-        clause = tuple(unique)
+        clause = _canonical(_checked(tuple(literals)))
         self.ensure_var(abs(clause[-1]))
         self.clauses.append(clause)
         return clause
+
+    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Append a batch of CNF clauses, each as :meth:`add_clause` would.
+
+        The clauses end up exactly as a loop of :meth:`add_clause` leaves
+        them, but the literal types are checked once for the whole batch
+        and a binary clause is made canonical without sorting.  A batch
+        holding a non-literal or an empty clause raises the
+        ``ValueError`` that :meth:`add_clause` raises on the first such
+        clause, and appends nothing.
+        """
+        batch = list(map(tuple, clauses))
+        flat = list(chain.from_iterable(batch))
+        if not all(batch) or not {int}.issuperset(map(type, flat)) or 0 in flat:
+            batch = list(map(_checked, batch))
+        out: List[Tuple[int, ...]] = []
+        append = out.append
+        for lits in batch:
+            if len(lits) == 2:
+                a, b = lits
+                va = a if a > 0 else -a
+                vb = b if b > 0 else -b
+                if va > vb:
+                    lits = (b, a)
+                elif va == vb:
+                    # The same literal twice, or x next to -x: x first.
+                    lits = (a,) if a == b else (va, -va)
+            elif len(lits) > 2:
+                lits = _canonical(lits)
+            append(lits)
+        if out:
+            self.ensure_var(max(map(abs, flat)))
+            self.clauses.extend(out)
 
     def add_pb(
         self, terms: Iterable[Tuple[int, int]], relation: str, bound: int
@@ -119,10 +162,14 @@ class Formula:
         return constraint
 
     def set_objective(self, terms: Iterable[Tuple[int, int]], sense: str = "min") -> None:
-        """Set the linear objective ``sense sum(coef*lit)``."""
+        """Set the linear objective ``sense sum(coef*lit)``.
+
+        A literal that is not a nonzero ``int`` raises ``ValueError``, as
+        in a constraint.
+        """
         if sense not in ("min", "max"):
             raise ValueError("objective sense must be 'min' or 'max'")
-        self.objective = tuple((int(c), int(l)) for c, l in terms)
+        self.objective = tuple((int(c), check_literal(l)) for c, l in terms)
         self.objective_sense = sense
         self._grow_to([var_of(l) for _, l in self.objective])
 

@@ -25,7 +25,10 @@ class LinearGE:
     Invariants: every coefficient is positive, every literal appears at
     most once and never together with its complement, coefficients are
     saturated at the degree (a coefficient larger than the degree is
-    equivalent to the degree).  ``degree <= 0`` means a tautology.
+    equivalent to the degree).  ``degree <= 0`` means a tautology.  The
+    constructor does not check them: :meth:`PBConstraint.to_geq` builds
+    every instance from :func:`normalize_terms`' normal form, which
+    holds them.
     """
 
     __slots__ = ("terms", "degree")
@@ -33,10 +36,6 @@ class LinearGE:
     def __init__(self, terms: Iterable[Tuple[int, int]], degree: int):
         self.terms: Tuple[Tuple[int, int], ...] = tuple(terms)
         self.degree: int = degree
-        for coef, lit in self.terms:
-            if coef <= 0:
-                raise ValueError(f"normalized constraint has coef {coef} <= 0")
-            check_literal(lit)
 
     def __repr__(self) -> str:
         lhs = " + ".join(f"{c}*{l}" for c, l in self.terms)
@@ -51,30 +50,6 @@ class LinearGE:
 
     def __hash__(self) -> int:
         return hash((tuple(sorted(self.terms)), self.degree))
-
-    @property
-    def is_tautology(self) -> bool:
-        """True when satisfied by every assignment."""
-        return self.degree <= 0
-
-    @property
-    def is_unsatisfiable(self) -> bool:
-        """True when no assignment can reach the degree."""
-        return sum(c for c, _ in self.terms) < self.degree
-
-    @property
-    def is_cardinality(self) -> bool:
-        """True when all coefficients are 1 (an at-least-k constraint)."""
-        return all(c == 1 for c, _ in self.terms)
-
-    @property
-    def is_clause(self) -> bool:
-        """True when equivalent to a single CNF clause."""
-        return self.degree == 1 and self.is_cardinality
-
-    def literals(self) -> List[int]:
-        """The literals of the constraint, in term order."""
-        return [l for _, l in self.terms]
 
     def evaluate(self, assignment: Dict[int, bool]) -> bool:
         """Evaluate under a total assignment mapping var -> bool."""
@@ -93,19 +68,26 @@ def normalize_terms(
 
     Returns ``(terms, degree)``.  Handles negative coefficients, repeated
     literals and complementary literal pairs; drops zero coefficients.
+    A term whose literal is not a nonzero ``int`` raises ``ValueError``.
     """
+    return _normal_form([(coef, check_literal(lit)) for coef, lit in terms], bound)
+
+
+def _normal_form(
+    terms: Iterable[Tuple[int, int]], bound: int
+) -> Tuple[List[Tuple[int, int]], int]:
+    """:func:`normalize_terms` over terms whose literals are checked."""
     by_var: Dict[int, int] = {}
     degree = bound
     for coef, lit in terms:
-        check_literal(lit)
         if coef == 0:
             continue
-        var = var_of(lit)
         # Express everything on the positive literal: a*(~v) == a - a*v.
         if lit < 0:
             degree -= coef
             coef = -coef
-        by_var[var] = by_var.get(var, 0) + coef
+            lit = -lit
+        by_var[lit] = by_var.get(lit, 0) + coef
     out: List[Tuple[int, int]] = []
     for var, coef in sorted(by_var.items()):
         if coef == 0:
@@ -158,14 +140,13 @@ class PBConstraint:
 
         ``>=`` and ``<=`` produce one constraint, ``=`` produces two.
         """
+        # The literals were checked when the constraint was built.
         out: List[LinearGE] = []
         if self.relation in (">=", "="):
-            t, d = normalize_terms(self.terms, self.bound)
-            out.append(LinearGE(t, d))
+            out.append(LinearGE(*_normal_form(self.terms, self.bound)))
         if self.relation in ("<=", "="):
             flipped = [(-c, l) for c, l in self.terms]
-            t, d = normalize_terms(flipped, -self.bound)
-            out.append(LinearGE(t, d))
+            out.append(LinearGE(*_normal_form(flipped, -self.bound)))
         return out
 
     def evaluate(self, assignment: Dict[int, bool]) -> bool:

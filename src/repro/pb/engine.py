@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.collector import collector_paused
 from ..core.formula import Formula
-from ..core.pbconstraint import LinearGE, normalize_terms
+from ..core.pbconstraint import normalize_terms
 from ..sat.cdcl import CDCLSolver, _load_clauses
 from ..sat.result import SolveResult
 
@@ -70,61 +71,76 @@ class PBSolver(CDCLSolver):
         """
         if self.trail_lim:
             raise RuntimeError("add_linear_ge is only legal at decision level 0")
-        norm_terms, norm_degree = normalize_terms(list(terms), degree)
+        norm_terms, norm_degree = normalize_terms(terms, degree)
         for _, lit in norm_terms:
             self._ensure_var(abs(lit))
-        # Substitute root-level forced literals directly into the
-        # constraint: a true literal moves its coefficient onto the
-        # degree, a false literal contributes nothing and is dropped.
-        # The stored constraint is tighter (smaller degree, fewer terms)
-        # and never needs trail-position bookkeeping for old
-        # assignments, because dropped terms have no occurrence entries.
+        return self._add_normalized(norm_terms, norm_degree)
+
+    def add_formula(self, formula: Formula) -> bool:
+        """Load clauses and PB constraints (objective ignored); False once refuted.
+
+        Each constraint's normal form is the one ``PBConstraint.to_geq``
+        computes; the cyclic collector is paused while loading (see
+        :mod:`repro.core.collector`).
+        """
+        with collector_paused():
+            if not _load_clauses(self, formula):
+                return False
+            add = self._add_normalized
+            for pb in formula.pb_constraints:
+                for geq in pb.to_geq():
+                    if not add(geq.terms, geq.degree):
+                        return False
+            return True
+
+    def _add_normalized(self, terms: Sequence[Tuple[int, int]], degree: int) -> bool:
+        """Add ``sum(coef*lit) >= degree`` in normal form; False once refuted.
+
+        ``terms`` are ``normalize_terms`` output over variables the
+        solver already has: positive coefficients saturated at
+        ``degree``, one term per variable.  Root-level forced literals
+        are substituted directly into the constraint: a true literal
+        moves its coefficient onto the degree, a false literal
+        contributes nothing and is dropped.  The stored constraint is
+        tighter (smaller degree, fewer terms) and never needs
+        trail-position bookkeeping for old assignments, because dropped
+        terms have no occurrence entries.
+        """
+        values = self.values
         fixed_terms = []
-        fixed_degree = norm_degree
-        for coef, lit in norm_terms:
-            value = self.value_of(lit)
-            if value is True:
+        fixed_degree = degree
+        for coef, lit in terms:
+            value = values[lit]
+            if value > 0:
                 fixed_degree -= coef
-            elif value is None:
+            elif value == 0:
                 fixed_terms.append((coef, lit))
-        if fixed_degree > 0:
+        if fixed_degree <= 0:
+            return True  # a tautology
+        if fixed_degree < degree:
             # Re-saturate: coefficients above the degree act like it.
             fixed_terms = [(min(c, fixed_degree), l) for c, l in fixed_terms]
-        constraint = LinearGE(fixed_terms, fixed_degree)
-        if constraint.is_tautology:
-            return True
-        if constraint.is_unsatisfiable:
+        total = sum(c for c, _ in fixed_terms)
+        if total < fixed_degree:
             self._unsat = True
             return False
-        if constraint.is_clause:
-            return self.add_clause(constraint.literals())
-        data = PBData(constraint.terms, constraint.degree)
+        if fixed_degree == 1:
+            # Saturated at degree 1 every coefficient is 1: a clause.
+            return self._add_unassigned([l for _, l in fixed_terms])
+        data = PBData(fixed_terms, fixed_degree)
         self.pb_constraints.append(data)
         for coef, lit in data.terms:
             self._pb_occ.setdefault(-lit, []).append((data, coef))
         # Initial propagation: constraints can be unit "out of the box".
-        if data.slack < 0:
-            self._unsat = True
-            return False
         if data.slack < data.max_coef:
             for coef, lit in data.terms:
                 if coef <= data.slack:
                     break
-                if self.value_of(lit) is None:
+                if values[lit] == 0:
                     self._enqueue(lit, data)
         if self._propagate() is not None:
             self._unsat = True
             return False
-        return True
-
-    def add_formula(self, formula: Formula) -> bool:
-        """Load clauses and PB constraints (objective ignored); False once refuted."""
-        if not _load_clauses(self, formula):
-            return False
-        for pb in formula.pb_constraints:
-            for geq in pb.to_geq():
-                if not self.add_linear_ge(geq.terms, geq.degree):
-                    return False
         return True
 
     # --------------------------------------------------------- propagation

@@ -61,6 +61,8 @@ Hot-path design (measured on the multi-K coloring descents):
 from __future__ import annotations
 
 import time
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..core.formula import Formula
@@ -221,6 +223,14 @@ class CDCLSolver:
         if not lits:
             self._unsat = True
             return False
+        return self._add_unassigned(lits)
+
+    def _add_unassigned(self, lits: List[int]) -> bool:
+        """Add a clause of distinct literals, none assigned at level 0.
+
+        A unit is enqueued and propagated; a longer clause is watched on
+        its first two literals.  False once the formula is refuted.
+        """
         if len(lits) == 1:
             self._enqueue(lits[0], None)
             return self._propagate() is None or self._mark_unsat()
@@ -721,15 +731,22 @@ class CDCLSolver:
 def _load_clauses(solver: CDCLSolver, formula: Formula) -> bool:
     """Copy ``formula``'s clauses into ``solver``; False at the first refutation.
 
-    ``Formula.add_clause`` keeps clauses canonical (distinct literals
-    sorted by variable).  One of two or more literals, none assigned at
-    level 0 and no ``x`` next to ``-x``, becomes a :class:`WClause` and
-    two watches as ``add_clause`` builds them; the rest go through it.
+    The solver first grows to the largest variable that ``num_vars``,
+    a clause or a PB term names.  ``Formula.add_clause`` and
+    ``add_clauses`` keep clauses canonical (distinct literals sorted by
+    variable).  One of two or more literals, none assigned at level 0
+    and no ``x`` next to ``-x``, becomes a :class:`WClause` and two
+    watches as ``add_clause`` builds them; the rest go through it.
     """
     if solver.trail_lim:
         raise RuntimeError("add_formula is only legal at decision level 0")
     clauses = formula.clauses
-    solver._ensure_var(max([formula.num_vars] + [abs(c[-1]) for c in clauses]))
+    terms = chain.from_iterable(pb.terms for pb in formula.pb_constraints)
+    solver._ensure_var(max(
+        formula.num_vars,
+        max(map(abs, map(itemgetter(-1), clauses)), default=0),
+        max(map(abs, map(itemgetter(1), terms)), default=0),
+    ))
     values, watches, store = solver.values, solver.watches, solver.clauses
     for lits in clauses:
         if len(lits) > 1:

@@ -25,6 +25,7 @@ re-verifies optimum preservation by brute force on small graphs).
 
 from __future__ import annotations
 
+from typing import List, Tuple
 
 from ..coloring.encoding import ColoringEncoding, selective_coloring_pins
 
@@ -33,9 +34,9 @@ SBP_KINDS = ("none", "nu", "ca", "li", "sc", "nu+sc")
 
 def add_null_color_elimination(encoding: ColoringEncoding) -> int:
     """NU: ``y_{k+1} -> y_k`` for k = 1..K-1; returns #clauses added."""
-    formula = encoding.formula
-    for k in range(1, encoding.num_colors):
-        formula.add_clause([-encoding.y(k + 1), encoding.y(k)])
+    encoding.formula.add_clauses(
+        (-encoding.y(k + 1), encoding.y(k)) for k in range(1, encoding.num_colors)
+    )
     return encoding.num_colors - 1
 
 
@@ -66,13 +67,14 @@ def add_lowest_index_ordering(encoding: ColoringEncoding) -> int:
     graph = encoding.graph
     n = graph.num_vertices
     K = encoding.num_colors
-    added = 0
     p_var = {}
     v_var = {}
     for k in range(1, K + 1):
         for v in range(n):
             p_var[(v, k)] = formula.new_var()
             v_var[(v, k)] = formula.new_var()
+    clauses: List[Tuple[int, ...]] = []
+    add = clauses.append
     for k in range(1, K + 1):
         for v in range(n):
             x_vk = encoding.x(v, k)
@@ -80,22 +82,20 @@ def add_lowest_index_ordering(encoding: ColoringEncoding) -> int:
             v_vk = v_var[(v, k)]
             if v == 0:
                 # P[0][k] <-> x[0][k]; V[0][k] <-> x[0][k].
-                formula.add_clause([-x_vk, p_vk])
-                formula.add_clause([-p_vk, x_vk])
-                formula.add_clause([-x_vk, v_vk])
-                formula.add_clause([-v_vk, x_vk])
-                added += 4
+                add((-x_vk, p_vk))
+                add((-p_vk, x_vk))
+                add((-x_vk, v_vk))
+                add((-v_vk, x_vk))
                 continue
             p_prev = p_var[(v - 1, k)]
             # P[v][k] <-> P[v-1][k] | x[v][k]
-            formula.add_clause([-p_prev, p_vk])
-            formula.add_clause([-x_vk, p_vk])
-            formula.add_clause([-p_vk, p_prev, x_vk])
+            add((-p_prev, p_vk))
+            add((-x_vk, p_vk))
+            add((-p_vk, p_prev, x_vk))
             # V[v][k] <-> x[v][k] & ~P[v-1][k]
-            formula.add_clause([-x_vk, p_prev, v_vk])
-            formula.add_clause([-v_vk, x_vk])
-            formula.add_clause([-v_vk, -p_prev])
-            added += 6
+            add((-x_vk, p_prev, v_vk))
+            add((-v_vk, x_vk))
+            add((-v_vk, -p_prev))
     # Ordering: if v is lowest for color k and color k+1 is used, then
     # color k+1 already appeared strictly before v (descending
     # lowest-index convention of the paper's Figure 1(e)).
@@ -104,20 +104,18 @@ def add_lowest_index_ordering(encoding: ColoringEncoding) -> int:
         for v in range(n):
             v_vk = v_var[(v, k)]
             if v == 0:
-                formula.add_clause([-v_vk, -y_next])
+                add((-v_vk, -y_next))
             else:
-                formula.add_clause([-v_vk, -y_next, p_var[(v - 1, k + 1)]])
-            added += 1
+                add((-v_vk, -y_next, p_var[(v - 1, k + 1)]))
+    formula.add_clauses(clauses)
     # NU chain, so LI subsumes NU (unused colors form a suffix).
-    added += add_null_color_elimination(encoding)
-    return added
+    return len(clauses) + add_null_color_elimination(encoding)
 
 
 def add_selective_coloring(encoding: ColoringEncoding) -> int:
     """SC: pin the max-degree vertex and its max-degree neighbor."""
     pins = selective_coloring_pins(encoding.graph, encoding.num_colors)
-    for vertex, color in pins:
-        encoding.formula.add_clause([encoding.x(vertex, color)])
+    encoding.formula.add_clauses((encoding.x(vertex, color),) for vertex, color in pins)
     return len(pins)
 
 

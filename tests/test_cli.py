@@ -164,6 +164,17 @@ def test_manifest_with_unknown_task_field_exits_2(capsys, tmp_path, col_file):
     assert captured.out == ""
 
 
+def test_jsonl_manifest_syntax_error_names_its_line(capsys, tmp_path, col_file):
+    manifest = tmp_path / "bad.jsonl"
+    manifest.write_text(
+        json.dumps({"graph": col_file}) + "\n\n" + '{"graph": myciel5}\n')
+    assert repro_main(["batch", str(manifest), "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {manifest}: line 3: Expecting value (column 11)"]
+    assert captured.out == ""
+
+
 def test_missing_resume_log_exits_2_naming_the_path(capsys, tmp_path, col_file):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([{"graph": col_file}]))

@@ -1,8 +1,16 @@
-"""Unit tests for the Formula container."""
+"""Unit tests for the Formula container and the collector pause."""
+
+import gc
 
 import pytest
+from fuzz_budget import fuzz_examples
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.collector import collector_paused
 from repro.core.formula import Formula, FormulaStats
+from repro.pb.engine import PBSolver
+from repro.sat.cdcl import CDCLSolver
 
 
 def test_new_var_and_growth():
@@ -93,3 +101,92 @@ def test_repr_mentions_sizes():
     f = Formula(num_vars=2)
     f.add_clause([1, 2])
     assert "clauses=1" in repr(f)
+
+
+_literal = st.integers(min_value=1, max_value=6).flatmap(lambda v: st.sampled_from([v, -v]))
+_clause = st.one_of(
+    _literal.map(lambda l: [l]),
+    st.tuples(_literal, _literal),
+    _literal.map(lambda l: (l, -l)),
+    _literal.map(lambda l: [l, l]),
+    st.lists(_literal, min_size=3, max_size=6),
+)
+
+
+@st.composite
+def _clause_batches(draw):
+    """Units, binaries (``(x, -x)`` and ``(x, x)`` among them), long
+    clauses, and some of them again."""
+    batch = draw(st.lists(_clause, max_size=10))
+    if batch:
+        batch += draw(st.lists(st.sampled_from(batch), max_size=4))
+    return draw(st.permutations(batch))
+
+
+@settings(max_examples=fuzz_examples(200), deadline=None)
+@given(_clause_batches(), st.integers(min_value=0, max_value=8),
+       st.sampled_from([0, True, 1.0, None]), st.data())
+def test_add_clauses_is_a_loop_of_add_clause(batch, start, bad, data):
+    looped = Formula(num_vars=start)
+    for clause in batch:
+        looped.add_clause(clause)
+    bulk = Formula(num_vars=start)
+    bulk.add_clauses(batch)
+    assert bulk.clauses == looped.clauses
+    assert bulk.num_vars == looped.num_vars
+    # One bad clause anywhere: add_clause's error, and nothing appended.
+    if bad is None:
+        spoiled = []
+    else:
+        lits = data.draw(st.lists(_literal, max_size=3))
+        at = data.draw(st.integers(min_value=0, max_value=len(lits)))
+        spoiled = lits[:at] + [bad] + lits[at:]
+    at = data.draw(st.integers(min_value=0, max_value=len(batch)))
+    with pytest.raises(ValueError) as expected:
+        Formula(num_vars=start).add_clause(spoiled)
+    with pytest.raises(ValueError) as raised:
+        bulk.add_clauses(batch[:at] + [spoiled] + batch[at:])
+    assert str(raised.value) == str(expected.value)
+    assert bulk.clauses == looped.clauses
+    assert bulk.num_vars == looped.num_vars
+
+
+def _cnf():
+    f = Formula()
+    f.add_clauses([(1, 2), (-1, 3), (-2,)])
+    return f
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_loading_leaves_the_collector_as_it_found_it(collector_on):
+    was = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        pb = Formula(num_vars=3)
+        pb.add_exactly_one([1, 2, 3])
+        assert CDCLSolver().add_formula(_cnf())
+        assert PBSolver().add_formula(pb)
+        assert gc.isenabled() is collector_on
+        refuted = _cnf()
+        refuted.add_clause([2])
+        assert not PBSolver().add_formula(refuted)
+        assert gc.isenabled() is collector_on
+        with pytest.raises(ValueError):
+            CDCLSolver().add_formula(pb)  # PB constraints: CNF-only solver
+        solver = PBSolver()
+        assert solver.add_formula(_cnf())
+        solver.trail_lim.append(0)  # mid-search: loading is refused
+        with pytest.raises(RuntimeError):
+            solver.add_formula(pb)
+        assert gc.isenabled() is collector_on
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector_on
+        with pytest.raises(KeyError):
+            with collector_paused():
+                raise KeyError("inside")
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -91,3 +91,10 @@ def test_formula_to_string_formats():
 def test_opb_malformed_token():
     with pytest.raises(ValueError):
         read_opb(io.StringIO("+1 z3 >= 1 ;\n"))
+
+
+@pytest.mark.parametrize("line", ["min: 1 x0 1 x1 ;", "1 x0 1 x1 >= 1 ;"])
+def test_opb_variable_zero_rejected(line):
+    # x0 names no variable, in the objective as in a constraint.
+    with pytest.raises(ValueError, match="not a literal: 0"):
+        read_opb(io.StringIO(line + "\n"))

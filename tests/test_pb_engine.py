@@ -1,12 +1,18 @@
 """PB engine tests: propagation, backtracking, and fuzz vs brute force."""
 
+import hashlib
+
 from fuzz_budget import fuzz_examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coloring.encoding import encode_coloring
 from repro.core.formula import Formula
+from repro.experiments.instances import get_instance
 from repro.pb.engine import PBSolver
 from repro.sat.brute import brute_force_solve
+from repro.sat.preprocessing import simplify_formula
+from repro.sbp.instance_independent import apply_sbp
 
 
 def _solve(formula):
@@ -135,3 +141,40 @@ def test_pb_engine_matches_brute_force(formula):
     assert status == expected.status
     if status == "SAT":
         assert formula.evaluate(model)
+
+
+# ------------------------------------------------------- pinned loaded state
+# The formulas the 0-1 ILP flow hands the engine (encode at K=20, an SBP
+# kind, simplify_formula), as in tests/test_optimizer.py's trajectory pins.
+LOADED_PINNED = [(name, kind) for name in ("myciel4", "queen5_5", "jean", "huck")
+                 for kind in ("nu+sc", "li")]
+LOADED_DIGEST = "bfcd89387b1fb9d60f799e2a5c57b684385770af"
+
+
+def _loaded_state(solver):
+    """Everything the search reads of a freshly loaded solver."""
+    index = {id(clause): i for i, clause in enumerate(solver.clauses)}
+    lits = [v for v in range(1, solver.num_vars + 1)]
+    lits += [-v for v in lits]
+    return (
+        solver.num_vars,
+        [list(clause) for clause in solver.clauses],
+        [[(index[id(clause)], blocker) for clause, blocker in solver.watches[lit]]
+         for lit in lits],
+        [(p.terms, p.degree, p.slack) for p in solver.pb_constraints],
+        list(solver.trail),
+    )
+
+
+def test_loaded_state_is_pinned():
+    """Clauses, watches, PB slack and the level-0 trail after loading the
+    pb-k20 workload's formulas stay fixed: a loader change that moves a
+    single watch or propagation fails here."""
+    digest = hashlib.sha1()
+    for name, kind in LOADED_PINNED:
+        formula, _ = simplify_formula(
+            apply_sbp(encode_coloring(get_instance(name).graph(), 20), kind).formula)
+        solver = PBSolver()
+        assert solver.add_formula(formula)
+        digest.update(repr(_loaded_state(solver)).encode())
+    assert digest.hexdigest() == LOADED_DIGEST

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.pbconstraint import (
-    LinearGE,
     PBConstraint,
     at_least_k,
     at_most_k,
@@ -55,16 +54,7 @@ def test_normalize_merges_duplicates():
 def test_normalize_cancels_complements():
     # 2*x + 3*~x >= 4  ==  2 + ~x >= 4  ==  ~x >= 2 : unsat after norm
     norm, degree = normalize_terms([(2, 1), (3, -1)], 4)
-    constraint = LinearGE(norm, degree)
-    assert constraint.is_unsatisfiable
-
-
-def test_linear_ge_classification():
-    assert LinearGE([(1, 1), (1, 2)], 1).is_clause
-    assert LinearGE([(1, 1), (1, 2)], 2).is_cardinality
-    assert not LinearGE([(2, 1), (1, 2)], 2).is_cardinality
-    assert LinearGE([(1, 1)], 0).is_tautology
-    assert LinearGE([(1, 1)], 2).is_unsatisfiable
+    assert (norm, degree) == ([(1, -1)], 2)  # 1 < 2: no assignment reaches it
 
 
 def test_pb_relations_to_geq():
